@@ -1,0 +1,75 @@
+"""Golden outputs: CLI text for every shipped arc fixture and the Euler
+tables of the paper's three worked examples, pinned byte for byte.
+
+Refactors of the expansion layer must leave these unchanged.  To re-record
+after an intended output change, run `PYTHONPATH=src python tests/test_golden.py`
+and review the diff of tests/data/golden.json.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from conftest import example_surface, gamma1, gamma2, gamma3, twice_punctured
+from surfcluster.cli import main
+from surfcluster.expand import (
+    euler_table,
+    expand_double_notch,
+    expand_ordinary,
+    expand_single_notch,
+)
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden.json"
+
+# (surface fixture, arc fixture) pairs shipped under tests/data
+FIXTURES = [
+    ("square.json", "square_arc.json"),
+    ("three_punctures.json", "ordinary_arc.json"),
+    ("three_punctures.json", "notched_arc.json"),
+    ("two_punctures.json", "double_notched_arc.json"),
+]
+COMMANDS = [("expand",), ("expand", "--json"), ("fpoly",), ("gvector",)]
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    return {"rc": rc, "stdout": buf.getvalue()}
+
+
+def _table(tab):
+    return sorted([list(k), v] for k, v in tab.items())
+
+
+def snapshot() -> dict:
+    cli = {}
+    for surface, arc in FIXTURES:
+        for cmd in COMMANDS:
+            argv = [cmd[0], "--surface", str(DATA / surface),
+                    "--arc", str(DATA / arc), *cmd[1:]]
+            cli[f"{surface} {arc} {' '.join(cmd)}"] = _stdout(argv)
+    E, TP = example_surface(), twice_punctured()
+    euler = {
+        "criterion 1": _table(euler_table(expand_ordinary(E, gamma1(E)),
+                                          E.tagged_names())),
+        "criterion 2": _table(euler_table(expand_single_notch(E, gamma2(E), "P2"),
+                                          E.tagged_names())),
+        "criterion 3": _table(euler_table(expand_double_notch(TP, gamma3(TP)),
+                                          TP.tagged_names())),
+    }
+    return {"cli": cli, "euler": euler}
+
+
+def test_golden_outputs():
+    expected = json.loads(GOLDEN.read_text())
+    got = snapshot()
+    for key in expected["cli"]:
+        assert got["cli"][key] == expected["cli"][key], key
+    assert got == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
