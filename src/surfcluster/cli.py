@@ -2,10 +2,16 @@
 
 Commands: expand | fpoly | gvector | matchings | snake | mutate | verify.
 Surfaces, arcs and seeds are JSON files with documented schemas (below);
-output is the canonical polynomial text, or structured JSON with --json.
+output is the canonical polynomial text, or structured JSON with --json
+(expand, fpoly, gvector).  `--notch p` or `--notch p,q` notches an arc at the
+named punctures, the only way to pick the notched end of an arc of the
+triangulation whose ends are two different punctures.  `mutate --sequence`
+and the bundle's `sequence`/`index` are 1-based.  On a mismatch `verify`
+prints the canonical text of expansion - oracle under the DIFFER line.
 
-Exit codes: 0 ok, 1 parse error, 2 validation error, 3 computation error,
-4 verification mismatch.
+Exit codes: 0 ok, 1 parse error (unreadable file, bad JSON, wrong field or
+type), 2 validation error (including an index out of range), 3 computation
+error, 4 verification mismatch; errors print one line to stderr.
 
 Surface schema::
 
@@ -94,16 +100,42 @@ class ValidationError(ValueError):
 
 
 def _require_keys(obj: dict, allowed: set, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what}: expected a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ParseError(f"{what}: unknown fields {sorted(unknown)}")
 
 
-def parse_surface(data: bytes) -> Triangulation:
+def _json(data: bytes, what: str):
     try:
-        obj = json.loads(data)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"surface file is not valid JSON: {exc}") from exc
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _field(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise ParseError(f"{what}: missing field {key!r}")
+    return obj[key]
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what}: {value!r} is not an integer") from None
+
+
+def _index(k: int, n: int, what: str) -> int:
+    """A 1-based index from a file or the command line, made 0-based."""
+    if not 1 <= k <= n:
+        raise ValidationError(f"{what}: index {k} is not in 1..{n}")
+    return k - 1
+
+
+def parse_surface(data: bytes) -> Triangulation:
+    obj = _json(data, "surface file")
     _require_keys(obj, {"schema", "topology", "arcs", "boundary", "punctures",
                         "triangles"}, "surface")
     if obj.get("schema") != 1:
@@ -111,11 +143,9 @@ def parse_surface(data: bytes) -> Triangulation:
     topo = obj.get("topology", {})
     _require_keys(topo, {"genus", "boundary_components", "punctures",
                          "boundary_marked"}, "topology")
-    try:
-        topology = Topology(int(topo["genus"]), int(topo["boundary_components"]),
-                            int(topo["punctures"]), int(topo["boundary_marked"]))
-    except KeyError as exc:
-        raise ParseError(f"topology: missing field {exc}") from exc
+    topology = Topology(*(_int(_field(topo, k, "topology"), f"topology {k}")
+                          for k in ("genus", "boundary_components",
+                                    "punctures", "boundary_marked")))
     arcs = [str(a) for a in obj.get("arcs", [])]
     boundary = [str(a) for a in obj.get("boundary", [])]
     punctures = [str(a) for a in obj.get("punctures", [])]
@@ -156,10 +186,7 @@ def parse_surface(data: bytes) -> Triangulation:
 
 def parse_arc(data: bytes, T: Triangulation):
     """Returns (path-or-label, TaggedArcRef, orientation)."""
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"arc file is not valid JSON: {exc}") from exc
+    obj = _json(data, "arc file")
     _require_keys(obj, {"schema", "arc", "start", "crossings", "end",
                         "notch_start", "notch_end", "orientation"}, "arc")
     if obj.get("schema") != 1:
@@ -176,8 +203,9 @@ def parse_arc(data: bytes, T: Triangulation):
         ref = TaggedArcRef(label, notch_start, notch_end)
         return label, ref, orientation
     try:
-        start = (int(obj["start"]["triangle"]), str(obj["start"]["vertex"]))
-        end = (int(obj["end"]["triangle"]), str(obj["end"]["vertex"]))
+        start = (_int(obj["start"]["triangle"], "arc start"),
+                 str(obj["start"]["vertex"]))
+        end = (_int(obj["end"]["triangle"], "arc end"), str(obj["end"]["vertex"]))
     except KeyError as exc:
         raise ParseError(f"arc: missing field {exc}") from exc
     crossings = []
@@ -185,8 +213,9 @@ def parse_arc(data: bytes, T: Triangulation):
         _require_keys(c, {"arc", "to_triangle", "wind"}, f"crossing {i}")
         if str(c.get("arc")) not in set(T.arcs):
             raise ParseError(f"crossing {i}: unknown arc {c.get('arc')!r}")
-        crossings.append(Crossing(str(c["arc"]), int(c["to_triangle"]),
-                                  c.get("wind")))
+        crossings.append(Crossing(
+            str(c["arc"]), _int(_field(c, "to_triangle", f"crossing {i}"),
+                                f"crossing {i}"), c.get("wind")))
     path = CrossingPath(start, tuple(crossings), end)
     problems = validate_path(T, path)
     if problems:
@@ -232,10 +261,7 @@ def render_surface(T: Triangulation) -> dict:
 
 
 def parse_seed(data: bytes):
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"seed file is not valid JSON: {exc}") from exc
+    obj = _json(data, "seed file")
     _require_keys(obj, {"schema", "matrix", "names"}, "seed")
     if obj.get("schema") != 1:
         raise ParseError("seed: unsupported schema version")
@@ -244,7 +270,9 @@ def parse_seed(data: bytes):
         raise ParseError("seed: matrix must be a list of rows")
     n = len(matrix[0])
     names = [str(x) for x in obj.get("names", [str(i + 1) for i in range(n)])]
-    rows = [[int(x) for x in r] for r in matrix]
+    if len(names) != n:
+        raise ValidationError(f"seed: {len(names)} names for {n} columns")
+    rows = [[_int(x, "seed matrix") for x in r] for r in matrix]
     if len(rows) == n:
         return principal_seed(rows, names)
     if len(rows) < n:
@@ -278,22 +306,24 @@ def _expand_arc(T: Triangulation, arc, ref: TaggedArcRef,
     return expand_double_notch(T, arc)
 
 
+def _poly_terms(p: LaurentPoly) -> list:
+    return [{"coeff": c, "exponents": {v.text(): e for v, e in ev}}
+            for ev, c in sorted(p.terms())]
+
+
 def _expansion_json(e: Expansion) -> dict:
-    def poly_terms(p: LaurentPoly):
-        out = []
-        for ev, c in sorted(p.terms()):
-            out.append({"coeff": c,
-                        "exponents": {v.text(): e for v, e in ev}})
-        return out
-    return {"poly": poly_terms(e.poly),
-            "numerator": poly_terms(e.numerator),
-            "crossing": poly_terms(e.cross),
+    return {"poly": _poly_terms(e.poly),
+            "numerator": _poly_terms(e.numerator),
+            "crossing": _poly_terms(e.cross),
             "matchings": e.matchings_used}
 
 
 def _load(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _cmd_expand(args) -> int:
@@ -306,10 +336,10 @@ def _cmd_expand(args) -> int:
         else:
             e = expand_double_notch(T, arc, punctures[0], punctures[1])
     else:
-        e = _expand_arc(T, arc, ref, args.orientation or orientation)
+        e = _expand_arc(T, arc, ref, orientation)
     if args.command == "fpoly":
         out = f_polynomial(e)
-        print(json.dumps({"fpoly": _expansion_json(e)["poly"]})
+        print(json.dumps({"fpoly": _poly_terms(out)})
               if args.json else out.canonical_text())
     elif args.command == "gvector":
         B = signed_adjacency(T)
@@ -366,7 +396,8 @@ def _dot(g) -> str:
 
 def _cmd_mutate(args) -> int:
     seed = parse_seed(_load(args.seed))
-    ks = [int(x) - 1 for x in args.sequence.split(",")] if args.sequence else []
+    ks = [_index(_int(x, "--sequence"), seed.n, "--sequence")
+          for x in args.sequence.split(",")] if args.sequence else []
     out = run_sequence(seed, ks)
     for i, x in enumerate(out.cluster):
         print(f"x{i+1} = {x.canonical_text()}")
@@ -376,28 +407,29 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        obj = json.loads(_load(args.bundle))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bundle is not valid JSON: {exc}") from exc
+    obj = _json(_load(args.bundle), "bundle")
     _require_keys(obj, {"schema", "surface", "cases"}, "bundle")
-    T = parse_surface(json.dumps(obj["surface"]).encode())
+    T = parse_surface(json.dumps(_field(obj, "surface", "bundle")).encode())
     B = signed_adjacency(T)
     names = T.tagged_names()
     seed0 = principal_seed(B, names)
     failures = 0
     for i, case in enumerate(obj.get("cases", [])):
-        _require_keys(case, {"arc", "sequence", "index", "name"}, f"case {i}")
-        arc, ref, orientation = parse_arc(json.dumps(case["arc"]).encode(), T)
+        what = f"case {i}"
+        _require_keys(case, {"arc", "sequence", "index", "name"}, what)
+        arc, ref, orientation = parse_arc(
+            json.dumps(_field(case, "arc", what)).encode(), T)
         e = _expand_arc(T, arc, ref, orientation)
-        seq = [int(k) - 1 for k in case["sequence"]]
-        idx = int(case["index"]) - 1
+        seq = [_index(_int(k, what), seed0.n, what)
+               for k in _field(case, "sequence", what)]
+        idx = _index(_int(_field(case, "index", what), what), seed0.n, what)
         oracle = run_sequence(seed0, seq).cluster[idx]
-        name = case.get("name", f"case {i}")
+        name = case.get("name", what)
         if e.poly == oracle:
             print(f"{name}: EQUAL")
         else:
             print(f"{name}: DIFFER")
+            print(f"  expansion - oracle = {e.poly.sub(oracle).canonical_text()}")
             failures += 1
     return EXIT_VERIFY if failures else 0
 
@@ -411,7 +443,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--arc", required=True)
         p.add_argument("--notch", default=None,
                        help="puncture (or p,q) to notch at")
-        p.add_argument("--orientation", choices=("ccw", "cw"), default=None)
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_expand)
     p = sub.add_parser("matchings")

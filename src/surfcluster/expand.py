@@ -6,18 +6,24 @@ graph around that puncture; arcs notched at both ends sum over compatible
 pairs of matchings of the two loop graphs.  Initial arcs and arcs of the
 triangulation are dispatched to their closed forms automatically.
 
-Expansions keep the numerator and the crossing monomial separate (the
-fraction is not reduced); equality testing and the `poly` field use the exact
-quotient, which is a Laurent polynomial since the denominator is a monomial.
+Every sum goes through one accumulator.  An `Expansion` carries `poly`, the
+exact quotient numerator/cross (a Laurent polynomial, since the denominator
+is a monomial), the unreduced `numerator` and crossing monomial `cross`, the
+tagged `arc`, and `matchings_used`, the number of summands (matchings or
+compatible pairs; 0 for the closed form of a doubly-notched arc of the
+triangulation).  Equality testing uses `poly`.  `f_polynomial` sets every x
+to 1 in `poly`; `euler_table` reads the F-polynomial's coefficients, so it
+counts matchings by height for every kind of arc.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .poly import LaurentPoly, VarId, xvar, yvar
 from .matchings import (
+    Matching,
     compatible_pairs,
     enumerate_matchings,
     gamma_symmetric_filter,
@@ -30,10 +36,12 @@ from .matchings import (
     weight_exps,
     x_of_label,
 )
+from .mutation import f_from_x
 from .snake import (
     EndpointNotPuncture,
     LoopGraph,
     NotchedTrianglePresent,
+    _has_notch_at,
     build_loop_graph,
     build_snake,
 )
@@ -82,8 +90,7 @@ class Expansion:
     numerator: LaurentPoly
     cross: LaurentPoly                    # a monomial
     arc: TaggedArcRef
-    matchings_used: int
-    records: Optional[Tuple[LaurentPoly, ...]] = None  # y-monomial per matching
+    matchings_used: int                   # summands: matchings or pairs
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Expansion):
@@ -158,10 +165,6 @@ def crossing_monomial(T: Triangulation, path: Union[CrossingPath, str],
     return out
 
 
-def _heights_y(T: Triangulation, m: Dict[str, int]) -> LaurentPoly:
-    return phi_specialize(m, T)
-
-
 def _merge(*exp_maps) -> Dict:
     out: Dict = {}
     for exps in exp_maps:
@@ -178,13 +181,18 @@ def _scale(exps: Dict, k: int) -> Dict:
     return {v: k * e for v, e in exps.items()}
 
 
-def _acc(acc: Dict, exps: Dict, coeff: int = 1) -> None:
-    key = tuple(sorted(exps.items()))
-    acc[key] = acc.get(key, 0) + coeff
-
-
-def _acc_poly(acc: Dict) -> LaurentPoly:
-    return LaurentPoly({k: c for k, c in acc.items() if c})
+def _sum(terms: Iterable[Tuple[Dict, Dict]], cross: LaurentPoly,
+         ref: TaggedArcRef) -> Expansion:
+    """The matching sum: add up one monomial per summand from its (x, y)
+    exponent maps, divide once by the crossing monomial, count summands."""
+    acc: Dict = {}
+    count = 0
+    for x, y in terms:
+        key = tuple(sorted(_merge(x, y).items()))
+        acc[key] = acc.get(key, 0) + 1
+        count += 1
+    num = LaurentPoly(acc)
+    return Expansion(num.div_exact(cross), num, cross, ref, count)
 
 
 def expand_ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
@@ -193,46 +201,33 @@ def expand_ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
     triangulation, which is its own variable)."""
     if isinstance(gamma, str):
         x = x_of_label(T, gamma)
-        ref = TaggedArcRef(gamma)
-        return Expansion(x, x, LaurentPoly.one(), ref, 1, (LaurentPoly.one(),))
+        return Expansion(x, x, LaurentPoly.one(), TaggedArcRef(gamma), 1)
     g = build_snake(T, gamma, mirror=mirror)
     minus, _ = minimal_maximal(g)
-    acc: Dict = {}
-    records = []
-    for P in enumerate_matchings(g):
-        w = weight_exps(g, P, T)
-        y = phi_exps(height_exponents(g, P, minus), T)
-        records.append(LaurentPoly.monomial(1, y))
-        _acc(acc, _merge(w, y))
-    num = _acc_poly(acc)
-    cross = crossing_monomial(T, gamma)
-    poly = num.div_exact(cross)
-    return Expansion(poly, num, cross, TaggedArcRef(gamma), len(records),
-                     tuple(records))
+    terms = ((weight_exps(g, P, T), phi_exps(height_exponents(g, P, minus), T))
+             for P in enumerate_matchings(g))
+    return _sum(terms, crossing_monomial(T, gamma), TaggedArcRef(gamma))
 
 
-def _restriction_data(T: Triangulation, lg: LoopGraph):
-    """Cache: end-1 subgraph, its edge map, and its minimal matching."""
+def _symmetric_terms(T: Triangulation, lg: LoopGraph,
+                     power: int) -> Dict[Matching, Tuple[Dict, Dict]]:
+    """The symmetric matchings of a loop graph, in enumeration order, each
+    with its weight and height exponent maps divided `power` times by those
+    of its perfect end restriction."""
+    minus, _ = minimal_maximal(lg.graph)
     sub, emap = lg.graph.subgraph(0, lg.d)
     sub_minus, _ = minimal_maximal(sub)
-    return sub, emap, sub_minus
-
-
-def _symmetric_term(T: Triangulation, lg: LoopGraph, P, sub, emap, sub_minus,
-                    lp_minus):
-    """Weight and height exponent maps of one symmetric matching, divided by
-    its perfect end restriction; plus the restriction's role key."""
-    which, roles = perfect_end_restriction(lg, P)
-    w_full = weight_exps(lg.graph, P, T)
-    w_restr = weight_exps(lg.graph, roles.values(), T)
-    xbar = _merge(w_full, _scale(w_restr, -1))
-
-    m_full = height_exponents(lg.graph, P, lp_minus)
-    sub_P = restriction_in_subgraph(lg, roles, emap)
-    m_restr = height_exponents(sub, sub_P, sub_minus)
-    m = _merge(m_full, _scale(m_restr, -1))
-    ybar = phi_exps(m, T)
-    return xbar, ybar, frozenset(roles)
+    out = {}
+    for P in gamma_symmetric_filter(lg, enumerate_matchings(lg.graph)):
+        _, roles = perfect_end_restriction(lg, P)
+        w = weight_exps(lg.graph, P, T)
+        w_restr = weight_exps(lg.graph, roles.values(), T)
+        m = height_exponents(lg.graph, P, minus)
+        sub_P = restriction_in_subgraph(lg, roles, emap)
+        m_restr = height_exponents(sub, sub_P, sub_minus)
+        out[P] = (_merge(w, _scale(w_restr, -power)),
+                  phi_exps(_merge(m, _scale(m_restr, -power)), T))
+    return out
 
 
 def expand_single_notch(T: Triangulation, gamma: Union[CrossingPath, str],
@@ -246,50 +241,36 @@ def expand_single_notch(T: Triangulation, gamma: Union[CrossingPath, str],
     if p is None:
         raise EndpointNotPuncture("path does not end at a puncture")
     lg = build_loop_graph(T, gamma, p, mirror=mirror)
-    lp_minus, _ = minimal_maximal(lg.graph)
-    sub, emap, sub_minus = _restriction_data(T, lg)
-    acc: Dict = {}
-    records = []
-    count = 0
-    for P in gamma_symmetric_filter(lg, enumerate_matchings(lg.graph)):
-        xbar, ybar, _ = _symmetric_term(T, lg, P, sub, emap, sub_minus, lp_minus)
-        records.append(LaurentPoly.monomial(1, ybar))
-        _acc(acc, _merge(xbar, ybar))
-        count += 1
-    num = _acc_poly(acc)
-    cross = crossing_monomial(T, gamma, notches=1, p=p)
-    ref = TaggedArcRef(gamma, notch_end=True)
-    return Expansion(num.div_exact(cross), num, cross, ref, count, tuple(records))
+    terms = _symmetric_terms(T, lg, 1).values()
+    return _sum(terms, crossing_monomial(T, gamma, notches=1, p=p),
+                TaggedArcRef(gamma, notch_end=True))
 
 
 def _single_notch_initial(T: Triangulation, arc: str, p: Optional[str]) -> Expansion:
     """Notched version of an arc of the triangulation: the loop expansion
     divided by the arc's own variable."""
+    ref = TaggedArcRef(arc, notch_end=True)
     sf = T.radius_triangle(arc)
     if sf is not None and (p is None or sf.puncture == p):
         # the enclosing loop is already an arc of the triangulation
         twin = LaurentPoly.var(xvar(T.notched_twin(arc)))
-        ref = TaggedArcRef(arc, notch_end=True)
-        return Expansion(twin, twin, LaurentPoly.one(), ref, 1,
-                         (LaurentPoly.one(),))
+        return Expansion(twin, twin, LaurentPoly.one(), ref, 1)
     if p is None:
         ends = _arc_puncture_ends(T, arc)
         if len(set(ends)) != 1:
             raise EndpointNotPuncture(
                 f"cannot infer the notched puncture of {arc!r}")
         p = ends[0]
-    lp_path = _loop_path_around(T, p, arc)
-    e = expand_ordinary(T, lp_path)
+    e = expand_ordinary(T, _loop_path_around(T, p, arc))
     cross = e.cross.mul(LaurentPoly.var(xvar(arc)))
-    ref = TaggedArcRef(arc, notch_end=True)
     return Expansion(e.numerator.div_exact(cross), e.numerator, cross, ref,
-                     e.matchings_used, e.records)
+                     e.matchings_used)
 
 
 def _loop_path_around(T: Triangulation, p: str, arc: str) -> CrossingPath:
     """Crossing path of the loop based at the far end of `arc` that cuts out
     a once-punctured monogon around p (for arcs of the triangulation)."""
-    if any(isinstance(t, SelfFolded) and t.puncture == p for t in T.triangles):
+    if _has_notch_at(T, p):
         raise NotchedTrianglePresent(
             f"an arc of the triangulation is notched at {p!r}")
     walk = corner_walk(T, puncture_corner(T, p))
@@ -338,52 +319,23 @@ def expand_double_notch(T: Triangulation, gamma: Union[CrossingPath, str],
         raise EndpointNotPuncture("both endpoints must be punctures")
     if p == q:
         return expand_notched_loop(T, gamma, notches=2, mirror=mirror)
+    return _pair_sum(T, gamma, p, q, mirror)
+
+
+def _pair_sum(T: Triangulation, gamma: CrossingPath, p: str, q: str,
+              mirror: bool) -> Expansion:
+    """Sum over compatible pairs of symmetric matchings of the loop graphs at
+    the two ends; on the q side the restriction divides twice (so three
+    times in all)."""
     lp = build_loop_graph(T, gamma, p, mirror=mirror)
     lq = build_loop_graph(T, gamma.reversed(), q, mirror=mirror)
-    return _pair_sum(T, gamma, lp, lq, p, q, double_puncture=False)
-
-
-def _pair_sum(T: Triangulation, gamma: CrossingPath, lp: LoopGraph,
-              lq: LoopGraph, p: str, q: str, double_puncture: bool) -> Expansion:
-    lp_minus, _ = minimal_maximal(lp.graph)
-    lq_minus, _ = minimal_maximal(lq.graph)
-    subp, emapp, subp_minus = _restriction_data(T, lp)
-    subq, emapq, subq_minus = _restriction_data(T, lq)
-    sym_p = gamma_symmetric_filter(lp, enumerate_matchings(lp.graph))
-    sym_q = gamma_symmetric_filter(lq, enumerate_matchings(lq.graph))
-    pairs = compatible_pairs(lp, lq, sym_p, sym_q)
-
-    terms_p = {P: _symmetric_term(T, lp, P, subp, emapp, subp_minus, lp_minus)
-               for P in sym_p}
-    # for the q side the restriction divides twice more (cube in total)
-    q_cache = {}
-    for Q in sym_q:
-        w_q = weight_exps(lq.graph, Q, T)
-        m_q = height_exponents(lq.graph, Q, lq_minus)
-        whichq, rolesq = perfect_end_restriction(lq, Q)
-        w_rq = weight_exps(lq.graph, rolesq.values(), T)
-        sub_Q = restriction_in_subgraph(lq, rolesq, emapq)
-        m_rq = height_exponents(subq, sub_Q, subq_minus)
-        xq = _merge(w_q, _scale(w_rq, -2))
-        yq = phi_exps(_merge(m_q, _scale(m_rq, -2)), T)
-        q_cache[Q] = (xq, yq)
-    acc: Dict = {}
-    records = []
-    for P, Q in pairs:
-        xbar_p, ybar_p, roles_p = terms_p[P]
-        xq, yq = q_cache[Q]
-        yy = _merge(ybar_p, yq)
-        records.append(LaurentPoly.monomial(1, yy))
-        _acc(acc, _merge(xbar_p, xq, yy))
-    num = _acc_poly(acc)
-    if double_puncture:
-        cross = crossing_monomial(T, gamma, notches=1, p=p)
-        cross = cross.mul(_ends_product(T, p))
-    else:
-        cross = crossing_monomial(T, gamma, notches=2, p=p, q=q)
-    ref = TaggedArcRef(gamma, notch_start=True, notch_end=True)
-    poly = num.div_exact(cross)
-    return Expansion(poly, num, cross, ref, len(pairs), tuple(records))
+    terms_p = _symmetric_terms(T, lp, 1)
+    terms_q = _symmetric_terms(T, lq, 2)
+    pairs = compatible_pairs(lp, lq, list(terms_p), list(terms_q))
+    terms = ((_merge(terms_p[P][0], terms_q[Q][0]),
+              _merge(terms_p[P][1], terms_q[Q][1])) for P, Q in pairs)
+    return _sum(terms, crossing_monomial(T, gamma, notches=2, p=p, q=q),
+                TaggedArcRef(gamma, notch_start=True, notch_end=True))
 
 
 def _y_ends_product(T: Triangulation, p: str) -> LaurentPoly:
@@ -411,7 +363,7 @@ def _double_notch_initial(T: Triangulation, arc: str, p: Optional[str],
         one.sub(_y_ends_product(T, p)).mul(one.sub(_y_ends_product(T, q))))
     poly = num.div_exact(LaurentPoly.var(xvar(arc)))
     ref = TaggedArcRef(arc, notch_start=True, notch_end=True)
-    return Expansion(poly, poly, LaurentPoly.one(), ref, 0, None)
+    return Expansion(poly, poly, LaurentPoly.one(), ref, 0)
 
 
 def _arc_puncture_ends(T: Triangulation, arc: str) -> List[str]:
@@ -442,12 +394,8 @@ def expand_notched_loop(T: Triangulation, rho: CrossingPath, notches: int,
     oriented = rho if orientation == "ccw" else rho.reversed()
     if notches == 1:
         e = expand_single_notch(T, oriented, p, mirror=mirror)
-        return Expansion(e.poly, e.numerator, e.cross,
-                         TaggedArcRef(rho, notch_end=True), e.matchings_used,
-                         e.records)
-    lp = build_loop_graph(T, oriented, p, mirror=mirror)
-    lq = build_loop_graph(T, oriented.reversed(), p, mirror=mirror)
-    return _pair_sum(T, oriented, lp, lq, p, p, double_puncture=True)
+        return replace(e, arc=TaggedArcRef(rho, notch_end=True))
+    return _pair_sum(T, oriented, p, p, mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +434,7 @@ def z_factor(T: Triangulation, p: str) -> LaurentPoly:
 
 def f_polynomial(e: Expansion) -> LaurentPoly:
     """Set every cluster variable to 1."""
-    if e.records is not None:
-        out = LaurentPoly.zero()
-        for y in e.records:
-            out = out.add(y)
-        return out
-    bind = {v: LaurentPoly.one() for v in e.poly.variables() if v.kind == "x"}
-    return e.poly.substitute(bind)
+    return f_from_x(e.poly)
 
 
 def _term_degree(ev, index: Dict[str, int], B: Sequence[Sequence[int]]):
@@ -525,14 +467,14 @@ def g_vector(e: Expansion, B: Sequence[Sequence[int]],
 
 
 def euler_table(e: Expansion, arc_names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
-    """Count matchings by the exponent vector of their height monomial."""
-    if e.records is None:
-        raise ValueError("expansion carries no per-matching records")
+    """Count matchings by the exponent vector of their height monomial:
+    the coefficients of the F-polynomial, keyed by their y exponents."""
+    ys = [yvar(name) for name in arc_names]
     out: Dict[Tuple[int, ...], int] = {}
-    for y in e.records:
-        _, exps = y.monomial_parts()
-        key = tuple(exps.get(yvar(name), 0) for name in arc_names)
-        out[key] = out.get(key, 0) + 1
+    for ev, c in f_polynomial(e).terms():
+        exps = dict(ev)
+        key = tuple(exps.get(y, 0) for y in ys)
+        out[key] = out.get(key, 0) + c
     return out
 
 
@@ -560,9 +502,8 @@ def retag_expansion(e: Expansion, T: Triangulation,
                 bind[v] = LaurentPoly.var(VarId(v.kind, mapping[v.name]))
         return poly.substitute(bind)
 
-    records = tuple(rename(r) for r in e.records) if e.records else None
     return Expansion(rename(e.poly), rename(e.numerator), rename(e.cross),
-                     e.arc, e.matchings_used, records)
+                     e.arc, e.matchings_used)
 
 
 def _toggle_notch_name(name: str, p: str) -> str:

@@ -28,7 +28,6 @@ __all__ = [
     "matching_weight",
     "gamma_symmetric_filter",
     "perfect_end_restriction",
-    "restriction_subgraph",
     "compatible_pairs",
 ]
 
@@ -37,15 +36,6 @@ Matching = FrozenSet[int]
 
 class NotAMatching(SurfaceError):
     pass
-
-
-def _vertex_incidence(g: SnakeGraph) -> Dict[int, List[int]]:
-    inc: Dict[int, List[int]] = {v: [] for v in range(g.nvertices)}
-    for e in g.edges:
-        a, b = g.edge_vertices(e)
-        inc[a].append(e.eid)
-        inc[b].append(e.eid)
-    return inc
 
 
 def _enumerate(g: SnakeGraph, allowed: Optional[set] = None) -> List[Matching]:
@@ -299,11 +289,6 @@ def perfect_end_restriction(lg: LoopGraph, P: Matching) -> Tuple[int, Dict[Role,
                 all(v in vs for v in cover):
             return which, {roles[e]: e for e in restr}
     raise NotAMatching("matching restricts to a perfect matching on neither end")
-
-
-def restriction_subgraph(lg: LoopGraph) -> Tuple[SnakeGraph, Dict[int, int]]:
-    """The canonical arc snake graph (end 1) plus old-to-new edge id map."""
-    return lg.graph.subgraph(0, lg.d)
 
 
 def restriction_in_subgraph(lg: LoopGraph, rest_roles: Dict[Role, int],

@@ -47,7 +47,6 @@ __all__ = [
     "EndpointNotPuncture",
     "build_strip",
     "build_tiles",
-    "glue_snake",
     "build_snake",
     "build_loop_path",
     "end_subgraphs",
@@ -240,7 +239,6 @@ _ROT_DIR = {"U": "L", "L": "D", "D": "R", "R": "U"}
 @dataclass
 class Tile:
     diagonal: str
-    diag_side: Side
     rel: int
     pos: Tuple[int, int]
     embedding: str                       # "A" (SW-NE diagonal) or "B" (SE-NW)
@@ -271,25 +269,15 @@ class SnakeGraph:
     nvertices: int
     triple_spans: List[Tuple[int, int, int]]
     minus_avoid_slots: Tuple[str, str]   # slots of tile 0 avoided by P-
-    mirror: bool = False
 
     @property
     def d(self) -> int:
         return len(self.tiles)
 
-    def edge_at(self, tile: int, slot: str) -> EdgeInfo:
-        return self.edges[self.tiles[tile].slot_edge[slot]]  # type: ignore
-
-    def edge_ids_at(self, tile: int) -> Dict[str, int]:
-        return self.tiles[tile].slot_edge  # type: ignore
-
     def edge_vertices(self, e: EdgeInfo) -> Tuple[int, int]:
         tile, slot = e.tiles[0]
         c1, c2 = _SLOT_CORNERS[slot]
         return (self.vertex_of[(tile, c1)], self.vertex_of[(tile, c2)])
-
-    def boundary_edges(self) -> List[EdgeInfo]:
-        return [e for e in self.edges if e.boundary]
 
     def subgraph(self, lo: int, hi: int) -> Tuple["SnakeGraph", Dict[int, int]]:
         """The sub-snake on tiles [lo, hi) plus the old-to-new edge id map.
@@ -304,7 +292,7 @@ class SnakeGraph:
         tiles = []
         for t in sel:
             old = self.tiles[t]
-            tiles.append(Tile(old.diagonal, old.diag_side, old.rel, old.pos,
+            tiles.append(Tile(old.diagonal, old.rel, old.pos,
                               old.embedding, dict(old.slots), old.lower_slots,
                               old.upper_slots, dict(old.lower_roles),
                               dict(old.upper_roles)))
@@ -331,7 +319,7 @@ class SnakeGraph:
         spans = [s for s in self.triple_spans if lo <= s[0] and s[2] < hi]
         sub = SnakeGraph(tiles, glue, edges, vertex_of, len(vid_map),
                          [(a - lo, b - lo, c - lo) for a, b, c in spans],
-                         self.minus_avoid_slots, self.mirror)
+                         self.minus_avoid_slots)
         return sub, eid_map
 
 
@@ -401,7 +389,7 @@ def build_tiles(T: Triangulation, path: CrossingPath, mirror: bool = False):
                        for slot, side in low.items()}
         upper_roles = {slot: (0 if side is upper_pair[0] else 1)
                        for slot, side in up.items()}
-        tiles.append(Tile(diag.label, diag, rel, (0, 0), _EMBEDDING[low_pat],
+        tiles.append(Tile(diag.label, rel, (0, 0), _EMBEDDING[low_pat],
                           slots, tuple(low.keys()), tuple(up.keys()),
                           lower_roles, upper_roles))
         if glue_next is not None:
@@ -436,7 +424,8 @@ def _rotate_into_quadrant(tiles: List[Tile], glue: List[str]) -> None:
         raise GlueConflict("snake drawing does not fit a single quadrant")
 
 
-def glue_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> SnakeGraph:
+def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> SnakeGraph:
+    """Glue the placed tiles into one graph: shared edges and vertices."""
     tiles, glue, spans = build_tiles(T, path, mirror=mirror)
     d = len(tiles)
 
@@ -495,13 +484,8 @@ def glue_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> Sn
             vertex_of[(k, corner)] = vid.setdefault(r, len(vid))
 
     first = tiles[0]
-    g = SnakeGraph(tiles, glue, edges, vertex_of, len(vid), spans,
-                   _avoid_slots(first.embedding, first.rel), mirror)
-    return g
-
-
-def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> SnakeGraph:
-    return glue_snake(T, path, mirror=mirror)
+    return SnakeGraph(tiles, glue, edges, vertex_of, len(vid), spans,
+                      _avoid_slots(first.embedding, first.rel))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +546,6 @@ class LoopGraph:
     zeta: Tuple[str, ...]
     v1: int
     v2: int
-    v1_edges: Tuple[int, int]            # the two end1 edges at v1
-    v2_edges: Tuple[int, int]
     end_roles: Dict[int, Dict[int, Tuple[int, str, int]]]
     # end_roles[which_end][edge_id] = (tile 0..d-1 in q->p order, 'lower'|'upper', role)
 
@@ -617,12 +599,8 @@ def end_subgraphs(g: SnakeGraph, d: int, e_p: int) -> LoopGraph:
             raise MalformedLoopGraph("outer pair does not share a corner")
         return g.vertex_of[(tile_idx, shared.pop())]
 
-    t_last1 = g.tiles[d - 1]
-    t_first2 = g.tiles[d + e_p]
-    v1 = pair_corner(d - 1, t_last1.upper_slots)
-    v2 = pair_corner(d + e_p, t_first2.lower_slots)
-    v1_edges = tuple(sorted(t_last1.slot_edge[s] for s in t_last1.upper_slots))
-    v2_edges = tuple(sorted(t_first2.slot_edge[s] for s in t_first2.lower_slots))
+    v1 = pair_corner(d - 1, g.tiles[d - 1].upper_slots)
+    v2 = pair_corner(d + e_p, g.tiles[d + e_p].lower_slots)
 
     roles = {1: _end_role_map(g, d, e_p, 1), 2: _end_role_map(g, d, e_p, 2)}
     if len(roles[1]) != len(roles[2]):
@@ -631,7 +609,7 @@ def end_subgraphs(g: SnakeGraph, d: int, e_p: int) -> LoopGraph:
     lab2 = sorted((repr(r), g.edges[e].label) for e, r in roles[2].items())
     if lab1 != lab2:
         raise MalformedLoopGraph("end subgraphs are not label-isomorphic")
-    return LoopGraph(g, d, e_p, zeta, v1, v2, v1_edges, v2_edges, roles)
+    return LoopGraph(g, d, e_p, zeta, v1, v2, roles)
 
 
 def build_loop_graph(T: Triangulation, path: CrossingPath, p: str,

@@ -1,4 +1,7 @@
 import json
+import pathlib
+
+import pytest
 
 from conftest import example_surface, gamma1, square, twice_punctured
 from surfcluster.cli import (
@@ -196,3 +199,95 @@ def test_notch_flag(tmp_path, capsys):
                  "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["matchings"] == 9
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def test_fpoly_json_is_the_f_polynomial(tmp_path, capsys):
+    s = write(tmp_path, "sq.json", square_json())
+    a = write(tmp_path, "arc.json", square_arc_json())
+    assert main(["fpoly", "--surface", s, "--arc", a, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"fpoly": [{"coeff": 1, "exponents": {}},
+                             {"coeff": 1, "exponents": {"y_d": 1}}]}
+
+
+def _bad_genus(tmp_path):
+    obj = square_json()
+    obj["topology"]["genus"] = "x"
+    return ["expand", "--surface", write(tmp_path, "sq.json", obj),
+            "--arc", write(tmp_path, "arc.json", square_arc_json())]
+
+
+def _bad_seed(tmp_path, matrix, names, sequence):
+    seed = {"schema": 1, "matrix": matrix, "names": names}
+    return ["mutate", "--seed", write(tmp_path, "seed.json", seed),
+            "--sequence", sequence]
+
+
+def _hexagon_index(tmp_path, index):
+    bundle = json.loads((DATA / "hexagon_bundle.json").read_text())
+    bundle["cases"][0]["index"] = index
+    return ["verify", "--bundle", write(tmp_path, "bundle.json", bundle)]
+
+
+SEED = str(DATA / "seed_rank2.json")
+
+BAD_INPUTS = {
+    # parse layer: exit 1
+    "surface is a list": (EXIT_PARSE, lambda tmp: [
+        "expand", "--surface", write(tmp, "sq.json", []),
+        "--arc", write(tmp, "arc.json", square_arc_json())]),
+    "missing file": (EXIT_PARSE, lambda tmp: [
+        "expand", "--surface", str(tmp / "nope.json"),
+        "--arc", write(tmp, "arc.json", square_arc_json())]),
+    "bundle without surface": (EXIT_PARSE, lambda tmp: [
+        "verify", "--bundle", write(tmp, "b.json", {"schema": 1, "cases": []})]),
+    "non-integer genus": (EXIT_PARSE, _bad_genus),
+    "non-integer to_triangle": (EXIT_PARSE, lambda tmp: [
+        "expand", "--surface", write(tmp, "sq.json", square_json()),
+        "--arc", write(tmp, "arc.json", {**square_arc_json(), "crossings": [
+            {"arc": "d", "to_triangle": "x"}]})]),
+    "non-integer seed entry": (EXIT_PARSE, lambda tmp: _bad_seed(
+        tmp, [[0, "x"], [-1, 0]], ["1", "2"], "1")),
+    "non-integer sequence entry": (EXIT_PARSE, lambda tmp: [
+        "mutate", "--seed", SEED, "--sequence", "1,a"]),
+    # indices: exit 2
+    "sequence 0": (EXIT_VALIDATION, lambda tmp: [
+        "mutate", "--seed", SEED, "--sequence", "0"]),
+    "sequence 3": (EXIT_VALIDATION, lambda tmp: [
+        "mutate", "--seed", SEED, "--sequence", "3"]),
+    "too few seed names": (EXIT_VALIDATION, lambda tmp: _bad_seed(
+        tmp, [[0, 1], [-1, 0]], ["1"], "2")),
+    "verify index out of range": (EXIT_VALIDATION,
+                                  lambda tmp: _hexagon_index(tmp, 4)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exit_code_and_one_line_message(case, tmp_path, capsys):
+    code, argv = BAD_INPUTS[case]
+    assert main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_verify_differ_names_the_differing_terms(tmp_path, capsys):
+    from surfcluster.cli import parse_arc, parse_surface as parse
+    from surfcluster.expand import expand_ordinary
+    from surfcluster.mutation import principal_seed, run_sequence
+    from surfcluster.surface import signed_adjacency
+    bundle = json.loads((DATA / "hexagon_bundle.json").read_text())
+    case = bundle["cases"][0]           # arc 2-4, index 1 after sequence [1]
+    case["index"] = 2
+    bundle["cases"] = [case]
+    p = write(tmp_path, "bundle.json", bundle)
+    assert main(["verify", "--bundle", p]) == EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    T = parse(json.dumps(bundle["surface"]).encode())
+    path, _, _ = parse_arc(json.dumps(case["arc"]).encode(), T)
+    seed = principal_seed(signed_adjacency(T), T.tagged_names())
+    diff = expand_ordinary(T, path).poly - run_sequence(seed, [0]).cluster[1]
+    assert lines == [f"{case['name']}: DIFFER",
+                     f"  expansion - oracle = {diff.canonical_text()}"]

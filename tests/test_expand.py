@@ -296,6 +296,13 @@ def test_euler_table():
     TP = twice_punctured()
     tab3 = euler_table(expand_double_notch(TP, gamma3(TP)), TP.tagged_names())
     assert len(tab3) == 12 and set(tab3.values()) == {1}
+    # the closed form of a doubly-notched arc of the triangulation
+    D = twice_punctured_digon()
+    names = D.tagged_names()
+    tab4 = euler_table(expand_double_notch(D, "rho", "p", "q"), names)
+    assert names == ("e1", "rho", "e3", "e4", "e5")
+    assert len(tab4) == 9 and set(tab4.values()) == {1}
+    assert (0, 0, 0, 0, 0) in tab4 and (1, 2, 1, 1, 1) in tab4
 
 
 def test_retag_involution_and_digon_swap():
