@@ -30,7 +30,8 @@ FIXTURES = [
     ("three_punctures.json", "notched_arc.json"),
     ("two_punctures.json", "double_notched_arc.json"),
 ]
-COMMANDS = [("expand",), ("expand", "--json"), ("fpoly",), ("gvector",)]
+COMMANDS = [("expand",), ("expand", "--json"), ("fpoly",), ("gvector",),
+            ("matchings",), ("snake",), ("snake", "--dot")]
 
 
 def _stdout(argv):
