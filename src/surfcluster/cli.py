@@ -120,6 +120,12 @@ def _field(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what}: expected a JSON list")
+    return value
+
+
 def _int(value, what: str) -> int:
     try:
         return int(value)
@@ -146,42 +152,54 @@ def parse_surface(data: bytes) -> Triangulation:
     topology = Topology(*(_int(_field(topo, k, "topology"), f"topology {k}")
                           for k in ("genus", "boundary_components",
                                     "punctures", "boundary_marked")))
-    arcs = [str(a) for a in obj.get("arcs", [])]
-    boundary = [str(a) for a in obj.get("boundary", [])]
-    punctures = [str(a) for a in obj.get("punctures", [])]
+    arcs = [str(a) for a in _list(obj.get("arcs", []), "surface arcs")]
+    boundary = [str(a) for a in _list(obj.get("boundary", []),
+                                      "surface boundary")]
+    punctures = [str(a) for a in _list(obj.get("punctures", []),
+                                       "surface punctures")]
     known = set(arcs) | set(boundary)
     triangles = []
-    for i, t in enumerate(obj.get("triangles", [])):
+    for i, t in enumerate(_list(obj.get("triangles", []), "surface triangles")):
+        _require_keys(t, {"self_folded", "sides", "vertices"}, f"triangle {i}")
         if "self_folded" in t:
             _require_keys(t, {"self_folded"}, f"triangle {i}")
             sf = t["self_folded"]
             _require_keys(sf, {"loop", "radius", "puncture", "base",
                                "notched_label"}, f"triangle {i}")
             for key in ("loop", "radius"):
-                if sf.get(key) not in known:
-                    raise ParseError(
-                        f"triangle {i}: unknown label {sf.get(key)!r}")
+                label = sf.get(key)
+                if not isinstance(label, str) or label not in known:
+                    raise ParseError(f"triangle {i}: unknown label {label!r}")
             triangles.append(SelfFolded(str(sf["loop"]), str(sf["radius"]),
                                         str(sf["puncture"]),
                                         sf.get("base"),
                                         sf.get("notched_label")))
         else:
-            _require_keys(t, {"sides", "vertices"}, f"triangle {i}")
-            sides = tuple(str(s) for s in t.get("sides", []))
+            sides = tuple(str(s) for s in _list(t.get("sides", []),
+                                                f"triangle {i} sides"))
             if len(sides) != 3:
                 raise ParseError(f"triangle {i}: needs three sides")
             for s in sides:
                 if s not in known:
                     raise ParseError(f"triangle {i}: unknown label {s!r}")
             verts = t.get("vertices")
-            triangles.append(Ordinary(sides,
-                                      tuple(str(v) for v in verts) if verts else None))
+            if verts:
+                verts = tuple(str(v) for v in _list(verts,
+                                                    f"triangle {i} vertices"))
+            triangles.append(Ordinary(sides, verts or None))
     T = Triangulation(tuple(arcs), tuple(boundary), tuple(punctures),
                       tuple(triangles), topology)
     problems = validate_surface(T)
     if problems:
         raise ValidationError("; ".join(problems))
     return T
+
+
+def _spot(obj, what: str):
+    """(triangle, vertex slot) of an arc end."""
+    _require_keys(obj, {"triangle", "vertex"}, what)
+    return (_int(_field(obj, "triangle", what), what),
+            str(_field(obj, "vertex", what)))
 
 
 def parse_arc(data: bytes, T: Triangulation):
@@ -202,14 +220,10 @@ def parse_arc(data: bytes, T: Triangulation):
             raise ParseError(f"arc: {label!r} is not an arc of the surface")
         ref = TaggedArcRef(label, notch_start, notch_end)
         return label, ref, orientation
-    try:
-        start = (_int(obj["start"]["triangle"], "arc start"),
-                 str(obj["start"]["vertex"]))
-        end = (_int(obj["end"]["triangle"], "arc end"), str(obj["end"]["vertex"]))
-    except KeyError as exc:
-        raise ParseError(f"arc: missing field {exc}") from exc
+    start = _spot(_field(obj, "start", "arc"), "arc start")
+    end = _spot(_field(obj, "end", "arc"), "arc end")
     crossings = []
-    for i, c in enumerate(obj.get("crossings", [])):
+    for i, c in enumerate(_list(obj.get("crossings", []), "arc crossings")):
         _require_keys(c, {"arc", "to_triangle", "wind"}, f"crossing {i}")
         if str(c.get("arc")) not in set(T.arcs):
             raise ParseError(f"crossing {i}: unknown arc {c.get('arc')!r}")
@@ -266,10 +280,12 @@ def parse_seed(data: bytes):
     if obj.get("schema") != 1:
         raise ParseError("seed: unsupported schema version")
     matrix = obj.get("matrix")
-    if not matrix or any(not isinstance(r, list) for r in matrix):
+    if not isinstance(matrix, list) or not matrix or \
+            any(not isinstance(r, list) for r in matrix):
         raise ParseError("seed: matrix must be a list of rows")
     n = len(matrix[0])
-    names = [str(x) for x in obj.get("names", [str(i + 1) for i in range(n)])]
+    default = [str(i + 1) for i in range(n)]
+    names = [str(x) for x in _list(obj.get("names", default), "seed names")]
     if len(names) != n:
         raise ValidationError(f"seed: {len(names)} names for {n} columns")
     rows = [[_int(x, "seed matrix") for x in r] for r in matrix]
@@ -353,7 +369,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_matchings(args) -> int:
     T = parse_surface(_load(args.surface))
-    arc, ref, _ = parse_arc(_load(args.arc), T)
+    arc, _, _ = parse_arc(_load(args.arc), T)
     if not isinstance(arc, CrossingPath):
         raise ValidationError("matchings needs a crossing path")
     g = build_snake(T, arc)
@@ -370,7 +386,7 @@ def _cmd_matchings(args) -> int:
 
 def _cmd_snake(args) -> int:
     T = parse_surface(_load(args.surface))
-    arc, ref, _ = parse_arc(_load(args.arc), T)
+    arc, _, _ = parse_arc(_load(args.arc), T)
     if not isinstance(arc, CrossingPath):
         raise ValidationError("snake needs a crossing path")
     g = build_snake(T, arc)
@@ -384,7 +400,6 @@ def _cmd_snake(args) -> int:
 def _dot(g) -> str:
     lines = ["graph snake {"]
     for e in g.edges:
-        (x1, y1), (x2, y2) = e.segment
         a, b = g.edge_vertices(e)
         lines.append(f'  v{a} -- v{b} [label="{e.label}"];')
     for k, t in enumerate(g.tiles):
@@ -414,14 +429,14 @@ def _cmd_verify(args) -> int:
     names = T.tagged_names()
     seed0 = principal_seed(B, names)
     failures = 0
-    for i, case in enumerate(obj.get("cases", [])):
+    for i, case in enumerate(_list(obj.get("cases", []), "bundle cases")):
         what = f"case {i}"
         _require_keys(case, {"arc", "sequence", "index", "name"}, what)
         arc, ref, orientation = parse_arc(
             json.dumps(_field(case, "arc", what)).encode(), T)
         e = _expand_arc(T, arc, ref, orientation)
         seq = [_index(_int(k, what), seed0.n, what)
-               for k in _field(case, "sequence", what)]
+               for k in _list(_field(case, "sequence", what), what)]
         idx = _index(_int(_field(case, "index", what), what), seed0.n, what)
         oracle = run_sequence(seed0, seq).cluster[idx]
         name = case.get("name", what)

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .poly import LaurentPoly, VarId, xvar, yvar
 from .matchings import (
     Matching,
+    _tile_heights,
     compatible_pairs,
     enumerate_matchings,
     gamma_symmetric_filter,
@@ -32,7 +33,6 @@ from .matchings import (
     perfect_end_restriction,
     phi_exps,
     phi_specialize,
-    restriction_in_subgraph,
     weight_exps,
     x_of_label,
 )
@@ -215,16 +215,18 @@ def _symmetric_terms(T: Triangulation, lg: LoopGraph,
     with its weight and height exponent maps divided `power` times by those
     of its perfect end restriction."""
     minus, _ = minimal_maximal(lg.graph)
-    sub, emap = lg.graph.subgraph(0, lg.d)
-    sub_minus, _ = minimal_maximal(sub)
+    # the end-1 sub-snake's minimal matching agrees with `minus` on the
+    # outer edges of the first d tiles: both alternate along the same
+    # boundary path from tile 0, so its heights are read against `minus`
+    end1 = {r: e for e, r in lg.end_roles[1].items()}
     out = {}
     for P in gamma_symmetric_filter(lg, enumerate_matchings(lg.graph)):
         _, roles = perfect_end_restriction(lg, P)
         w = weight_exps(lg.graph, P, T)
         w_restr = weight_exps(lg.graph, roles.values(), T)
         m = height_exponents(lg.graph, P, minus)
-        sub_P = restriction_in_subgraph(lg, roles, emap)
-        m_restr = height_exponents(sub, sub_P, sub_minus)
+        m_restr = _tile_heights(lg.graph, frozenset(end1[r] for r in roles),
+                                minus, lg.d)
         out[P] = (_merge(w, _scale(w_restr, -power)),
                   phi_exps(_merge(m, _scale(m_restr, -power)), T))
     return out

@@ -5,6 +5,10 @@ A matching is a frozenset of edge ids.  Enumeration runs a dynamic program
 along the tile order whose state is the coverage of the vertices shared with
 later tiles; results are returned sorted by their edge-id tuples so every
 run produces the same order.
+
+Heights count the tiles enclosed by P ⊖ P-, each read off the tile's one
+outer-face edge (see `height_exponents`); the end restriction of a loop-graph
+matching is read the same way on its first d tiles, with no copy of the end.
 """
 
 from __future__ import annotations
@@ -127,56 +131,32 @@ def _check_matching(g: SnakeGraph, P: Matching) -> None:
         raise NotAMatching("edge set does not cover every vertex exactly once")
 
 
-def _cycles(g: SnakeGraph, edges: Iterable[int]) -> List[List[int]]:
-    inc: Dict[int, List[int]] = {}
-    for eid in edges:
-        for v in g.edge_vertices(g.edges[eid]):
-            inc.setdefault(v, []).append(eid)
-    for v, es in inc.items():
-        if len(es) != 2:
-            raise NotAMatching("symmetric difference is not a union of cycles")
-    unused = set(e for es in inc.values() for e in es)
-    cycles = []
-    while unused:
-        start = next(iter(unused))
-        cyc = [start]
-        unused.discard(start)
-        a, b = g.edge_vertices(g.edges[start])
-        v = b
-        while True:
-            nxt = [e for e in inc[v] if e in unused]
-            if not nxt:
-                break
-            e = nxt[0]
-            unused.discard(e)
-            cyc.append(e)
-            va, vb = g.edge_vertices(g.edges[e])
-            v = vb if va == v else va
-        cycles.append(cyc)
-    return cycles
+def _tile_heights(g: SnakeGraph, P: Matching, minus: Matching,
+                  n: int) -> Dict[str, int]:
+    """Heights of the first n tiles, grouped by diagonal label: a tile is
+    enclosed exactly when its outer edge lies in one of P and minus."""
+    m: Dict[str, int] = {}
+    for tile, eid in zip(g.tiles[:n], g.outer_edges):
+        if (eid in P) != (eid in minus):
+            m[tile.diagonal] = m.get(tile.diagonal, 0) + 1
+    return m
 
 
 def height_exponents(g: SnakeGraph, P: Matching,
                      minus: Optional[Matching] = None) -> Dict[str, int]:
     """Tiles enclosed by the cycles of P-minus symmetric difference,
-    grouped by diagonal label."""
+    grouped by diagonal label.
+
+    The symmetric difference is a disjoint union of cycles, and every tile
+    has an edge on the outer face.  A step from the tile out through that
+    edge crosses the cycles once if the edge is in the symmetric difference
+    and not at all otherwise, so by Jordan parity that one edge decides
+    whether the tile is enclosed.
+    """
     _check_matching(g, P)
     if minus is None:
         minus, _ = minimal_maximal(g)
-    sym = minus ^ P
-    m: Dict[str, int] = {}
-    for cyc in _cycles(g, sym):
-        segs = [g.edges[eid].segment for eid in cyc]
-        horiz = [(a, b) for a, b in segs if a[1] == b[1]]
-        for k, tile in enumerate(g.tiles):
-            cx, cy = tile.pos
-            crossings = 0
-            for (x1, y1), (x2, y2) in horiz:
-                if min(x1, x2) == cx and y1 >= cy + 1:
-                    crossings += 1
-            if crossings % 2 == 1:
-                m[tile.diagonal] = m.get(tile.diagonal, 0) + 1
-    return m
+    return _tile_heights(g, P, minus, g.d)
 
 
 def phi_exps(m: Dict[str, int], T: Triangulation) -> Dict:
@@ -289,18 +269,6 @@ def perfect_end_restriction(lg: LoopGraph, P: Matching) -> Tuple[int, Dict[Role,
                 all(v in vs for v in cover):
             return which, {roles[e]: e for e in restr}
     raise NotAMatching("matching restricts to a perfect matching on neither end")
-
-
-def restriction_in_subgraph(lg: LoopGraph, rest_roles: Dict[Role, int],
-                            sub_map: Dict[int, int]) -> Matching:
-    """Express a full-end restriction as a matching of the end-1 subgraph."""
-    roles1 = lg.end_roles[1]
-    by_role = {r: e for e, r in roles1.items()}
-    out = []
-    for role in rest_roles:
-        e1 = by_role[role]
-        out.append(sub_map[e1])
-    return frozenset(out)
 
 
 def compatible_pairs(lp: LoopGraph, lq: LoopGraph,

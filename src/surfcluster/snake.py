@@ -13,9 +13,16 @@ a block (a triple span) and a path ending at an enclosed puncture gets the
 tile whose outer edges both carry the radius.
 
 Loop graphs (for notched arcs) are snake graphs of the path that follows the
-arc, circles the puncture clockwise and doubles back; they carry the two end
-subgraphs, the distinguished vertices where the corridor attaches, and the
-structural isomorphism between the ends.
+arc, circles the puncture clockwise and doubles back; they carry the roles of
+the edges of their two ends (the first and last d tiles), the distinguished
+vertices where the corridor attaches, and the structural isomorphism between
+the ends.
+
+The drawing only steps up or right, so tiles never overlap and each tile
+meets only its neighbours, along the glue edges.  Every tile therefore keeps
+an edge on the outer face; `build_snake` records one per tile
+(`SnakeGraph.outer_edges`), and matching heights are read off those edges
+alone.
 """
 
 from __future__ import annotations
@@ -269,6 +276,7 @@ class SnakeGraph:
     nvertices: int
     triple_spans: List[Tuple[int, int, int]]
     minus_avoid_slots: Tuple[str, str]   # slots of tile 0 avoided by P-
+    outer_edges: List[int]               # per tile, one edge on the outer face
 
     @property
     def d(self) -> int:
@@ -278,49 +286,6 @@ class SnakeGraph:
         tile, slot = e.tiles[0]
         c1, c2 = _SLOT_CORNERS[slot]
         return (self.vertex_of[(tile, c1)], self.vertex_of[(tile, c2)])
-
-    def subgraph(self, lo: int, hi: int) -> Tuple["SnakeGraph", Dict[int, int]]:
-        """The sub-snake on tiles [lo, hi) plus the old-to-new edge id map.
-
-        Only prefixes are supported: the minimal-matching convention of the
-        sub-snake is inherited from its first tile, which must be tile 0.
-        """
-        if lo != 0:
-            raise MalformedLoopGraph("subgraphs are only taken from the start")
-        sel = list(range(lo, hi))
-        remap = {t: i for i, t in enumerate(sel)}
-        tiles = []
-        for t in sel:
-            old = self.tiles[t]
-            tiles.append(Tile(old.diagonal, old.rel, old.pos,
-                              old.embedding, dict(old.slots), old.lower_slots,
-                              old.upper_slots, dict(old.lower_roles),
-                              dict(old.upper_roles)))
-        edges: List[EdgeInfo] = []
-        eid_map: Dict[int, int] = {}
-        for e in self.edges:
-            keep = [(remap[t], s) for t, s in e.tiles if t in remap]
-            if not keep:
-                continue
-            ne = EdgeInfo(len(edges), e.label, e.side, keep, e.segment,
-                          boundary=(len(keep) == 1))
-            eid_map[e.eid] = ne.eid
-            edges.append(ne)
-        for i, t in enumerate(sel):
-            tiles[i].slot_edge = {s: eid_map[eid]
-                                  for s, eid in self.tiles[t].slot_edge.items()}
-        vertex_of = {}
-        vid_map: Dict[int, int] = {}
-        for (t, corner), v in self.vertex_of.items():
-            if t in remap:
-                nv = vid_map.setdefault(v, len(vid_map))
-                vertex_of[(remap[t], corner)] = nv
-        glue = [self.glue[i] for i in range(lo, hi - 1)]
-        spans = [s for s in self.triple_spans if lo <= s[0] and s[2] < hi]
-        sub = SnakeGraph(tiles, glue, edges, vertex_of, len(vid_map),
-                         [(a - lo, b - lo, c - lo) for a, b, c in spans],
-                         self.minus_avoid_slots)
-        return sub, eid_map
 
 
 def _place_pair(pattern: str, rel: int, pair: Tuple[Side, Side]) -> Dict[str, Side]:
@@ -483,9 +448,11 @@ def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> S
             r = find((k, corner))
             vertex_of[(k, corner)] = vid.setdefault(r, len(vid))
 
+    outer = [next(eid for eid in t.slot_edge.values() if edges[eid].boundary)
+             for t in tiles]
     first = tiles[0]
     return SnakeGraph(tiles, glue, edges, vertex_of, len(vid), spans,
-                      _avoid_slots(first.embedding, first.rel))
+                      _avoid_slots(first.embedding, first.rel), outer)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from conftest import example_surface, gamma1, square, twice_punctured
+from conftest import digon, example_surface, gamma1, square, twice_punctured
 from surfcluster.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
@@ -232,6 +232,32 @@ def _hexagon_index(tmp_path, index):
     return ["verify", "--bundle", write(tmp_path, "bundle.json", bundle)]
 
 
+def _square_expand(tmp_path, surface=None, arc=None, **arc_fields):
+    """`expand` on the square, with the surface and arc files given or
+    changed field by field."""
+    arc = {**(arc or square_arc_json()), **arc_fields}
+    return ["expand",
+            "--surface", write(tmp_path, "sq.json", surface or square_json()),
+            "--arc", write(tmp_path, "arc.json", arc)]
+
+
+def _square_surface(**fields):
+    return {**square_json(), **fields}
+
+
+def _first_triangle(**fields):
+    tris = square_json()["triangles"]
+    return _square_surface(triangles=[{**tris[0], **fields}, *tris[1:]])
+
+
+def _self_folded_loop(loop):
+    obj = render_surface(digon())
+    for t in obj["triangles"]:
+        if "self_folded" in t:
+            t["self_folded"]["loop"] = loop
+    return obj
+
+
 SEED = str(DATA / "seed_rank2.json")
 
 BAD_INPUTS = {
@@ -249,6 +275,24 @@ BAD_INPUTS = {
         "expand", "--surface", write(tmp, "sq.json", square_json()),
         "--arc", write(tmp, "arc.json", {**square_arc_json(), "crossings": [
             {"arc": "d", "to_triangle": "x"}]})]),
+    "triangle is not an object": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, _square_surface(triangles=[5, *square_json()["triangles"][1:]]))),
+    "arcs is not a list": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, _square_surface(arcs=5))),
+    "sides is not a list": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, _first_triangle(sides=5))),
+    "self-folded loop is a list": (EXIT_PARSE, lambda tmp: [
+        "snake", "--surface", write(tmp, "digon.json", _self_folded_loop(["l"])),
+        "--arc", write(tmp, "arc.json", square_arc_json())]),
+    "arc start is not an object": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, start=5)),
+    "crossings is not a list": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, crossings=5)),
+    "bundle cases is not a list": (EXIT_PARSE, lambda tmp: [
+        "verify", "--bundle", write(tmp, "b.json", {
+            "schema": 1, "surface": square_json(), "cases": 5})]),
+    "seed names is not a list": (EXIT_PARSE, lambda tmp: _bad_seed(
+        tmp, [[0, 1], [-1, 0]], 5, "1")),
     "non-integer seed entry": (EXIT_PARSE, lambda tmp: _bad_seed(
         tmp, [[0, "x"], [-1, 0]], ["1", "2"], "1")),
     "non-integer sequence entry": (EXIT_PARSE, lambda tmp: [

@@ -18,6 +18,7 @@ from surfcluster.poly import LaurentPoly as L, xvar, yvar
 from surfcluster.snake import build_loop_graph, build_snake
 from surfcluster.matchings import (
     Matching,
+    NotAMatching,
     boundary_matchings,
     compatible_pairs,
     enumerate_matchings,
@@ -211,6 +212,19 @@ def test_heights_match_twist_oracle(mk):
     minus, _ = minimal_maximal(g)
     for P in enumerate_matchings(g):
         assert height_exponents(g, P, minus) == twist_heights(g, P, minus)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda g, minus: minus - {min(minus)},                  # one edge removed
+    lambda g, minus: minus | {next(e.eid for e in g.edges    # a vertex twice
+                                   if e.eid not in minus)},
+])
+def test_heights_reject_non_matchings(spoil):
+    T = example_surface()
+    g = build_snake(T, gamma1(T))
+    minus, _ = minimal_maximal(g)
+    with pytest.raises(NotAMatching):
+        height_exponents(g, spoil(g, minus), minus)
 
 
 # -- weights and specialization --------------------------------------------------
