@@ -232,13 +232,13 @@ def _hexagon_index(tmp_path, index):
     return ["verify", "--bundle", write(tmp_path, "bundle.json", bundle)]
 
 
-def _square_expand(tmp_path, surface=None, arc=None, **arc_fields):
-    """`expand` on the square, with the surface and arc files given or
+def _square_expand(tmp_path, surface=None, **arc_fields):
+    """`expand` on the square, with the surface file given and the arc file
     changed field by field."""
-    arc = {**(arc or square_arc_json()), **arc_fields}
     return ["expand",
             "--surface", write(tmp_path, "sq.json", surface or square_json()),
-            "--arc", write(tmp_path, "arc.json", arc)]
+            "--arc", write(tmp_path, "arc.json",
+                           {**square_arc_json(), **arc_fields})]
 
 
 def _square_surface(**fields):
