@@ -1,7 +1,13 @@
 """Exact Laurent expansions of cluster variables from triangulated surfaces,
 with a seed-mutation oracle for cross-validation."""
 
-from .poly import LaurentPoly, VarId, NotDivisible, NonInvertibleSubstitution
+from .poly import (
+    ExponentOverflow,
+    LaurentPoly,
+    NonInvertibleSubstitution,
+    NotDivisible,
+    VarId,
+)
 from .surface import (
     CrossingPath,
     Crossing,

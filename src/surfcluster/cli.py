@@ -170,10 +170,14 @@ def parse_surface(data: bytes) -> Triangulation:
                 label = sf.get(key)
                 if not isinstance(label, str) or label not in known:
                     raise ParseError(f"triangle {i}: unknown label {label!r}")
-            triangles.append(SelfFolded(str(sf["loop"]), str(sf["radius"]),
-                                        str(sf["puncture"]),
-                                        sf.get("base"),
-                                        sf.get("notched_label")))
+            for key in ("base", "notched_label"):
+                if key in sf and not isinstance(sf[key], str):
+                    raise ParseError(
+                        f"triangle {i}: self-folded {key} must be a string")
+            triangles.append(SelfFolded(
+                sf["loop"], sf["radius"],
+                str(_field(sf, "puncture", f"triangle {i}")),
+                sf.get("base"), sf.get("notched_label")))
         else:
             sides = tuple(str(s) for s in _list(t.get("sides", []),
                                                 f"triangle {i} sides"))

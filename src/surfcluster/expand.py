@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .poly import LaurentPoly, VarId, xvar, yvar
+from .poly import LaurentPoly, VarId, lowest_exponents, pack, xvar, yvar
 from .matchings import (
     Matching,
     _tile_heights,
@@ -113,16 +113,9 @@ class Expansion:
 def reduced_fraction(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
     """Cancel the largest common monomial factor of a monomial-denominator
     fraction."""
-    _, dexp = den.monomial_parts()
-    common: Dict[VarId, int] = {}
-    vars_all = set(dexp) | {v for ev, _ in num.terms() for v, _ in ev}
-    for v in vars_all:
-        lo = dexp.get(v, 0)
-        for ev, _ in num.terms():
-            e = dict(ev).get(v, 0)
-            lo = min(lo, e)
-        if lo:
-            common[v] = lo
+    if not den.is_monomial():
+        raise ValueError("not a monomial")
+    common = lowest_exponents(num, den)
     if not common:
         return num, den
     shift = LaurentPoly.monomial(1, {v: -e for v, e in common.items()})
@@ -184,14 +177,16 @@ def _scale(exps: Dict, k: int) -> Dict:
 def _sum(terms: Iterable[Tuple[Dict, Dict]], cross: LaurentPoly,
          ref: TaggedArcRef) -> Expansion:
     """The matching sum: add up one monomial per summand from its (x, y)
-    exponent maps, divide once by the crossing monomial, count summands."""
-    acc: Dict = {}
+    exponent maps, divide once by the crossing monomial, count summands.
+    The two maps hold x and y variables apart, so their packed keys add
+    without one digit reaching another."""
+    acc: Dict[int, int] = {}
     count = 0
     for x, y in terms:
-        key = tuple(sorted(_merge(x, y).items()))
+        key = pack(x) + pack(y)
         acc[key] = acc.get(key, 0) + 1
         count += 1
-    num = LaurentPoly(acc)
+    num = LaurentPoly.from_packed(acc)
     return Expansion(num.div_exact(cross), num, cross, ref, count)
 
 
@@ -209,19 +204,21 @@ def expand_ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
     return _sum(terms, crossing_monomial(T, gamma), TaggedArcRef(gamma))
 
 
-def _symmetric_terms(T: Triangulation, lg: LoopGraph,
-                     power: int) -> Dict[Matching, Tuple[Dict, Dict]]:
+def _symmetric_terms(T: Triangulation, lg: LoopGraph, power: int
+                     ) -> Tuple[Dict[Matching, Tuple[Dict, Dict]],
+                                Dict[Matching, Dict]]:
     """The symmetric matchings of a loop graph, in enumeration order, each
     with its weight and height exponent maps divided `power` times by those
-    of its perfect end restriction."""
+    of its perfect end restriction; and the roles of each restriction."""
     minus, _ = minimal_maximal(lg.graph)
     # the end-1 sub-snake's minimal matching agrees with `minus` on the
     # outer edges of the first d tiles: both alternate along the same
     # boundary path from tile 0, so its heights are read against `minus`
     end1 = {r: e for e, r in lg.end_roles[1].items()}
-    out = {}
+    out, restrictions = {}, {}
     for P in gamma_symmetric_filter(lg, enumerate_matchings(lg.graph)):
         _, roles = perfect_end_restriction(lg, P)
+        restrictions[P] = roles
         w = weight_exps(lg.graph, P, T)
         w_restr = weight_exps(lg.graph, roles.values(), T)
         m = height_exponents(lg.graph, P, minus)
@@ -229,7 +226,7 @@ def _symmetric_terms(T: Triangulation, lg: LoopGraph,
                                 minus, lg.d)
         out[P] = (_merge(w, _scale(w_restr, -power)),
                   phi_exps(_merge(m, _scale(m_restr, -power)), T))
-    return out
+    return out, restrictions
 
 
 def expand_single_notch(T: Triangulation, gamma: Union[CrossingPath, str],
@@ -243,7 +240,7 @@ def expand_single_notch(T: Triangulation, gamma: Union[CrossingPath, str],
     if p is None:
         raise EndpointNotPuncture("path does not end at a puncture")
     lg = build_loop_graph(T, gamma, p, mirror=mirror)
-    terms = _symmetric_terms(T, lg, 1).values()
+    terms = _symmetric_terms(T, lg, 1)[0].values()
     return _sum(terms, crossing_monomial(T, gamma, notches=1, p=p),
                 TaggedArcRef(gamma, notch_end=True))
 
@@ -331,9 +328,10 @@ def _pair_sum(T: Triangulation, gamma: CrossingPath, p: str, q: str,
     times in all)."""
     lp = build_loop_graph(T, gamma, p, mirror=mirror)
     lq = build_loop_graph(T, gamma.reversed(), q, mirror=mirror)
-    terms_p = _symmetric_terms(T, lp, 1)
-    terms_q = _symmetric_terms(T, lq, 2)
-    pairs = compatible_pairs(lp, lq, list(terms_p), list(terms_q))
+    terms_p, roles_p = _symmetric_terms(T, lp, 1)
+    terms_q, roles_q = _symmetric_terms(T, lq, 2)
+    pairs = compatible_pairs(lp, lq, list(terms_p), list(terms_q),
+                             roles_p=roles_p, roles_q=roles_q)
     terms = ((_merge(terms_p[P][0], terms_q[Q][0]),
               _merge(terms_p[P][1], terms_q[Q][1])) for P, Q in pairs)
     return _sum(terms, crossing_monomial(T, gamma, notches=2, p=p, q=q),

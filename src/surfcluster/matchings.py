@@ -273,13 +273,17 @@ def perfect_end_restriction(lg: LoopGraph, P: Matching) -> Tuple[int, Dict[Role,
 
 def compatible_pairs(lp: LoopGraph, lq: LoopGraph,
                      sym_p: Optional[List[Matching]] = None,
-                     sym_q: Optional[List[Matching]] = None,
+                     sym_q: Optional[List[Matching]] = None, *,
+                     roles_p: Optional[Dict[Matching, Dict[Role, int]]] = None,
+                     roles_q: Optional[Dict[Matching, Dict[Role, int]]] = None,
                      ) -> List[Tuple[Matching, Matching]]:
     """Pairs of symmetric matchings whose perfect end restrictions agree.
 
     lp is the loop graph of the arc oriented toward its first puncture and lq
     the one of the reversed arc, so lq's canonical tile order is flipped
-    before comparing.
+    before comparing.  The restriction roles of each symmetric matching, as
+    `perfect_end_restriction` gives them, may be passed in `roles_p` and
+    `roles_q`; missing ones are computed.
     """
     if lp.d != lq.d:
         raise SurfaceError("loop graphs come from different arcs")
@@ -295,13 +299,16 @@ def compatible_pairs(lp: LoopGraph, lq: LoopGraph,
         t, tri, r = role
         return (d - 1 - t, "upper" if tri == "lower" else "lower", r)
 
+    def restricted(lg, given, P):
+        if given is not None and P in given:
+            return given[P]
+        return perfect_end_restriction(lg, P)[1]
+
     def key_p(P):
-        _, roles = perfect_end_restriction(lp, P)
-        return frozenset(roles)
+        return frozenset(restricted(lp, roles_p, P))
 
     def key_q(P):
-        _, roles = perfect_end_restriction(lq, P)
-        return frozenset(flip(r) for r in roles)
+        return frozenset(flip(r) for r in restricted(lq, roles_q, P))
 
     by_key: Dict[FrozenSet[Role], List[Matching]] = {}
     for Q in sym_q:

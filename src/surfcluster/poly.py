@@ -1,31 +1,60 @@
 """Exact sparse multivariate Laurent polynomials over the integers.
 
-A polynomial is a mapping from exponent vectors to nonzero integer
-coefficients.  Exponent vectors are stored sparsely as sorted tuples of
-(variable, exponent) pairs with all exponents nonzero, so equal polynomials
-have identical dictionaries and the zero polynomial is the empty mapping.
-Coefficients are Python ints (arbitrary precision); nothing here ever
-rounds.
+A polynomial is a dict from monomial keys to nonzero integer coefficients,
+so equal polynomials have equal dictionaries and the zero polynomial is the
+empty dict.  Coefficients are Python ints (arbitrary precision); nothing
+here ever rounds.
+
+Packed keys.  Every variable is interned in a process-global, append-only
+registry that gives it a fixed index i.  The monomial with exponent e_i on
+variable i is the single Python int  key = sum(e_i * 2**(32*i)), with
+"balanced" 32-bit digits: |e_i| < 2**31, no offset.  Multiplying monomials
+is adding keys.  Integer order is lexicographic order with the highest index
+most significant: two keys differ by sum((b_i - a_i) * 2**(32*i)) with
+|b_i - a_i| < 2**32, so the digits below the highest index where a and b
+differ add up to less than one unit of that index and cannot change the
+sign.  In particular a key determines its exponents.  Key order is
+compatible with addition, so it is a monomial order (of the Laurent
+monomial group), which is what long division needs.
+
+Overflow guard.  Every key built from an exponent map checks its
+exponents.  Each polynomial caches a bound on |e_i| over its terms:
+products and quotients inherit the sum of their operands' bounds, any
+other polynomial computes its largest |e_i| when first asked.  `mul` and
+`div_exact` raise ExponentOverflow when the two bounds (made exact first)
+add up to 2**31 or more, so no digit ever spills into its neighbour.
+
+Decoding.  Adding the offset sum(2**31 * 2**(32*i)) makes every digit
+nonnegative without carries, and xor-ing the same offset back turns each
+digit into its two's complement, so `struct` unpacks the exponents as
+signed 32-bit fields in C.
 
 Variables carry a kind ('x', 'y' or 'h') and a name.  Variables are ordered
-by kind and then by a natural ordering of the name ("2" before "10"), which
-fixes the canonical text rendering.
+by kind and then by a natural ordering of the name ("2" before "10"); that
+order, not the registry index, fixes the canonical text rendering.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from functools import reduce
+from operator import or_
+from typing import Collection, Dict, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "VarId",
     "LaurentPoly",
     "NotDivisible",
+    "ExponentOverflow",
     "NonInvertibleSubstitution",
     "xvar",
     "yvar",
     "hvar",
+    "pack",
+    "lowest_exponents",
 ]
 
 
@@ -33,13 +62,21 @@ class NotDivisible(ArithmeticError):
     """Raised by div_exact when the division leaves a remainder."""
 
 
+class ExponentOverflow(ArithmeticError):
+    """Raised when an exponent would leave the packed range |e| < 2**31."""
+
+
 class NonInvertibleSubstitution(ValueError):
     """Raised when a negative power must be substituted by a non-monomial."""
 
 
 _KIND_RANK = {"x": 0, "y": 1, "h": 2}
+_DISPLAY_RANK = {"y": 0, "x": 1, "h": 2}
 
 _CHUNKS = re.compile(r"(\d+)|(\D+)")
+
+_BITS = 32
+_LIMIT = 1 << (_BITS - 1)     # every exponent satisfies |e| < _LIMIT
 
 
 def _natural_key(name: str) -> Tuple:
@@ -50,20 +87,42 @@ def _natural_key(name: str) -> Tuple:
     )
 
 
+# The registry: index -> variable, and kind -> name -> variable.
+_VARS: List["VarId"] = []
+_INTERNED: Dict[str, Dict[str, "VarId"]] = {k: {} for k in _KIND_RANK}
+
+
 @dataclass(frozen=True)
 class VarId:
-    """A symbol: kind 'x'/'y'/'h' plus the (tagged) arc name it refers to."""
+    """A symbol: kind 'x'/'y'/'h' plus the (tagged) arc name it refers to.
+    The first VarId of a kind and name takes the next registry index; equal
+    ones made later share it."""
 
     kind: str
     name: str
     _key: Tuple = field(init=False, repr=False, compare=False)
+    _index: int = field(init=False, repr=False, compare=False)
+    _unit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
+        names = _INTERNED.get(self.kind)
+        if names is None:
             raise ValueError(f"unknown variable kind {self.kind!r}")
-        object.__setattr__(
-            self, "_key", (_KIND_RANK[self.kind], _natural_key(self.name))
-        )
+        known = names.get(self.name)
+        if known is None:
+            # the name itself breaks ties such as "01" and "1"
+            key = (_KIND_RANK[self.kind], _natural_key(self.name), self.name)
+            index = len(_VARS)
+            _VARS.append(self)
+            names[self.name] = self
+        else:
+            key, index = known._key, known._index
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_unit", 1 << (_BITS * index))
+
+    def __hash__(self) -> int:
+        return self._index
 
     def __lt__(self, other: "VarId") -> bool:
         return self._key < other._key
@@ -77,46 +136,161 @@ class VarId:
         return f"{self.kind}_{self.name}"
 
 
+_X, _Y, _H = (_INTERNED[k] for k in "xyh")
+
+
 def xvar(name: str) -> VarId:
-    return VarId("x", name)
+    v = _X.get(name)
+    return v if v is not None else VarId("x", name)
 
 
 def yvar(name: str) -> VarId:
-    return VarId("y", name)
+    v = _Y.get(name)
+    return v if v is not None else VarId("y", name)
 
 
 def hvar(name: str) -> VarId:
-    return VarId("h", name)
+    v = _H.get(name)
+    return v if v is not None else VarId("h", name)
 
 
-# An exponent vector: sorted tuple of (VarId, nonzero int).
+# An exponent vector as the other modules see it: sorted tuple of
+# (VarId, nonzero int).
 ExpVec = Tuple[Tuple[VarId, int], ...]
 
 
-def _expvec(exps: Mapping[VarId, int]) -> ExpVec:
-    return tuple(sorted(((v, e) for v, e in exps.items() if e != 0)))
+def pack(exps: Mapping[VarId, int]) -> int:
+    """The packed key of an exponent map."""
+    key = 0
+    for v, e in exps.items():
+        if not -_LIMIT < e < _LIMIT:
+            raise ExponentOverflow(f"exponent {e} of {v.text()} out of range")
+        key += e * v._unit
+    return key
+
+
+# m fields -> (offset, unpacker of m signed little-endian 32-bit fields)
+_CODECS: List[Tuple[int, "struct.Struct"]] = []
+
+
+def _codec(m: int) -> Tuple[int, "struct.Struct"]:
+    while len(_CODECS) <= m:
+        n = len(_CODECS)
+        off = sum(_LIMIT << (_BITS * i) for i in range(n))
+        _CODECS.append((off, struct.Struct(f"<{n}i")))
+    return _CODECS[m]
+
+
+def _window(keys: Collection[int]) -> Tuple[int, int]:
+    """(lo, m) such that every digit of every key outside indices
+    lo .. lo+m-1 is 0.  A key's lowest set bit lies in its lowest nonzero
+    digit, and a top nonzero digit e_h makes |key| >= 2**(32h - 1)."""
+    low = reduce(or_, keys, 0)
+    lo = ((low & -low).bit_length() - 1) >> 5 if low else 0
+    return lo, (max(map(int.bit_length, keys), default=0) >> 5) + 1 - lo
+
+
+def _rows(keys: Iterable[int], lo: int, m: int) -> List[Tuple[int, ...]]:
+    """The exponents at indices lo .. lo+m-1 of each key."""
+    off, codec = _codec(m)
+    s = _BITS * lo
+    return [codec.unpack((((k >> s) + off) ^ off).to_bytes(4 * m, "little"))
+            for k in keys]
+
+
+def _flat(keys: Iterable[int], lo: int, m: int) -> Tuple[int, ...]:
+    """`_rows` laid end to end."""
+    off, _ = _codec(m)
+    s = _BITS * lo
+    data = b"".join([(((k >> s) + off) ^ off).to_bytes(4 * m, "little")
+                     for k in keys])
+    return struct.unpack(f"<{len(data) // 4}i", data)
+
+
+def _columns(keys: Iterable[int], lo: int, m: int) -> List[Tuple[int, ...]]:
+    """The exponents at index lo + j over all keys, for j < m."""
+    flat = _flat(keys, lo, m)
+    return [flat[j::m] for j in range(m)]
+
+
+def _support(keys: Iterable[int], lo: int, m: int) -> List[int]:
+    """The indices in the window at which some key has a nonzero digit: the
+    decoded digits are two's complement, so or-ing them keeps each apart."""
+    off, codec = _codec(m)
+    s = _BITS * lo
+    mask = 0
+    for k in keys:
+        mask |= ((k >> s) + off) ^ off
+    digits = codec.unpack(mask.to_bytes(4 * m, "little"))
+    return [lo + j for j, e in enumerate(digits) if e]
+
+
+def _expvec(key: int, rank: List[int]) -> ExpVec:
+    """One key as an ExpVec; `rank` is `_orders()[0]`."""
+    lo, m = _window((key,))
+    (row,) = _rows((key,), lo, m)
+    pairs = sorted(((lo + j, e) for j, e in enumerate(row) if e),
+                   key=lambda p: rank[p[0]])
+    return tuple((_VARS[i], e) for i, e in pairs)
+
+
+# registry size -> (rank in VarId order, rank in display order, text) per index
+_ORDERS: List = [-1, None]
+
+
+def _orders() -> Tuple[List[int], List[int], List[str]]:
+    if _ORDERS[0] != len(_VARS):
+        n = len(_VARS)
+        rank, shown = [0] * n, [0] * n
+        for r, i in enumerate(sorted(range(n), key=lambda i: _VARS[i]._key)):
+            rank[i] = r
+        for r, i in enumerate(sorted(range(n), key=lambda i: (
+                _DISPLAY_RANK[_VARS[i].kind], _VARS[i]._key))):
+            shown[i] = r
+        _ORDERS[:] = [n, (rank, shown, [v.text() for v in _VARS])]
+    return _ORDERS[1]
 
 
 class LaurentPoly:
     """Immutable Laurent polynomial; supports +, -, *, exact division."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_bound")
 
     def __init__(self, terms: Mapping[ExpVec, int] | None = None):
-        self._terms: Dict[ExpVec, int] = dict(terms or {})
+        out: Dict[int, int] = {}
+        for ev, c in (terms or {}).items():
+            k = pack(dict(ev))
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        self._terms = out
         self._hash: int | None = None
+        self._bound: int | None = None
+
+    @classmethod
+    def from_packed(cls, terms: Dict[int, int],
+                    bound: int | None = None) -> "LaurentPoly":
+        """Wrap a dict of packed keys to nonzero coefficients (not copied);
+        `bound`, if given, bounds every |exponent|."""
+        p = object.__new__(cls)
+        p._terms = terms
+        p._hash = None
+        p._bound = bound
+        return p
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return LaurentPoly.from_packed({}, 0)
 
     @staticmethod
     def const(n: int) -> "LaurentPoly":
         if n == 0:
-            return LaurentPoly()
-        return LaurentPoly({(): int(n)})
+            return LaurentPoly.from_packed({}, 0)
+        return LaurentPoly.from_packed({0: int(n)}, 0)
 
     @staticmethod
     def one() -> "LaurentPoly":
@@ -126,13 +300,14 @@ class LaurentPoly:
     def var(v: VarId, exp: int = 1) -> "LaurentPoly":
         if exp == 0:
             return LaurentPoly.const(1)
-        return LaurentPoly({((v, exp),): 1})
+        return LaurentPoly.from_packed({pack({v: exp}): 1}, abs(exp))
 
     @staticmethod
     def monomial(coeff: int, exps: Mapping[VarId, int]) -> "LaurentPoly":
         if coeff == 0:
-            return LaurentPoly()
-        return LaurentPoly({_expvec(exps): int(coeff)})
+            return LaurentPoly.from_packed({}, 0)
+        return LaurentPoly.from_packed(
+            {pack(exps): int(coeff)}, max(map(abs, exps.values()), default=0))
 
     # -- basic queries -------------------------------------------------
 
@@ -140,7 +315,7 @@ class LaurentPoly:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self._terms == {(): 1}
+        return self._terms == {0: 1}
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -149,24 +324,43 @@ class LaurentPoly:
         """Return (coeff, exponent map) of a monomial; error otherwise."""
         if len(self._terms) != 1:
             raise ValueError("not a monomial")
-        (ev, c), = self._terms.items()
-        return c, dict(ev)
+        (k, c), = self._terms.items()
+        return c, dict(_expvec(k, _orders()[0]))
 
     def terms(self) -> Iterable[Tuple[ExpVec, int]]:
-        return self._terms.items()
+        rank = _orders()[0]
+        return [(_expvec(k, rank), c) for k, c in self._terms.items()]
 
     def num_terms(self) -> int:
         return len(self._terms)
 
     def variables(self) -> set:
-        out = set()
-        for ev in self._terms:
-            for v, _ in ev:
-                out.add(v)
-        return out
+        keys = self._terms
+        return {_VARS[i] for i in _support(keys, *_window(keys))}
 
     def coefficients(self) -> Iterable[int]:
         return self._terms.values()
+
+    def _max_exp(self, exact: bool = False) -> int:
+        """A bound on |exponent| over all terms, cached.  Ring operations
+        pass one on from their operands; the largest |exponent| itself is
+        computed when no bound is known or `exact`."""
+        b = self._bound
+        if b is None or exact:
+            flat = _flat(self._terms, *_window(self._terms))
+            b = self._bound = max(max(flat, default=0), -min(flat, default=0))
+        return b
+
+    def _product_bound(self, other: "LaurentPoly") -> int:
+        """A bound on |exponent| in self * other or self / other; raises
+        ExponentOverflow if an exponent could reach 2**31."""
+        ba, bb = self._max_exp(), other._max_exp()
+        if ba + bb >= _LIMIT:
+            ba, bb = self._max_exp(exact=True), other._max_exp(exact=True)
+            if ba + bb >= _LIMIT:
+                raise ExponentOverflow(f"exponents up to {ba} and {bb} "
+                                       "leave the packed range |e| < 2**31")
+        return ba + bb
 
     # -- ring operations -----------------------------------------------
 
@@ -176,50 +370,55 @@ class LaurentPoly:
         if not other._terms:
             return self
         out = dict(self._terms)
-        for ev, c in other._terms.items():
-            s = out.get(ev, 0) + c
+        for k, c in other._terms.items():
+            s = out.get(k, 0) + c
             if s:
-                out[ev] = s
+                out[k] = s
             else:
-                out.pop(ev, None)
-        return LaurentPoly(out)
+                out.pop(k, None)
+        ba, bb = self._bound, other._bound
+        return LaurentPoly.from_packed(
+            out, None if ba is None or bb is None else max(ba, bb))
 
     def neg(self) -> "LaurentPoly":
-        return LaurentPoly({ev: -c for ev, c in self._terms.items()})
+        return LaurentPoly.from_packed(
+            {k: -c for k, c in self._terms.items()}, self._bound)
 
     def sub(self, other: "LaurentPoly") -> "LaurentPoly":
         return self.add(other.neg())
 
     def mul(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self._terms or not other._terms:
-            return LaurentPoly()
-        out: Dict[ExpVec, int] = {}
-        for ev1, c1 in self._terms.items():
-            d1 = dict(ev1)
-            for ev2, c2 in other._terms.items():
-                exps = dict(d1)
-                for v, e in ev2:
-                    ne = exps.get(v, 0) + e
-                    if ne:
-                        exps[v] = ne
-                    else:
-                        del exps[v]
-                key = tuple(sorted(exps.items()))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return LaurentPoly(out)
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return LaurentPoly.zero()
+        bound = self._product_bound(other)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            (kb, cb), = b.items()
+            return LaurentPoly.from_packed(
+                {k + kb: c * cb for k, c in a.items()}, bound)
+        out: Dict[int, int] = {}
+        get = out.get
+        for k1, c1 in b.items():
+            for k2, c2 in a.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return LaurentPoly.from_packed(
+            {k: c for k, c in out.items() if c}, bound)
 
     def pow(self, n: int) -> "LaurentPoly":
         if n < 0:
-            c, exps = self.monomial_parts()  # raises if not a monomial
+            c, _ = self.monomial_parts()  # raises if not a monomial
             if c not in (1, -1):
                 raise NotDivisible(f"cannot invert coefficient {c}")
+            b = self._max_exp(exact=True) * -n
+            if b >= _LIMIT:
+                raise ExponentOverflow(f"exponent {b} leaves the packed "
+                                       "range |e| < 2**31")
             coeff = 1 if c == 1 or n % 2 == 0 else -1
-            return LaurentPoly.monomial(coeff,
-                                        {v: e * n for v, e in exps.items()})
+            (k,) = self._terms
+            return LaurentPoly.from_packed({k * n: coeff}, b)
         out = LaurentPoly.one()
         base = self
         while n:
@@ -236,84 +435,74 @@ class LaurentPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
-            return LaurentPoly()
+            return LaurentPoly.zero()
+        bound = self._product_bound(other)
         if other.is_monomial():
-            c, exps = other.monomial_parts()
-            inv = {v: -e for v, e in exps.items()}
-            out: Dict[ExpVec, int] = {}
-            for ev, coeff in self._terms.items():
-                q, r = divmod(coeff, c)
+            (kd, cd), = other._terms.items()
+            if cd == 1:
+                return LaurentPoly.from_packed(
+                    {k - kd: c for k, c in self._terms.items()}, bound)
+            out: Dict[int, int] = {}
+            for k, coeff in self._terms.items():
+                q, r = divmod(coeff, cd)
                 if r:
                     raise NotDivisible(
-                        f"coefficient {coeff} not divisible by {c}")
-                exps2 = dict(ev)
-                for v, e in inv.items():
-                    ne = exps2.get(v, 0) + e
-                    if ne:
-                        exps2[v] = ne
-                    else:
-                        del exps2[v]
-                out[tuple(sorted(exps2.items()))] = q
-            return LaurentPoly(out)
+                        f"coefficient {coeff} not divisible by {cd}")
+                out[k - kd] = q
+            return LaurentPoly.from_packed(out, bound)
         return self._long_division(other)
 
     def _long_division(self, other: "LaurentPoly") -> "LaurentPoly":
-        # Shift both operands into honest polynomials (all exponents >= 0)
-        # and run multivariate long division under lex order; exactness of
-        # the Laurent division is equivalent to exactness of the shifted one,
-        # and lex leads strictly decrease, so the loop terminates either way.
-        all_vars = sorted(self.variables() | other.variables())
-
-        def shift(p: "LaurentPoly"):
-            mins = None
-            for ev, _ in p.terms():
-                d = dict(ev)
-                cur = {v: d.get(v, 0) for v in all_vars}
-                if mins is None:
-                    mins = cur
-                else:
-                    for v in all_vars:
-                        mins[v] = min(mins[v], cur[v])
-            dense = {}
-            for ev, c in p.terms():
-                d = dict(ev)
-                dense[tuple(d.get(v, 0) - mins[v] for v in all_vars)] = c
-            return dense, mins
-
-        num, num_min = shift(self)
-        den, den_min = shift(other)
+        # Division under key order, leads popped from a heap of pending
+        # keys.  An exact quotient's Newton polytope is that of self minus
+        # that of other, so each of its exponents lies in the box
+        # [min self - min other, max self - max other]; a lead outside it
+        # means a remainder.  Quotient keys strictly decrease inside a
+        # finite box, so the loop terminates.
+        num, den = self._terms, other._terms
+        lo, m = _window(list(num) + list(den))
+        box = [(min(a) - min(b), max(a) - max(b))
+               for a, b in zip(_columns(num, lo, m), _columns(den, lo, m))]
+        if any(low > high for low, high in box):
+            raise NotDivisible("Newton box of the quotient is empty")
+        off, codec = _codec(m)
+        shift = _BITS * lo
         den_lead = max(den)
         den_lc = den[den_lead]
-        quo: Dict[Tuple[int, ...], int] = {}
-        while num:
-            lead = max(num)
-            diff = tuple(a - b for a, b in zip(lead, den_lead))
-            if any(d < 0 for d in diff):
-                raise NotDivisible("leading monomial not divisible")
-            q, r = divmod(num[lead], den_lc)
+        rest = [(k - den_lead, c) for k, c in den.items() if k != den_lead]
+        rem = dict(num)
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
+        quo: Dict[int, int] = {}
+        while heap:
+            lead = -heapq.heappop(heap)
+            c = rem.pop(lead, 0)
+            if not c:
+                continue  # cancelled, or a second heap entry
+            fields = codec.unpack(
+                ((((lead - den_lead) >> shift) + off) ^ off).to_bytes(
+                    4 * m, "little"))
+            for e, (low, high) in zip(fields, box):
+                if not low <= e <= high:
+                    raise NotDivisible("leading monomial not divisible")
+            q, r = divmod(c, den_lc)
             if r:
                 raise NotDivisible("leading coefficient not divisible")
-            quo[diff] = quo.get(diff, 0) + q
-            for mono, c in den.items():
-                key = tuple(a + b for a, b in zip(diff, mono))
-                s = num.get(key, 0) - q * c
-                if s:
-                    num[key] = s
+            quo[lead - den_lead] = q
+            for dk, dc in rest:
+                k = lead + dk
+                old = rem.get(k)
+                if old is None:
+                    rem[k] = -q * dc
+                    heapq.heappush(heap, -k)
                 else:
-                    num.pop(key, None)
-        out: Dict[ExpVec, int] = {}
-        for mono, c in quo.items():
-            exps = {}
-            for v, e, mn, md in zip(
-                all_vars, mono,
-                (num_min[v] for v in all_vars),
-                (den_min[v] for v in all_vars),
-            ):
-                tot = e + mn - md
-                if tot:
-                    exps[v] = tot
-            out[tuple(sorted(exps.items()))] = c
-        return LaurentPoly(out)
+                    s = old - q * dc
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
+        return LaurentPoly.from_packed(
+            quo, max(max(-low, high) for low, high in box))
 
     # -- substitution ------------------------------------------------------
 
@@ -325,14 +514,15 @@ class LaurentPoly:
         """
         if not bindings:
             return self
+        rank = _orders()[0]
         out = LaurentPoly()
         cache: Dict[Tuple[VarId, int], LaurentPoly] = {}
-        for ev, c in self._terms.items():
-            rest: Dict[VarId, int] = {}
+        for k, c in self._terms.items():
+            rest = 0
             factor = LaurentPoly.const(c)
-            for v, e in ev:
+            for v, e in _expvec(k, rank):
                 if v not in bindings:
-                    rest[v] = e
+                    rest += e * v._unit
                     continue
                 key = (v, e)
                 if key not in cache:
@@ -348,46 +538,42 @@ class LaurentPoly:
                     else:
                         cache[key] = val.pow(e)
                 factor = factor.mul(cache[key])
-            out = out.add(factor.mul(LaurentPoly.monomial(1, rest)))
+            out = out.add(factor.mul(LaurentPoly.from_packed({rest: 1})))
         return out
 
     # -- canonical text ----------------------------------------------------
 
-    def _sort_key(self, all_vars):
-        # total y-degree ascending, then exponent vectors in descending
-        # lexicographic order (larger leading exponents print first)
-        def key(item):
-            ev, _ = item
-            d = dict(ev)
-            ydeg = sum(e for v, e in ev if v.kind == "y")
-            return (ydeg, tuple(-d.get(v, 0) for v in all_vars))
-        return key
-
     def canonical_text(self) -> str:
-        """Deterministic rendering: y-degree ascending, then lex."""
-        if not self._terms:
+        """Deterministic rendering: total y-degree ascending, then exponent
+        vectors in descending lexicographic order over the variables in
+        VarId order (larger leading exponents print first); factors print
+        y before x before h."""
+        terms = self._terms
+        if not terms:
             return "0"
-        all_vars = sorted(self.variables())
-        display_rank = {"y": 0, "x": 1, "h": 2}
+        lo, m = _window(terms)
+        rows = list(zip(_rows(terms, lo, m), terms.values()))
+        used = _support(terms, lo, m)
+        rank, shown, texts = _orders()
+        # positions in a row, in VarId order / display order / y only
+        lex = [i - lo for i in sorted(used, key=rank.__getitem__)]
+        order = [(i - lo, texts[i]) for i in sorted(used, key=shown.__getitem__)]
+        ys = [i - lo for i in used if _VARS[i].kind == "y"]
+        rows.sort(key=lambda row: (sum([row[0][j] for j in ys]),
+                                   [-row[0][j] for j in lex]))
         parts = []
-        for ev, c in sorted(self._terms.items(), key=self._sort_key(all_vars)):
-            factors = []
-            for v, e in sorted(ev, key=lambda ve: (display_rank[ve[0].kind],
-                                                   ve[0]._key)):
-                factors.append(v.text() if e == 1 else f"{v.text()}^{e}")
-            mono = "*".join(factors)
+        for f, c in rows:
+            mono = "*".join([t if f[j] == 1 else f"{t}^{f[j]}"
+                             for j, t in order if f[j]])
             if not mono:
                 body = str(abs(c))
             elif abs(c) == 1:
                 body = mono
             else:
                 body = f"{abs(c)}*{mono}"
-            parts.append((c < 0, body))
-        first_neg, first = parts[0]
-        text = ("-" if first_neg else "") + first
-        for neg, body in parts[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+            parts.append((" - " if c < 0 else " + ") + body)
+        text = "".join(parts)
+        return "-" + text[3:] if text[1] == "-" else text[3:]
 
     # -- protocol plumbing --------------------------------------------------
 
@@ -440,3 +626,15 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.canonical_text()})"
+
+
+def lowest_exponents(*polys: LaurentPoly) -> Dict[VarId, int]:
+    """Per variable, the least exponent over all terms of all the
+    polynomials (a variable a term lacks counts as exponent 0); zero
+    entries are left out."""
+    keys = [k for p in polys for k in p._terms]
+    if not keys:
+        return {}
+    lo, m = _window(keys)
+    return {_VARS[lo + j]: e for j, e in enumerate(map(min, _columns(keys, lo, m)))
+            if e}

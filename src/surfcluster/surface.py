@@ -540,8 +540,9 @@ def validate_path(T: Triangulation, path: CrossingPath) -> List[str]:
 
 
 def _check_self_folded_patterns(T: Triangulation, path: CrossingPath) -> List[str]:
-    """Radius crossings must sit inside loop-radius-loop passes; a bare loop
-    crossing must continue to (or come from) the enclosed puncture."""
+    """Radius crossings must sit inside loop-radius-loop passes and carry a
+    wind, no other crossing may; a bare loop crossing must continue to (or
+    come from) the enclosed puncture."""
     v: List[str] = []
     arcs = path.crossed_arcs()
     d = len(arcs)
@@ -554,6 +555,8 @@ def _check_self_folded_patterns(T: Triangulation, path: CrossingPath) -> List[st
                 v.append(f"crossing {j}: radius {c.arc!r} not flanked by loop crossings")
             if c.wind not in ("ccw", "cw"):
                 v.append(f"crossing {j}: radius crossing needs wind 'ccw' or 'cw'")
+        elif c.wind is not None:
+            v.append(f"crossing {j}: wind on {c.arc!r}, which is not a radius")
         sf = T.loop_triangle(c.arc)
         if sf is not None:
             # after crossing the loop inward we must either cross the radius

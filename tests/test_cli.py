@@ -5,6 +5,7 @@ import pytest
 
 from conftest import digon, example_surface, gamma1, square, twice_punctured
 from surfcluster.cli import (
+    EXIT_COMPUTE,
     EXIT_PARSE,
     EXIT_VALIDATION,
     EXIT_VERIFY,
@@ -250,12 +251,26 @@ def _first_triangle(**fields):
     return _square_surface(triangles=[{**tris[0], **fields}, *tris[1:]])
 
 
-def _self_folded_loop(loop):
+def _self_folded(drop=(), **fields):
+    """The digon's surface file with fields of its self-folded triangle
+    replaced or dropped."""
     obj = render_surface(digon())
     for t in obj["triangles"]:
         if "self_folded" in t:
-            t["self_folded"]["loop"] = loop
+            t["self_folded"].update(fields)
+            for key in drop:
+                del t["self_folded"][key]
     return obj
+
+
+def _digon_expand(tmp_path, surface):
+    """`expand` of the digon's loop, which exits 0 on the shipped digon."""
+    return ["expand", "--surface", write(tmp_path, "digon.json", surface),
+            "--arc", write(tmp_path, "arc.json", {"schema": 1, "arc": "l"})]
+
+
+def test_digon_expand_baseline(tmp_path):
+    assert main(_digon_expand(tmp_path, _self_folded())) == 0
 
 
 SEED = str(DATA / "seed_rank2.json")
@@ -281,9 +296,16 @@ BAD_INPUTS = {
         tmp, _square_surface(arcs=5))),
     "sides is not a list": (EXIT_PARSE, lambda tmp: _square_expand(
         tmp, _first_triangle(sides=5))),
-    "self-folded loop is a list": (EXIT_PARSE, lambda tmp: [
-        "snake", "--surface", write(tmp, "digon.json", _self_folded_loop(["l"])),
-        "--arc", write(tmp, "arc.json", square_arc_json())]),
+    "self-folded loop is a list": (EXIT_PARSE, lambda tmp: _digon_expand(
+        tmp, _self_folded(loop=["l"]))),
+    "self-folded base is a list": (EXIT_PARSE, lambda tmp: _digon_expand(
+        tmp, _self_folded(base=["m"]))),
+    "self-folded notched_label is a list": (EXIT_PARSE, lambda tmp: _digon_expand(
+        tmp, _self_folded(notched_label=[1]))),
+    "self-folded base is null": (EXIT_PARSE, lambda tmp: _digon_expand(
+        tmp, _self_folded(base=None))),
+    "self-folded puncture is missing": (EXIT_PARSE, lambda tmp: _digon_expand(
+        tmp, _self_folded(drop=["puncture"]))),
     "arc start is not an object": (EXIT_PARSE, lambda tmp: _square_expand(
         tmp, start=5)),
     "crossings is not a list": (EXIT_PARSE, lambda tmp: _square_expand(
@@ -306,6 +328,12 @@ BAD_INPUTS = {
         tmp, [[0, 1], [-1, 0]], ["1"], "2")),
     "verify index out of range": (EXIT_VALIDATION,
                                   lambda tmp: _hexagon_index(tmp, 4)),
+    # path rules: exit 2
+    "wind on a non-radius crossing": (EXIT_VALIDATION, lambda tmp: _square_expand(
+        tmp, crossings=[{"arc": "d", "to_triangle": 1, "wind": "ccw"}])),
+    # exponents past the packed range: exit 3
+    "exponent overflow": (EXIT_COMPUTE, lambda tmp: _bad_seed(
+        tmp, [[0, 2 ** 31], [-2 ** 31, 0]], ["1", "2"], "1")),
 }
 
 

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfcluster.poly import (
+    ExponentOverflow,
     LaurentPoly as L,
     NonInvertibleSubstitution,
     NotDivisible,
     VarId,
+    pack,
     xvar,
     yvar,
 )
@@ -72,6 +74,8 @@ def test_canonical_text_examples():
 def test_natural_name_order():
     p = L.var(xvar("10")) + L.var(xvar("2"))
     assert p.canonical_text() == "x2 + x10"
+    # equal natural keys fall back to the name, not to hashing or history
+    assert (L.var(xvar("1")) + L.var(xvar("01"))).canonical_text() == "x01 + x1"
 
 
 # -- randomized ring laws ----------------------------------------------------
@@ -133,3 +137,129 @@ def test_varid_ordering_total():
     vs = [yvar("2"), xvar("10"), xvar("2"), yvar("10"), VarId("h", "3")]
     ranked = sorted(vs)
     assert [v.text() for v in ranked] == ["x2", "x10", "y2", "y10", "h3"]
+
+
+# -- the packed kernel ---------------------------------------------------------
+#
+# 48 variables and exponents up to 2**20 of either sign: neighbouring digits
+# of a key borrow from each other, which the 4-variable strategy never does.
+
+WIDE = [xvar(f"w{i}") for i in range(24)] + [yvar(f"w{i}") for i in range(24)]
+BIG = 2 ** 20
+
+
+@st.composite
+def wide_exps(draw):
+    return dict(draw(st.lists(
+        st.tuples(st.sampled_from(WIDE), st.integers(-BIG, BIG)),
+        max_size=6, unique_by=lambda t: t[0])))
+
+
+@st.composite
+def wide_polys(draw, max_terms=5):
+    out = L.zero()
+    for c, exps in draw(st.lists(st.tuples(st.integers(-4, 4), wide_exps()),
+                                 max_size=max_terms)):
+        out = out + L.monomial(c, exps)
+    return out
+
+
+@given(wide_polys(), wide_polys(), wide_polys())
+@settings(max_examples=150, deadline=None)
+def test_wide_ring_axioms_and_division(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    if not b.is_zero():
+        assert (a * b).div_exact(b) == a
+
+
+@given(wide_polys())
+@settings(max_examples=150, deadline=None)
+def test_terms_round_trip(p):
+    assert L(dict(p.terms())) == p
+    for ev, _ in p.terms():
+        assert list(ev) == sorted(ev) and all(e for _, e in ev)
+
+
+@given(wide_exps(), wide_exps())
+@settings(max_examples=300, deadline=None)
+def test_key_order_is_lex_order(a, b):
+    # the variable interned last is the most significant
+    order = sorted(WIDE, key=lambda v: v._index, reverse=True)
+    lex_a = [a.get(v, 0) for v in order]
+    lex_b = [b.get(v, 0) for v in order]
+    assert (pack(a) < pack(b)) == (lex_a < lex_b)
+    assert (pack(a) == pack(b)) == (lex_a == lex_b)
+    ab = {v: a.get(v, 0) + b.get(v, 0) for v in set(a) | set(b)}
+    assert pack(a) + pack(b) == pack(ab)
+
+
+@given(wide_polys(), wide_polys(max_terms=3), wide_exps())
+@settings(max_examples=150, deadline=None)
+def test_inexact_division_by_a_non_monomial_raises(a, b, m):
+    # a monomial is a unit, so only a monomial divides it: a*b + m is not a
+    # multiple of a b with two or more terms
+    if b.num_terms() < 2:
+        return
+    with pytest.raises(NotDivisible):
+        (a * b + L.monomial(1, m)).div_exact(b)
+
+
+def test_inexact_laurent_division_examples():
+    w0, w1 = L.var(WIDE[0]), L.var(WIDE[1])
+    inv = L.var(WIDE[0], -BIG)
+    with pytest.raises(NotDivisible):
+        (w0 * inv + w1).div_exact(w0 + inv)
+    with pytest.raises(NotDivisible):
+        (2 * w0 + 2 * w1).div_exact(3 * w0 + w1)
+    assert (w0 * w0 - inv * inv).div_exact(w0 - inv) == w0 + inv
+
+
+def test_exponent_overflow_is_refused():
+    x = xvar("1")
+    top = L.var(x, 2 ** 31 - 1)
+    with pytest.raises(ExponentOverflow):
+        L.var(x, 2 ** 31)
+    with pytest.raises(ExponentOverflow):
+        L.monomial(1, {x: -2 ** 31})
+    with pytest.raises(ExponentOverflow):
+        top * L.var(x)
+    with pytest.raises(ExponentOverflow):
+        top.div_exact(L.var(x, -1))
+    with pytest.raises(ExponentOverflow):
+        L.var(x, 2 ** 30).pow(2)
+    with pytest.raises(ExponentOverflow):
+        L.var(x, 2 ** 30).pow(-2)
+    assert issubclass(ExponentOverflow, ArithmeticError)
+
+
+def test_overestimated_bound_does_not_refuse_a_representable_product():
+    x = xvar("1")
+    one = L.var(x, 2 ** 29) * L.var(x, -2 ** 29)   # bound 2**30, exponent 0
+    assert one == L.one()
+    assert one * L.var(x, 2 ** 30) == L.var(x, 2 ** 30)
+
+
+def test_mul_and_div_exact_are_reached_on_the_class(monkeypatch):
+    # the benchmark's per-layer tracer wraps these two on the class; the
+    # mutation oracle and the matching sum must keep calling them there
+    from conftest import square, square_other_diagonal
+    from surfcluster.expand import expand_ordinary
+    from surfcluster.mutation import mutate_seed, principal_seed
+
+    calls = {"mul": 0, "div_exact": 0}
+    for name in calls:
+        original = getattr(L, name)
+
+        def counted(a, b, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(a, b)
+        monkeypatch.setattr(L, name, counted)
+
+    mutate_seed(principal_seed([[0, 1], [-1, 0]]), 0)
+    assert calls["mul"] > 0 and calls["div_exact"] > 0
+    calls.update(mul=0, div_exact=0)
+    T = square()
+    expand_ordinary(T, square_other_diagonal(T))
+    assert calls["mul"] > 0 and calls["div_exact"] > 0

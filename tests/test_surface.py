@@ -152,6 +152,14 @@ def test_validate_path_radius_needs_wind():
     assert any("wind" in v for v in validate_path(T, p))
 
 
+def test_validate_path_wind_only_on_radius_crossings():
+    T = square()
+    p = CrossingPath((0, "d"), (Crossing("d", 1, "ccw"),), (1, "d"))
+    assert any("not a radius" in v for v in validate_path(T, p))
+    assert validate_path(T, CrossingPath((0, "d"), (Crossing("d", 1),),
+                                         (1, "d"))) == []
+
+
 def test_validate_path_bare_loop_crossing():
     T = example_surface()
     p = CrossingPath((0, "l"), (Crossing("l", 1), ), (1, "base"))
