@@ -347,10 +347,12 @@ def _load(path: str) -> bytes:
 
 
 def _cmd_expand(args) -> int:
+    punctures = [] if args.notch is None else args.notch.split(",")
+    if len(punctures) > 2 or not all(punctures):
+        raise ParseError(f"--notch takes p or p,q, not {args.notch!r}")
     T = parse_surface(_load(args.surface))
     arc, ref, orientation = parse_arc(_load(args.arc), T)
-    if args.notch:
-        punctures = args.notch.split(",")
+    if punctures:
         if len(punctures) == 1:
             e = expand_single_notch(T, arc, punctures[0])
         else:

@@ -1,19 +1,23 @@
 """Laurent expansions of cluster variables attached to tagged arcs.
 
-Ordinary arcs sum matching weights times specialized heights over the snake
-graph; arcs notched at one puncture sum over symmetric matchings of the loop
-graph around that puncture; arcs notched at both ends sum over compatible
-pairs of matchings of the two loop graphs.  Initial arcs and arcs of the
+Ordinary arcs sum weight times specialized height over the perfect
+matchings of the snake graph without listing them: heights are linear in
+the matching, so each edge carries one packed monomial and the tile-by-tile
+matching DP carries one polynomial per state (`matchings.transfer_sum`).
+Arcs notched at one puncture sum over symmetric matchings of the loop graph
+around that puncture; arcs notched at both ends sum over compatible pairs of
+matchings of the two loop graphs.  Those two enumerate matchings and add
+one monomial per summand (`_sum`).  Initial arcs and arcs of the
 triangulation are dispatched to their closed forms automatically.
 
-Every sum goes through one accumulator.  An `Expansion` carries `poly`, the
-exact quotient numerator/cross (a Laurent polynomial, since the denominator
-is a monomial), the unreduced `numerator` and crossing monomial `cross`, the
-tagged `arc`, and `matchings_used`, the number of summands (matchings or
-compatible pairs; 0 for the closed form of a doubly-notched arc of the
-triangulation).  Equality testing uses `poly`.  `f_polynomial` sets every x
-to 1 in `poly`; `euler_table` reads the F-polynomial's coefficients, so it
-counts matchings by height for every kind of arc.
+An `Expansion` carries `poly`, the exact quotient numerator/cross (a
+Laurent polynomial, since the denominator is a monomial), the unreduced
+`numerator` and crossing monomial `cross`, the tagged `arc`, and
+`matchings_used`, the number of summands (matchings or compatible pairs; 0
+for the closed form of a doubly-notched arc of the triangulation).  Equality
+testing uses `poly`.  `f_polynomial` sets every x to 1 in `poly`;
+`euler_table` reads the F-polynomial's coefficients, so it counts matchings
+by height for every kind of arc.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .matchings import (
     Matching,
     _tile_heights,
     compatible_pairs,
+    edge_keys,
     enumerate_matchings,
     gamma_symmetric_filter,
     height_exponents,
@@ -33,6 +38,7 @@ from .matchings import (
     perfect_end_restriction,
     phi_exps,
     phi_specialize,
+    transfer_sum,
     weight_exps,
     x_of_label,
 )
@@ -174,20 +180,27 @@ def _scale(exps: Dict, k: int) -> Dict:
     return {v: k * e for v, e in exps.items()}
 
 
+def _expansion(acc: Dict[int, int], cross: LaurentPoly, ref: TaggedArcRef,
+               count: int) -> Expansion:
+    """The expansion with packed numerator `acc`, divided once by the
+    crossing monomial, over `count` summands."""
+    num = LaurentPoly.from_packed(acc)
+    return Expansion(num.div_exact(cross), num, cross, ref, count)
+
+
 def _sum(terms: Iterable[Tuple[Dict, Dict]], cross: LaurentPoly,
          ref: TaggedArcRef) -> Expansion:
-    """The matching sum: add up one monomial per summand from its (x, y)
-    exponent maps, divide once by the crossing monomial, count summands.
-    The two maps hold x and y variables apart, so their packed keys add
-    without one digit reaching another."""
+    """The matching sum over listed summands: add up one monomial per
+    summand from its (x, y) exponent maps.  The two maps hold x and y
+    variables apart, so their packed keys add without one digit reaching
+    another."""
     acc: Dict[int, int] = {}
     count = 0
     for x, y in terms:
         key = pack(x) + pack(y)
         acc[key] = acc.get(key, 0) + 1
         count += 1
-    num = LaurentPoly.from_packed(acc)
-    return Expansion(num.div_exact(cross), num, cross, ref, count)
+    return _expansion(acc, cross, ref, count)
 
 
 def expand_ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
@@ -199,9 +212,10 @@ def expand_ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
         return Expansion(x, x, LaurentPoly.one(), TaggedArcRef(gamma), 1)
     g = build_snake(T, gamma, mirror=mirror)
     minus, _ = minimal_maximal(g)
-    terms = ((weight_exps(g, P, T), phi_exps(height_exponents(g, P, minus), T))
-             for P in enumerate_matchings(g))
-    return _sum(terms, crossing_monomial(T, gamma), TaggedArcRef(gamma))
+    # every perfect matching adds one monomial with coefficient 1
+    acc = transfer_sum(g, *edge_keys(g, T, minus))
+    return _expansion(acc, crossing_monomial(T, gamma), TaggedArcRef(gamma),
+                      sum(acc.values()))
 
 
 def _symmetric_terms(T: Triangulation, lg: LoopGraph, power: int

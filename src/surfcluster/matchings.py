@@ -1,22 +1,35 @@
 """Perfect matchings of snake graphs: enumeration, extremal matchings,
 heights, weights, and the symmetric/compatible selections for loop graphs.
 
-A matching is a frozenset of edge ids.  Enumeration runs a dynamic program
-along the tile order whose state is the coverage of the vertices shared with
-later tiles; results are returned sorted by their edge-id tuples so every
-run produces the same order.
+A matching is a frozenset of edge ids.  One dynamic program runs along the
+tile order; its state is the coverage of the vertices shared with later
+tiles.  Enumeration folds it into lists of partial matchings, and returns
+the matchings sorted by their edge-id tuples so every run produces the same
+order.
 
 Heights count the tiles enclosed by P ⊖ P-, each read off the tile's one
 outer-face edge (see `height_exponents`); the end restriction of a loop-graph
 matching is read the same way on its first d tiles, with no copy of the end.
+
+Because each tile's height is decided by one edge, the height is linear in
+P: h(P) = h0 + sum of delta_e over the edges e of P (see `edge_keys`).  The
+weight is a product over the edges and the specialization phi is linear, so
+x(P)·y(P) is a fixed monomial times one monomial per edge of P.
+`transfer_sum` therefore folds the same dynamic program into one packed
+polynomial per state, and the matching sum of an ordinary arc costs
+tiles × states × terms instead of one pass per matching.  Enumeration stays
+for loop graphs (symmetric matchings and compatible pairs need the
+matchings themselves), for the extremal matchings, for the `matchings`
+command, and as the oracle the tests check the transfer sum against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
-from .poly import LaurentPoly, xvar, yvar
+from .poly import LaurentPoly, pack, xvar, yvar
 from .snake import LoopGraph, SnakeGraph
 from .surface import SurfaceError, Triangulation
 
@@ -30,6 +43,8 @@ __all__ = [
     "phi_specialize",
     "x_of_label",
     "matching_weight",
+    "edge_keys",
+    "transfer_sum",
     "gamma_symmetric_filter",
     "perfect_end_restriction",
     "compatible_pairs",
@@ -42,7 +57,24 @@ class NotAMatching(SurfaceError):
     pass
 
 
-def _enumerate(g: SnakeGraph, allowed: Optional[set] = None) -> List[Matching]:
+V = TypeVar("V")
+
+
+def _dp(g: SnakeGraph, start: V,
+        extend: Callable[[Optional[V], V, Tuple[int, ...]], V],
+        allowed: Optional[set] = None) -> Optional[V]:
+    """The matching DP, run tile by tile and folded over per-state values.
+
+    A state is the set of covered vertices that later tiles still touch.  At
+    tile k every set of the edges first met at k (restricted to `allowed`)
+    is tried; it is kept when it covers no vertex twice and leaves no vertex
+    uncovered whose last tile is k.  The empty state starts with `start`;
+    `extend(acc, value, chosen)` adds a state's value, extended by the
+    tuple of chosen edge ids, to the accumulator of the next state (None
+    when it has none yet) and returns the new accumulator.  Returns the
+    value of the empty state after the last tile, None when g has no
+    perfect matching.
+    """
     d = g.d
     # last tile in which each vertex occurs
     v_last: Dict[int, int] = {}
@@ -60,13 +92,12 @@ def _enumerate(g: SnakeGraph, allowed: Optional[set] = None) -> List[Matching]:
         cand[min(t for t, _ in e.tiles)].append(e.eid)
     ends = {e.eid: g.edge_vertices(e) for e in g.edges}
 
-    states: Dict[FrozenSet[int], List[Tuple[int, ...]]] = {frozenset(): [()]}
+    states: Dict[FrozenSet[int], V] = {frozenset(): start}
     for k in range(d):
-        new_states: Dict[FrozenSet[int], List[Tuple[int, ...]]] = {}
-        local = set(tile_vs[k])
-        closing = {v for v in local if v_last[v] == k}
+        new_states: Dict[FrozenSet[int], V] = {}
+        closing = {v for v in tile_vs[k] if v_last[v] == k}
         es = sorted(cand[k])
-        for cov, partials in states.items():
+        for cov, value in states.items():
             for r in range(len(es) + 1):
                 for chosen in combinations(es, r):
                     touched: Dict[int, int] = {}
@@ -90,11 +121,20 @@ def _enumerate(g: SnakeGraph, allowed: Optional[set] = None) -> List[Matching]:
                     ncov = {v for v in cov if v_last[v] > k}
                     ncov.update(v for v in touched if v_last[v] > k)
                     key = frozenset(ncov)
-                    bucket = new_states.setdefault(key, [])
-                    for p in partials:
-                        bucket.append(p + chosen)
+                    new_states[key] = extend(new_states.get(key), value,
+                                             chosen)
         states = new_states
-    done = states.get(frozenset(), [])
+    return states.get(frozenset())
+
+
+def _extend_partials(acc, partials, chosen):
+    acc = [] if acc is None else acc
+    acc.extend(p + chosen for p in partials)
+    return acc
+
+
+def _enumerate(g: SnakeGraph, allowed: Optional[set] = None) -> List[Matching]:
+    done = _dp(g, [()], _extend_partials, allowed) or []
     return sorted(frozenset(p) for p in done)
 
 
@@ -217,6 +257,56 @@ def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
 
 def matching_weight(g: SnakeGraph, P: Matching, T: Triangulation) -> LaurentPoly:
     return LaurentPoly.monomial(1, weight_exps(g, P, T))
+
+
+# ---------------------------------------------------------------------------
+# the matching sum as a transfer matrix
+
+
+def edge_keys(g: SnakeGraph, T: Triangulation,
+              minus: Matching) -> Tuple[int, List[int]]:
+    """(start, keys) with x(P)·y(P) = start + sum(keys[e] for e in P) as
+    packed keys, for every perfect matching P of g.
+
+    A tile whose outer edge o lies in `minus` is enclosed unless o is in P:
+    it adds its diagonal to the start and takes it off o.  Any other tile is
+    enclosed when o is in P: it adds its diagonal to o.  The weight is a
+    product over the edges and phi is linear, so each edge carries its
+    label's weight times phi of its height.
+    """
+    start: Dict[str, int] = {}
+    heights: Dict[int, Dict[str, int]] = {}
+    for tile, eid in zip(g.tiles, g.outer_edges):
+        if eid in minus:
+            start[tile.diagonal] = start.get(tile.diagonal, 0) + 1
+            heights[eid] = {tile.diagonal: -1}
+        else:
+            heights[eid] = {tile.diagonal: 1}
+    keys = [pack(x_exps_of_label(T, e.label)) +
+            pack(phi_exps(heights.get(e.eid, {}), T)) for e in g.edges]
+    return pack(phi_exps(start, T)), keys
+
+
+def transfer_sum(g: SnakeGraph, start: int,
+                 keys: Sequence[int]) -> Dict[int, int]:
+    """Sum over the perfect matchings P of g of the monomial with packed key
+    start + sum(keys[e] for e in P), as {packed key: coefficient}.
+
+    The same DP as `enumerate_matchings`, but each state carries the
+    polynomial of its partial matchings instead of their list, so the cost
+    grows with tiles × states × terms rather than with the matching count.
+    With every key 0 the result is {0: number of perfect matchings}.
+    """
+    def extend(acc, terms, chosen):
+        k = sum(keys[e] for e in chosen)
+        if acc is None:
+            return {t + k: c for t, c in terms.items()}
+        get = acc.get
+        for t, c in terms.items():
+            acc[t + k] = get(t + k, 0) + c
+        return acc
+
+    return _dp(g, {start: 1}, extend) or {}
 
 
 # ---------------------------------------------------------------------------

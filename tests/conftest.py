@@ -75,6 +75,48 @@ def polygon_arc(T: Triangulation, a: int, b: int) -> CrossingPath:
     return CrossingPath(start, tuple(crossings), end)
 
 
+def zigzag_polygon(c: int) -> Triangulation:
+    """Convex c-gon with the zigzag triangulation.
+
+    Taking the vertices in the order v0, v1, ... = 1, 2, c, 3, c-1, ...,
+    triangle k (k = 0..c-3) is (v_k, v_{k+1}, v_{k+2}) and diagonal
+    {v_k, v_{k+1}} is "z<k>" (k = 1..c-3).  Boundary segments are named as
+    in `polygon`.
+    """
+    order, lo, hi = [1], 2, c
+    while lo <= hi:
+        order.append(lo)
+        lo += 1
+        if lo <= hi:
+            order.append(hi)
+            hi -= 1
+    diag = {frozenset(order[k:k + 2]): f"z{k}" for k in range(1, c - 2)}
+
+    def side(a: int, b: int) -> str:
+        a, b = min(a, b), max(a, b)
+        if frozenset((a, b)) in diag:
+            return diag[frozenset((a, b))]
+        return f"b{a}" if b == a + 1 else f"b{c}"
+
+    triangles = []
+    for k in range(c - 2):
+        p, q, r = sorted(order[k:k + 3])    # increasing is counterclockwise
+        triangles.append(Ordinary((side(p, q), side(q, r), side(r, p)),
+                                  (str(r), str(p), str(q))))
+    return Triangulation(tuple(f"z{k}" for k in range(1, c - 2)),
+                         tuple(f"b{k}" for k in range(1, c + 1)), (),
+                         tuple(triangles), Topology(0, 1, 0, c))
+
+
+def zigzag_arc(T: Triangulation) -> CrossingPath:
+    """The arc v0 -> v_{c-1} of `zigzag_polygon`, crossing every diagonal:
+    d = c - 3 crossings and F(d + 2) perfect matchings."""
+    d = T.topology.boundary_marked - 3
+    return CrossingPath((0, "z1"),
+                        tuple(Crossing(f"z{k}", k) for k in range(1, d + 1)),
+                        (d, f"z{d}"))
+
+
 def once_punctured_polygon(c: int) -> Triangulation:
     """c-gon with a central puncture P and radii r1..rc."""
     arcs = [f"r{k}" for k in range(1, c + 1)]

@@ -185,6 +185,14 @@ def test_shipped_hexagon_bundle(capsys):
     assert out.count("EQUAL") == 6 and "DIFFER" not in out
 
 
+def test_shipped_punctured_bundle(capsys):
+    # once-punctured square: ordinary arcs and the notched radii
+    assert main(["verify", "--bundle", str(DATA / "punctured_bundle.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(l.endswith(": EQUAL") for l in lines)
+    assert sum("notched" in l for l in lines) == 4
+
+
 def test_notch_flag(tmp_path, capsys):
     import conftest
     T = conftest.example_surface()
@@ -275,6 +283,14 @@ def test_digon_expand_baseline(tmp_path):
 
 SEED = str(DATA / "seed_rank2.json")
 
+
+def _two_punctures_notch(names):
+    """`expand` of the shipped doubly-notched arc with `--notch names`."""
+    return lambda tmp: ["expand", "--surface", str(DATA / "two_punctures.json"),
+                        "--arc", str(DATA / "double_notched_arc.json"),
+                        "--notch", names]
+
+
 BAD_INPUTS = {
     # parse layer: exit 1
     "surface is a list": (EXIT_PARSE, lambda tmp: [
@@ -319,6 +335,9 @@ BAD_INPUTS = {
         tmp, [[0, "x"], [-1, 0]], ["1", "2"], "1")),
     "non-integer sequence entry": (EXIT_PARSE, lambda tmp: [
         "mutate", "--seed", SEED, "--sequence", "1,a"]),
+    "three notch names": (EXIT_PARSE, _two_punctures_notch("p,q,zzz")),
+    "empty notch names": (EXIT_PARSE, _two_punctures_notch(",")),
+    "empty notch": (EXIT_PARSE, _two_punctures_notch("")),
     # indices: exit 2
     "sequence 0": (EXIT_VALIDATION, lambda tmp: [
         "mutate", "--seed", SEED, "--sequence", "0"]),

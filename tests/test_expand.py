@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import (
+    annulus22,
     digon,
     example_surface,
     gamma1,
@@ -13,15 +14,26 @@ from conftest import (
     square_other_diagonal,
     twice_punctured,
     twice_punctured_digon,
+    walk_paths,
+)
+from surfcluster.matchings import (
+    enumerate_matchings,
+    height_exponents,
+    minimal_maximal,
+    phi_exps,
+    weight_exps,
 )
 from surfcluster.poly import LaurentPoly as L, xvar, yvar
+from surfcluster.snake import build_snake
 from surfcluster.surface import (
     Crossing,
     CrossingPath,
+    TaggedArcRef,
     signed_adjacency,
 )
 from surfcluster.expand import (
     InhomogeneousExpansion,
+    _sum,
     crossing_monomial,
     euler_table,
     expand_double_notch,
@@ -79,6 +91,44 @@ def test_hexagon_against_oracle():
     arc = polygon_arc(T, 3, 6)
     oracle = run_sequence(seed0, [1, 2]).cluster[2]
     assert expand_ordinary(T, arc).poly == oracle
+
+
+def _per_matching_sum(T, path, mirror):
+    """The ordinary-arc sum the slow way: one monomial per enumerated
+    matching, from its weight and specialized height."""
+    g = build_snake(T, path, mirror=mirror)
+    minus, _ = minimal_maximal(g)
+    ms = enumerate_matchings(g)
+    terms = ((weight_exps(g, P, T), phi_exps(height_exponents(g, P, minus), T))
+             for P in ms)
+    return _sum(terms, crossing_monomial(T, path), TaggedArcRef(path)), len(ms)
+
+
+# crossing caps keep the whole comparison to a few seconds
+ORACLE_SURFACES = {
+    "square": (square, 6),
+    "digon": (digon, 7),
+    "pentagon": (lambda: polygon(5), 6),
+    "hexagon": (lambda: polygon(6), 6),
+    "annulus22": (annulus22, 6),
+    "punctured square": (lambda: once_punctured_polygon(4), 6),
+    "example surface": (example_surface, 4),
+    "twice punctured": (twice_punctured, 4),
+    "twice-punctured digon": (twice_punctured_digon, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_transfer_sum_equals_per_matching_sum(name):
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    for path in walk_paths(T, max_d):
+        for mirror in (False, True):
+            want, count = _per_matching_sum(T, path, mirror)
+            got = expand_ordinary(T, path, mirror=mirror)
+            assert got.numerator == want.numerator, path
+            assert got.poly == want.poly
+            assert got.matchings_used == count
 
 
 def test_single_notch_initial_radius_digon():

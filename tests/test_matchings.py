@@ -13,7 +13,10 @@ from conftest import (
     square,
     square_other_diagonal,
     twice_punctured,
+    zigzag_arc,
+    zigzag_polygon,
 )
+from surfcluster.expand import expand_ordinary
 from surfcluster.poly import LaurentPoly as L, xvar, yvar
 from surfcluster.snake import build_loop_graph, build_snake
 from surfcluster.matchings import (
@@ -28,6 +31,7 @@ from surfcluster.matchings import (
     minimal_maximal,
     perfect_end_restriction,
     phi_specialize,
+    transfer_sum,
 )
 
 
@@ -167,7 +171,20 @@ def test_enumeration_deterministic_and_unique():
 ])
 def test_count_matches_kasteleyn(mk):
     g = mk()
-    assert len(enumerate_matchings(g)) == kasteleyn_count(g)
+    n = kasteleyn_count(g)
+    assert len(enumerate_matchings(g)) == n
+    # the transfer sum with every key 0 counts the matchings
+    assert transfer_sum(g, 0, [0] * len(g.edges)) == {0: n}
+
+
+def test_zigzag_expansion_count_matches_kasteleyn():
+    # the long arc of a 25-gon's zigzag: d = 22, F(24) = 46368 matchings
+    T = zigzag_polygon(25)
+    path = zigzag_arc(T)
+    e = expand_ordinary(T, path)
+    assert e.matchings_used == 46368 == kasteleyn_count(build_snake(T, path))
+    assert sum(e.poly.coefficients()) == e.matchings_used
+    assert all(c > 0 for c in e.poly.coefficients())
 
 
 def test_exactly_two_boundary_matchings():
