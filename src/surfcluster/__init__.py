@@ -37,6 +37,7 @@ from .expand import (
     Expansion,
     crossing_monomial,
     euler_table,
+    expand_arc,
     expand_double_notch,
     expand_notched_loop,
     expand_ordinary,

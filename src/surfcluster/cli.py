@@ -4,10 +4,11 @@ Commands: expand | fpoly | gvector | matchings | snake | mutate | verify.
 Surfaces, arcs and seeds are JSON files with documented schemas (below);
 output is the canonical polynomial text, or structured JSON with --json
 (expand, fpoly, gvector).  `--notch p` or `--notch p,q` notches an arc at the
-named punctures, the only way to pick the notched end of an arc of the
-triangulation whose ends are two different punctures.  `mutate --sequence`
-and the bundle's `sequence`/`index` are 1-based.  On a mismatch `verify`
-prints the canonical text of expansion - oracle under the DIFFER line.
+named punctures, matched to either end of a path in any order; it is the
+only way to pick the notched end of an arc of the triangulation whose ends
+are two different punctures.  `mutate --sequence` and the bundle's
+`sequence`/`index` are 1-based.  On a mismatch `verify` prints the
+canonical text of expansion - oracle under the DIFFER line.
 
 Exit codes: 0 ok, 1 parse error (unreadable file, bad JSON, wrong field or
 type), 2 validation error (including an index out of range), 3 computation
@@ -72,15 +73,7 @@ from .matchings import (
     minimal_maximal,
     phi_specialize,
 )
-from .expand import (
-    Expansion,
-    expand_double_notch,
-    expand_notched_loop,
-    expand_ordinary,
-    expand_single_notch,
-    f_polynomial,
-    g_vector,
-)
+from .expand import Expansion, expand_arc, f_polynomial, g_vector
 from .mutation import principal_seed, run_sequence, tropical_coeffs
 
 __all__ = ["main", "parse_surface", "parse_arc", "ParseError", "ValidationError"]
@@ -308,22 +301,21 @@ def parse_seed(data: bytes):
     return geometric_seed(rows, names, frozen)
 
 
-def _expand_arc(T: Triangulation, arc, ref: TaggedArcRef,
-                orientation: str) -> Expansion:
-    n = int(ref.notch_start) + int(ref.notch_end)
-    if isinstance(arc, CrossingPath) and arc.d > 0 and n > 0:
-        pstart = T.vertex_name(*arc.start)
-        pend = T.vertex_name(*arc.end)
-        if pstart == pend and pstart in T.punctures:
-            return expand_notched_loop(T, arc, notches=n, orientation=orientation)
-    if n == 0:
-        return expand_ordinary(T, arc)
-    if n == 1:
-        path = arc
-        if isinstance(arc, CrossingPath) and ref.notch_start and not ref.notch_end:
-            path = arc.reversed()
-        return expand_single_notch(T, path)
-    return expand_double_notch(T, arc)
+def _notch(T: Triangulation, arc, names: List[str]):
+    """(ref, punctures) for the arc notched at the `--notch` punctures.  On
+    a path each name notches the end at that puncture, in either order; an
+    arc of the triangulation passes the names on to pick its ends."""
+    if not isinstance(arc, CrossingPath):
+        return TaggedArcRef(arc, len(names) == 2, True), names
+    ends = [T.vertex_name(*arc.end), T.vertex_name(*arc.start)]
+    notched = [False, False]
+    for name in names:
+        free = [i for i in (0, 1) if not notched[i] and ends[i] == name]
+        if name not in T.punctures or not free:
+            raise ValidationError(f"--notch: no end of the arc is at puncture "
+                                  f"{name!r}")
+        notched[free[0]] = True
+    return TaggedArcRef(arc, notch_start=notched[1], notch_end=notched[0]), ()
 
 
 def _poly_terms(p: LaurentPoly) -> list:
@@ -352,13 +344,10 @@ def _cmd_expand(args) -> int:
         raise ParseError(f"--notch takes p or p,q, not {args.notch!r}")
     T = parse_surface(_load(args.surface))
     arc, ref, orientation = parse_arc(_load(args.arc), T)
+    names = ()
     if punctures:
-        if len(punctures) == 1:
-            e = expand_single_notch(T, arc, punctures[0])
-        else:
-            e = expand_double_notch(T, arc, punctures[0], punctures[1])
-    else:
-        e = _expand_arc(T, arc, ref, orientation)
+        ref, names = _notch(T, arc, punctures)
+    e = expand_arc(T, ref, orientation, punctures=names)
     if args.command == "fpoly":
         out = f_polynomial(e)
         print(json.dumps({"fpoly": _poly_terms(out)})
@@ -438,9 +427,9 @@ def _cmd_verify(args) -> int:
     for i, case in enumerate(_list(obj.get("cases", []), "bundle cases")):
         what = f"case {i}"
         _require_keys(case, {"arc", "sequence", "index", "name"}, what)
-        arc, ref, orientation = parse_arc(
+        _, ref, orientation = parse_arc(
             json.dumps(_field(case, "arc", what)).encode(), T)
-        e = _expand_arc(T, arc, ref, orientation)
+        e = expand_arc(T, ref, orientation)
         seq = [_index(_int(k, what), seed0.n, what)
                for k in _list(_field(case, "sequence", what), what)]
         idx = _index(_int(_field(case, "index", what), what), seed0.n, what)

@@ -1,54 +1,65 @@
 """Laurent expansions of cluster variables attached to tagged arcs.
 
+`expand_arc` is the one entry point; `expand_ordinary`,
+`expand_single_notch`, `expand_double_notch` and `expand_notched_loop` are
+thin wrappers around it.
+
 Ordinary arcs sum weight times specialized height over the perfect
 matchings of the snake graph without listing them: heights are linear in
 the matching, so each edge carries one packed monomial and the tile-by-tile
 matching DP carries one polynomial per state (`matchings.transfer_sum`).
-Arcs notched at one puncture sum over symmetric matchings of the loop graph
-around that puncture; arcs notched at both ends sum over compatible pairs of
-matchings of the two loop graphs.  Those two enumerate matchings and add
-one monomial per summand (`_sum`).  Initial arcs and arcs of the
-triangulation are dispatched to their closed forms automatically.
 
-An `Expansion` carries `poly`, the exact quotient numerator/cross (a
-Laurent polynomial, since the denominator is a monomial), the unreduced
-`numerator` and crossing monomial `cross`, the tagged `arc`, and
-`matchings_used`, the number of summands (matchings or compatible pairs; 0
-for the closed form of a doubly-notched arc of the triangulation).  Equality
-testing uses `poly`.  `f_polynomial` sets every x to 1 in `poly`;
-`euler_table` reads the F-polynomial's coefficients, so it counts matchings
-by height for every kind of arc.
+Notched arcs come from ordinary transfer sums through two identities, with
+no loop-graph matching listed:
+
+- the loop identity x_l = x_gamma * x_gamma^(p) (Fomin-Shapiro-Thurston),
+  where the loop l (`snake.build_loop_path`) follows gamma to the puncture
+  p, circles p and comes back;
+- the two-notch identity x_gamma * x_gamma^(pq) = x_gamma^(p) * x_gamma^(q)
+  * y_chi + (1 - Y_p)(1 - Y_q) * phi(y^cross), Y_p being the specialized
+  product of y over the arc ends at p.  For a path y_chi = 1 and
+  phi(y^cross) specializes its crossed arcs; for an arc of the
+  triangulation y_chi is its own y and phi(y^cross) = 1.  A notched loop at
+  p takes q = p and the reversed loop as the second side.
+
+The paper's sums over the symmetric matchings and compatible pairs of loop
+graphs are the oracle the tests check both identities against.
+
+An `Expansion` carries `poly`, the exact Laurent polynomial; its numerator
+`poly * cross` over the crossing monomial `cross` (extended by the arc ends
+at each notched puncture); the tagged `arc`; and `matchings_used`, the
+number of summands of the matching formula.  At x = y = 1 every expansion
+is its matching count and (1 - Y) vanishes, so the identities give
+F_l(1) / F_gamma(1) symmetric matchings for one notch and
+F_p(1) * F_q(1) / F_gamma(1) compatible pairs for two.  These quotients, and
+the polynomial ones, are exact whenever the identities hold; a remainder
+raises `NotDivisible`.  The closed form of a doubly-notched arc of the
+triangulation sums no matchings and reports 0.  Equality testing uses
+`poly`.  `f_polynomial` sets every x to 1 in `poly`; `euler_table` reads
+the F-polynomial's coefficients, so it counts matchings by height for every
+kind of arc.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .poly import LaurentPoly, VarId, lowest_exponents, pack, xvar, yvar
+from .poly import LaurentPoly, NotDivisible, VarId, lowest_exponents, xvar, yvar
 from .matchings import (
-    Matching,
-    _tile_heights,
-    compatible_pairs,
     edge_keys,
-    enumerate_matchings,
-    gamma_symmetric_filter,
-    height_exponents,
     minimal_maximal,
-    perfect_end_restriction,
-    phi_exps,
     phi_specialize,
     transfer_sum,
-    weight_exps,
     x_of_label,
 )
 from .mutation import f_from_x
 from .snake import (
     EndpointNotPuncture,
-    LoopGraph,
     NotchedTrianglePresent,
     _has_notch_at,
-    build_loop_graph,
+    build_loop_path,
     build_snake,
 )
 from .surface import (
@@ -67,6 +78,7 @@ from .surface import (
 
 __all__ = [
     "Expansion",
+    "expand_arc",
     "ForbiddenSurface",
     "InhomogeneousExpansion",
     "crossing_monomial",
@@ -164,120 +176,175 @@ def crossing_monomial(T: Triangulation, path: Union[CrossingPath, str],
     return out
 
 
-def _merge(*exp_maps) -> Dict:
-    out: Dict = {}
-    for exps in exp_maps:
-        for v, e in exps.items():
-            ne = out.get(v, 0) + e
-            if ne:
-                out[v] = ne
-            else:
-                del out[v]
-    return out
+def _quotient(a: int, b: int) -> int:
+    """a / b for two matching counts that must divide exactly."""
+    q, r = divmod(a, b)
+    if r:
+        raise NotDivisible(f"matching count {a} is not a multiple of {b}")
+    return q
 
 
-def _scale(exps: Dict, k: int) -> Dict:
-    return {v: k * e for v, e in exps.items()}
-
-
-def _expansion(acc: Dict[int, int], cross: LaurentPoly, ref: TaggedArcRef,
-               count: int) -> Expansion:
-    """The expansion with packed numerator `acc`, divided once by the
-    crossing monomial, over `count` summands."""
+def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
+              mirror: bool) -> Expansion:
+    """The transfer sum of an ordinary arc; an arc of the triangulation is
+    its own variable."""
+    ref = TaggedArcRef(gamma)
+    if isinstance(gamma, str):
+        x = x_of_label(T, gamma)
+        return Expansion(x, x, LaurentPoly.one(), ref, 1)
+    g = build_snake(T, gamma, mirror=mirror)
+    minus, _ = minimal_maximal(g)
+    # every perfect matching adds one monomial with coefficient 1
+    acc = transfer_sum(g, *edge_keys(g, T, minus))
     num = LaurentPoly.from_packed(acc)
-    return Expansion(num.div_exact(cross), num, cross, ref, count)
+    cross = crossing_monomial(T, gamma)
+    return Expansion(num.div_exact(cross), num, cross, ref, sum(acc.values()))
 
 
-def _sum(terms: Iterable[Tuple[Dict, Dict]], cross: LaurentPoly,
-         ref: TaggedArcRef) -> Expansion:
-    """The matching sum over listed summands: add up one monomial per
-    summand from its (x, y) exponent maps.  The two maps hold x and y
-    variables apart, so their packed keys add without one digit reaching
-    another."""
-    acc: Dict[int, int] = {}
-    count = 0
-    for x, y in terms:
-        key = pack(x) + pack(y)
-        acc[key] = acc.get(key, 0) + 1
-        count += 1
-    return _expansion(acc, cross, ref, count)
+def _loop_around(T: Triangulation, gamma: Union[CrossingPath, str], p: str,
+                 mirror: bool) -> Expansion:
+    """x_l for the loop l that follows gamma to p, circles p and comes back,
+    so that x_l = x_gamma * x_gamma^(p)."""
+    if not isinstance(gamma, str):
+        return _ordinary(T, build_loop_path(T, gamma, p), mirror)
+    sf = T.radius_triangle(gamma)
+    if sf is not None and sf.puncture == p:
+        # the enclosing loop is already an arc of the triangulation
+        return _ordinary(T, sf.loop, mirror)
+    return _ordinary(T, _loop_path_around(T, p, gamma), mirror)
+
+
+def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
+               mirror: bool = False,
+               punctures: Sequence[Optional[str]] = ()) -> Expansion:
+    """The expansion of a tagged arc: the transfer sum when no end is
+    notched, the loop identity for one notch, the two-notch identity for
+    two.
+
+    `ref.base` is a crossing path or an arc of the triangulation.  A path
+    notched only at its start is read backwards.  A path that begins and
+    ends at one puncture is a loop, followed in the given orientation ("cw"
+    reverses it) whichever end is notched.  `punctures` names the notched
+    punctures, the one at the end first and then the one at the start; a
+    path's own ends are used where a name is missing, and a name that is
+    not at that end is rejected.  For an arc of the triangulation they pick
+    the notched ends and are inferred when the arc leaves one choice.
+    """
+    if not (ref.notch_start or ref.notch_end):
+        return _ordinary(T, ref.base, mirror)
+    sides = _notched_sides(T, ref, orientation, punctures)
+    gamma = sides[0][0]
+    loops = [_loop_around(T, g, p, mirror) for g, p in sides]
+    x = _ordinary(T, gamma, mirror)
+    # x_l = x_gamma * x_gamma^(p), and at x = y = 1 each side counts
+    # matchings, so the quotients are the notched arcs' counts
+    singles = [l.poly.div_exact(x.poly) for l in loops]
+    counts = [_quotient(l.matchings_used, x.matchings_used) for l in loops]
+    p = sides[0][1]
+    q = sides[1][1] if len(sides) == 2 else None
+    if q is None:
+        poly, count = singles[0], counts[0]
+    else:
+        one = LaurentPoly.one()
+        if isinstance(gamma, str):
+            y_chi, phi = LaurentPoly.var(yvar(T.tagged_name(gamma))), one
+            count = 0                     # the closed form sums no matchings
+        else:
+            y_chi, phi = one, phi_specialize(Counter(gamma.crossed_arcs()), T)
+            # (1 - Y_p)(1 - Y_q) vanishes at y = 1
+            count = _quotient(counts[0] * counts[1], x.matchings_used)
+        num = singles[0].mul(singles[1]).mul(y_chi).add(
+            one.sub(_y_ends_product(T, p)).mul(one.sub(_y_ends_product(T, q)))
+            .mul(phi))
+        poly = num.div_exact(x.poly)
+    cross = crossing_monomial(T, gamma, notches=len(sides), p=p, q=q)
+    return Expansion(poly, poly.mul(cross), cross, ref, count)
+
+
+def _notched_sides(T: Triangulation, ref: TaggedArcRef, orientation: str,
+                   punctures: Sequence[Optional[str]]
+                   ) -> List[Tuple[Union[CrossingPath, str], str]]:
+    """The arc read toward each notched puncture: [(gamma, p)] for one
+    notch, [(gamma, p), (gamma reversed, q)] for two (see `expand_arc`)."""
+    gamma, two = ref.base, ref.notch_start and ref.notch_end
+    p, q = (tuple(punctures) + (None, None))[:2]
+    if isinstance(gamma, str):
+        if not two:
+            return [(gamma, _notched_puncture(T, gamma) if p is None else p)]
+        _check_not_two_marked_closed(T)
+        if p is None or q is None:
+            ends = _arc_puncture_ends(T, gamma)
+            if len(ends) != 2:
+                raise EndpointNotPuncture(
+                    f"arc {gamma!r} does not join two punctures")
+            p, q = ends
+        return [(gamma, p), (gamma, q)]
+    start, end = _puncture_at(T, gamma.start), _puncture_at(T, gamma.end)
+    loop = end is not None and start == end
+    if loop:
+        reverse = orientation == "cw"
+    else:
+        reverse = not ref.notch_end       # notched at its start only
+    if reverse:
+        gamma, start, end = gamma.reversed(), end, start
+    p = end if p is None else p
+    if not two:
+        if p is None:
+            raise EndpointNotPuncture("path does not end at a puncture")
+        return [(gamma, p)]
+    if not loop:
+        _check_not_two_marked_closed(T)
+    q = start if q is None else q
+    if p is None or q is None:
+        raise EndpointNotPuncture("both endpoints must be punctures")
+    return [(gamma, p), (gamma.reversed(), q)]
 
 
 def expand_ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
                     mirror: bool = False) -> Expansion:
     """Matching-sum expansion of an ordinary arc (or an arc of the
     triangulation, which is its own variable)."""
-    if isinstance(gamma, str):
-        x = x_of_label(T, gamma)
-        return Expansion(x, x, LaurentPoly.one(), TaggedArcRef(gamma), 1)
-    g = build_snake(T, gamma, mirror=mirror)
-    minus, _ = minimal_maximal(g)
-    # every perfect matching adds one monomial with coefficient 1
-    acc = transfer_sum(g, *edge_keys(g, T, minus))
-    return _expansion(acc, crossing_monomial(T, gamma), TaggedArcRef(gamma),
-                      sum(acc.values()))
-
-
-def _symmetric_terms(T: Triangulation, lg: LoopGraph, power: int
-                     ) -> Tuple[Dict[Matching, Tuple[Dict, Dict]],
-                                Dict[Matching, Dict]]:
-    """The symmetric matchings of a loop graph, in enumeration order, each
-    with its weight and height exponent maps divided `power` times by those
-    of its perfect end restriction; and the roles of each restriction."""
-    minus, _ = minimal_maximal(lg.graph)
-    # the end-1 sub-snake's minimal matching agrees with `minus` on the
-    # outer edges of the first d tiles: both alternate along the same
-    # boundary path from tile 0, so its heights are read against `minus`
-    end1 = {r: e for e, r in lg.end_roles[1].items()}
-    out, restrictions = {}, {}
-    for P in gamma_symmetric_filter(lg, enumerate_matchings(lg.graph)):
-        _, roles = perfect_end_restriction(lg, P)
-        restrictions[P] = roles
-        w = weight_exps(lg.graph, P, T)
-        w_restr = weight_exps(lg.graph, roles.values(), T)
-        m = height_exponents(lg.graph, P, minus)
-        m_restr = _tile_heights(lg.graph, frozenset(end1[r] for r in roles),
-                                minus, lg.d)
-        out[P] = (_merge(w, _scale(w_restr, -power)),
-                  phi_exps(_merge(m, _scale(m_restr, -power)), T))
-    return out, restrictions
+    return expand_arc(T, TaggedArcRef(gamma), mirror=mirror)
 
 
 def expand_single_notch(T: Triangulation, gamma: Union[CrossingPath, str],
                         p: Optional[str] = None,
                         mirror: bool = False) -> Expansion:
-    """Expansion of the arc notched at the puncture its path ends at."""
-    if isinstance(gamma, str):
-        return _single_notch_initial(T, gamma, p)
-    if p is None:
-        p = _puncture_at(T, gamma.end)
-    if p is None:
-        raise EndpointNotPuncture("path does not end at a puncture")
-    lg = build_loop_graph(T, gamma, p, mirror=mirror)
-    terms = _symmetric_terms(T, lg, 1)[0].values()
-    return _sum(terms, crossing_monomial(T, gamma, notches=1, p=p),
-                TaggedArcRef(gamma, notch_end=True))
+    """Expansion of the arc notched at the puncture its path ends at (for
+    an arc of the triangulation: at p)."""
+    return expand_arc(T, TaggedArcRef(gamma, notch_end=True), mirror=mirror,
+                      punctures=(p,))
 
 
-def _single_notch_initial(T: Triangulation, arc: str, p: Optional[str]) -> Expansion:
-    """Notched version of an arc of the triangulation: the loop expansion
-    divided by the arc's own variable."""
-    ref = TaggedArcRef(arc, notch_end=True)
-    sf = T.radius_triangle(arc)
-    if sf is not None and (p is None or sf.puncture == p):
-        # the enclosing loop is already an arc of the triangulation
-        twin = LaurentPoly.var(xvar(T.notched_twin(arc)))
-        return Expansion(twin, twin, LaurentPoly.one(), ref, 1)
-    if p is None:
-        ends = _arc_puncture_ends(T, arc)
-        if len(set(ends)) != 1:
-            raise EndpointNotPuncture(
-                f"cannot infer the notched puncture of {arc!r}")
-        p = ends[0]
-    e = expand_ordinary(T, _loop_path_around(T, p, arc))
-    cross = e.cross.mul(LaurentPoly.var(xvar(arc)))
-    return Expansion(e.numerator.div_exact(cross), e.numerator, cross, ref,
-                     e.matchings_used)
+def expand_double_notch(T: Triangulation, gamma: Union[CrossingPath, str],
+                        p: Optional[str] = None, q: Optional[str] = None,
+                        mirror: bool = False) -> Expansion:
+    """Expansion of the arc between punctures p (its end) and q (its start)
+    notched at both."""
+    _check_not_two_marked_closed(T)   # expand_arc skips it for loops
+    return expand_arc(T, TaggedArcRef(gamma, True, True), mirror=mirror,
+                      punctures=(p, q))
+
+
+def expand_notched_loop(T: Triangulation, rho: CrossingPath, notches: int,
+                        orientation: str = "ccw",
+                        mirror: bool = False) -> Expansion:
+    """Notched versions of a loop based at a puncture.
+
+    The singly-notched loop is not a cluster variable; it is the formal
+    matching sum over the self-intersecting loop graph obtained by following
+    the loop, circling the puncture and doubling back.  The orientation
+    selects which of the two such elements is computed ("cw" uses the
+    reversed loop); the doubly-notched loop pairs both and is
+    orientation-independent.
+    """
+    if notches not in (1, 2):
+        raise ValueError("notches must be 1 or 2")
+    p = _puncture_at(T, rho.end)
+    if p is None or _puncture_at(T, rho.start) != p:
+        raise EndpointNotPuncture("notched loops must begin and end at one puncture")
+    return expand_arc(T, TaggedArcRef(rho, notches == 2, True), orientation,
+                      mirror)
 
 
 def _loop_path_around(T: Triangulation, p: str, arc: str) -> CrossingPath:
@@ -317,67 +384,12 @@ def _check_not_two_marked_closed(T: Triangulation) -> None:
             "closed surface with exactly two marked points is not supported")
 
 
-def expand_double_notch(T: Triangulation, gamma: Union[CrossingPath, str],
-                        p: Optional[str] = None, q: Optional[str] = None,
-                        mirror: bool = False) -> Expansion:
-    """Expansion of the arc between punctures p and q notched at both."""
-    _check_not_two_marked_closed(T)
-    if isinstance(gamma, str):
-        return _double_notch_initial(T, gamma, p, q)
-    if p is None:
-        p = _puncture_at(T, gamma.end)
-    if q is None:
-        q = _puncture_at(T, gamma.start)
-    if p is None or q is None:
-        raise EndpointNotPuncture("both endpoints must be punctures")
-    if p == q:
-        return expand_notched_loop(T, gamma, notches=2, mirror=mirror)
-    return _pair_sum(T, gamma, p, q, mirror)
-
-
-def _pair_sum(T: Triangulation, gamma: CrossingPath, p: str, q: str,
-              mirror: bool) -> Expansion:
-    """Sum over compatible pairs of symmetric matchings of the loop graphs at
-    the two ends; on the q side the restriction divides twice (so three
-    times in all)."""
-    lp = build_loop_graph(T, gamma, p, mirror=mirror)
-    lq = build_loop_graph(T, gamma.reversed(), q, mirror=mirror)
-    terms_p, roles_p = _symmetric_terms(T, lp, 1)
-    terms_q, roles_q = _symmetric_terms(T, lq, 2)
-    pairs = compatible_pairs(lp, lq, list(terms_p), list(terms_q),
-                             roles_p=roles_p, roles_q=roles_q)
-    terms = ((_merge(terms_p[P][0], terms_q[Q][0]),
-              _merge(terms_p[P][1], terms_q[Q][1])) for P, Q in pairs)
-    return _sum(terms, crossing_monomial(T, gamma, notches=2, p=p, q=q),
-                TaggedArcRef(gamma, notch_start=True, notch_end=True))
-
-
 def _y_ends_product(T: Triangulation, p: str) -> LaurentPoly:
     """Product of y over arc ends at p, with self-folded substitutions."""
     m: Dict[str, int] = {}
     for arc in arcs_around_puncture(T, p):
         m[arc] = m.get(arc, 0) + 1
     return phi_specialize(m, T)
-
-
-def _double_notch_initial(T: Triangulation, arc: str, p: Optional[str],
-                          q: Optional[str]) -> Expansion:
-    """Closed form for an arc of the triangulation joining two punctures."""
-    if p is None or q is None:
-        ends = _arc_puncture_ends(T, arc)
-        if len(ends) != 2:
-            raise EndpointNotPuncture(
-                f"arc {arc!r} does not join two punctures")
-        p, q = ends
-    xp = expand_single_notch(T, arc, p).poly
-    xq = expand_single_notch(T, arc, q).poly
-    y_arc = LaurentPoly.var(yvar(T.tagged_name(arc)))
-    one = LaurentPoly.one()
-    num = xp.mul(xq).mul(y_arc).add(
-        one.sub(_y_ends_product(T, p)).mul(one.sub(_y_ends_product(T, q))))
-    poly = num.div_exact(LaurentPoly.var(xvar(arc)))
-    ref = TaggedArcRef(arc, notch_start=True, notch_end=True)
-    return Expansion(poly, poly, LaurentPoly.one(), ref, 0)
 
 
 def _arc_puncture_ends(T: Triangulation, arc: str) -> List[str]:
@@ -387,29 +399,17 @@ def _arc_puncture_ends(T: Triangulation, arc: str) -> List[str]:
     return out
 
 
-def expand_notched_loop(T: Triangulation, rho: CrossingPath, notches: int,
-                        orientation: str = "ccw",
-                        mirror: bool = False) -> Expansion:
-    """Notched versions of a loop based at a puncture.
-
-    The singly-notched loop is not a cluster variable; it is the formal
-    matching sum over the self-intersecting loop graph obtained by following
-    the loop, circling the puncture and doubling back.  The orientation
-    selects which of the two such elements is computed ("cw" uses the
-    reversed loop); the doubly-notched loop pairs both and is
-    orientation-independent.
-    """
-    if notches not in (1, 2):
-        raise ValueError("notches must be 1 or 2")
-    p = _puncture_at(T, rho.end)
-    p0 = _puncture_at(T, rho.start)
-    if p is None or p0 != p:
-        raise EndpointNotPuncture("notched loops must begin and end at one puncture")
-    oriented = rho if orientation == "ccw" else rho.reversed()
-    if notches == 1:
-        e = expand_single_notch(T, oriented, p, mirror=mirror)
-        return replace(e, arc=TaggedArcRef(rho, notch_end=True))
-    return _pair_sum(T, oriented, p, p, mirror)
+def _notched_puncture(T: Triangulation, arc: str) -> str:
+    """The puncture an arc of the triangulation is notched at when none is
+    named: the enclosed puncture of a self-folded radius, else its one
+    puncture end."""
+    sf = T.radius_triangle(arc)
+    if sf is not None:
+        return sf.puncture
+    ends = _arc_puncture_ends(T, arc)
+    if len(set(ends)) != 1:
+        raise EndpointNotPuncture(f"cannot infer the notched puncture of {arc!r}")
+    return ends[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ weight is a product over the edges and the specialization phi is linear, so
 x(P)·y(P) is a fixed monomial times one monomial per edge of P.
 `transfer_sum` therefore folds the same dynamic program into one packed
 polynomial per state, and the matching sum of an ordinary arc costs
-tiles × states × terms instead of one pass per matching.  Enumeration stays
-for loop graphs (symmetric matchings and compatible pairs need the
-matchings themselves), for the extremal matchings, for the `matchings`
-command, and as the oracle the tests check the transfer sum against.
+tiles × states × terms instead of one pass per matching.  Notched arcs are
+transfer sums too (see `expand`), so enumeration stays only for the
+extremal matchings, the `matchings` command, and the oracles the tests
+check against: the per-matching sum of an ordinary arc, and the paper's
+loop-graph sums over symmetric matchings and compatible pairs.
 """
 
 from __future__ import annotations

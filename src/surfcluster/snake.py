@@ -12,11 +12,13 @@ tiling, so a loop-radius-loop pass turns into three tiles that stay glued as
 a block (a triple span) and a path ending at an enclosed puncture gets the
 tile whose outer edges both carry the radius.
 
-Loop graphs (for notched arcs) are snake graphs of the path that follows the
-arc, circles the puncture clockwise and doubles back; they carry the roles of
-the edges of their two ends (the first and last d tiles), the distinguished
+Loop paths (`build_loop_path`) follow an arc, circle a puncture clockwise
+and double back; `expand` reads notched arcs off their ordinary expansions.
+Loop graphs are the snake graphs of loop paths, carrying the roles of the
+edges of their two ends (the first and last d tiles), the distinguished
 vertices where the corridor attaches, and the structural isomorphism between
-the ends.
+the ends; the paper's sums over their symmetric matchings and compatible
+pairs are kept as a test oracle.
 
 The drawing only steps up or right, so tiles never overlap and each tile
 meets only its neighbours, along the glue edges.  Every tile therefore keeps

@@ -213,6 +213,47 @@ def test_notch_flag(tmp_path, capsys):
 DATA = pathlib.Path(__file__).parent / "data"
 
 
+def _two_punctures_expand(capsys, names):
+    """stdout of `expand` of the shipped doubly-notched arc (a path from q
+    to p) with `--notch names`."""
+    assert main(["expand", "--surface", str(DATA / "two_punctures.json"),
+                 "--arc", str(DATA / "double_notched_arc.json"),
+                 "--notch", names]) == 0
+    return capsys.readouterr().out
+
+
+def test_notch_at_the_start_puncture(capsys):
+    from surfcluster.cli import parse_arc
+    from surfcluster.expand import expand_single_notch
+    T = parse_surface((DATA / "two_punctures.json").read_bytes())
+    path, _, _ = parse_arc((DATA / "double_notched_arc.json").read_bytes(), T)
+    want = expand_single_notch(T, path.reversed(), "q")
+    assert want.matchings_used == 6
+    assert _two_punctures_expand(capsys, "q") == want.display() + "\n"
+
+
+def test_notch_names_in_either_order(capsys):
+    assert _two_punctures_expand(capsys, "q,p") == \
+        _two_punctures_expand(capsys, "p,q")
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    key = "square.json square_arc.json expand"
+    want = json.loads((DATA / "golden.json").read_text())["cli"][key]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "surfcluster", "expand",
+         "--surface", str(DATA / "square.json"),
+         "--arc", str(DATA / "square_arc.json")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == want["rc"] == 0
+    assert run.stdout == want["stdout"]
+
+
 def test_fpoly_json_is_the_f_polynomial(tmp_path, capsys):
     s = write(tmp_path, "sq.json", square_json())
     a = write(tmp_path, "arc.json", square_arc_json())
