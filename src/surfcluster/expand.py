@@ -46,7 +46,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .poly import LaurentPoly, NotDivisible, VarId, lowest_exponents, xvar, yvar
+from .poly import (LaurentPoly, NotDivisible, VarId, lowest_exponents,
+                   sum_bound, xvar, yvar)
 from .matchings import (
     edge_keys,
     minimal_maximal,
@@ -137,7 +138,11 @@ def reduced_fraction(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, L
     if not common:
         return num, den
     shift = LaurentPoly.monomial(1, {v: -e for v, e in common.items()})
-    return num.mul(shift), den.mul(shift)
+    # the denominator is a monomial: shift its exponents directly
+    c, exps = den.monomial_parts()
+    for v, e in common.items():
+        exps[v] = exps.get(v, 0) - e
+    return num.mul(shift), LaurentPoly.monomial(c, exps)
 
 
 def _puncture_at(T: Triangulation, spot: Tuple[int, str]) -> Optional[str]:
@@ -194,9 +199,11 @@ def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
         return Expansion(x, x, LaurentPoly.one(), ref, 1)
     g = build_snake(T, gamma, mirror=mirror)
     minus, _ = minimal_maximal(g)
-    # every perfect matching adds one monomial with coefficient 1
-    acc = transfer_sum(g, *edge_keys(g, T, minus))
-    num = LaurentPoly.from_packed(acc)
+    start, keys = edge_keys(g, T, minus)
+    # every perfect matching adds one monomial with coefficient 1, its key
+    # start plus the keys of its edges
+    acc = transfer_sum(g, start, keys)
+    num = LaurentPoly.from_packed(acc, sum_bound(start, keys))
     cross = crossing_monomial(T, gamma)
     return Expansion(num.div_exact(cross), num, cross, ref, sum(acc.values()))
 

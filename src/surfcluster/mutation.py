@@ -144,11 +144,7 @@ def tropical_coeffs(s: Seed) -> Tuple[LaurentPoly, ...]:
 
 def f_from_x(X: LaurentPoly) -> LaurentPoly:
     """Substitute every cluster variable by 1."""
-    out: Dict = {}
-    for ev, c in X.terms():
-        key = tuple(t for t in ev if t[0].kind != "x")
-        out[key] = out.get(key, 0) + c
-    return LaurentPoly({k: c for k, c in out.items() if c})
+    return X.at_one("x")
 
 
 def _tropical_eval(F: LaurentPoly, ystar: Dict[VarId, LaurentPoly]) -> LaurentPoly:

@@ -19,19 +19,33 @@ monomial group), which is what long division needs.
 
 Overflow guard.  Every key built from an exponent map checks its
 exponents.  Each polynomial caches a bound on |e_i| over its terms:
-products and quotients inherit the sum of their operands' bounds, any
+products and quotients inherit the sum of their operands' bounds, a sum of
+subsets of known keys (a transfer sum) takes `sum_bound` of them, any
 other polynomial computes its largest |e_i| when first asked.  `mul` and
 `div_exact` raise ExponentOverflow when the two bounds (made exact first)
 add up to 2**31 or more, so no digit ever spills into its neighbour.
 
 Decoding.  Adding the offset sum(2**31 * 2**(32*i)) makes every digit
 nonnegative without carries, and xor-ing the same offset back turns each
-digit into its two's complement, so `struct` unpacks the exponents as
-signed 32-bit fields in C.
+digit into its two's complement, so `struct` (a few keys) or an `array` of
+32-bit ints (all of them at once) reads the exponents as signed fields in C.
 
 Variables carry a kind ('x', 'y' or 'h') and a name.  Variables are ordered
 by kind and then by a natural ordering of the name ("2" before "10"); that
 order, not the registry index, fixes the canonical text rendering.
+
+Canonical text.  Terms print by total y-degree ascending, then by exponent
+vector in descending lexicographic order over the variables in VarId order;
+factors print y before x before h.  `canonical_text` decodes all keys at
+once into one exponent column per variable.  Each monomial is rendered
+unsorted, by joining per row the factor strings looked up column by column
+in `_FACTORS`: one dict per registry index, from exponent to "*t^e",
+filled on first use and kept for the life of the process, so a call sets
+nothing up.  Then one tuple per term (negated y-degree, exponents in VarId
+order, monomial text, coefficient) is sorted in reverse with C-level tuple
+comparison; keys are distinct, so text and coefficient never decide.  When
+every coefficient is 1 the monomials are joined without sign or
+coefficient strings.
 """
 
 from __future__ import annotations
@@ -39,10 +53,13 @@ from __future__ import annotations
 import heapq
 import re
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
-from typing import Collection, Dict, Iterable, List, Mapping, Tuple
+from itertools import repeat
+from operator import itemgetter, neg, or_
+from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = [
     "VarId",
@@ -55,6 +72,7 @@ __all__ = [
     "hvar",
     "pack",
     "lowest_exponents",
+    "sum_bound",
 ]
 
 
@@ -76,6 +94,7 @@ _DISPLAY_RANK = {"y": 0, "x": 1, "h": 2}
 _CHUNKS = re.compile(r"(\d+)|(\D+)")
 
 _BITS = 32
+_BIG_ENDIAN = sys.byteorder == "big"
 _LIMIT = 1 << (_BITS - 1)     # every exponent satisfies |e| < _LIMIT
 
 
@@ -87,8 +106,27 @@ def _natural_key(name: str) -> Tuple:
     )
 
 
-# The registry: index -> variable, and kind -> name -> variable.
+class _Factors(dict):
+    """One variable's factor strings by exponent, filled on first use: "*t"
+    or "*t^e", and "" for exponent 0."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __missing__(self, e: int) -> str:
+        s = self[e] = "" if e == 0 else (
+            f"*{self.text}" if e == 1 else f"*{self.text}^{e}")
+        return s
+
+
+_AFTER_STAR = itemgetter(slice(1, None))
+
+# The registry: index -> variable, index -> its factor strings, and
+# kind -> name -> variable.
 _VARS: List["VarId"] = []
+_FACTORS: List[_Factors] = []
 _INTERNED: Dict[str, Dict[str, "VarId"]] = {k: {} for k in _KIND_RANK}
 
 
@@ -114,6 +152,7 @@ class VarId:
             key = (_KIND_RANK[self.kind], _natural_key(self.name), self.name)
             index = len(_VARS)
             _VARS.append(self)
+            _FACTORS.append(_Factors(self.text()))
             names[self.name] = self
         else:
             key, index = known._key, known._index
@@ -198,16 +237,18 @@ def _rows(keys: Iterable[int], lo: int, m: int) -> List[Tuple[int, ...]]:
             for k in keys]
 
 
-def _flat(keys: Iterable[int], lo: int, m: int) -> Tuple[int, ...]:
-    """`_rows` laid end to end."""
+def _flat(keys: Iterable[int], lo: int, m: int) -> "array[int]":
+    """`_rows` laid end to end, as one array of 32-bit ints."""
     off, _ = _codec(m)
     s = _BITS * lo
-    data = b"".join([(((k >> s) + off) ^ off).to_bytes(4 * m, "little")
-                     for k in keys])
-    return struct.unpack(f"<{len(data) // 4}i", data)
+    flat = array("i", b"".join([
+        (((k >> s) + off) ^ off).to_bytes(4 * m, "little") for k in keys]))
+    if _BIG_ENDIAN:
+        flat.byteswap()
+    return flat
 
 
-def _columns(keys: Iterable[int], lo: int, m: int) -> List[Tuple[int, ...]]:
+def _columns(keys: Iterable[int], lo: int, m: int) -> List["array[int]"]:
     """The exponents at index lo + j over all keys, for j < m."""
     flat = _flat(keys, lo, m)
     return [flat[j::m] for j in range(m)]
@@ -234,11 +275,11 @@ def _expvec(key: int, rank: List[int]) -> ExpVec:
     return tuple((_VARS[i], e) for i, e in pairs)
 
 
-# registry size -> (rank in VarId order, rank in display order, text) per index
+# registry size -> (rank in VarId order, rank in display order) per index
 _ORDERS: List = [-1, None]
 
 
-def _orders() -> Tuple[List[int], List[int], List[str]]:
+def _orders() -> Tuple[List[int], List[int]]:
     if _ORDERS[0] != len(_VARS):
         n = len(_VARS)
         rank, shown = [0] * n, [0] * n
@@ -247,7 +288,7 @@ def _orders() -> Tuple[List[int], List[int], List[str]]:
         for r, i in enumerate(sorted(range(n), key=lambda i: (
                 _DISPLAY_RANK[_VARS[i].kind], _VARS[i]._key))):
             shown[i] = r
-        _ORDERS[:] = [n, (rank, shown, [v.text() for v in _VARS])]
+        _ORDERS[:] = [n, (rank, shown)]
     return _ORDERS[1]
 
 
@@ -514,16 +555,24 @@ class LaurentPoly:
         """
         if not bindings:
             return self
-        rank = _orders()[0]
-        out = LaurentPoly()
+        terms = self._terms
+        lo, m = _window(terms)
+        bound = [(i - lo, _VARS[i]) for i in _support(terms, lo, m)
+                 if _VARS[i] in bindings]
+        if not bound:
+            return self
+        # the unbound rest of a key keeps a subset of its digits
+        rest_bound = self._max_exp()
+        out: Dict[int, int] = {}
         cache: Dict[Tuple[VarId, int], LaurentPoly] = {}
-        for k, c in self._terms.items():
-            rest = 0
+        for (k, c), row in zip(terms.items(), _rows(terms, lo, m)):
+            rest = k
             factor = LaurentPoly.const(c)
-            for v, e in _expvec(k, rank):
-                if v not in bindings:
-                    rest += e * v._unit
+            for j, v in bound:
+                e = row[j]
+                if not e:
                     continue
+                rest -= e * v._unit
                 key = (v, e)
                 if key not in cache:
                     val = bindings[v]
@@ -538,8 +587,34 @@ class LaurentPoly:
                     else:
                         cache[key] = val.pow(e)
                 factor = factor.mul(cache[key])
-            out = out.add(factor.mul(LaurentPoly.from_packed({rest: 1})))
-        return out
+            factor = factor.mul(LaurentPoly.from_packed({rest: 1}, rest_bound))
+            for fk, fc in factor._terms.items():
+                s = out.get(fk, 0) + fc
+                if s:
+                    out[fk] = s
+                else:
+                    del out[fk]
+        return LaurentPoly.from_packed(out)
+
+    def at_one(self, kind: str) -> "LaurentPoly":
+        """Every variable of the given kind ('x', 'y' or 'h') set to 1: each
+        key loses its digits of that kind."""
+        terms = self._terms
+        lo, m = _window(terms)
+        cols = _columns(terms, lo, m)
+        parts = [map(_VARS[lo + j]._unit.__mul__, cols[j]) for j in range(m)
+                 if any(cols[j]) and _VARS[lo + j].kind == kind]
+        if not parts:
+            return self
+        out: Dict[int, int] = {}
+        for k, part, c in zip(terms, map(sum, zip(*parts)), terms.values()):
+            k -= part
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return LaurentPoly.from_packed(out, self._bound)
 
     # -- canonical text ----------------------------------------------------
 
@@ -552,25 +627,30 @@ class LaurentPoly:
         if not terms:
             return "0"
         lo, m = _window(terms)
-        rows = list(zip(_rows(terms, lo, m), terms.values()))
-        used = _support(terms, lo, m)
-        rank, shown, texts = _orders()
-        # positions in a row, in VarId order / display order / y only
-        lex = [i - lo for i in sorted(used, key=rank.__getitem__)]
-        order = [(i - lo, texts[i]) for i in sorted(used, key=shown.__getitem__)]
-        ys = [i - lo for i in used if _VARS[i].kind == "y"]
-        rows.sort(key=lambda row: (sum([row[0][j] for j in ys]),
-                                   [-row[0][j] for j in lex]))
+        cols = _columns(terms, lo, m)
+        used = [lo + j for j in range(m) if any(cols[j])]
+        if not used:
+            return str(terms[0])
+        rank, shown = _orders()
+        # each monomial renders unsorted and rides along in its sort row
+        monos = map(_AFTER_STAR, map("".join, zip(*[
+            map(_FACTORS[i].__getitem__, cols[i - lo])
+            for i in sorted(used, key=shown.__getitem__)])))
+        ys = [cols[i - lo] for i in used if _VARS[i].kind == "y"]
+        ydeg = map(neg, map(sum, zip(*ys))) if ys else repeat(0)
+        # keys are distinct, so the monomial and coefficient never decide
+        rows = sorted(zip(ydeg, *[cols[i - lo] for i in sorted(
+            used, key=rank.__getitem__)], monos, terms.values()), reverse=True)
+        monos = list(map(itemgetter(-2), rows))
+        coeffs = list(map(itemgetter(-1), rows))
+        if coeffs.count(1) == len(coeffs):
+            if 0 in terms:
+                monos[monos.index("")] = "1"
+            return " + ".join(monos)
         parts = []
-        for f, c in rows:
-            mono = "*".join([t if f[j] == 1 else f"{t}^{f[j]}"
-                             for j, t in order if f[j]])
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
+        for mono, c in zip(monos, coeffs):
+            a = -c if c < 0 else c
+            body = (f"{a}*{mono}" if a != 1 else mono) if mono else str(a)
             parts.append((" - " if c < 0 else " + ") + body)
         text = "".join(parts)
         return "-" + text[3:] if text[1] == "-" else text[3:]
@@ -638,3 +718,13 @@ def lowest_exponents(*polys: LaurentPoly) -> Dict[VarId, int]:
     lo, m = _window(keys)
     return {_VARS[lo + j]: e for j, e in enumerate(map(min, _columns(keys, lo, m)))
             if e}
+
+
+def sum_bound(start: int, keys: Sequence[int]) -> int:
+    """A bound on |exponent| over the keys start + sum(S), S any subset of
+    `keys`.  Per variable, with s the digit of start and r those of `keys`,
+    the digit lies between s + (sum(r) - sum|r|) / 2 and s + (sum(r) +
+    sum|r|) / 2, so twice its largest |value| is sum|r| + |2s + sum(r)|."""
+    every = [start, *keys]
+    return max(sum(map(abs, c[1:])) + abs(2 * c[0] + sum(c[1:]))
+               for c in _columns(every, *_window(every))) // 2

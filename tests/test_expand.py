@@ -50,6 +50,7 @@ from surfcluster.expand import (
 )
 from surfcluster.mutation import principal_seed, run_sequence
 import loop_oracle
+import text_oracle
 
 
 def ones(poly: L) -> L:
@@ -133,6 +134,19 @@ def test_transfer_sum_equals_per_matching_sum(name):
             assert got.numerator == want.numerator, path
             assert got.poly == want.poly
             assert got.matchings_used == count
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_graph_bound_covers_the_numerator(name):
+    # the numerator is built with a bound read off the snake graph, so that
+    # dividing it by the crossing monomial need not decode its keys
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    for path in walk_paths(T, max_d):
+        for mirror in (False, True):
+            num = expand_ordinary(T, path, mirror=mirror).numerator
+            bound = num._max_exp()
+            assert bound >= num._max_exp(exact=True), path
 
 
 def _outcome(f, *args, **kwargs):
@@ -456,6 +470,26 @@ def test_display_reduces_common_monomials():
     num, den = reduced_fraction(e.numerator, e.cross)
     _, dexp = den.monomial_parts()
     assert dexp == {xvar(n): 1 for n in ("1", "2", "3", "4", "5", "6")}
+
+
+@pytest.mark.parametrize("name", ["square", "hexagon", "annulus22",
+                                  "example surface", "twice punctured"])
+def test_display_matches_the_multiplied_fraction(name):
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    cases = [(expand_ordinary, (T, path)) for path in walk_paths(T, max_d)]
+    if T.punctures:
+        cases += [(route, args) for _, route, _, args in
+                  _notched_cases(T, min(max_d, 4))]
+    shown = 0
+    for route, args in cases:
+        try:
+            e = route(*args)
+        except (SurfaceError, ArithmeticError):
+            continue
+        assert e.display() == text_oracle.display(e), args
+        shown += 1
+    assert shown > 0
 
 
 def test_retag_against_oracle_names():

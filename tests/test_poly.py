@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import text_oracle
 from surfcluster.poly import (
     ExponentOverflow,
     LaurentPoly as L,
     NonInvertibleSubstitution,
     NotDivisible,
     VarId,
+    hvar,
     pack,
+    sum_bound,
     xvar,
     yvar,
 )
@@ -76,6 +79,54 @@ def test_natural_name_order():
     assert p.canonical_text() == "x2 + x10"
     # equal natural keys fall back to the name, not to hashing or history
     assert (L.var(xvar("1")) + L.var(xvar("01"))).canonical_text() == "x01 + x1"
+
+
+# -- the renderer against the straightforward one -----------------------------
+#
+# every kind, names whose natural order differs from their string order, and
+# names that tie under it ("1" and "01")
+
+TEXT_VARS = [make(n) for make in (xvar, yvar, hvar)
+             for n in ("1", "01", "10", "a2", "a10")]
+
+
+@st.composite
+def text_polys(draw):
+    out = L.zero()
+    for c, exps in draw(st.lists(
+            st.tuples(st.integers(-5, 5),
+                      st.dictionaries(st.sampled_from(TEXT_VARS),
+                                      st.integers(-3, 3), max_size=6)),
+            max_size=8)):
+        out = out + L.monomial(c, exps)
+    return out
+
+
+@given(text_polys())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_canonical_text_matches_the_straightforward_renderer(p):
+    assert p.canonical_text() == text_oracle.canonical_text(p)
+
+
+@pytest.mark.parametrize("p", [
+    L.zero(), L.const(1), L.const(-7), L.var(hvar("a10"), -2),
+    -3 * L.var(yvar("01")), L.one() + L.var(xvar("10")),
+    L.const(2) - L.var(xvar("1")) * L.var(xvar("01"), -1),
+    L.var(yvar("a2")) + L.var(yvar("a10")) + L.var(xvar("a2"), 3),
+])
+def test_canonical_text_edge_cases(p):
+    assert p.canonical_text() == text_oracle.canonical_text(p)
+
+
+def test_sum_bound_covers_every_subset_sum():
+    a, b, c = xvar("1"), yvar("1"), xvar("2")
+    start = pack({a: 1, b: -1})
+    keys = [pack({a: 2, b: 1}), pack({b: 1, c: -3}), pack({a: -1})]
+    sums = [start + sum(k for k, bit in zip(keys, bits) if bit)
+            for bits in ((i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(8))]
+    exact = max(L.from_packed({k: 1})._max_exp(exact=True) for k in sums)
+    # a: 1 + 2 = 3 at most; b: -1 .. 1; c: -3 .. 0
+    assert sum_bound(start, keys) == exact == 3
 
 
 # -- randomized ring laws ----------------------------------------------------
@@ -180,6 +231,14 @@ def test_terms_round_trip(p):
     assert L(dict(p.terms())) == p
     for ev, _ in p.terms():
         assert list(ev) == sorted(ev) and all(e for _, e in ev)
+
+
+@given(wide_polys())
+@settings(max_examples=100, deadline=None)
+def test_at_one_is_substitution_by_one(p):
+    for kind in "xy":
+        ones = {v: L.one() for v in p.variables() if v.kind == kind}
+        assert p.at_one(kind) == p.substitute(ones)
 
 
 @given(wide_exps(), wide_exps())
