@@ -46,10 +46,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .poly import (LaurentPoly, NotDivisible, VarId, lowest_exponents,
-                   sum_bound, xvar, yvar)
+from .poly import (LaurentPoly, NotDivisible, VarId, lowest_exponents, xvar,
+                   yvar)
 from .matchings import (
     edge_keys,
+    matching_count,
     minimal_maximal,
     phi_specialize,
     transfer_sum,
@@ -199,13 +200,17 @@ def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
         return Expansion(x, x, LaurentPoly.one(), ref, 1)
     g = build_snake(T, gamma, mirror=mirror)
     minus, _ = minimal_maximal(g)
-    start, keys = edge_keys(g, T, minus)
+    start, keys, bound = edge_keys(g, T, minus)
     # every perfect matching adds one monomial with coefficient 1, its key
     # start plus the keys of its edges
     acc = transfer_sum(g, start, keys)
-    num = LaurentPoly.from_packed(acc, sum_bound(start, keys))
+    count = matching_count(g)
+    if sum(acc.values()) != count:
+        raise ArithmeticError(f"the transfer sum counts {sum(acc.values())} "
+                              f"matchings, the continuant {count}")
+    num = LaurentPoly.from_packed(acc, bound)
     cross = crossing_monomial(T, gamma)
-    return Expansion(num.div_exact(cross), num, cross, ref, sum(acc.values()))
+    return Expansion(num.div_exact(cross), num, cross, ref, count)
 
 
 def _loop_around(T: Triangulation, gamma: Union[CrossingPath, str], p: str,

@@ -1,11 +1,29 @@
-"""Perfect matchings of snake graphs: enumeration, extremal matchings,
+"""Perfect matchings of snake graphs: the matching DP, extremal matchings,
 heights, weights, and the symmetric/compatible selections for loop graphs.
 
 A matching is a frozenset of edge ids.  One dynamic program runs along the
-tile order; its state is the coverage of the vertices shared with later
-tiles.  Enumeration folds it into lists of partial matchings, and returns
-the matchings sorted by their edge-id tuples so every run produces the same
-order.
+tile order.  Tile k meets the later tiles only at the two ends of its exit
+glue edge (the drawing steps up or right, so the tiles after k+1 touch k at
+most in a corner of that edge).  The tiles up to k have 4 + 2k vertices,
+an even number, and the edges chosen so far cover every one of them but
+those two ends, each once; by parity they cover both ends or neither.  So
+the DP has two states, covered and uncovered, and each tile is a fixed
+transfer between them (the 2×2 matrices of Musiker–Williams,
+arXiv:1108.3382).
+
+A tile's entry glue slot is None, S or W and its exit glue slot None, N or
+E: nine shapes.  `_RULES` lists, per shape, every (covered in, covered
+out, chosen slots) allowed on one abstract tile; it is derived by brute
+force once at import (see `_shape_rules`).  At a turn the corner shared by
+the entry and exit slots may stay uncovered, as in the rule "uncovered to
+uncovered by W" of the shape (S, E).  `_fold` runs a graph's tiles through
+their rules, starting covered and ending covered.
+
+Enumeration folds the DP into lists of partial matchings.  The order of
+the result is the order the DP reaches the matchings: states in the order
+they were first reached at each tile, and each state's rules by the number
+of chosen edges and then by their sorted edge ids.  It is deterministic,
+but it is not the order of the sorted edge-id tuples.
 
 Heights count the tiles enclosed by P ⊖ P-, each read off the tile's one
 outer-face edge (see `height_exponents`); the end restriction of a loop-graph
@@ -22,16 +40,18 @@ transfer sums too (see `expand`), so enumeration stays only for the
 extremal matchings, the `matchings` command, and the oracles the tests
 check against: the per-matching sum of an ordinary arc, and the paper's
 loop-graph sums over symmetric matchings and compatible pairs.
+`matching_count` counts the matchings a second way, by a continuant read
+off the glue, so the transfer sum's count is checked.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple, TypeVar)
 
-from .poly import LaurentPoly, pack, xvar, yvar
-from .snake import LoopGraph, SnakeGraph
+from .poly import LaurentPoly, pack, sum_bound, xvar, yvar
+from .snake import _ENTRY_OF_DIR, _SLOT_CORNERS, LoopGraph, SnakeGraph
 from .surface import SurfaceError, Triangulation
 
 __all__ = [
@@ -46,6 +66,7 @@ __all__ = [
     "matching_weight",
     "edge_keys",
     "transfer_sum",
+    "matching_count",
     "gamma_symmetric_filter",
     "perfect_end_restriction",
     "compatible_pairs",
@@ -60,72 +81,71 @@ class NotAMatching(SurfaceError):
 
 V = TypeVar("V")
 
+# the slot of tile k glued to tile k+1, by glue direction
+_EXIT_SLOT = {"U": "N", "R": "E"}
 
-def _dp(g: SnakeGraph, start: V,
-        extend: Callable[[Optional[V], V, Tuple[int, ...]], V],
-        allowed: Optional[set] = None) -> Optional[V]:
-    """The matching DP, run tile by tile and folded over per-state values.
 
-    A state is the set of covered vertices that later tiles still touch.  At
-    tile k every set of the edges first met at k (restricted to `allowed`)
-    is tried; it is kept when it covers no vertex twice and leaves no vertex
-    uncovered whose last tile is k.  The empty state starts with `start`;
-    `extend(acc, value, chosen)` adds a state's value, extended by the
-    tuple of chosen edge ids, to the accumulator of the next state (None
-    when it has none yet) and returns the new accumulator.  Returns the
-    value of the empty state after the last tile, None when g has no
-    perfect matching.
+def _shape_rules(entry: Optional[str], exit_: Optional[str]
+                 ) -> List[Tuple[bool, bool, Tuple[str, ...]]]:
+    """(covered in, covered out, chosen slots) for every way a tile with
+    these glue slots extends a partial matching.
+
+    The state is whether the corners of the glue slot are covered.  A set
+    of the tile's slots other than its entry is kept when it covers no
+    corner twice (the entry corners count as covered in the covered
+    state), covers every corner outside the exit slot, and covers both
+    exit corners or neither.  Without an entry the tile starts covered;
+    without an exit it ends covered.
     """
-    d = g.d
-    # last tile in which each vertex occurs
-    v_last: Dict[int, int] = {}
-    tile_vs: List[List[int]] = []
-    for k in range(d):
-        vs = [g.vertex_of[(k, c)] for c in ("SW", "SE", "NE", "NW")]
-        tile_vs.append(vs)
-        for v in vs:
-            v_last[v] = k
-    # tile at which each edge is decided: its first tile
-    cand: List[List[int]] = [[] for _ in range(d)]
-    for e in g.edges:
-        if allowed is not None and e.eid not in allowed:
-            continue
-        cand[min(t for t, _ in e.tiles)].append(e.eid)
-    ends = {e.eid: g.edge_vertices(e) for e in g.edges}
+    ent, ext = _SLOT_CORNERS.get(entry, ()), set(_SLOT_CORNERS.get(exit_, ()))
+    free = [s for s in "SENW" if s != entry]
+    rules = []
+    for covered in ((True, False) if entry else (True,)):
+        for r in range(len(free) + 1):
+            for slots in combinations(free, r):
+                hit = [c for s in slots for c in _SLOT_CORNERS[s]]
+                hit += ent if covered else ()
+                done = set(hit)
+                if len(done) == len(hit) and len(done | ext) == 4 and \
+                        done & ext in (set(), ext):
+                    rules.append((covered, done >= ext, slots))
+    return rules
 
-    states: Dict[FrozenSet[int], V] = {frozenset(): start}
-    for k in range(d):
-        new_states: Dict[FrozenSet[int], V] = {}
-        closing = {v for v in tile_vs[k] if v_last[v] == k}
-        es = sorted(cand[k])
-        for cov, value in states.items():
-            for r in range(len(es) + 1):
-                for chosen in combinations(es, r):
-                    touched: Dict[int, int] = {}
-                    ok = True
-                    for eid in chosen:
-                        for v in ends[eid]:
-                            touched[v] = touched.get(v, 0) + 1
-                            if touched[v] > 1 or v in cov:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    for v in closing:
-                        if v not in cov and touched.get(v, 0) != 1:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    ncov = {v for v in cov if v_last[v] > k}
-                    ncov.update(v for v in touched if v_last[v] > k)
-                    key = frozenset(ncov)
-                    new_states[key] = extend(new_states.get(key), value,
-                                             chosen)
-        states = new_states
-    return states.get(frozenset())
+
+_RULES = {(a, b): _shape_rules(a, b)
+          for a in (None, "S", "W") for b in (None, "N", "E")}
+# per shape and order of a tile's slots by edge id, the rules as (chosen
+# slots, covered in, covered out), the slots and the rules sorted as their
+# edge ids will be: by number, then by rank in that order
+_ORDERED = {(shape, order): sorted(
+    ((tuple(sorted(slots, key=order.index)), c, o) for c, o, slots in rules),
+    key=lambda r: (len(r[0]), [order.index(s) for s in r[0]]))
+    for shape, rules in _RULES.items() for order in permutations("SENW")}
+
+
+def _fold(g: SnakeGraph, start: V,
+          extend: Callable[[Optional[V], V, Tuple[int, ...]], V]
+          ) -> Optional[V]:
+    """The matching DP folded over per-state values: the covered state
+    starts with `start`, and `extend(acc, value, chosen)` adds a state's
+    value, extended by the sorted tuple of chosen edge ids, to the next
+    state's accumulator (None at first) and returns it.  States go in the
+    order reached, each one's rules by edge count, then ids.  Returns the
+    value after the last tile, None when g has no perfect matching."""
+    entries = [None] + [_ENTRY_OF_DIR[d] for d in g.glue]
+    exits = [_EXIT_SLOT[d] for d in g.glue] + [None]
+    states: Dict[bool, V] = {True: start}
+    for tile, a, b in zip(g.tiles, entries, exits):
+        se = tile.slot_edge
+        rules = _ORDERED[(a, b), tuple(sorted(se, key=se.__getitem__))]
+        new: Dict[bool, V] = {}
+        for state, value in states.items():
+            for slots, covered, out in rules:
+                if covered is state:
+                    new[out] = extend(new.get(out), value,
+                                      tuple([se[s] for s in slots]))
+        states = new
+    return states.get(True)
 
 
 def _extend_partials(acc, partials, chosen):
@@ -134,19 +154,21 @@ def _extend_partials(acc, partials, chosen):
     return acc
 
 
-def _enumerate(g: SnakeGraph, allowed: Optional[set] = None) -> List[Matching]:
-    done = _dp(g, [()], _extend_partials, allowed) or []
-    return sorted(frozenset(p) for p in done)
-
-
 def enumerate_matchings(g: SnakeGraph) -> List[Matching]:
-    """All perfect matchings, ordered by their sorted edge-id tuples."""
-    return _enumerate(g)
+    """All perfect matchings, in the order the DP reaches them (see the
+    module docstring)."""
+    return [frozenset(p) for p in _fold(g, [()], _extend_partials) or []]
 
 
 def boundary_matchings(g: SnakeGraph) -> List[Matching]:
-    allowed = {e.eid for e in g.edges if e.boundary}
-    return _enumerate(g, allowed)
+    """The perfect matchings that use boundary edges only."""
+    interior = {e.eid for e in g.edges if not e.boundary}
+
+    def extend(acc, partials, chosen):
+        keep = interior.isdisjoint(chosen)
+        return _extend_partials(acc, partials if keep else (), chosen)
+
+    return [frozenset(p) for p in _fold(g, [()], extend) or []]
 
 
 def minimal_maximal(g: SnakeGraph) -> Tuple[Matching, Matching]:
@@ -265,9 +287,10 @@ def matching_weight(g: SnakeGraph, P: Matching, T: Triangulation) -> LaurentPoly
 
 
 def edge_keys(g: SnakeGraph, T: Triangulation,
-              minus: Matching) -> Tuple[int, List[int]]:
-    """(start, keys) with x(P)·y(P) = start + sum(keys[e] for e in P) as
-    packed keys, for every perfect matching P of g.
+              minus: Matching) -> Tuple[int, List[int], int]:
+    """(start, keys, bound) with x(P)·y(P) = start + sum(keys[e] for e in
+    P) as packed keys, for every perfect matching P of g, and `bound` the
+    `sum_bound` of their exponent maps.
 
     A tile whose outer edge o lies in `minus` is enclosed unless o is in P:
     it adds its diagonal to the start and takes it off o.  Any other tile is
@@ -283,9 +306,10 @@ def edge_keys(g: SnakeGraph, T: Triangulation,
             heights[eid] = {tile.diagonal: -1}
         else:
             heights[eid] = {tile.diagonal: 1}
-    keys = [pack(x_exps_of_label(T, e.label)) +
-            pack(phi_exps(heights.get(e.eid, {}), T)) for e in g.edges]
-    return pack(phi_exps(start, T)), keys
+    first = phi_exps(start, T)
+    maps = [{**x_exps_of_label(T, e.label),
+             **phi_exps(heights.get(e.eid, {}), T)} for e in g.edges]
+    return pack(first), [pack(m) for m in maps], sum_bound(first, maps)
 
 
 def transfer_sum(g: SnakeGraph, start: int,
@@ -307,7 +331,29 @@ def transfer_sum(g: SnakeGraph, start: int,
             acc[t + k] = get(t + k, 0) + c
         return acc
 
-    return _dp(g, {start: 1}, extend) or {}
+    return _fold(g, {start: 1}, extend) or {}
+
+
+def matching_count(g: SnakeGraph) -> int:
+    """The number of perfect matchings of g, independent of the DP: the
+    continuant of the run lengths of its sign sequence (Çanakçı–Schiffler,
+    arXiv:1608.06568).
+
+    The sign sequence has one sign per glue edge plus e_0 and e_d.  Tile k
+    sits between signs k and k+1: they differ where the snake goes straight
+    through it and agree where it turns, and the end tiles count as
+    straight.
+    """
+    runs = [1]
+    for k in range(g.d):
+        if 0 < k < g.d - 1 and g.glue[k - 1] != g.glue[k]:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    prev, cur = 0, 1
+    for a in runs:
+        prev, cur = cur, a * cur + prev
+    return cur
 
 
 # ---------------------------------------------------------------------------

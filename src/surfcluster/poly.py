@@ -20,7 +20,8 @@ monomial group), which is what long division needs.
 Overflow guard.  Every key built from an exponent map checks its
 exponents.  Each polynomial caches a bound on |e_i| over its terms:
 products and quotients inherit the sum of their operands' bounds, a sum of
-subsets of known keys (a transfer sum) takes `sum_bound` of them, any
+subsets of known keys (a transfer sum) takes `sum_bound` of their
+exponent maps, a substitution by monomials the bound it can reach, any
 other polynomial computes its largest |e_i| when first asked.  `mul` and
 `div_exact` raise ExponentOverflow when the two bounds (made exact first)
 add up to 2**31 or more, so no digit ever spills into its neighbour.
@@ -58,8 +59,8 @@ from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
-from operator import itemgetter, neg, or_
-from typing import Collection, Dict, Iterable, List, Mapping, Sequence, Tuple
+from operator import add, itemgetter, mul, neg, or_
+from typing import Collection, Dict, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "VarId",
@@ -553,6 +554,15 @@ class LaurentPoly:
         A variable occurring with a negative exponent may only be bound to a
         (unit-coefficient) monomial, since its inverse must exist.
         """
+        return self._substitute(bindings, shift=True)
+
+    def _substitute(self, bindings: Mapping[VarId, "LaurentPoly"],
+                    shift: bool) -> "LaurentPoly":
+        """`substitute`, two ways.  When `shift` is set and every variable
+        of self that is bound is bound to a monomial with coefficient 1,
+        each term's key moves by e * (binding key - variable unit) per bound
+        variable with exponent e; otherwise each bound factor is multiplied
+        in, the route the tests compare the shifts against."""
         if not bindings:
             return self
         terms = self._terms
@@ -561,9 +571,28 @@ class LaurentPoly:
                  if _VARS[i] in bindings]
         if not bound:
             return self
+        vals = [bindings[v] for _, v in bound]
+        out: Dict[int, int] = {}
+        if shift and all(len(b._terms) == 1 and 1 in b._terms.values()
+                         for b in vals):
+            # a digit of the result is its unbound part plus
+            # sum(e * binding digit), each |e| at most the bound of self
+            new_bound = self._max_exp() * (1 + sum(b._max_exp() for b in vals))
+            if new_bound < _LIMIT:
+                cols = _columns(terms, lo, m)
+                keys: Iterable[int] = terms
+                for (j, v), b in zip(bound, vals):
+                    delta = next(iter(b._terms)) - v._unit
+                    keys = map(add, keys, map(mul, cols[j], repeat(delta)))
+                for k, c in zip(keys, terms.values()):
+                    s = out.get(k, 0) + c
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+                return LaurentPoly.from_packed(out, new_bound)
         # the unbound rest of a key keeps a subset of its digits
         rest_bound = self._max_exp()
-        out: Dict[int, int] = {}
         cache: Dict[Tuple[VarId, int], LaurentPoly] = {}
         for (k, c), row in zip(terms.items(), _rows(terms, lo, m)):
             rest = k
@@ -720,11 +749,18 @@ def lowest_exponents(*polys: LaurentPoly) -> Dict[VarId, int]:
             if e}
 
 
-def sum_bound(start: int, keys: Sequence[int]) -> int:
-    """A bound on |exponent| over the keys start + sum(S), S any subset of
-    `keys`.  Per variable, with s the digit of start and r those of `keys`,
-    the digit lies between s + (sum(r) - sum|r|) / 2 and s + (sum(r) +
-    sum|r|) / 2, so twice its largest |value| is sum|r| + |2s + sum(r)|."""
-    every = [start, *keys]
-    return max(sum(map(abs, c[1:])) + abs(2 * c[0] + sum(c[1:]))
-               for c in _columns(every, *_window(every))) // 2
+def sum_bound(start: Mapping[VarId, int],
+              maps: Iterable[Mapping[VarId, int]]) -> int:
+    """A bound on |exponent| over the monomials start + sum(S), S any subset
+    of `maps`, all given as exponent maps.  Per variable, with s its
+    exponent in start and r those in `maps`, the sum lies between s +
+    (sum(r) - sum|r|) / 2 and s + (sum(r) + sum|r|) / 2, so twice its
+    largest |value| is sum|r| + |2s + sum(r)|."""
+    total = {v: 2 * e for v, e in start.items()}
+    spread: Dict[VarId, int] = {}
+    for exps in maps:
+        for v, e in exps.items():
+            total[v] = total.get(v, 0) + e
+            spread[v] = spread.get(v, 0) + abs(e)
+    return max((spread.get(v, 0) + abs(t) for v, t in total.items()),
+               default=0) // 2

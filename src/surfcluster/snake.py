@@ -240,9 +240,19 @@ _PAIRS_WITH = {
 _DIR_OF_SLOT = {"N": "U", "E": "R", "S": "D", "W": "L"}
 _ENTRY_OF_DIR = {"U": "S", "R": "W", "D": "N", "L": "E"}
 _DIR_VEC = {"U": (0, 1), "R": (1, 0), "D": (0, -1), "L": (-1, 0)}
-# one counterclockwise quarter turn of the drawing
-_ROT_SLOT = {"S": "E", "E": "N", "N": "W", "W": "S"}
-_ROT_DIR = {"U": "L", "L": "D", "D": "R", "R": "U"}
+
+
+def _turned(step: Dict[str, str]) -> List[Dict[str, str]]:
+    """The maps of 0, 1, 2 and 3 steps."""
+    out = [{k: k for k in step}]
+    for _ in range(3):
+        out.append({k: step[v] for k, v in out[-1].items()})
+    return out
+
+
+# 0..3 counterclockwise quarter turns of the drawing
+_ROT_SLOTS = _turned({"S": "E", "E": "N", "N": "W", "W": "S"})
+_ROT_DIRS = _turned({"U": "L", "L": "D", "D": "R", "R": "U"})
 
 
 @dataclass
@@ -374,21 +384,24 @@ def build_tiles(T: Triangulation, path: CrossingPath, mirror: bool = False):
 
 
 def _rotate_into_quadrant(tiles: List[Tile], glue: List[str]) -> None:
-    """Rotate the whole drawing so every glue direction is U or R."""
-    for turns in range(4):
-        if all(g in ("U", "R") for g in glue):
-            break
-        for i, g in enumerate(glue):
-            glue[i] = _ROT_DIR[g]
-        for t in tiles:
-            t.slots = {_ROT_SLOT[s]: side for s, side in t.slots.items()}
-            t.lower_roles = {_ROT_SLOT[s]: r for s, r in t.lower_roles.items()}
-            t.upper_roles = {_ROT_SLOT[s]: r for s, r in t.upper_roles.items()}
-            t.lower_slots = tuple(_ROT_SLOT[s] for s in t.lower_slots)
-            t.upper_slots = tuple(_ROT_SLOT[s] for s in t.upper_slots)
-            t.embedding = "B" if t.embedding == "A" else "A"
-    else:
+    """Rotate the whole drawing so every glue direction is U or R: find the
+    number of quarter turns from the glue, then remap each tile once."""
+    turns = next((t for t in range(4)
+                  if all(_ROT_DIRS[t][g] in "UR" for g in glue)), None)
+    if turns is None:
         raise GlueConflict("snake drawing does not fit a single quadrant")
+    if not turns:
+        return
+    rot, rot_dir = _ROT_SLOTS[turns], _ROT_DIRS[turns]
+    glue[:] = [rot_dir[g] for g in glue]
+    for t in tiles:
+        t.slots = {rot[s]: side for s, side in t.slots.items()}
+        t.lower_roles = {rot[s]: r for s, r in t.lower_roles.items()}
+        t.upper_roles = {rot[s]: r for s, r in t.upper_roles.items()}
+        t.lower_slots = (rot[t.lower_slots[0]], rot[t.lower_slots[1]])
+        t.upper_slots = (rot[t.upper_slots[0]], rot[t.upper_slots[1]])
+        if turns % 2:
+            t.embedding = "B" if t.embedding == "A" else "A"
 
 
 def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> SnakeGraph:

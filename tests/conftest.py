@@ -357,6 +357,22 @@ def walk_paths(T: Triangulation, max_d: int):
     return out
 
 
+# surfaces whose walk paths the transfer sum and the matching DP are checked
+# on against their oracles; crossing caps keep each comparison to a few
+# seconds
+ORACLE_SURFACES = {
+    "square": (square, 6),
+    "digon": (digon, 7),
+    "pentagon": (lambda: polygon(5), 6),
+    "hexagon": (lambda: polygon(6), 6),
+    "annulus22": (annulus22, 6),
+    "punctured square": (lambda: once_punctured_polygon(4), 6),
+    "example surface": (example_surface, 4),
+    "twice punctured": (twice_punctured, 4),
+    "twice-punctured digon": (twice_punctured_digon, 4),
+}
+
+
 @pytest.fixture(scope="session")
 def fix_square():
     return square()

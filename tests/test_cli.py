@@ -423,3 +423,14 @@ def test_verify_differ_names_the_differing_terms(tmp_path, capsys):
     diff = expand_ordinary(T, path).poly - run_sequence(seed, [0]).cluster[1]
     assert lines == [f"{case['name']}: DIFFER",
                      f"  expansion - oracle = {diff.canonical_text()}"]
+
+
+def test_matching_count_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    # a transfer sum whose count disagrees with the continuant is refused
+    import surfcluster.expand as expand
+    monkeypatch.setattr(expand, "matching_count", lambda g: 0)
+    s = write(tmp_path, "sq.json", square_json())
+    a = write(tmp_path, "arc.json", square_arc_json())
+    assert main(["expand", "--surface", s, "--arc", a]) == EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert "continuant" in err and len(err.strip().splitlines()) == 1

@@ -3,7 +3,7 @@ import types
 import pytest
 
 from conftest import (
-    annulus22,
+    ORACLE_SURFACES,
     digon,
     example_surface,
     gamma1,
@@ -107,20 +107,6 @@ def _per_matching_sum(T, path, mirror):
              for P in ms)
     return (loop_oracle._sum(terms, crossing_monomial(T, path),
                              TaggedArcRef(path)), len(ms))
-
-
-# crossing caps keep the whole comparison to a few seconds
-ORACLE_SURFACES = {
-    "square": (square, 6),
-    "digon": (digon, 7),
-    "pentagon": (lambda: polygon(5), 6),
-    "hexagon": (lambda: polygon(6), 6),
-    "annulus22": (annulus22, 6),
-    "punctured square": (lambda: once_punctured_polygon(4), 6),
-    "example surface": (example_surface, 4),
-    "twice punctured": (twice_punctured, 4),
-    "twice-punctured digon": (twice_punctured_digon, 4),
-}
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))

@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+import dp_oracle
 from conftest import (
+    ORACLE_SURFACES,
     digon,
     example_surface,
     gamma1,
@@ -13,20 +17,25 @@ from conftest import (
     square,
     square_other_diagonal,
     twice_punctured,
+    walk_paths,
     zigzag_arc,
     zigzag_polygon,
 )
 from surfcluster.expand import expand_ordinary
 from surfcluster.poly import LaurentPoly as L, xvar, yvar
-from surfcluster.snake import build_loop_graph, build_snake
+from surfcluster.snake import build_loop_graph, build_loop_path, build_snake
+from surfcluster.surface import SurfaceError
 from surfcluster.matchings import (
+    _RULES,
     Matching,
     NotAMatching,
     boundary_matchings,
     compatible_pairs,
+    edge_keys,
     enumerate_matchings,
     gamma_symmetric_filter,
     height_exponents,
+    matching_count,
     matching_weight,
     minimal_maximal,
     perfect_end_restriction,
@@ -175,6 +184,8 @@ def test_count_matches_kasteleyn(mk):
     assert len(enumerate_matchings(g)) == n
     # the transfer sum with every key 0 counts the matchings
     assert transfer_sum(g, 0, [0] * len(g.edges)) == {0: n}
+    # and so does the continuant of the sign sequence read off the glue
+    assert matching_count(g) == n
 
 
 def test_zigzag_expansion_count_matches_kasteleyn():
@@ -193,6 +204,107 @@ def test_exactly_two_boundary_matchings():
               build_loop_graph(example_surface(), gamma2(example_surface()),
                                "P2").graph):
         assert len(boundary_matchings(g)) == 2
+
+
+# -- the two-state DP -------------------------------------------------------------
+
+_SEGMENTS = {"S": ((0, 0), (1, 0)), "E": ((1, 0), (1, 1)),
+             "N": ((0, 1), (1, 1)), "W": ((0, 0), (0, 1))}
+
+
+def _unit_tile(x, y):
+    """slot -> the tile's edge at that slot, as the set of its two corner
+    points, for the unit square with lower left corner (x, y)."""
+    return {s: frozenset((x + a, y + b) for a, b in seg)
+            for s, seg in _SEGMENTS.items()}
+
+
+@pytest.mark.parametrize("entry, exit_",
+                         list(product((None, "S", "W"), (None, "N", "E"))))
+def test_rule_table_against_a_window_of_three_tiles(entry, exit_):
+    """The tile with its neighbours glued at its entry and exit slots: each
+    perfect matching, read as (entry corners covered by the earlier tile's
+    edges, the tile's chosen slots, exit corners covered up to the tile),
+    is a rule of the shape, and each rule is read off some matching."""
+    before = _unit_tile(*{"S": (0, -1), "W": (-1, 0)}[entry]) if entry else {}
+    tile = _unit_tile(0, 0)
+    after = _unit_tile(*{"N": (0, 1), "E": (1, 0)}[exit_]) if exit_ else {}
+    edges = sorted({*before.values(), *tile.values(), *after.values()},
+                   key=sorted)
+    points = set().union(*edges)
+    read = set()
+    for r in range(len(edges) + 1):
+        for P in combinations(edges, r):
+            hit = [p for e in P for p in e]
+            if len(hit) != len(points) or set(hit) != points:
+                continue
+            early = {p for e in P if e in before.values() for p in e}
+            upto = early | {p for e in P if e in tile.values() for p in e}
+            if entry:
+                # parity: both entry corners or neither
+                assert len(tile[entry] & early) in (0, 2)
+            chosen = frozenset(s for s, e in tile.items()
+                               if s != entry and e in P)
+            read.add((not entry or tile[entry] <= early, chosen,
+                      not exit_ or tile[exit_] <= upto))
+    assert read == {(c, frozenset(slots), o)
+                    for c, o, slots in _RULES[entry, exit_]}
+
+
+@pytest.mark.parametrize("mirror, glue", [(False, ["R", "U"]),
+                                          (True, ["U", "R"])])
+def test_three_tile_turns(mirror, glue):
+    # the hexagon's arc 2-6 crosses the three fan diagonals and turns once
+    T = polygon(6)
+    g = build_snake(T, polygon_arc(T, 2, 6), mirror=mirror)
+    assert g.glue == glue
+    ms = enumerate_matchings(g)
+    assert ms == dp_oracle.enumerate_matchings(g)
+    assert len(ms) == kasteleyn_count(g) == matching_count(g) == 4
+    keys = [1 << (8 * e) for e in range(len(g.edges))]
+    assert transfer_sum(g, 0, keys) == dp_oracle.transfer_sum(g, 0, keys) \
+        == {sum(keys[e] for e in P): 1 for P in ms}
+
+
+def _oracle_graphs(T, max_d):
+    """The snake graphs, in both mirror images, of every walk path and of
+    the loop path around the puncture it ends at."""
+    for path in walk_paths(T, max_d):
+        paths = [path]
+        p = T.vertex_name(*path.end)
+        if p in T.punctures:
+            try:
+                paths.append(build_loop_path(T, path, p))
+            except SurfaceError:
+                pass
+        for pa in paths:
+            for mirror in (False, True):
+                try:
+                    yield build_snake(T, pa, mirror=mirror)
+                except SurfaceError:
+                    pass
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_dp_equals_the_generic_dp(name):
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    rng = random.Random(name)
+    graphs = 0
+    for g in _oracle_graphs(T, max_d):
+        ms = enumerate_matchings(g)
+        assert ms == dp_oracle.enumerate_matchings(g)         # in order
+        assert boundary_matchings(g) == dp_oracle.boundary_matchings(g)
+        assert matching_count(g) == len(ms)
+        minus, _ = minimal_maximal(g)
+        start, keys, _ = edge_keys(g, T, minus)
+        assert transfer_sum(g, start, keys) == \
+            dp_oracle.transfer_sum(g, start, keys)
+        # random keys give (almost surely) one term per matching
+        keys = [rng.getrandbits(48) for _ in g.edges]
+        assert transfer_sum(g, 7, keys) == dp_oracle.transfer_sum(g, 7, keys)
+        graphs += 1
+    assert graphs
 
 
 # -- heights -------------------------------------------------------------------

@@ -65,6 +65,30 @@ def test_substitute_is_simultaneous():
     assert got.substitute({xvar("1"): x1}) == x1 * x2
 
 
+def test_substitution_by_monomials_merges_and_cancels_terms():
+    assert (x1 + x2).substitute({xvar("1"): x2}) == 2 * x2
+    assert (x1 - x2).substitute({xvar("1"): x2}) == L.zero()
+    # a binding with another coefficient than 1 multiplies
+    assert (x1 * x1 + x2).substitute({xvar("1"): -1 * x3}) == x3 * x3 + x2
+
+
+def test_key_shifts_equal_the_general_route_on_a_long_expansion():
+    # d = 17 zigzag arc: 4181 terms in 17 x and 17 y variables, x with
+    # negative exponents; rename all 34 of them
+    from conftest import zigzag_arc, zigzag_polygon
+    from surfcluster.expand import expand_ordinary
+    T = zigzag_polygon(20)
+    p = expand_ordinary(T, zigzag_arc(T)).poly
+    names = p.variables()
+    assert len(names) == 34
+    bind = {v: L.var(VarId(v.kind, v.name + "'")) for v in names}
+    got = p.substitute(bind)
+    assert got == p._substitute(bind, shift=False)
+    assert got.num_terms() == p.num_terms()
+    assert got.substitute({VarId(v.kind, v.name + "'"): L.var(v)
+                           for v in names}) == p
+
+
 def test_canonical_text_examples():
     assert L.zero().canonical_text() == "0"
     p = L.var(xvar("d"), -1) + yd * L.var(xvar("d"), -1)
@@ -120,13 +144,14 @@ def test_canonical_text_edge_cases(p):
 
 def test_sum_bound_covers_every_subset_sum():
     a, b, c = xvar("1"), yvar("1"), xvar("2")
-    start = pack({a: 1, b: -1})
-    keys = [pack({a: 2, b: 1}), pack({b: 1, c: -3}), pack({a: -1})]
-    sums = [start + sum(k for k, bit in zip(keys, bits) if bit)
+    start = {a: 1, b: -1}
+    maps = [{a: 2, b: 1}, {b: 1, c: -3}, {a: -1}]
+    keys = [pack(m) for m in maps]
+    sums = [pack(start) + sum(k for k, bit in zip(keys, bits) if bit)
             for bits in ((i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(8))]
     exact = max(L.from_packed({k: 1})._max_exp(exact=True) for k in sums)
     # a: 1 + 2 = 3 at most; b: -1 .. 1; c: -3 .. 0
-    assert sum_bound(start, keys) == exact == 3
+    assert sum_bound(start, maps) == exact == 3
 
 
 # -- randomized ring laws ----------------------------------------------------
