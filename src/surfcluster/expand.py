@@ -54,20 +54,13 @@ from .matchings import (
     minimal_maximal,
     phi_specialize,
     transfer_sum,
+    x_exps_of_labels,
     x_of_label,
 )
 from .mutation import f_from_x
-from .snake import (
-    EndpointNotPuncture,
-    NotchedTrianglePresent,
-    _has_notch_at,
-    build_loop_path,
-    build_snake,
-)
+from .snake import EndpointNotPuncture, build_loop_path, build_snake
 from .surface import (
-    Crossing,
     CrossingPath,
-    PathInvalid,
     SelfFolded,
     SurfaceError,
     TaggedArcRef,
@@ -151,22 +144,14 @@ def _puncture_at(T: Triangulation, spot: Tuple[int, str]) -> Optional[str]:
     return name if name in T.punctures else None
 
 
-def _ends_product(T: Triangulation, p: str) -> LaurentPoly:
-    out = LaurentPoly.one()
-    for arc in arcs_around_puncture(T, p):
-        out = out.mul(x_of_label(T, arc))
-    return out
-
-
 def crossing_monomial(T: Triangulation, path: Union[CrossingPath, str],
                       notches: int = 0, p: Optional[str] = None,
                       q: Optional[str] = None) -> LaurentPoly:
     """Product of the crossed-arc weights, extended by the arc ends at each
     notched puncture."""
-    out = LaurentPoly.one()
+    labels: List[str] = []
     if isinstance(path, CrossingPath):
-        for arc in path.crossed_arcs():
-            out = out.mul(x_of_label(T, arc))
+        labels.extend(path.crossed_arcs())
         if notches >= 1 and p is None:
             p = _puncture_at(T, path.end)
         if notches == 2 and q is None:
@@ -174,12 +159,12 @@ def crossing_monomial(T: Triangulation, path: Union[CrossingPath, str],
     if notches >= 1:
         if p is None:
             raise EndpointNotPuncture("notched end is not at a puncture")
-        out = out.mul(_ends_product(T, p))
+        labels.extend(arcs_around_puncture(T, p))
     if notches == 2:
         if q is None:
             raise EndpointNotPuncture("second notched end is not at a puncture")
-        out = out.mul(_ends_product(T, q))
-    return out
+        labels.extend(arcs_around_puncture(T, q))
+    return LaurentPoly.monomial(1, x_exps_of_labels(T, labels))
 
 
 def _quotient(a: int, b: int) -> int:
@@ -213,19 +198,6 @@ def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
     return Expansion(num.div_exact(cross), num, cross, ref, count)
 
 
-def _loop_around(T: Triangulation, gamma: Union[CrossingPath, str], p: str,
-                 mirror: bool) -> Expansion:
-    """x_l for the loop l that follows gamma to p, circles p and comes back,
-    so that x_l = x_gamma * x_gamma^(p)."""
-    if not isinstance(gamma, str):
-        return _ordinary(T, build_loop_path(T, gamma, p), mirror)
-    sf = T.radius_triangle(gamma)
-    if sf is not None and sf.puncture == p:
-        # the enclosing loop is already an arc of the triangulation
-        return _ordinary(T, sf.loop, mirror)
-    return _ordinary(T, _loop_path_around(T, p, gamma), mirror)
-
-
 def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
                mirror: bool = False,
                punctures: Sequence[Optional[str]] = ()) -> Expansion:
@@ -246,7 +218,14 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
         return _ordinary(T, ref.base, mirror)
     sides = _notched_sides(T, ref, orientation, punctures)
     gamma = sides[0][0]
-    loops = [_loop_around(T, g, p, mirror) for g, p in sides]
+    loops = []
+    for g, p in sides:
+        # x_l for the loop l that follows g to p, circles p and comes back;
+        # around a self-folded radius at p, l is the enclosing loop of T
+        sf = T.radius_triangle(g) if isinstance(g, str) else None
+        loop = sf.loop if sf is not None and sf.puncture == p else \
+            build_loop_path(T, g, p)
+        loops.append(_ordinary(T, loop, mirror))
     x = _ordinary(T, gamma, mirror)
     # x_l = x_gamma * x_gamma^(p), and at x = y = 1 each side counts
     # matchings, so the quotients are the notched arcs' counts
@@ -357,35 +336,6 @@ def expand_notched_loop(T: Triangulation, rho: CrossingPath, notches: int,
         raise EndpointNotPuncture("notched loops must begin and end at one puncture")
     return expand_arc(T, TaggedArcRef(rho, notches == 2, True), orientation,
                       mirror)
-
-
-def _loop_path_around(T: Triangulation, p: str, arc: str) -> CrossingPath:
-    """Crossing path of the loop based at the far end of `arc` that cuts out
-    a once-punctured monogon around p (for arcs of the triangulation)."""
-    if _has_notch_at(T, p):
-        raise NotchedTrianglePresent(
-            f"an arc of the triangulation is notched at {p!r}")
-    walk = corner_walk(T, puncture_corner(T, p))
-    e_p = len(walk)
-    pos = [i for i, (_, a) in enumerate(walk) if a == arc]
-    if not pos:
-        raise EndpointNotPuncture(f"arc {arc!r} has no end at {p!r}")
-    i = pos[0]
-    seq = [walk[(i + 1 + s) % e_p] for s in range(e_p - 1)]
-    if len(seq) < 1:
-        raise PathInvalid("loop around the puncture crosses nothing")
-    start_tri = seq[0][0][0]
-    # start vertex: opposite the first crossed arc in the start triangle
-    first_arc = seq[0][1]
-    crossings = []
-    for s, (corner, a) in enumerate(seq):
-        nxt = seq[s + 1][0][0] if s + 1 < len(seq) else walk[i][0][0]
-        wind = "ccw" if T.radius_triangle(a) is not None else None
-        crossings.append(Crossing(a, nxt, wind))
-    end_tri = walk[i][0][0]
-    last_arc = seq[-1][1]
-    return CrossingPath((start_tri, first_arc), tuple(crossings),
-                        (end_tri, last_arc))
 
 
 def _check_not_two_marked_closed(T: Triangulation) -> None:

@@ -51,7 +51,8 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple, TypeVar)
 
 from .poly import LaurentPoly, pack, sum_bound, xvar, yvar
-from .snake import _ENTRY_OF_DIR, _SLOT_CORNERS, LoopGraph, SnakeGraph
+from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, LoopGraph,
+                    SnakeGraph)
 from .surface import SurfaceError, Triangulation
 
 __all__ = [
@@ -80,9 +81,6 @@ class NotAMatching(SurfaceError):
 
 
 V = TypeVar("V")
-
-# the slot of tile k glued to tile k+1, by glue direction
-_EXIT_SLOT = {"U": "N", "R": "E"}
 
 
 def _shape_rules(entry: Optional[str], exit_: Optional[str]
@@ -270,12 +268,17 @@ def x_of_label(T: Triangulation, label: str) -> LaurentPoly:
     return LaurentPoly.monomial(1, x_exps_of_label(T, label))
 
 
-def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
+def x_exps_of_labels(T: Triangulation, labels: Iterable[str]) -> Dict:
+    """Exponent map of the product of the labels' weights."""
     out: Dict = {}
-    for eid in edges:
-        for v, e in x_exps_of_label(T, g.edges[eid].label).items():
+    for label in labels:
+        for v, e in x_exps_of_label(T, label).items():
             out[v] = out.get(v, 0) + e
     return out
+
+
+def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
+    return x_exps_of_labels(T, (g.edges[eid].label for eid in edges))
 
 
 def matching_weight(g: SnakeGraph, P: Matching, T: Triangulation) -> LaurentPoly:

@@ -7,18 +7,29 @@ the edge carrying the third arc of the triangle between the two crossings,
 the next tile sitting above or to the right; which one is forced by the
 requirement that consecutive tiles have opposite relative orientation.
 
+Gluing is by slot.  Tile k+1's entry slot (S after an upward step U, W after
+a step right R) is tile k's exit slot (N or E): one interior edge.  The two
+corners at its ends are shared, SW, SE of tile k+1 being NW, NE of tile k
+after U, and SW, NW being SE, NE after R.  Every other edge and corner gets
+the next id, tile by tile: edges in `Tile.slots` order, corners in SW, SE,
+NE, NW order.
+
 Self-folded triangles are unfolded into the fan around their puncture before
 tiling, so a loop-radius-loop pass turns into three tiles that stay glued as
 a block (a triple span) and a path ending at an enclosed puncture gets the
 tile whose outer edges both carry the radius.
 
-Loop paths (`build_loop_path`) follow an arc, circle a puncture clockwise
-and double back; `expand` reads notched arcs off their ordinary expansions.
+Loop paths (`build_loop_path`) follow a path or an arc of the triangulation
+to a puncture, circle it clockwise from the corner the path ends at and
+double back; `expand` reads notched arcs off their ordinary expansions.
 Loop graphs are the snake graphs of loop paths, carrying the roles of the
 edges of their two ends (the first and last d tiles), the distinguished
 vertices where the corridor attaches, and the structural isomorphism between
 the ends; the paper's sums over their symmetric matchings and compatible
-pairs are kept as a test oracle.
+pairs are kept as a test oracle.  An edge's role is its position, 0 or 1,
+counterclockwise from the diagonal in its source triangle; it is read off
+`rel`: the slot at index i of a tile's `lower_slots` or `upper_slots` has
+role i when rel = +1 and 1 - i when rel = -1.
 
 The drawing only steps up or right, so tiles never overlap and each tile
 meets only its neighbours, along the glue edges.  Every tile therefore keeps
@@ -30,7 +41,7 @@ alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .surface import (
     CrossingPath,
@@ -41,6 +52,7 @@ from .surface import (
     SurfaceError,
     Triangulation,
     corner_walk,
+    puncture_corner,
     validate_path,
 )
 
@@ -122,7 +134,11 @@ class StripTri:
 
 
 def build_strip(T: Triangulation, path: CrossingPath) -> Tuple[List[StripTri], List[Tuple[int, int, int]]]:
-    """Unfold a crossing path into strip triangles; also return triple spans."""
+    """Unfold a crossing path into strip triangles; also return triple spans.
+
+    `validate_path` is the only gate: it makes every crossed arc a side of
+    the triangles it joins and lets a self-folded triangle be visited only
+    by a loop-radius-loop pass or at the end of a path at its puncture."""
     problems = validate_path(T, path)
     if problems:
         raise PathInvalid("; ".join(problems))
@@ -147,66 +163,40 @@ def build_strip(T: Triangulation, path: CrossingPath) -> Tuple[List[StripTri], L
                 if enter is not None and lab == enter and enter_slot is None:
                     lifts.append(pending)
                     enter_slot = i
-                elif exit_ is not None and lab == exit_ and exit_slot is None:
-                    s = Side(lab)
-                    lifts.append(s)
-                    exit_slot = i
                 else:
                     lifts.append(Side(lab))
-            if enter is not None and enter_slot is None:
-                raise PathInvalid(f"arc {enter!r} is not a side of triangle {tris[j]}")
-            if exit_ is not None and exit_slot is None:
-                raise PathInvalid(f"arc {exit_!r} is not a side of triangle {tris[j]}")
+                    if exit_ is not None and lab == exit_ and exit_slot is None:
+                        exit_slot = i
             strip.append(StripTri(tuple(lifts), enter_slot, exit_slot))
             pending = strip[-1].exit
             j += 1
-            continue
-
-        # self-folded: the visits come in runs handled per pattern
-        sf = tri
-        if enter == sf.loop and exit_ == sf.radius:
+        elif exit_ == tri.radius:
             # pattern (2): this visit and the next form the fan pass
-            wind = path.crossings[j].wind
-            if wind not in ("ccw", "cw"):
-                raise PathInvalid("radius crossing without wind")
-            lam0 = pending if pending is not None else Side(sf.loop)
-            rho_a, rho_b = Side(sf.radius), Side(sf.radius)
-            lam1 = Side(sf.loop)
-            if wind == "ccw":
+            lam0 = pending
+            rho_a, rho_b = Side(tri.radius), Side(tri.radius)
+            lam1 = Side(tri.loop)
+            if path.crossings[j].wind == "ccw":
                 # (rho0, lam0, rho1) exit rho1; (rho1, lam1, rho2) exit lam1
-                rho1 = Side(sf.radius)
+                rho1 = Side(tri.radius)
                 strip.append(StripTri((rho_a, lam0, rho1), 1, 2))
                 strip.append(StripTri((rho1, lam1, rho_b), 0, 1))
             else:
                 # (rho0, lam0, rho1) exit rho0; (rho-1, lam-1, rho0) exit lam-1
-                rho0 = Side(sf.radius)
+                rho0 = Side(tri.radius)
                 strip.append(StripTri((rho0, lam0, rho_a), 1, 0))
                 strip.append(StripTri((rho_b, lam1, rho0), 2, 1))
             spans.append((j - 1, j, j + 1))
             pending = lam1
             j += 2
-            continue
-        if enter == sf.radius and exit_ == sf.loop:
-            raise PathInvalid("radius visit not preceded by its loop")  # handled above
-        if enter == sf.loop and exit_ is None:
-            # pattern (1): terminate at the enclosed puncture
-            lam0 = pending if pending is not None else Side(sf.loop)
-            strip.append(StripTri((Side(sf.radius), lam0, Side(sf.radius)), 1, None))
-            pending = None
+        else:
+            # pattern (1): the path ends (or, read backwards, starts) at the
+            # enclosed puncture, crossing the loop
+            lam0 = Side(tri.loop) if enter is None else pending
+            strip.append(StripTri((Side(tri.radius), lam0, Side(tri.radius)),
+                                  None if enter is None else 1,
+                                  None if exit_ is None else 1))
+            pending = None if exit_ is None else lam0
             j += 1
-            continue
-        if enter is None and exit_ == sf.loop:
-            # pattern (1) reversed: start at the enclosed puncture
-            lam0 = Side(sf.loop)
-            strip.append(StripTri((Side(sf.radius), lam0, Side(sf.radius)), None, 1))
-            pending = lam0
-            j += 1
-            continue
-        raise PathInvalid(
-            f"unsupported visit of self-folded triangle {tris[j]}: {enter!r}->{exit_!r}")
-
-    if len(strip) != d + 1:
-        raise PathInvalid("strip length mismatch (self-folded pattern broken)")
     return strip, spans
 
 
@@ -239,6 +229,11 @@ _PAIRS_WITH = {
 }
 _DIR_OF_SLOT = {"N": "U", "E": "R", "S": "D", "W": "L"}
 _ENTRY_OF_DIR = {"U": "S", "R": "W", "D": "N", "L": "E"}
+# the slot of tile k glued to tile k+1, and the corners of tile k+1 glued
+# to corners of tile k, by glue direction
+_EXIT_SLOT = {"U": "N", "R": "E"}
+_GLUED_CORNERS = {"U": {"SW": "NW", "SE": "NE"}, "R": {"SW": "SE", "NW": "NE"}}
+_CORNER_AT = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
 _DIR_VEC = {"U": (0, 1), "R": (1, 0), "D": (0, -1), "L": (-1, 0)}
 
 
@@ -264,8 +259,6 @@ class Tile:
     slots: Dict[str, Side]               # compass slot -> side lift
     lower_slots: Tuple[str, str]         # copy of the earlier triangle
     upper_slots: Tuple[str, str]
-    lower_roles: Dict[str, int]          # slot -> 0/1, ccw-from-diagonal order
-    upper_roles: Dict[str, int]
     slot_edge: Dict[str, int] = field(default_factory=dict)
 
 
@@ -273,7 +266,6 @@ class Tile:
 class EdgeInfo:
     eid: int
     label: str
-    side: Side
     tiles: List[Tuple[int, str]]
     segment: Tuple[Tuple[int, int], Tuple[int, int]]
     boundary: bool = True
@@ -360,15 +352,8 @@ def build_tiles(T: Triangulation, path: CrossingPath, mirror: bool = False):
 
         slots = dict(low)
         slots.update(up)
-        # role of a pair edge: its position in the ccw-from-diagonal order of
-        # the source triangle (intrinsic, used by the end isomorphisms)
-        lower_roles = {slot: (0 if side is lower_pair[0] else 1)
-                       for slot, side in low.items()}
-        upper_roles = {slot: (0 if side is upper_pair[0] else 1)
-                       for slot, side in up.items()}
         tiles.append(Tile(diag.label, rel, (0, 0), _EMBEDDING[low_pat],
-                          slots, tuple(low.keys()), tuple(up.keys()),
-                          lower_roles, upper_roles))
+                          slots, tuple(low.keys()), tuple(up.keys())))
         if glue_next is not None:
             slot = next(s for s, side in up.items() if side is glue_next)
             glue.append(_DIR_OF_SLOT[slot])
@@ -396,8 +381,6 @@ def _rotate_into_quadrant(tiles: List[Tile], glue: List[str]) -> None:
     glue[:] = [rot_dir[g] for g in glue]
     for t in tiles:
         t.slots = {rot[s]: side for s, side in t.slots.items()}
-        t.lower_roles = {rot[s]: r for s, r in t.lower_roles.items()}
-        t.upper_roles = {rot[s]: r for s, r in t.upper_roles.items()}
         t.lower_slots = (rot[t.lower_slots[0]], rot[t.lower_slots[1]])
         t.upper_slots = (rot[t.upper_slots[0]], rot[t.upper_slots[1]])
         if turns % 2:
@@ -405,68 +388,39 @@ def _rotate_into_quadrant(tiles: List[Tile], glue: List[str]) -> None:
 
 
 def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> SnakeGraph:
-    """Glue the placed tiles into one graph: shared edges and vertices."""
+    """Glue the placed tiles into one graph, numbering edges and vertices
+    tile by tile (see the module docstring)."""
     tiles, glue, spans = build_tiles(T, path, mirror=mirror)
-    d = len(tiles)
-
-    # edges: a side lift shared by consecutive tiles is one interior (glue)
-    # edge; the same lift reappearing two tiles later is a separate edge
-    # (the neighbouring-diagonal labels on the boundary)
     edges: List[EdgeInfo] = []
-    by_side: Dict[int, EdgeInfo] = {}
+    vertex_of: Dict[Tuple[int, str], int] = {}
+    nvertices = 0
     for k, tile in enumerate(tiles):
+        step = glue[k - 1] if k else None
+        entry, glued = _ENTRY_OF_DIR.get(step), _GLUED_CORNERS.get(step, {})
+        x, y = tile.pos
+        for corner in ("SW", "SE", "NE", "NW"):
+            if corner in glued:
+                vertex_of[(k, corner)] = vertex_of[(k - 1, glued[corner])]
+            else:
+                vertex_of[(k, corner)] = nvertices
+                nvertices += 1
         tile.slot_edge = {}
         for slot, side in tile.slots.items():
-            e = by_side.get(id(side))
-            if e is not None and e.tiles[0][0] == k - 1:
+            if slot == entry:
+                e = edges[tiles[k - 1].slot_edge[_EXIT_SLOT[step]]]
                 e.tiles.append((k, slot))
                 e.boundary = False
             else:
-                c1, c2 = _SLOT_CORNERS[slot]
-                cx, cy = tile.pos
-                coords = {"SW": (cx, cy), "SE": (cx + 1, cy),
-                          "NE": (cx + 1, cy + 1), "NW": (cx, cy + 1)}
-                e = EdgeInfo(len(edges), side.label, side, [(k, slot)],
-                             (coords[c1], coords[c2]))
+                (dx1, dy1), (dx2, dy2) = (_CORNER_AT[c] for c in _SLOT_CORNERS[slot])
+                e = EdgeInfo(len(edges), side.label, [(k, slot)],
+                             ((x + dx1, y + dy1), (x + dx2, y + dy2)))
                 edges.append(e)
-                by_side[id(side)] = e
             tile.slot_edge[slot] = e.eid
-
-    # vertices: union-find over (tile, corner)
-    parent: Dict[Tuple[int, str], Tuple[int, str]] = {}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for k in range(d):
-        for corner in ("SW", "SE", "NE", "NW"):
-            parent[(k, corner)] = (k, corner)
-    for k, g in enumerate(glue):
-        if g == "U":
-            union((k, "NW"), (k + 1, "SW"))
-            union((k, "NE"), (k + 1, "SE"))
-        else:
-            union((k, "SE"), (k + 1, "SW"))
-            union((k, "NE"), (k + 1, "NW"))
-    vid: Dict[Tuple[int, str], int] = {}
-    vertex_of: Dict[Tuple[int, str], int] = {}
-    for k in range(d):
-        for corner in ("SW", "SE", "NE", "NW"):
-            r = find((k, corner))
-            vertex_of[(k, corner)] = vid.setdefault(r, len(vid))
 
     outer = [next(eid for eid in t.slot_edge.values() if edges[eid].boundary)
              for t in tiles]
     first = tiles[0]
-    return SnakeGraph(tiles, glue, edges, vertex_of, len(vid), spans,
+    return SnakeGraph(tiles, glue, edges, vertex_of, nvertices, spans,
                       _avoid_slots(first.embedding, first.rel), outer)
 
 
@@ -478,46 +432,57 @@ def _has_notch_at(T: Triangulation, p: str) -> bool:
     return any(isinstance(t, SelfFolded) and t.puncture == p for t in T.triangles)
 
 
-def build_loop_path(T: Triangulation, path: CrossingPath, p: str) -> CrossingPath:
-    """The crossing path of the loop that follows `path`, circles the
-    puncture p clockwise and doubles back."""
+def _corridor(T: Triangulation, corner0) -> List[Crossing]:
+    """The crossings of one clockwise turn around a puncture from corner0.
+
+    The clockwise walk around the puncture traverses a self-folded triangle
+    based there counterclockwise around its enclosed puncture."""
+    walk = corner_walk(T, corner0)
+    return [Crossing(arc, walk[(i + 1) % len(walk)][0][0],
+                     "ccw" if T.radius_triangle(arc) is not None else None)
+            for i, (_, arc) in enumerate(walk)]
+
+
+def build_loop_path(T: Triangulation, gamma: Union[CrossingPath, str],
+                    p: str) -> CrossingPath:
+    """The crossing path of the loop that follows gamma to the puncture p,
+    circles p clockwise and comes back.
+
+    gamma is a crossing path that ends at p, or an arc of the triangulation
+    with an end at p; the loop around an arc is based at its far end and
+    crosses every other arc end at p."""
     if p not in T.punctures:
         raise EndpointNotPuncture(f"{p!r} is not a puncture")
-    end_tri, end_slot = path.end
-    if T.vertex_name(end_tri, end_slot) != p:
+    if not isinstance(gamma, str) and T.vertex_name(*gamma.end) != p:
         raise EndpointNotPuncture(f"path does not end at puncture {p!r}")
     if _has_notch_at(T, p):
         raise NotchedTrianglePresent(
             f"an arc of the triangulation is notched at {p!r}")
-    if path.d < 1:
+    if isinstance(gamma, str):
+        corridor = _corridor(T, puncture_corner(T, p))
+        i = next((i for i, c in enumerate(corridor) if c.arc == gamma), None)
+        if i is None:
+            raise EndpointNotPuncture(f"arc {gamma!r} has no end at {p!r}")
+        loop = corridor[i + 1:] + corridor[:i]
+        if not loop:
+            raise PathInvalid("loop around the puncture crosses nothing")
+        return CrossingPath((corridor[i].to_triangle, loop[0].arc), tuple(loop),
+                            (loop[-1].to_triangle, loop[-1].arc))
+    end_tri, end_slot = gamma.end
+    if gamma.d < 1:
         raise PathInvalid("loop paths need a crossing path with d >= 1")
-
     t = T.triangles[end_tri]
     if not isinstance(t, Ordinary):
         raise PathInvalid("path must end in an ordinary triangle")
-    k = t.vertices.index(p) if t.vertices and p in t.vertices else None
-    if k is None:
-        raise EndpointNotPuncture(f"triangle {end_tri} does not name vertex {p!r}")
-    corner0 = (end_tri, (k + 1) % 3)
-
-    walk = corner_walk(T, corner0)
-    corridor: List[Crossing] = []
-    prev_arc = path.crossings[-1].arc
-    for i, (corner, arc) in enumerate(walk):
-        to_tri = walk[(i + 1) % len(walk)][0][0]
-        # the clockwise walk around p traverses a self-folded triangle based
-        # at p counterclockwise around its enclosed puncture
-        wind = "ccw" if T.radius_triangle(arc) is not None else None
-        if arc == prev_arc:
-            raise PathInvalid(
-                "path is not in minimal position at the notched end "
-                f"(corridor would recross {arc!r})")
-        corridor.append(Crossing(arc, to_tri, wind))
-        prev_arc = arc
-
-    rev = path.reversed()
-    crossings = list(path.crossings) + corridor + list(rev.crossings)
-    return CrossingPath(path.start, tuple(crossings), path.start)
+    # the corner at p opposite the end slot, entered through sides[k + 1]
+    k = t.sides.index(end_slot)
+    corridor = _corridor(T, (end_tri, (k + 1) % 3))
+    last = gamma.crossings[-1].arc
+    if last in (corridor[0].arc, corridor[-1].arc):
+        raise PathInvalid("path is not in minimal position at the notched end "
+                          f"(corridor would recross {last!r})")
+    crossings = gamma.crossings + tuple(corridor) + gamma.reversed().crossings
+    return CrossingPath(gamma.start, crossings, gamma.start)
 
 
 @dataclass
@@ -547,14 +512,11 @@ def _end_role_map(g: SnakeGraph, d: int, e_p: int, which: int):
     for t in rng:
         tile = g.tiles[t]
         can_t = t if which == 1 else n - 1 - t
-        for slot in tile.lower_slots:
-            tri = "lower" if which == 1 else "upper"
-            eid = tile.slot_edge[slot]
-            roles.setdefault(eid, (can_t, tri, tile.lower_roles[slot]))
-        for slot in tile.upper_slots:
-            tri = "upper" if which == 1 else "lower"
-            eid = tile.slot_edge[slot]
-            roles.setdefault(eid, (can_t, tri, tile.upper_roles[slot]))
+        lower, upper = ("lower", "upper") if which == 1 else ("upper", "lower")
+        for tri, slots in ((lower, tile.lower_slots), (upper, tile.upper_slots)):
+            for i, slot in enumerate(slots):
+                role = i if tile.rel == 1 else 1 - i
+                roles.setdefault(tile.slot_edge[slot], (can_t, tri, role))
     # glue edges between two tiles of the end get a symmetric role, since
     # naming them after either incident tile is not flip-equivariant
     for eid in list(roles):

@@ -306,6 +306,20 @@ def twice_punctured_digon() -> Triangulation:
                          ("p", "q"), tuple(tris), Topology(0, 1, 2, 2))
 
 
+def looped_digon() -> Triangulation:
+    """Twice-punctured digon whose loop l at p encloses the self-folded
+    triangle around q: triangle 0 has p at two corners, so a path ending
+    there must circle p from the corner its end slot names."""
+    tris = [
+        Ordinary(("l", "a", "c"), ("m1", "p", "p")),          # 0
+        Ordinary(("a", "b", "b1"), ("m2", "m1", "p")),        # 1
+        Ordinary(("c", "b2", "b"), ("m2", "p", "m1")),        # 2
+        SelfFolded("l", "r", "q", base="p"),                  # 3
+    ]
+    return Triangulation(("l", "r", "a", "b", "c"), ("b1", "b2"), ("p", "q"),
+                         tuple(tris), Topology(0, 1, 2, 2))
+
+
 def walk_paths(T: Triangulation, max_d: int):
     """All locally valid crossing paths with 1..max_d crossings, one start
     slot per walk but every end slot (so arcs ending at punctures appear)."""
@@ -370,7 +384,30 @@ ORACLE_SURFACES = {
     "example surface": (example_surface, 4),
     "twice punctured": (twice_punctured, 4),
     "twice-punctured digon": (twice_punctured_digon, 4),
+    "looped digon": (looped_digon, 4),
 }
+
+
+def oracle_graphs(T: Triangulation, max_d: int):
+    """The snake graphs, in both mirror images, of every walk path and of
+    the loop path around the puncture it ends at."""
+    from surfcluster.snake import build_loop_path, build_snake
+    from surfcluster.surface import SurfaceError
+
+    for path in walk_paths(T, max_d):
+        paths = [path]
+        p = T.vertex_name(*path.end)
+        if p in T.punctures:
+            try:
+                paths.append(build_loop_path(T, path, p))
+            except SurfaceError:
+                pass
+        for pa in paths:
+            for mirror in (False, True):
+                try:
+                    yield build_snake(T, pa, mirror=mirror)
+                except SurfaceError:
+                    pass
 
 
 @pytest.fixture(scope="session")

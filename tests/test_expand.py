@@ -9,6 +9,7 @@ from conftest import (
     gamma1,
     gamma2,
     gamma3,
+    looped_digon,
     once_punctured_polygon,
     polygon,
     polygon_arc,
@@ -26,10 +27,11 @@ from surfcluster.matchings import (
     weight_exps,
 )
 from surfcluster.poly import LaurentPoly as L, xvar, yvar
-from surfcluster.snake import build_snake
+from surfcluster.snake import build_loop_path, build_snake
 from surfcluster.surface import (
     Crossing,
     CrossingPath,
+    PathInvalid,
     SurfaceError,
     TaggedArcRef,
     signed_adjacency,
@@ -48,7 +50,7 @@ from surfcluster.expand import (
     reduced_fraction,
     z_factor,
 )
-from surfcluster.mutation import principal_seed, run_sequence
+from surfcluster.mutation import mutate_seed, principal_seed, run_sequence
 import loop_oracle
 import text_oracle
 
@@ -233,6 +235,40 @@ def test_double_notch_endpoints_inferred():
     assert a.poly == b.poly
 
 
+def _variables_within(seed0, steps):
+    """Every cluster variable within `steps` mutations of seed0."""
+    seen = {(seed0.ext_matrix, seed0.cluster)}
+    out, layer = set(seed0.cluster), [seed0]
+    for _ in range(steps):
+        nxt = []
+        for s in layer:
+            for k in range(s.n):
+                s2 = mutate_seed(s, k)
+                if (s2.ext_matrix, s2.cluster) not in seen:
+                    seen.add((s2.ext_matrix, s2.cluster))
+                    out.update(s2.cluster)
+                    nxt.append(s2)
+        layer = nxt
+    return out
+
+
+def test_notched_end_circles_the_puncture_from_its_end_slot():
+    # triangle 0 (l, a, c) of the looped digon has p at the two corners
+    # opposite a and c.  An arc crossing a or c into it and ending at p
+    # opposite that arc is notched there: a cluster variable.  Ending at the
+    # other corner, next to the crossed arc, it is not in minimal position.
+    T = looped_digon()
+    oracle = _variables_within(
+        principal_seed(signed_adjacency(T), T.tagged_names()), 5)
+    for start, arc, other in (((2, "c"), "c", "a"), ((1, "a"), "a", "c")):
+        path = CrossingPath(start, (Crossing(arc, 0),), (0, arc))
+        for mirror in (False, True):
+            assert expand_single_notch(T, path, mirror=mirror).poly in oracle
+        path = CrossingPath(start, (Crossing(arc, 0),), (0, other))
+        with pytest.raises(PathInvalid, match="minimal position"):
+            expand_single_notch(T, path)
+
+
 def test_z_factor_digon():
     D = digon()
     z = z_factor(D, "P")
@@ -245,8 +281,7 @@ def test_z_factor_two_arc_puncture():
     # square of the anchor arc, in the coefficient-free specialization
     T = twice_punctured()
     z = z_factor(T, "p")
-    from surfcluster.expand import _loop_path_around
-    lp = _loop_path_around(T, "p", "7")
+    lp = build_loop_path(T, "7", "p")
     loop = expand_ordinary(T, lp)
     anchor = L.var(xvar("7"))
     assert ones(z) == ones(loop.poly).div_exact(anchor * anchor)

@@ -12,19 +12,18 @@ from conftest import (
     gamma1,
     gamma2,
     gamma3,
+    oracle_graphs,
     polygon,
     polygon_arc,
     square,
     square_other_diagonal,
     twice_punctured,
-    walk_paths,
     zigzag_arc,
     zigzag_polygon,
 )
 from surfcluster.expand import expand_ordinary
 from surfcluster.poly import LaurentPoly as L, xvar, yvar
-from surfcluster.snake import build_loop_graph, build_loop_path, build_snake
-from surfcluster.surface import SurfaceError
+from surfcluster.snake import build_loop_graph, build_snake
 from surfcluster.matchings import (
     _RULES,
     Matching,
@@ -266,32 +265,13 @@ def test_three_tile_turns(mirror, glue):
         == {sum(keys[e] for e in P): 1 for P in ms}
 
 
-def _oracle_graphs(T, max_d):
-    """The snake graphs, in both mirror images, of every walk path and of
-    the loop path around the puncture it ends at."""
-    for path in walk_paths(T, max_d):
-        paths = [path]
-        p = T.vertex_name(*path.end)
-        if p in T.punctures:
-            try:
-                paths.append(build_loop_path(T, path, p))
-            except SurfaceError:
-                pass
-        for pa in paths:
-            for mirror in (False, True):
-                try:
-                    yield build_snake(T, pa, mirror=mirror)
-                except SurfaceError:
-                    pass
-
-
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_dp_equals_the_generic_dp(name):
     mk, max_d = ORACLE_SURFACES[name]
     T = mk()
     rng = random.Random(name)
     graphs = 0
-    for g in _oracle_graphs(T, max_d):
+    for g in oracle_graphs(T, max_d):
         ms = enumerate_matchings(g)
         assert ms == dp_oracle.enumerate_matchings(g)         # in order
         assert boundary_matchings(g) == dp_oracle.boundary_matchings(g)

@@ -327,9 +327,9 @@ def test_overestimated_bound_does_not_refuse_a_representable_product():
 
 def test_mul_and_div_exact_are_reached_on_the_class(monkeypatch):
     # the benchmark's per-layer tracer wraps these two on the class; the
-    # mutation oracle and the matching sum must keep calling them there
-    from conftest import square, square_other_diagonal
-    from surfcluster.expand import expand_ordinary
+    # mutation oracle and the expansions must keep calling them there
+    from conftest import gamma3, square, square_other_diagonal, twice_punctured
+    from surfcluster.expand import expand_double_notch, expand_ordinary
     from surfcluster.mutation import mutate_seed, principal_seed
 
     calls = {"mul": 0, "div_exact": 0}
@@ -346,4 +346,10 @@ def test_mul_and_div_exact_are_reached_on_the_class(monkeypatch):
     calls.update(mul=0, div_exact=0)
     T = square()
     expand_ordinary(T, square_other_diagonal(T))
+    assert calls["div_exact"] > 0
+    # a plain arc's crossing monomial is built in one step; the two-notch
+    # identity multiplies
+    calls.update(mul=0, div_exact=0)
+    T = twice_punctured()
+    expand_double_notch(T, gamma3(T))
     assert calls["mul"] > 0 and calls["div_exact"] > 0

@@ -1,10 +1,12 @@
 import pytest
 
 from conftest import (
+    ORACLE_SURFACES,
     example_surface,
     gamma1,
     gamma2,
     once_punctured_polygon,
+    oracle_graphs,
     polygon,
     polygon_arc,
     square,
@@ -12,7 +14,7 @@ from conftest import (
     twice_punctured,
     gamma3,
 )
-from surfcluster.surface import Crossing, CrossingPath, third_arc
+from surfcluster.surface import Crossing, CrossingPath, PathInvalid, third_arc
 from surfcluster.snake import (
     EndpointNotPuncture,
     NotchedTrianglePresent,
@@ -91,8 +93,7 @@ def test_zigzag_loop_graph():
     # loop around the puncture of the once-punctured square from an arc of
     # the triangulation: alternating glue directions
     T = once_punctured_polygon(4)
-    from surfcluster.expand import _loop_path_around
-    lp = _loop_path_around(T, "P", "r1")
+    lp = build_loop_path(T, "r1", "P")
     assert lp.crossed_arcs() == ("r4", "r3", "r2")
     g = build_snake(T, lp)
     assert g.d == 3
@@ -121,6 +122,50 @@ def test_loop_path_rejects_notched_triangulation():
     p = CrossingPath((0, "l"), (Crossing("3", 2),), (2, "3"))
     with pytest.raises((NotchedTrianglePresent, EndpointNotPuncture)):
         build_loop_path(T, p, "P1")
+
+
+def test_loop_path_rejects_either_junction_at_the_puncture():
+    # triangle 1 of the punctured square is entered through r2 or r3 next
+    # to P; a path doing so and ending at P can slide its end back across
+    # that arc, and the corridor would cross it again first (r2) or last (r3)
+    T = once_punctured_polygon(4)
+    for start, arc in (((0, "r2"), "r2"), ((2, "r3"), "r3")):
+        path = CrossingPath(start, (Crossing(arc, 1),), (1, "b2"))
+        with pytest.raises(PathInvalid, match="minimal position"):
+            build_loop_path(T, path, "P")
+
+
+_CORNER_AT = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_numbering_follows_the_drawing(name):
+    # vertex and edge ids are first-seen numberings of the drawing, tile by
+    # tile; exactly the glue edges are interior
+    mk, max_d = ORACLE_SURFACES[name]
+    graphs = 0
+    for g in oracle_graphs(mk(), max_d):
+        point_of = {}
+        for k, t in enumerate(g.tiles):
+            for corner, (dx, dy) in _CORNER_AT.items():
+                pt = (t.pos[0] + dx, t.pos[1] + dy)
+                v = g.vertex_of[(k, corner)]
+                assert point_of.setdefault(v, pt) == pt
+                assert v < len(point_of)          # ids in first-seen order
+        assert len(set(point_of.values())) == len(point_of) == g.nvertices
+        seen = list(dict.fromkeys(t.slot_edge[s] for t in g.tiles
+                                  for s in t.slots))
+        assert seen == list(range(len(g.edges)))
+        for e in g.edges:
+            a, b = g.edge_vertices(e)
+            assert (point_of[a], point_of[b]) == e.segment
+        glue = [(g.tiles[k].slot_edge["N" if d == "U" else "E"],
+                 g.tiles[k + 1].slot_edge["S" if d == "U" else "W"])
+                for k, d in enumerate(g.glue)]
+        assert all(a == b for a, b in glue)
+        assert {a for a, _ in glue} == {e.eid for e in g.edges if not e.boundary}
+        graphs += 1
+    assert graphs
 
 
 def test_loop_graph_end_structure():
