@@ -35,7 +35,10 @@ vertex opposite sides[i].  Arc schema::
      "notch_start": false, "notch_end": false, "orientation": "ccw"}
 
 or, for an arc of the triangulation, {"schema": 1, "arc": "2", ...notches}.
-A "wind" entry is required exactly on radius crossings.  Seed schema::
+A "wind" entry is required exactly on radius crossings.  Types are strict:
+"schema" is the integer 1, integer fields take JSON integers only (no
+float, bool or digit string), the notch flags JSON booleans, and "wind"
+null or a string.  Seed schema::
 
     {"schema": 1, "matrix": [[0, 1], [-1, 0]], "names": ["1", "2"]}
 
@@ -120,10 +123,27 @@ def _list(value, what: str) -> list:
 
 
 def _int(value, what: str) -> int:
+    """A JSON integer: no bool, float or string is read as one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what}: {value!r} is not an integer")
+    return value
+
+
+def _bool(obj: dict, key: str, what: str) -> bool:
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise ParseError(f"{what}: {key} must be true or false")
+    return value
+
+
+def _schema(obj: dict, what: str) -> None:
+    """The schema field must be the JSON integer 1."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{what}: {value!r} is not an integer") from None
+        if _int(obj.get("schema"), what) == 1:
+            return
+    except ParseError:
+        pass
+    raise ParseError(f"{what}: unsupported schema version")
 
 
 def _index(k: int, n: int, what: str) -> int:
@@ -137,8 +157,7 @@ def parse_surface(data: bytes) -> Triangulation:
     obj = _json(data, "surface file")
     _require_keys(obj, {"schema", "topology", "arcs", "boundary", "punctures",
                         "triangles"}, "surface")
-    if obj.get("schema") != 1:
-        raise ParseError("surface: unsupported schema version")
+    _schema(obj, "surface")
     topo = obj.get("topology", {})
     _require_keys(topo, {"genus", "boundary_components", "punctures",
                          "boundary_marked"}, "topology")
@@ -204,16 +223,15 @@ def parse_arc(data: bytes, T: Triangulation):
     obj = _json(data, "arc file")
     _require_keys(obj, {"schema", "arc", "start", "crossings", "end",
                         "notch_start", "notch_end", "orientation"}, "arc")
-    if obj.get("schema") != 1:
-        raise ParseError("arc: unsupported schema version")
-    notch_start = bool(obj.get("notch_start", False))
-    notch_end = bool(obj.get("notch_end", False))
+    _schema(obj, "arc")
+    notch_start = _bool(obj, "notch_start", "arc")
+    notch_end = _bool(obj, "notch_end", "arc")
     orientation = obj.get("orientation", "ccw")
     if orientation not in ("ccw", "cw"):
         raise ParseError("arc: orientation must be 'ccw' or 'cw'")
     if "arc" in obj:
         label = str(obj["arc"])
-        if label not in T.arcs:
+        if not T.is_arc(label):
             raise ParseError(f"arc: {label!r} is not an arc of the surface")
         ref = TaggedArcRef(label, notch_start, notch_end)
         return label, ref, orientation
@@ -222,11 +240,14 @@ def parse_arc(data: bytes, T: Triangulation):
     crossings = []
     for i, c in enumerate(_list(obj.get("crossings", []), "arc crossings")):
         _require_keys(c, {"arc", "to_triangle", "wind"}, f"crossing {i}")
-        if str(c.get("arc")) not in set(T.arcs):
+        if not T.is_arc(str(c.get("arc"))):
             raise ParseError(f"crossing {i}: unknown arc {c.get('arc')!r}")
+        wind = c.get("wind")
+        if wind is not None and not isinstance(wind, str):
+            raise ParseError(f"crossing {i}: wind must be null or a string")
         crossings.append(Crossing(
             str(c["arc"]), _int(_field(c, "to_triangle", f"crossing {i}"),
-                                f"crossing {i}"), c.get("wind")))
+                                f"crossing {i}"), wind))
     path = CrossingPath(start, tuple(crossings), end)
     problems = validate_path(T, path)
     if problems:
@@ -274,8 +295,7 @@ def render_surface(T: Triangulation) -> dict:
 def parse_seed(data: bytes):
     obj = _json(data, "seed file")
     _require_keys(obj, {"schema", "matrix", "names"}, "seed")
-    if obj.get("schema") != 1:
-        raise ParseError("seed: unsupported schema version")
+    _schema(obj, "seed")
     matrix = obj.get("matrix")
     if not isinstance(matrix, list) or not matrix or \
             any(not isinstance(r, list) for r in matrix):
@@ -406,8 +426,12 @@ def _dot(g) -> str:
 
 def _cmd_mutate(args) -> int:
     seed = parse_seed(_load(args.seed))
-    ks = [_index(_int(x, "--sequence"), seed.n, "--sequence")
-          for x in args.sequence.split(",")] if args.sequence else []
+    try:
+        ks = [int(x) for x in args.sequence.split(",")] if args.sequence else []
+    except ValueError:
+        raise ParseError(f"--sequence: {args.sequence!r} is not a list of "
+                         "integers") from None
+    ks = [_index(k, seed.n, "--sequence") for k in ks]
     out = run_sequence(seed, ks)
     for i, x in enumerate(out.cluster):
         print(f"x{i+1} = {x.canonical_text()}")
@@ -419,6 +443,7 @@ def _cmd_mutate(args) -> int:
 def _cmd_verify(args) -> int:
     obj = _json(_load(args.bundle), "bundle")
     _require_keys(obj, {"schema", "surface", "cases"}, "bundle")
+    _schema(obj, "bundle")
     T = parse_surface(json.dumps(_field(obj, "surface", "bundle")).encode())
     B = signed_adjacency(T)
     names = T.tagged_names()

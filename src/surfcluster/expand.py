@@ -208,24 +208,30 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
     `ref.base` is a crossing path or an arc of the triangulation.  A path
     notched only at its start is read backwards.  A path that begins and
     ends at one puncture is a loop, followed in the given orientation ("cw"
-    reverses it) whichever end is notched.  `punctures` names the notched
+    reverses it) whichever end is notched; any orientation other than
+    "ccw" and "cw" raises ValueError.  `punctures` names the notched
     punctures, the one at the end first and then the one at the start; a
     path's own ends are used where a name is missing, and a name that is
     not at that end is rejected.  For an arc of the triangulation they pick
-    the notched ends and are inferred when the arc leaves one choice.
+    the notched ends and are inferred when the arc leaves one choice.  Every
+    loop path is built, and so checked for minimal position, before the
+    first transfer sum runs.
     """
+    if orientation not in ("ccw", "cw"):
+        raise ValueError(f"orientation must be 'ccw' or 'cw', not "
+                         f"{orientation!r}")
     if not (ref.notch_start or ref.notch_end):
         return _ordinary(T, ref.base, mirror)
     sides = _notched_sides(T, ref, orientation, punctures)
     gamma = sides[0][0]
-    loops = []
+    # the loop l that follows g to p, circles p and comes back; around a
+    # self-folded radius at p, l is the enclosing loop of T
+    loop_paths = []
     for g, p in sides:
-        # x_l for the loop l that follows g to p, circles p and comes back;
-        # around a self-folded radius at p, l is the enclosing loop of T
         sf = T.radius_triangle(g) if isinstance(g, str) else None
-        loop = sf.loop if sf is not None and sf.puncture == p else \
-            build_loop_path(T, g, p)
-        loops.append(_ordinary(T, loop, mirror))
+        loop_paths.append(sf.loop if sf is not None and sf.puncture == p
+                          else build_loop_path(T, g, p))
+    loops = [_ordinary(T, loop, mirror) for loop in loop_paths]
     x = _ordinary(T, gamma, mirror)
     # x_l = x_gamma * x_gamma^(p), and at x = y = 1 each side counts
     # matchings, so the quotients are the notched arcs' counts

@@ -19,6 +19,11 @@ the entry and exit slots may stay uncovered, as in the rule "uncovered to
 uncovered by W" of the shape (S, E).  `_fold` runs a graph's tiles through
 their rules, starting covered and ending covered.
 
+The extremal matchings P- and P+ need no DP: every vertex lies on the
+outer face, so the boundary edges form one cycle through all the vertices,
+and the two matchings that use boundary edges only are its two sets of
+alternate edges.  `minimal_maximal` walks that cycle once.
+
 Enumeration folds the DP into lists of partial matchings.  The order of
 the result is the order the DP reaches the matchings: states in the order
 they were first reached at each tile, and each state's rules by the number
@@ -35,11 +40,14 @@ weight is a product over the edges and the specialization phi is linear, so
 x(P)·y(P) is a fixed monomial times one monomial per edge of P.
 `transfer_sum` therefore folds the same dynamic program into one packed
 polynomial per state, and the matching sum of an ordinary arc costs
-tiles × states × terms instead of one pass per matching.  Notched arcs are
-transfer sums too (see `expand`), so enumeration stays only for the
-extremal matchings, the `matchings` command, and the oracles the tests
-check against: the per-matching sum of an ordinary arc, and the paper's
-loop-graph sums over symmetric matchings and compatible pairs.
+tiles × states × terms instead of one pass per matching.  Each label's
+weight and phi of each diagonal's height are packed once per
+triangulation and kept on it; the x and y digits of a key are disjoint,
+so an edge's key is the sum of its weight key and its phi key.  Notched
+arcs are transfer sums too (see `expand`), so enumeration stays only for
+the `matchings` command and the oracles the tests check against: the
+per-matching sum of an ordinary arc, and the paper's loop-graph sums over
+symmetric matchings and compatible pairs.
 `matching_count` counts the matchings a second way, by a continuant read
 off the glue, so the transfer sum's count is checked.
 """
@@ -50,7 +58,7 @@ from itertools import combinations, permutations
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple, TypeVar)
 
-from .poly import LaurentPoly, pack, sum_bound, xvar, yvar
+from .poly import LaurentPoly, pack, xvar, yvar
 from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, LoopGraph,
                     SnakeGraph)
 from .surface import SurfaceError, Triangulation
@@ -170,17 +178,33 @@ def boundary_matchings(g: SnakeGraph) -> List[Matching]:
 
 
 def minimal_maximal(g: SnakeGraph) -> Tuple[Matching, Matching]:
-    """The two boundary-only matchings, (minimal, maximal)."""
-    bms = boundary_matchings(g)
-    if len(bms) != 2:
-        raise NotAMatching(f"expected two boundary matchings, found {len(bms)}")
+    """The two boundary-only matchings, (minimal, maximal): alternate
+    edges of the boundary cycle (see the module docstring).  P- is the one
+    that avoids the first tile's `minus_avoid_slots`."""
+    around: Dict[int, List[Tuple[int, int]]] = {}   # vertex -> (edge, far end)
+    for e in g.edges:
+        if e.boundary:
+            a, b = g.edge_vertices(e)
+            around.setdefault(a, []).append((e.eid, b))
+            around.setdefault(b, []).append((e.eid, a))
+    cycle: List[int] = []
+    eid, v = around[0][0]       # vertex 0 is the first tile's SW corner
+    while len(cycle) < g.nvertices:
+        cycle.append(eid)
+        if v == 0 or len(around[v]) != 2:
+            break
+        (e1, w1), (e2, w2) = around[v]
+        eid, v = (e2, w2) if e1 == eid else (e1, w1)
+    if v != 0 or len(cycle) != g.nvertices or len(cycle) % 2:
+        raise NotAMatching("expected two boundary matchings: the boundary "
+                           "is not one even cycle through every vertex")
+    sides = (frozenset(cycle[0::2]), frozenset(cycle[1::2]))
     avoid = {g.tiles[0].slot_edge[s] for s in g.minus_avoid_slots}
-    minus = [m for m in bms if not (m & avoid)]
+    minus = [m for m in sides if avoid.isdisjoint(m)]
     if len(minus) != 1:
         raise NotAMatching("the minimal matching is not determined")
     pm = minus[0]
-    pp = bms[0] if bms[1] == pm else bms[1]
-    return pm, pp
+    return pm, sides[1] if pm is sides[0] else sides[0]
 
 
 def _check_matching(g: SnakeGraph, P: Matching) -> None:
@@ -253,26 +277,41 @@ def phi_specialize(m: Dict[str, int], T: Triangulation) -> LaurentPoly:
     return LaurentPoly.monomial(1, phi_exps(m, T))
 
 
-def x_exps_of_label(T: Triangulation, label: str) -> Dict:
-    """Exponent map of an edge label's weight: boundary segments weigh 1,
-    self-folded loops weigh radius times notched twin."""
-    if T.is_boundary(label):
-        return {}
-    sf = T.loop_triangle(label)
-    if sf is not None:
-        return {xvar(sf.radius): 1, xvar(T.notched_twin(sf.radius)): 1}
-    return {xvar(label): 1}
+def _weight(T: Triangulation, label: str) -> Tuple[Dict, int]:
+    """(exponent map, packed key) of an edge label's weight: boundary
+    segments weigh 1, self-folded loops weigh radius times notched twin.
+    Kept in `T.label_weights`; the map is shared and must not be changed."""
+    got = T.label_weights.get(label)
+    if got is None:
+        sf = T.loop_triangle(label)
+        if T.is_boundary(label):
+            exps = {}
+        elif sf is not None:
+            exps = {xvar(sf.radius): 1, xvar(T.notched_twin(sf.radius)): 1}
+        else:
+            exps = {xvar(label): 1}
+        got = T.label_weights[label] = (exps, pack(exps))
+    return got
+
+
+def _phi_key(T: Triangulation, diagonal: str) -> int:
+    """Packed key of phi of a diagonal's height 1; phi is linear, so height
+    -1 packs to its negative.  Kept in `T.diagonal_phis`."""
+    key = T.diagonal_phis.get(diagonal)
+    if key is None:
+        key = T.diagonal_phis[diagonal] = pack(phi_exps({diagonal: 1}, T))
+    return key
 
 
 def x_of_label(T: Triangulation, label: str) -> LaurentPoly:
-    return LaurentPoly.monomial(1, x_exps_of_label(T, label))
+    return LaurentPoly.monomial(1, _weight(T, label)[0])
 
 
 def x_exps_of_labels(T: Triangulation, labels: Iterable[str]) -> Dict:
     """Exponent map of the product of the labels' weights."""
     out: Dict = {}
     for label in labels:
-        for v, e in x_exps_of_label(T, label).items():
+        for v, e in _weight(T, label)[0].items():
             out[v] = out.get(v, 0) + e
     return out
 
@@ -292,27 +331,29 @@ def matching_weight(g: SnakeGraph, P: Matching, T: Triangulation) -> LaurentPoly
 def edge_keys(g: SnakeGraph, T: Triangulation,
               minus: Matching) -> Tuple[int, List[int], int]:
     """(start, keys, bound) with x(P)·y(P) = start + sum(keys[e] for e in
-    P) as packed keys, for every perfect matching P of g, and `bound` the
-    `sum_bound` of their exponent maps.
+    P) as packed keys, for every perfect matching P of g, and `bound` a
+    bound on |exponent| over those monomials.
 
     A tile whose outer edge o lies in `minus` is enclosed unless o is in P:
     it adds its diagonal to the start and takes it off o.  Any other tile is
     enclosed when o is in P: it adds its diagonal to o.  The weight is a
     product over the edges and phi is linear, so each edge carries its
-    label's weight times phi of its height.
+    label's weight times phi of its height: the sum of the two keys kept
+    on T.
+
+    Each of the d + 1 edges of P adds at most 1 to an x exponent, and each
+    of the d tiles moves a y exponent by at most 1, so d + 1 is the bound.
     """
-    start: Dict[str, int] = {}
-    heights: Dict[int, Dict[str, int]] = {}
+    keys = [_weight(T, e.label)[1] for e in g.edges]
+    start = 0
     for tile, eid in zip(g.tiles, g.outer_edges):
+        key = _phi_key(T, tile.diagonal)
         if eid in minus:
-            start[tile.diagonal] = start.get(tile.diagonal, 0) + 1
-            heights[eid] = {tile.diagonal: -1}
+            start += key
+            keys[eid] -= key
         else:
-            heights[eid] = {tile.diagonal: 1}
-    first = phi_exps(start, T)
-    maps = [{**x_exps_of_label(T, e.label),
-             **phi_exps(heights.get(e.eid, {}), T)} for e in g.edges]
-    return pack(first), [pack(m) for m in maps], sum_bound(first, maps)
+            keys[eid] += key
+    return start, keys, g.d + 1
 
 
 def transfer_sum(g: SnakeGraph, start: int,

@@ -19,9 +19,9 @@ monomial group), which is what long division needs.
 
 Overflow guard.  Every key built from an exponent map checks its
 exponents.  Each polynomial caches a bound on |e_i| over its terms:
-products and quotients inherit the sum of their operands' bounds, a sum of
-subsets of known keys (a transfer sum) takes `sum_bound` of their
-exponent maps, a substitution by monomials the bound it can reach, any
+products and quotients inherit the sum of their operands' bounds, a
+transfer sum the bound its snake graph gives (`matchings.edge_keys`), a
+substitution by monomials the bound it can reach, any
 other polynomial computes its largest |e_i| when first asked.  `mul` and
 `div_exact` raise ExponentOverflow when the two bounds (made exact first)
 add up to 2**31 or more, so no digit ever spills into its neighbour.
@@ -73,7 +73,6 @@ __all__ = [
     "hvar",
     "pack",
     "lowest_exponents",
-    "sum_bound",
 ]
 
 
@@ -747,20 +746,3 @@ def lowest_exponents(*polys: LaurentPoly) -> Dict[VarId, int]:
     lo, m = _window(keys)
     return {_VARS[lo + j]: e for j, e in enumerate(map(min, _columns(keys, lo, m)))
             if e}
-
-
-def sum_bound(start: Mapping[VarId, int],
-              maps: Iterable[Mapping[VarId, int]]) -> int:
-    """A bound on |exponent| over the monomials start + sum(S), S any subset
-    of `maps`, all given as exponent maps.  Per variable, with s its
-    exponent in start and r those in `maps`, the sum lies between s +
-    (sum(r) - sum|r|) / 2 and s + (sum(r) + sum|r|) / 2, so twice its
-    largest |value| is sum|r| + |2s + sum(r)|."""
-    total = {v: 2 * e for v, e in start.items()}
-    spread: Dict[VarId, int] = {}
-    for exps in maps:
-        for v, e in exps.items():
-            total[v] = total.get(v, 0) + e
-            spread[v] = spread.get(v, 0) + abs(e)
-    return max((spread.get(v, 0) + abs(t) for v, t in total.items()),
-               default=0) // 2

@@ -13,12 +13,20 @@ Ordinary triangles may name their vertices (vertices[i] is opposite sides[i]),
 which is how punctures away from self-folded triangles are located; a corner
 walk cross-checks the naming and recovers the clockwise order of arc ends
 around each puncture.
+
+Data that depends on the triangulation alone is kept on the Triangulation,
+never in a module-level cache.  The arc and boundary label sets behind
+`is_arc` and `is_boundary` and the label -> slots map the corner walk steps
+through are built with it, as validating a surface reads all three.  Each
+edge label's weight map with its packed key, and each diagonal's packed phi
+key, is filled in by `matchings` the first time it is needed.  Nothing
+computed for one arc is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Topology",
@@ -94,20 +102,39 @@ class Triangulation:
     topology: Topology
     _loops: Dict[str, SelfFolded] = field(init=False, repr=False, compare=False)
     _radii: Dict[str, SelfFolded] = field(init=False, repr=False, compare=False)
+    _arc_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    _boundary_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    # arc label -> list of (triangle, slot) over pseudo-sides
+    _side_slots: Dict[str, List[Tuple[int, int]]] = field(
+        init=False, repr=False, compare=False)
+    # label -> (weight exponent map, packed key), and diagonal -> packed key
+    # of phi of its height 1; `matchings` fills an entry the first time it
+    # needs it
+    label_weights: Dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
+    diagonal_phis: Dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         loops = {t.loop: t for t in self.triangles if isinstance(t, SelfFolded)}
         radii = {t.radius: t for t in self.triangles if isinstance(t, SelfFolded)}
+        slots: Dict[str, List[Tuple[int, int]]] = {}
+        for i, t in enumerate(self.triangles):
+            for j, s in enumerate(_pseudo_sides(t)):
+                slots.setdefault(s, []).append((i, j))
         object.__setattr__(self, "_loops", loops)
         object.__setattr__(self, "_radii", radii)
+        object.__setattr__(self, "_arc_set", frozenset(self.arcs))
+        object.__setattr__(self, "_boundary_set", frozenset(self.boundary))
+        object.__setattr__(self, "_side_slots", slots)
 
     # -- label classification ------------------------------------------
 
     def is_arc(self, label: str) -> bool:
-        return label in self.arcs
+        return label in self._arc_set
 
     def is_boundary(self, label: str) -> bool:
-        return label in self.boundary
+        return label in self._boundary_set
 
     def loop_triangle(self, label: str) -> Optional[SelfFolded]:
         """The self-folded triangle whose loop is `label`, if any."""
@@ -322,16 +349,7 @@ def _pseudo_sides(t: Triangle) -> Tuple[str, ...]:
     return t.sides
 
 
-def _all_slots(T: Triangulation) -> Dict[str, List[Tuple[int, int]]]:
-    """arc label -> list of (triangle, slot) over pseudo-sides."""
-    out: Dict[str, List[Tuple[int, int]]] = {}
-    for i, t in enumerate(T.triangles):
-        for j, s in enumerate(_pseudo_sides(t)):
-            out.setdefault(s, []).append((i, j))
-    return out
-
-
-def _cw_next_corner(T: Triangulation, slots, corner):
+def _cw_next_corner(T: Triangulation, corner):
     """One clockwise step of the corner walk; None when exiting through boundary."""
     tri, k = corner
     sides = _pseudo_sides(T.triangles[tri])
@@ -339,7 +357,8 @@ def _cw_next_corner(T: Triangulation, slots, corner):
     exit_arc = sides[exit_slot]
     if T.is_boundary(exit_arc):
         return None
-    others = [s for s in slots.get(exit_arc, []) if s != (tri, exit_slot)]
+    others = [s for s in T._side_slots.get(exit_arc, [])
+              if s != (tri, exit_slot)]
     if len(others) != 1:
         raise SurfaceError(f"arc {exit_arc!r} does not have exactly two slots")
     ntri, m = others[0]
@@ -348,7 +367,6 @@ def _cw_next_corner(T: Triangulation, slots, corner):
 
 def _corner_orbits(T: Triangulation):
     """Vertices of the triangulation as sets of corners."""
-    slots = _all_slots(T)
     parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     def find(c):
@@ -361,7 +379,7 @@ def _corner_orbits(T: Triangulation):
     for c in corners:
         parent[c] = c
     for c in corners:
-        nxt = _cw_next_corner(T, slots, c)
+        nxt = _cw_next_corner(T, c)
         if nxt is not None:
             ra, rb = find(c), find(nxt)
             if ra != rb:
@@ -401,7 +419,6 @@ def corner_walk(T: Triangulation, c0) -> List[Tuple[Tuple[int, int], str]]:
     Returns the cyclic list of (corner, exit arc) steps; raises if the walk
     hits the boundary (the vertex is not interior).
     """
-    slots = _all_slots(T)
     out = []
     c = c0
     while True:
@@ -411,7 +428,7 @@ def corner_walk(T: Triangulation, c0) -> List[Tuple[Tuple[int, int], str]]:
         if T.is_boundary(exit_arc):
             raise SurfaceError("corner walk hit the boundary")
         out.append((c, exit_arc))
-        c = _cw_next_corner(T, slots, c)
+        c = _cw_next_corner(T, c)
         if c == c0:
             return out
 

@@ -263,15 +263,15 @@ def test_fpoly_json_is_the_f_polynomial(tmp_path, capsys):
                              {"coeff": 1, "exponents": {"y_d": 1}}]}
 
 
-def _bad_genus(tmp_path):
+def _bad_genus(tmp_path, genus="x"):
     obj = square_json()
-    obj["topology"]["genus"] = "x"
+    obj["topology"]["genus"] = genus
     return ["expand", "--surface", write(tmp_path, "sq.json", obj),
             "--arc", write(tmp_path, "arc.json", square_arc_json())]
 
 
-def _bad_seed(tmp_path, matrix, names, sequence):
-    seed = {"schema": 1, "matrix": matrix, "names": names}
+def _bad_seed(tmp_path, matrix, names, sequence, schema=1):
+    seed = {"schema": schema, "matrix": matrix, "names": names}
     return ["mutate", "--seed", write(tmp_path, "seed.json", seed),
             "--sequence", sequence]
 
@@ -280,6 +280,20 @@ def _hexagon_index(tmp_path, index):
     bundle = json.loads((DATA / "hexagon_bundle.json").read_text())
     bundle["cases"][0]["index"] = index
     return ["verify", "--bundle", write(tmp_path, "bundle.json", bundle)]
+
+
+def _hexagon_bundle(tmp_path, **fields):
+    bundle = json.loads((DATA / "hexagon_bundle.json").read_text())
+    return ["verify", "--bundle",
+            write(tmp_path, "bundle.json", {**bundle, **fields})]
+
+
+def _notched_expand(tmp_path, **arc_fields):
+    """`expand` of the shipped notched arc, which exits 0, with fields of
+    the arc file replaced."""
+    arc = json.loads((DATA / "notched_arc.json").read_text())
+    return ["expand", "--surface", str(DATA / "three_punctures.json"),
+            "--arc", write(tmp_path, "arc.json", {**arc, **arc_fields})]
 
 
 def _square_expand(tmp_path, surface=None, **arc_fields):
@@ -347,6 +361,25 @@ BAD_INPUTS = {
         "expand", "--surface", write(tmp, "sq.json", square_json()),
         "--arc", write(tmp, "arc.json", {**square_arc_json(), "crossings": [
             {"arc": "d", "to_triangle": "x"}]})]),
+    "genus is true": (EXIT_PARSE, lambda tmp: _bad_genus(tmp, True)),
+    "triangle is a float": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, start={"triangle": 0.9, "vertex": "d"})),
+    "to_triangle is a digit string": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, crossings=[{"arc": "d", "to_triangle": "1"}])),
+    "arc schema is true": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, schema=True)),
+    "surface schema is 1.0": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, _square_surface(schema=1.0))),
+    "seed schema is true": (EXIT_PARSE, lambda tmp: _bad_seed(
+        tmp, [[0, 1], [-1, 0]], ["1", "2"], "1", schema=True)),
+    "bundle schema is true": (EXIT_PARSE, lambda tmp: _hexagon_bundle(
+        tmp, schema=True)),
+    "notch_end is a string": (EXIT_PARSE, lambda tmp: _notched_expand(
+        tmp, notch_end="no")),
+    "notch_start is 0": (EXIT_PARSE, lambda tmp: _notched_expand(
+        tmp, notch_start=0)),
+    "wind is a number": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, crossings=[{"arc": "d", "to_triangle": 1, "wind": 1}])),
     "triangle is not an object": (EXIT_PARSE, lambda tmp: _square_expand(
         tmp, _square_surface(triangles=[5, *square_json()["triangles"][1:]]))),
     "arcs is not a list": (EXIT_PARSE, lambda tmp: _square_expand(

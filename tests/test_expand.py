@@ -40,6 +40,7 @@ from surfcluster.expand import (
     InhomogeneousExpansion,
     crossing_monomial,
     euler_table,
+    expand_arc,
     expand_double_notch,
     expand_notched_loop,
     expand_ordinary,
@@ -127,14 +128,25 @@ def test_transfer_sum_equals_per_matching_sum(name):
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_graph_bound_covers_the_numerator(name):
     # the numerator is built with a bound read off the snake graph, so that
-    # dividing it by the crossing monomial need not decode its keys
+    # dividing it by the crossing monomial need not decode its keys; loop
+    # paths, whose numerators the notched arcs divide, are checked too
     mk, max_d = ORACLE_SURFACES[name]
     T = mk()
+
+    def check(path, mirror):
+        num = expand_ordinary(T, path, mirror=mirror).numerator
+        assert num._max_exp() >= num._max_exp(exact=True), path
+
     for path in walk_paths(T, max_d):
+        p = T.vertex_name(*path.end)
         for mirror in (False, True):
-            num = expand_ordinary(T, path, mirror=mirror).numerator
-            bound = num._max_exp()
-            assert bound >= num._max_exp(exact=True), path
+            check(path, mirror)
+            if p in T.punctures:
+                try:
+                    loop = build_loop_path(T, path, p)
+                except SurfaceError:
+                    continue
+                check(loop, mirror)
 
 
 def _outcome(f, *args, **kwargs):
@@ -233,6 +245,33 @@ def test_double_notch_endpoints_inferred():
     a = expand_double_notch(T, gamma3(T))
     b = expand_double_notch(T, gamma3(T), "p", "q")
     assert a.poly == b.poly
+
+
+def test_rejected_notched_arc_runs_no_transfer_sum(monkeypatch):
+    # the loop around q of this walk's reversed side would recross arc 5 at
+    # once: every loop path is checked before the first transfer sum
+    import surfcluster.expand as ex
+    calls = []
+    real = ex.transfer_sum
+    monkeypatch.setattr(ex, "transfer_sum",
+                        lambda *args: calls.append(args) or real(*args))
+    T = twice_punctured()
+    path = CrossingPath((1, "10"), (Crossing("5", 0), Crossing("6", 3)),
+                        (3, "6"))
+    with pytest.raises(PathInvalid, match="minimal position"):
+        expand_double_notch(T, path)
+    assert calls == []
+
+
+@pytest.mark.parametrize("orientation", ["up", "CW", None])
+def test_expand_arc_rejects_an_unknown_orientation(orientation):
+    T = twice_punctured()
+    start = (0, "6")
+    rho = CrossingPath(start, (Crossing("6", 3), Crossing("7", 4),
+                               Crossing("8", 3), Crossing("6", 0)), start)
+    for ref in (TaggedArcRef(rho), TaggedArcRef(rho, notch_end=True)):
+        with pytest.raises(ValueError, match="orientation"):
+            expand_arc(T, ref, orientation)
 
 
 def _variables_within(seed0, steps):

@@ -274,10 +274,17 @@ def test_dp_equals_the_generic_dp(name):
     for g in oracle_graphs(T, max_d):
         ms = enumerate_matchings(g)
         assert ms == dp_oracle.enumerate_matchings(g)         # in order
-        assert boundary_matchings(g) == dp_oracle.boundary_matchings(g)
+        bms = dp_oracle.boundary_matchings(g)
+        assert boundary_matchings(g) == bms
         assert matching_count(g) == len(ms)
-        minus, _ = minimal_maximal(g)
-        start, keys, _ = edge_keys(g, T, minus)
+        # the boundary walk gives the pair the fold picks: P- is the one
+        # boundary matching that avoids the first tile's avoid slots
+        avoid = {g.tiles[0].slot_edge[s] for s in g.minus_avoid_slots}
+        minus = [m for m in bms if not m & avoid]
+        plus = [m for m in bms if m & avoid]
+        assert len(minus) == len(plus) == 1
+        assert minimal_maximal(g) == (minus[0], plus[0])
+        start, keys, _ = edge_keys(g, T, minus[0])
         assert transfer_sum(g, start, keys) == \
             dp_oracle.transfer_sum(g, start, keys)
         # random keys give (almost surely) one term per matching

@@ -10,7 +10,6 @@ from surfcluster.poly import (
     VarId,
     hvar,
     pack,
-    sum_bound,
     xvar,
     yvar,
 )
@@ -140,18 +139,6 @@ def test_canonical_text_matches_the_straightforward_renderer(p):
 ])
 def test_canonical_text_edge_cases(p):
     assert p.canonical_text() == text_oracle.canonical_text(p)
-
-
-def test_sum_bound_covers_every_subset_sum():
-    a, b, c = xvar("1"), yvar("1"), xvar("2")
-    start = {a: 1, b: -1}
-    maps = [{a: 2, b: 1}, {b: 1, c: -3}, {a: -1}]
-    keys = [pack(m) for m in maps]
-    sums = [pack(start) + sum(k for k, bit in zip(keys, bits) if bit)
-            for bits in ((i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(8))]
-    exact = max(L.from_packed({k: 1})._max_exp(exact=True) for k in sums)
-    # a: 1 + 2 = 3 at most; b: -1 .. 1; c: -3 .. 0
-    assert sum_bound(start, maps) == exact == 3
 
 
 # -- randomized ring laws ----------------------------------------------------
