@@ -1,20 +1,22 @@
 """Command-line front end.
 
 Commands: expand | fpoly | gvector | matchings | snake | mutate | verify.
-Surfaces, arcs and seeds are JSON files with documented schemas (below);
-output is the canonical polynomial text, or structured JSON with --json
-(expand, fpoly, gvector).  `--notch p` or `--notch p,q` notches an arc at the
-named punctures, matched to either end of a path in any order; it is the
-only way to pick the notched end of an arc of the triangulation whose ends
-are two different punctures.  `mutate --sequence` and the bundle's
-`sequence`/`index` are 1-based.  On a mismatch `verify` prints the
-canonical text of expansion - oracle under the DIFFER line.
+Surfaces, arcs and seeds are JSON files; output is the canonical polynomial
+text, or structured JSON with --json (expand, fpoly, gvector).  `--notch p`
+or `--notch p,q` notches an arc at the named punctures, matched to either
+end of a path in any order; it is the only way to pick the notched end of
+an arc of the triangulation whose ends are two different punctures.
+`mutate --sequence` and the bundle's `sequence`/`index` are 1-based.  On a
+mismatch `verify` prints the canonical text of expansion - oracle under the
+DIFFER line.
 
 Exit codes: 0 ok, 1 parse error (unreadable file, bad JSON, wrong field or
 type), 2 validation error (including an index out of range), 3 computation
-error, 4 verification mismatch; errors print one line to stderr.
+error, 4 verification mismatch; a nonzero exit prints one line to stderr.
 
-Surface schema::
+Each file kind has one schema table, `_SURFACE`, `_ARC`, `_SEED` or
+`_BUNDLE`, that states every JSON type rule; `_check` checks a file against
+it before anything is built.  Surface::
 
     {"schema": 1,
      "topology": {"genus": 0, "boundary_components": 1,
@@ -25,8 +27,8 @@ Surface schema::
        {"self_folded": {"loop": "l", "radius": "2", "puncture": "P",
                         "base": "m1", "notched_label": "1"}}]}
 
-Ordinary triangles list their sides counterclockwise; vertices[i] names the
-vertex opposite sides[i].  Arc schema::
+Ordinary triangles list their three sides counterclockwise; vertices[i]
+names the vertex opposite sides[i].  Arc::
 
     {"schema": 1,
      "start": {"triangle": 0, "vertex": "d"},
@@ -35,16 +37,14 @@ vertex opposite sides[i].  Arc schema::
      "notch_start": false, "notch_end": false, "orientation": "ccw"}
 
 or, for an arc of the triangulation, {"schema": 1, "arc": "2", ...notches}.
-A "wind" entry is required exactly on radius crossings.  Types are strict:
-"schema" is the integer 1, integer fields take JSON integers only (no
-float, bool or digit string), the notch flags JSON booleans, and "wind"
-null or a string.  Seed schema::
+A "wind" entry is required exactly on radius crossings.  Seed::
 
     {"schema": 1, "matrix": [[0, 1], [-1, 0]], "names": ["1", "2"]}
 
 where "matrix" is the full extended matrix (2n x n for principal
 coefficients) or the top square block, in which case principal coefficient
-rows are appended.
+rows are appended.  Each row has one entry per name, and the top block is
+skew-symmetric.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from reprlib import repr as _show
 from typing import List, Optional
 
 from .poly import LaurentPoly
@@ -77,7 +78,12 @@ from .matchings import (
     phi_specialize,
 )
 from .expand import Expansion, expand_arc, f_polynomial, g_vector
-from .mutation import principal_seed, run_sequence, tropical_coeffs
+from .mutation import (
+    geometric_seed,
+    principal_seed,
+    run_sequence,
+    tropical_coeffs,
+)
 
 __all__ = ["main", "parse_surface", "parse_arc", "ParseError", "ValidationError"]
 
@@ -95,55 +101,74 @@ class ValidationError(ValueError):
     pass
 
 
-def _require_keys(obj: dict, allowed: set, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{what}: expected a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"{what}: unknown fields {sorted(unknown)}")
+_TOPOLOGY = {"genus": int, "boundary_components": int, "punctures": int,
+             "boundary_marked": int}
+_SELF_FOLDED = {"loop": str, "radius": str, "puncture": str, "base?": str,
+                "notched_label?": str}
+_SURFACE = {"schema": {1}, "topology": _TOPOLOGY, "arcs?": [str],
+            "boundary?": [str], "punctures?": [str],
+            "triangles?": [({"self_folded": _SELF_FOLDED},
+                            {"sides": [str], "vertices?": [str]})]}
+_END = {"triangle": int, "vertex": str}
+_TAGS = {"schema": {1}, "notch_start?": bool, "notch_end?": bool,
+         "orientation?": {"ccw", "cw"}}
+_ARC = ({"arc": str, **_TAGS},
+        {"start": _END, "crossings?": [{"arc": str, "to_triangle": int,
+                                        "wind?": str}],
+         "end": _END, **_TAGS})
+_SEED = {"schema": {1}, "matrix": [[int]], "names?": [str]}
+_BUNDLE = {"schema": {1}, "surface": _SURFACE,
+           "cases?": [{"arc": _ARC, "sequence": [int], "index": int,
+                       "name?": str}]}
 
 
-def _json(data: bytes, what: str):
+def _check(value, schema, where: str) -> None:
+    """Check a decoded JSON value against a schema, or raise ParseError
+    naming the path of the first bad value.
+
+    A schema is a JSON type (str, int or bool; a bool is no int), a set of
+    the values allowed, [item] for a list of items, or a dict of fields:
+    a key ending in "?" is optional and no unnamed key is allowed.  A tuple
+    lists the forms of an object: a value takes the first form whose first
+    field it holds, else the last.  Recursion is as deep as the schema."""
+    if type(schema) is type:
+        if type(value) is not schema:
+            raise ParseError(f"{where}: {_show(value)} is not a JSON "
+                             f"{schema.__name__}")
+    elif type(schema) is set:
+        if not any(type(value) is type(v) and value == v for v in schema):
+            raise ParseError(f"{where}: {_show(value)} is not one of "
+                             f"{sorted(schema)}")
+    elif type(schema) is list:
+        if type(value) is not list:
+            raise ParseError(f"{where}: {_show(value)} is not a JSON list")
+        for i, item in enumerate(value):
+            _check(item, schema[0], f"{where}[{i}]")
+    else:
+        if type(schema) is tuple:
+            schema = next((form for form in schema if type(value) is dict
+                           and next(iter(form)) in value), schema[-1])
+        if type(value) is not dict:
+            raise ParseError(f"{where}: {_show(value)} is not a JSON object")
+        fields = {key.rstrip("?"): key for key in schema}
+        for name in value:
+            if name not in fields:
+                raise ParseError(f"{where}: unknown field {_show(name)}")
+        for name, key in fields.items():
+            if name in value:
+                _check(value[name], schema[key], f"{where} {name}")
+            elif name == key:
+                raise ParseError(f"{where}: missing field {name!r}")
+
+
+def _json(data: bytes, schema, what: str):
+    """The decoded file, checked against its schema."""
     try:
-        return json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
-
-
-def _field(obj: dict, key: str, what: str):
-    if key not in obj:
-        raise ParseError(f"{what}: missing field {key!r}")
-    return obj[key]
-
-
-def _list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{what}: expected a JSON list")
-    return value
-
-
-def _int(value, what: str) -> int:
-    """A JSON integer: no bool, float or string is read as one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what}: {value!r} is not an integer")
-    return value
-
-
-def _bool(obj: dict, key: str, what: str) -> bool:
-    value = obj.get(key, False)
-    if not isinstance(value, bool):
-        raise ParseError(f"{what}: {key} must be true or false")
-    return value
-
-
-def _schema(obj: dict, what: str) -> None:
-    """The schema field must be the JSON integer 1."""
-    try:
-        if _int(obj.get("schema"), what) == 1:
-            return
-    except ParseError:
-        pass
-    raise ParseError(f"{what}: unsupported schema version")
+        obj = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    _check(obj, schema, what)
+    return obj
 
 
 def _index(k: int, n: int, what: str) -> int:
@@ -154,110 +179,71 @@ def _index(k: int, n: int, what: str) -> int:
 
 
 def parse_surface(data: bytes) -> Triangulation:
-    obj = _json(data, "surface file")
-    _require_keys(obj, {"schema", "topology", "arcs", "boundary", "punctures",
-                        "triangles"}, "surface")
-    _schema(obj, "surface")
-    topo = obj.get("topology", {})
-    _require_keys(topo, {"genus", "boundary_components", "punctures",
-                         "boundary_marked"}, "topology")
-    topology = Topology(*(_int(_field(topo, k, "topology"), f"topology {k}")
-                          for k in ("genus", "boundary_components",
-                                    "punctures", "boundary_marked")))
-    arcs = [str(a) for a in _list(obj.get("arcs", []), "surface arcs")]
-    boundary = [str(a) for a in _list(obj.get("boundary", []),
-                                      "surface boundary")]
-    punctures = [str(a) for a in _list(obj.get("punctures", []),
-                                       "surface punctures")]
+    return _surface(_json(data, _SURFACE, "surface"), "surface")
+
+
+def _surface(obj: dict, what: str) -> Triangulation:
+    """The validated triangulation of a checked surface object."""
+    arcs, boundary, punctures = (tuple(obj.get(key, ())) for key in
+                                 ("arcs", "boundary", "punctures"))
     known = set(arcs) | set(boundary)
     triangles = []
-    for i, t in enumerate(_list(obj.get("triangles", []), "surface triangles")):
-        _require_keys(t, {"self_folded", "sides", "vertices"}, f"triangle {i}")
+    for i, t in enumerate(obj.get("triangles", ())):
         if "self_folded" in t:
-            _require_keys(t, {"self_folded"}, f"triangle {i}")
-            sf = t["self_folded"]
-            _require_keys(sf, {"loop", "radius", "puncture", "base",
-                               "notched_label"}, f"triangle {i}")
-            for key in ("loop", "radius"):
-                label = sf.get(key)
-                if not isinstance(label, str) or label not in known:
-                    raise ParseError(f"triangle {i}: unknown label {label!r}")
-            for key in ("base", "notched_label"):
-                if key in sf and not isinstance(sf[key], str):
-                    raise ParseError(
-                        f"triangle {i}: self-folded {key} must be a string")
-            triangles.append(SelfFolded(
-                sf["loop"], sf["radius"],
-                str(_field(sf, "puncture", f"triangle {i}")),
-                sf.get("base"), sf.get("notched_label")))
+            triangle = SelfFolded(**t["self_folded"])
+            labels = (triangle.loop, triangle.radius)
         else:
-            sides = tuple(str(s) for s in _list(t.get("sides", []),
-                                                f"triangle {i} sides"))
-            if len(sides) != 3:
-                raise ParseError(f"triangle {i}: needs three sides")
-            for s in sides:
-                if s not in known:
-                    raise ParseError(f"triangle {i}: unknown label {s!r}")
-            verts = t.get("vertices")
-            if verts:
-                verts = tuple(str(v) for v in _list(verts,
-                                                    f"triangle {i} vertices"))
-            triangles.append(Ordinary(sides, verts or None))
-    T = Triangulation(tuple(arcs), tuple(boundary), tuple(punctures),
-                      tuple(triangles), topology)
+            labels = tuple(t["sides"])
+            vertices = tuple(t.get("vertices", labels))
+            if len(labels) != 3 or len(vertices) != 3:
+                raise ParseError(f"{what} triangles[{i}]: needs three sides "
+                                 "and three vertices")
+            triangle = Ordinary(labels, vertices if "vertices" in t else None)
+        for label in labels:
+            if label not in known:
+                raise ParseError(f"{what} triangles[{i}]: unknown label "
+                                 f"{_show(label)}")
+        triangles.append(triangle)
+    T = Triangulation(arcs, boundary, punctures, tuple(triangles),
+                      Topology(**obj["topology"]))
     problems = validate_surface(T)
     if problems:
         raise ValidationError("; ".join(problems))
     return T
 
 
-def _spot(obj, what: str):
-    """(triangle, vertex slot) of an arc end."""
-    _require_keys(obj, {"triangle", "vertex"}, what)
-    return (_int(_field(obj, "triangle", what), what),
-            str(_field(obj, "vertex", what)))
-
-
 def parse_arc(data: bytes, T: Triangulation):
     """Returns (path-or-label, TaggedArcRef, orientation)."""
-    obj = _json(data, "arc file")
-    _require_keys(obj, {"schema", "arc", "start", "crossings", "end",
-                        "notch_start", "notch_end", "orientation"}, "arc")
-    _schema(obj, "arc")
-    notch_start = _bool(obj, "notch_start", "arc")
-    notch_end = _bool(obj, "notch_end", "arc")
+    return _arc(_json(data, _ARC, "arc"), T, "arc")
+
+
+def _arc(obj: dict, T: Triangulation, what: str):
+    """parse_arc of a checked arc object."""
+    notch_start = obj.get("notch_start", False)
+    notch_end = obj.get("notch_end", False)
     orientation = obj.get("orientation", "ccw")
-    if orientation not in ("ccw", "cw"):
-        raise ParseError("arc: orientation must be 'ccw' or 'cw'")
     if "arc" in obj:
-        label = str(obj["arc"])
+        label = obj["arc"]
         if not T.is_arc(label):
-            raise ParseError(f"arc: {label!r} is not an arc of the surface")
-        ref = TaggedArcRef(label, notch_start, notch_end)
-        return label, ref, orientation
-    start = _spot(_field(obj, "start", "arc"), "arc start")
-    end = _spot(_field(obj, "end", "arc"), "arc end")
-    crossings = []
-    for i, c in enumerate(_list(obj.get("crossings", []), "arc crossings")):
-        _require_keys(c, {"arc", "to_triangle", "wind"}, f"crossing {i}")
-        if not T.is_arc(str(c.get("arc"))):
-            raise ParseError(f"crossing {i}: unknown arc {c.get('arc')!r}")
-        wind = c.get("wind")
-        if wind is not None and not isinstance(wind, str):
-            raise ParseError(f"crossing {i}: wind must be null or a string")
-        crossings.append(Crossing(
-            str(c["arc"]), _int(_field(c, "to_triangle", f"crossing {i}"),
-                                f"crossing {i}"), wind))
-    path = CrossingPath(start, tuple(crossings), end)
+            raise ParseError(f"{what}: {_show(label)} is not an arc of the "
+                             "surface")
+        return label, TaggedArcRef(label, notch_start, notch_end), orientation
+    crossings = tuple(Crossing(**c) for c in obj.get("crossings", ()))
+    for i, c in enumerate(crossings):
+        if not T.is_arc(c.arc):
+            raise ParseError(f"{what} crossings[{i}]: unknown arc "
+                             f"{_show(c.arc)}")
+    start, end = ((obj[k]["triangle"], obj[k]["vertex"])
+                  for k in ("start", "end"))
+    path = CrossingPath(start, crossings, end)
     problems = validate_path(T, path)
     if problems:
         raise ValidationError("; ".join(problems))
-    for spot, notched, what in ((path.start, notch_start, "start"),
-                                (path.end, notch_end, "end")):
-        if notched:
-            name = T.vertex_name(*spot)
-            if name not in T.punctures:
-                raise ValidationError(f"notched {what} is not at a puncture")
+    for spot, notched, side in ((start, notch_start, "start"),
+                                (end, notch_end, "end")):
+        if notched and T.vertex_name(*spot) not in T.punctures:
+            raise ValidationError(f"{what}: notched {side} is not at a "
+                                  "puncture")
     ref = TaggedArcRef(path, notch_start, notch_end)
     return path, ref, orientation
 
@@ -293,32 +279,21 @@ def render_surface(T: Triangulation) -> dict:
 
 
 def parse_seed(data: bytes):
-    obj = _json(data, "seed file")
-    _require_keys(obj, {"schema", "matrix", "names"}, "seed")
-    _schema(obj, "seed")
-    matrix = obj.get("matrix")
-    if not isinstance(matrix, list) or not matrix or \
-            any(not isinstance(r, list) for r in matrix):
-        raise ParseError("seed: matrix must be a list of rows")
-    n = len(matrix[0])
-    default = [str(i + 1) for i in range(n)]
-    names = [str(x) for x in _list(obj.get("names", default), "seed names")]
+    obj = _json(data, _SEED, "seed")
+    rows = obj["matrix"]
+    n = len(rows[0]) if rows else 0
+    if not rows or len(rows) < n or any(len(r) != n for r in rows):
+        raise ParseError("seed: matrix must be n x n or (n+m) x n")
+    names = obj.get("names", [str(i + 1) for i in range(n)])
     if len(names) != n:
         raise ValidationError(f"seed: {len(names)} names for {n} columns")
-    rows = [[_int(x, "seed matrix") for x in r] for r in matrix]
+    if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(n)):
+        raise ValidationError("seed: top block is not skew-symmetric")
     if len(rows) == n:
         return principal_seed(rows, names)
-    if len(rows) < n:
-        raise ParseError("seed: matrix must be n x n or (n+m) x n")
-    B = rows[:n]
-    for i in range(n):
-        for j in range(n):
-            if B[i][j] != -B[j][i]:
-                raise ValidationError("seed: top block is not skew-symmetric")
     m = len(rows) - n
-    frozen = names if m == n else [f"u{i+1}" for i in range(m)]
-    from .mutation import geometric_seed
-    return geometric_seed(rows, names, frozen)
+    return geometric_seed(rows, names,
+                          names if m == n else [f"u{i+1}" for i in range(m)])
 
 
 def _notch(T: Triangulation, arc, names: List[str]):
@@ -441,31 +416,29 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    obj = _json(_load(args.bundle), "bundle")
-    _require_keys(obj, {"schema", "surface", "cases"}, "bundle")
-    _schema(obj, "bundle")
-    T = parse_surface(json.dumps(_field(obj, "surface", "bundle")).encode())
+    obj = _json(_load(args.bundle), _BUNDLE, "bundle")
+    T = _surface(obj["surface"], "bundle surface")
     B = signed_adjacency(T)
     names = T.tagged_names()
     seed0 = principal_seed(B, names)
     failures = 0
-    for i, case in enumerate(_list(obj.get("cases", []), "bundle cases")):
-        what = f"case {i}"
-        _require_keys(case, {"arc", "sequence", "index", "name"}, what)
-        _, ref, orientation = parse_arc(
-            json.dumps(_field(case, "arc", what)).encode(), T)
+    for i, case in enumerate(obj.get("cases", ())):
+        what = f"bundle cases[{i}]"
+        _, ref, orientation = _arc(case["arc"], T, f"{what} arc")
         e = expand_arc(T, ref, orientation)
-        seq = [_index(_int(k, what), seed0.n, what)
-               for k in _list(_field(case, "sequence", what), what)]
-        idx = _index(_int(_field(case, "index", what), what), seed0.n, what)
-        oracle = run_sequence(seed0, seq).cluster[idx]
-        name = case.get("name", what)
+        seq = [_index(k, seed0.n, what) for k in case["sequence"]]
+        oracle = run_sequence(seed0, seq).cluster[
+            _index(case["index"], seed0.n, what)]
+        name = case.get("name", f"case {i}")
         if e.poly == oracle:
             print(f"{name}: EQUAL")
         else:
             print(f"{name}: DIFFER")
             print(f"  expansion - oracle = {e.poly.sub(oracle).canonical_text()}")
             failures += 1
+    if failures:
+        print(f"verification mismatch: {failures} of {len(obj['cases'])} "
+              "cases differ", file=sys.stderr)
     return EXIT_VERIFY if failures else 0
 
 

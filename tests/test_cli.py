@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import digon, example_surface, gamma1, square, twice_punctured
 from surfcluster.cli import (
@@ -276,6 +279,19 @@ def _bad_seed(tmp_path, matrix, names, sequence, schema=1):
             "--sequence", sequence]
 
 
+def _mutate(tmp_path, seed):
+    return ["mutate", "--seed", write(tmp_path, "seed.json", seed),
+            "--sequence", "1"]
+
+
+def _raw_surface(tmp_path, data: bytes):
+    """`expand` of the square's arc on a surface file holding `data`."""
+    p = tmp_path / "raw.json"
+    p.write_bytes(data)
+    return ["expand", "--surface", str(p),
+            "--arc", str(DATA / "square_arc.json")]
+
+
 def _hexagon_index(tmp_path, index):
     bundle = json.loads((DATA / "hexagon_bundle.json").read_text())
     bundle["cases"][0]["index"] = index
@@ -409,6 +425,21 @@ BAD_INPUTS = {
         tmp, [[0, "x"], [-1, 0]], ["1", "2"], "1")),
     "non-integer sequence entry": (EXIT_PARSE, lambda tmp: [
         "mutate", "--seed", SEED, "--sequence", "1,a"]),
+    "vertices are not strings": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, _first_triangle(vertices=[{"a": 1}, [2], None]))),
+    "one vertex name": (EXIT_PARSE, lambda tmp: _square_expand(
+        tmp, _first_triangle(vertices=["3"]))),
+    "arc label is an integer": (EXIT_PARSE, lambda tmp: [
+        "expand", "--surface", str(DATA / "three_punctures.json"),
+        "--arc", write(tmp, "arc.json", {"schema": 1, "arc": 2})]),
+    "ragged seed matrix": (EXIT_PARSE, lambda tmp: _mutate(
+        tmp, {"schema": 1, "matrix": [[0, 1], [-1]]})),
+    "ragged coefficient row": (EXIT_PARSE, lambda tmp: _mutate(
+        tmp, {"schema": 1, "matrix": [[0, 1], [-1, 0], [1]]})),
+    "100 000 nested lists": (EXIT_PARSE, lambda tmp: _raw_surface(
+        tmp, b"[" * 100_000)),
+    "bytes that decode in no UTF": (EXIT_PARSE, lambda tmp: _raw_surface(
+        tmp, b"\xff\xfe{")),
     "three notch names": (EXIT_PARSE, _two_punctures_notch("p,q,zzz")),
     "empty notch names": (EXIT_PARSE, _two_punctures_notch(",")),
     "empty notch": (EXIT_PARSE, _two_punctures_notch("")),
@@ -417,6 +448,8 @@ BAD_INPUTS = {
         "mutate", "--seed", SEED, "--sequence", "0"]),
     "sequence 3": (EXIT_VALIDATION, lambda tmp: [
         "mutate", "--seed", SEED, "--sequence", "3"]),
+    "square seed is not skew-symmetric": (EXIT_VALIDATION, lambda tmp: _mutate(
+        tmp, {"schema": 1, "matrix": [[0, 1], [1, 0]]})),
     "too few seed names": (EXIT_VALIDATION, lambda tmp: _bad_seed(
         tmp, [[0, 1], [-1, 0]], ["1"], "2")),
     "verify index out of range": (EXIT_VALIDATION,
@@ -436,6 +469,68 @@ def test_bad_input_exit_code_and_one_line_message(case, tmp_path, capsys):
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+# command lines on shipped input files (under tests/data) that exit 0
+SHIPPED = [
+    ["expand", "--surface", "square.json", "--arc", "square_arc.json"],
+    ["expand", "--surface", "three_punctures.json",
+     "--arc", "notched_arc.json"],
+    ["expand", "--surface", "two_punctures.json",
+     "--arc", "double_notched_arc.json"],
+    ["mutate", "--seed", "seed_rank2.json", "--sequence", "1"],
+    ["verify", "--bundle", "hexagon_bundle.json"],
+    ["verify", "--bundle", "punctured_bundle.json"],
+]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+
+
+def _positions(value, path=()):
+    """(path of keys and indices, value) for every position in a JSON tree."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _positions(item, path + (key,))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_input_exits_with_one_line(tmp_path, data):
+    """One value of a shipped input file, or the whole file, replaced by a
+    random JSON tree, a small integer or a string of the file: the exit code
+    is documented and a nonzero exit prints one stderr line.  A value of
+    another JSON type is a parse error."""
+    argv = data.draw(st.sampled_from(SHIPPED))
+    files = [i for i, a in enumerate(argv) if a.endswith(".json")]
+    k = data.draw(st.sampled_from(files))
+    obj = json.loads((DATA / argv[k]).read_text())
+    spots = list(_positions(obj))
+    path, old = data.draw(st.sampled_from(spots))
+    strings = sorted({v for _, v in spots if type(v) is str})
+    new = data.draw(JSON | st.integers(-1, 12) | st.sampled_from(strings))
+    if path:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = new
+    else:
+        obj = new
+    argv = [write(tmp_path, a, obj) if i == k else
+            str(DATA / a) if i in files else a for i, a in enumerate(argv)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in range(5)
+    assert len(err.getvalue().splitlines()) == (rc != 0)
+    if type(old) is not type(new):
+        assert rc == EXIT_PARSE
 
 
 def test_verify_differ_names_the_differing_terms(tmp_path, capsys):
