@@ -16,7 +16,8 @@ error, 4 verification mismatch; a nonzero exit prints one line to stderr.
 
 Each file kind has one schema table, `_SURFACE`, `_ARC`, `_SEED` or
 `_BUNDLE`, that states every JSON type rule; `_check` checks a file against
-it before anything is built.  Surface::
+it before anything is built.  The tables are compiled once, at import, and
+the path of a bad value is spelled out only when the check fails.  Surface::
 
     {"schema": 1,
      "topology": {"genus": 0, "boundary_components": 1,
@@ -43,8 +44,8 @@ A "wind" entry is required exactly on radius crossings.  Seed::
 
 where "matrix" is the full extended matrix (2n x n for principal
 coefficients) or the top square block, in which case principal coefficient
-rows are appended.  Each row has one entry per name, and the top block is
-skew-symmetric.
+rows are appended.  Each row has one entry per name, the names are
+distinct, and the top block is skew-symmetric.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import neg
 from reprlib import repr as _show
 from typing import List, Optional
 
@@ -101,6 +103,18 @@ class ValidationError(ValueError):
     pass
 
 
+def _compile(schema):
+    """A schema table in the form `_check` reads, made once at import: the
+    fields of each object keyed by plain name, each with its schema and
+    whether it is required."""
+    if type(schema) is dict:
+        return {key.rstrip("?"): (_compile(sub), not key.endswith("?"))
+                for key, sub in schema.items()}
+    if type(schema) in (list, tuple):
+        return type(schema)(map(_compile, schema))
+    return schema
+
+
 _TOPOLOGY = {"genus": int, "boundary_components": int, "punctures": int,
              "boundary_marked": int}
 _SELF_FOLDED = {"loop": str, "radius": str, "puncture": str, "base?": str,
@@ -120,45 +134,73 @@ _SEED = {"schema": {1}, "matrix": [[int]], "names?": [str]}
 _BUNDLE = {"schema": {1}, "surface": _SURFACE,
            "cases?": [{"arc": _ARC, "sequence": [int], "index": int,
                        "name?": str}]}
+_SURFACE, _ARC, _SEED, _BUNDLE = map(_compile, (_SURFACE, _ARC, _SEED,
+                                                _BUNDLE))
 
 
-def _check(value, schema, where: str) -> None:
-    """Check a decoded JSON value against a schema, or raise ParseError
-    naming the path of the first bad value.
+class _Mismatch(Exception):
+    """A value that breaks its schema.  Its path is spelled out only on the
+    way up, once the check has failed: each enclosing list or object puts
+    its step in front."""
 
-    A schema is a JSON type (str, int or bool; a bool is no int), a set of
-    the values allowed, [item] for a list of items, or a dict of fields:
-    a key ending in "?" is optional and no unnamed key is allowed.  A tuple
-    lists the forms of an object: a value takes the first form whose first
-    field it holds, else the last.  Recursion is as deep as the schema."""
+    def __init__(self, problem: str):
+        super().__init__(problem)
+        self.path = ""
+
+
+def _not_a(value, kind: str) -> _Mismatch:
+    return _Mismatch(f"{_show(value)} is not a JSON {kind}")
+
+
+def _check(value, schema) -> None:
+    """Check a decoded JSON value against a schema that `_compile` made,
+    or raise _Mismatch for the first bad value.
+
+    A schema table is a JSON type (str, int or bool; a bool is no int), a
+    set of the values allowed, [item] for a list of items, or a dict of
+    fields: a key ending in "?" is optional and no unnamed key is allowed.
+    A tuple lists the forms of an object: a value takes the first form
+    whose first field it holds, else the last.  A list of JSON types is
+    checked in its own loop, with no call per item; recursion is as deep as
+    the schema."""
     if type(schema) is type:
         if type(value) is not schema:
-            raise ParseError(f"{where}: {_show(value)} is not a JSON "
-                             f"{schema.__name__}")
+            raise _not_a(value, schema.__name__)
     elif type(schema) is set:
         if not any(type(value) is type(v) and value == v for v in schema):
-            raise ParseError(f"{where}: {_show(value)} is not one of "
-                             f"{sorted(schema)}")
+            raise _Mismatch(f"{_show(value)} is not one of {sorted(schema)}")
     elif type(schema) is list:
         if type(value) is not list:
-            raise ParseError(f"{where}: {_show(value)} is not a JSON list")
-        for i, item in enumerate(value):
-            _check(item, schema[0], f"{where}[{i}]")
+            raise _not_a(value, "list")
+        item = schema[0]
+        scalar = type(item) is type
+        for i, v in enumerate(value):
+            try:
+                if not scalar:
+                    _check(v, item)
+                elif type(v) is not item:
+                    raise _not_a(v, item.__name__)
+            except _Mismatch as bad:
+                bad.path = f"[{i}]{bad.path}"
+                raise
     else:
         if type(schema) is tuple:
             schema = next((form for form in schema if type(value) is dict
                            and next(iter(form)) in value), schema[-1])
         if type(value) is not dict:
-            raise ParseError(f"{where}: {_show(value)} is not a JSON object")
-        fields = {key.rstrip("?"): key for key in schema}
+            raise _not_a(value, "object")
         for name in value:
-            if name not in fields:
-                raise ParseError(f"{where}: unknown field {_show(name)}")
-        for name, key in fields.items():
+            if name not in schema:
+                raise _Mismatch(f"unknown field {_show(name)}")
+        for name, (sub, required) in schema.items():
             if name in value:
-                _check(value[name], schema[key], f"{where} {name}")
-            elif name == key:
-                raise ParseError(f"{where}: missing field {name!r}")
+                try:
+                    _check(value[name], sub)
+                except _Mismatch as bad:
+                    bad.path = f" {name}{bad.path}"
+                    raise
+            elif required:
+                raise _Mismatch(f"missing field {name!r}")
 
 
 def _json(data: bytes, schema, what: str):
@@ -167,7 +209,10 @@ def _json(data: bytes, schema, what: str):
         obj = json.loads(data)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
-    _check(obj, schema, what)
+    try:
+        _check(obj, schema)
+    except _Mismatch as bad:
+        raise ParseError(f"{what}{bad.path}: {bad.args[0]}") from None
     return obj
 
 
@@ -287,7 +332,10 @@ def parse_seed(data: bytes):
     names = obj.get("names", [str(i + 1) for i in range(n)])
     if len(names) != n:
         raise ValidationError(f"seed: {len(names)} names for {n} columns")
-    if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(n)):
+    if len(set(names)) != n:
+        twice = next(a for i, a in enumerate(names) if a in names[:i])
+        raise ValidationError(f"seed: name {twice!r} is given twice")
+    if rows[:n] != [list(map(neg, col)) for col in zip(*rows[:n])]:
         raise ValidationError("seed: top block is not skew-symmetric")
     if len(rows) == n:
         return principal_seed(rows, names)

@@ -7,11 +7,22 @@ coefficient tuple is derived from them, never stored.  Everything is exact:
 the new cluster variable is computed by polynomial arithmetic and exact
 division, which the Laurent phenomenon guarantees to succeed (a failure
 raises DivisionFailed and indicates a bug).
+
+One step does work in proportion to what changes.  Fomin-Zelevinsky's
+rule negates row and column k and changes b_ij (i, j != k) only where
+b_ik * b_kj > 0, by |b_ik| * b_kj: so row k is negated, every other row
+with b_ik = 0 is kept as the same tuple, and the rest touch only column k
+and the support of row k.  Each side of the exchange relation is a product
+of cluster-variable powers times one frozen monomial; it is assembled from
+those factors alone, never by multiplying from one, so a side with a single
+factor is that factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter, neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import LaurentPoly, NotDivisible, VarId, xvar, yvar
@@ -58,12 +69,11 @@ def principal_seed(B: Sequence[Sequence[int]],
     n = len(B)
     if names is None:
         names = [str(i + 1) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if B[i][j] != -B[j][i]:
-                raise ValueError("top block must be skew-symmetric")
-    rows = [tuple(B[i][j] for j in range(n)) for i in range(n)]
-    rows += [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rows = [tuple(row[:n]) for row in B]
+    if rows != [tuple(map(neg, col)) for col in zip(*rows)]:
+        raise ValueError("top block must be skew-symmetric")
+    zero = (0,) * n
+    rows += [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
     cluster = tuple(LaurentPoly.var(xvar(nm)) for nm in names)
     frozen = tuple(yvar(nm) for nm in names)
     return Seed(tuple(rows), cluster, frozen)
@@ -78,20 +88,34 @@ def geometric_seed(ext: Sequence[Sequence[int]], names: Sequence[str],
     return Seed(rows, cluster, frozen)
 
 
-def _mutate_matrix(rows: Sequence[Sequence[int]], k: int, n: int):
-    out = []
-    for i, row in enumerate(rows):
-        new = []
-        for j in range(n):
-            b = row[j]
-            if i == k or j == k:
-                new.append(-b)
-            else:
-                bik, bkj = row[k], rows[k][j]
-                sgn = (bik > 0) - (bik < 0)
-                new.append(b + sgn * max(bik * bkj, 0))
-        out.append(tuple(new))
+def _mutate_matrix(rows: Sequence[Tuple[int, ...]], k: int):
+    """mu_k of an extended matrix (see the module docstring)."""
+    rk = rows[k]
+    plus = [(j, b) for j, b in enumerate(rk) if b > 0 and j != k]
+    minus = [(j, b) for j, b in enumerate(rk) if b < 0 and j != k]
+    out = list(rows)
+    out[k] = tuple(map(neg, rk))
+    for i in compress(range(len(rows)), map(itemgetter(k), rows)):
+        if i != k:
+            row = rows[i]
+            bik = row[k]
+            new = list(row)
+            new[k] = -bik
+            a = abs(bik)
+            for j, b in plus if bik > 0 else minus:
+                new[j] += a * b
+            out[i] = tuple(new)
     return tuple(out)
+
+
+def _side(factors: List[LaurentPoly], frozen: Dict[VarId, int]) -> LaurentPoly:
+    """The product of the factors and the frozen monomial."""
+    if frozen:
+        factors.append(LaurentPoly.monomial(1, frozen))
+    out = factors[0] if factors else LaurentPoly.one()
+    for f in factors[1:]:
+        out = out.mul(f)
+    return out
 
 
 def mutate_seed(s: Seed, k: int) -> Seed:
@@ -99,27 +123,25 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     n = s.n
     if not 0 <= k < n:
         raise IndexError(f"mutation index {k} out of range")
-    plus = LaurentPoly.one()
-    minus = LaurentPoly.one()
-    for i in range(n):
-        b = s.ext_matrix[i][k]
-        if b > 0:
-            plus = plus.mul(s.cluster[i].pow(b))
-        elif b < 0:
-            minus = minus.mul(s.cluster[i].pow(-b))
-    for i, u in enumerate(s.frozen):
-        b = s.ext_matrix[n + i][k]
-        if b > 0:
-            plus = plus.mul(LaurentPoly.var(u, b))
-        elif b < 0:
-            minus = minus.mul(LaurentPoly.var(u, -b))
+    rows, cluster = s.ext_matrix, s.cluster
+    # plus side first: cluster-variable powers, and frozen exponents
+    powers: Tuple[List[LaurentPoly], ...] = ([], [])
+    frozen: Tuple[Dict[VarId, int], ...] = ({}, {})
+    col = [row[k] for row in rows]
+    for i in compress(range(len(rows)), col):
+        side, e = col[i] < 0, abs(col[i])
+        if i < n:
+            powers[side].append(cluster[i].pow(e))
+        else:
+            u = s.frozen[i - n]
+            frozen[side][u] = frozen[side].get(u, 0) + e
+    plus, minus = map(_side, powers, frozen)
     try:
-        newvar = plus.add(minus).div_exact(s.cluster[k])
+        newvar = plus.add(minus).div_exact(cluster[k])
     except NotDivisible as exc:
         raise DivisionFailed(f"exchange at {k} is not exact: {exc}") from exc
-    cluster = list(s.cluster)
-    cluster[k] = newvar
-    return Seed(_mutate_matrix(s.ext_matrix, k, n), tuple(cluster), s.frozen)
+    return Seed(_mutate_matrix(rows, k),
+                cluster[:k] + (newvar,) + cluster[k + 1:], s.frozen)
 
 
 def run_sequence(s: Seed, ks: Sequence[int]) -> Seed:

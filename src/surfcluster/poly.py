@@ -35,6 +35,11 @@ Variables carry a kind ('x', 'y' or 'h') and a name.  Variables are ordered
 by kind and then by a natural ordering of the name ("2" before "10"); that
 order, not the registry index, fixes the canonical text rendering.
 
+Multiplication.  A product adds every pair of keys into one dict; a
+polynomial times a monomial shifts the keys.  A polynomial times itself
+(`pow` squares its base) visits each unordered pair of terms once: c_i**2
+at 2*k_i and 2*c_i*c_j at k_i + k_j, which halves the pairs.
+
 Canonical text.  Terms print by total y-degree ascending, then by exponent
 vector in descending lexicographic order over the variables in VarId order;
 factors print y before x before h.  `canonical_text` decodes all keys at
@@ -441,10 +446,21 @@ class LaurentPoly:
                 {k + kb: c * cb for k, c in a.items()}, bound)
         out: Dict[int, int] = {}
         get = out.get
-        for k1, c1 in b.items():
-            for k2, c2 in a.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
+        if a is b:
+            # a square: each unordered pair of terms once
+            items = list(a.items())
+            for i, (k1, c1) in enumerate(items):
+                k = k1 + k1
+                out[k] = get(k, 0) + c1 * c1
+                c1 += c1
+                for k2, c2 in items[i + 1:]:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        else:
+            for k1, c1 in b.items():
+                for k2, c2 in a.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
         return LaurentPoly.from_packed(
             {k: c for k, c in out.items() if c}, bound)
 
@@ -460,14 +476,16 @@ class LaurentPoly:
             coeff = 1 if c == 1 or n % 2 == 0 else -1
             (k,) = self._terms
             return LaurentPoly.from_packed({k * n: coeff}, b)
-        out = LaurentPoly.one()
+        # square and multiply; no product with one, so pow(1) is self
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out.mul(base)
-            base = base.mul(base) if n > 1 else base
+                out = base if out is None else out.mul(base)
             n >>= 1
-        return out
+            if n:
+                base = base.mul(base)
+        return LaurentPoly.one() if out is None else out
 
     # -- exact division --------------------------------------------------
 

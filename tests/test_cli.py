@@ -471,6 +471,64 @@ def test_bad_input_exit_code_and_one_line_message(case, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def _square_arc_file(tmp_path, arc):
+    return ["expand", "--surface", str(DATA / "square.json"),
+            "--arc", write(tmp_path, "arc.json", arc)]
+
+
+# the whole stderr line of a parse error, which names the path of the first
+# bad value
+PARSE_MESSAGES = {
+    "nested list index": (lambda tmp: _bad_seed(
+        tmp, [[0, 1], [-1, "x"]], ["1", "2"], "1"),
+        "seed matrix[1][1]: 'x' is not a JSON int"),
+    "list of strings": (lambda tmp: _square_expand(
+        tmp, _square_surface(arcs=["d", 5])),
+        "surface arcs[1]: 5 is not a JSON str"),
+    "list item is not an object": (lambda tmp: _square_expand(
+        tmp, _square_surface(triangles=[5])),
+        "surface triangles[0]: 5 is not a JSON object"),
+    "unknown field": (lambda tmp: _mutate(
+        tmp, {"schema": 1, "matrix": [[0, 1], [-1, 0]], "nmaes": ["a"]}),
+        "seed: unknown field 'nmaes'"),
+    "missing field": (lambda tmp: _square_expand(tmp, {
+        k: v for k, v in square_json().items() if k != "topology"}),
+        "surface: missing field 'topology'"),
+    "value outside the allowed set": (lambda tmp: _square_expand(
+        tmp, orientation="up"),
+        "arc orientation: 'up' is not one of ['ccw', 'cw']"),
+    "arc in its tuple form": (lambda tmp: _square_arc_file(
+        tmp, {"schema": 1, "arc": "d", "notch_end": 1}),
+        "arc notch_end: 1 is not a JSON bool"),
+    "field of the other arc form": (lambda tmp: _square_arc_file(
+        tmp, {"schema": 1, "arc": "d", "crossings": []}),
+        "arc: unknown field 'crossings'"),
+    "path arc without its end": (lambda tmp: _square_arc_file(
+        tmp, {k: v for k, v in square_arc_json().items() if k != "end"}),
+        "arc: missing field 'end'"),
+    "deep in a bundle": (lambda tmp: _hexagon_bundle(tmp, cases=[{
+        "arc": {**square_arc_json(), "crossings": [
+            {"arc": "d", "to_triangle": 1},
+            {"arc": "d", "to_triangle": True}]},
+        "sequence": [1], "index": 1}]),
+        "bundle cases[0] arc crossings[1] to_triangle: True is not a JSON int"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_MESSAGES))
+def test_parse_error_message_names_the_path(case, tmp_path, capsys):
+    argv, line = PARSE_MESSAGES[case]
+    assert main(argv(tmp_path)) == EXIT_PARSE
+    assert capsys.readouterr().err == f"parse error: {line}\n"
+
+
+def test_duplicate_seed_names_are_refused(tmp_path, capsys):
+    argv = _bad_seed(tmp_path, [[0, 1], [-1, 0]], ["a", "a"], "1,2")
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: seed: name 'a' is given twice\n")
+
+
 # command lines on shipped input files (under tests/data) that exit 0
 SHIPPED = [
     ["expand", "--surface", "square.json", "--arc", "square_arc.json"],

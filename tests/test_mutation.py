@@ -7,6 +7,7 @@ from surfcluster.poly import LaurentPoly as L, xvar, yvar
 from surfcluster.surface import signed_adjacency
 from surfcluster.mutation import (
     NonMonomialDenominator,
+    _mutate_matrix,
     f_from_x,
     geometric_seed,
     mutate_seed,
@@ -31,6 +32,50 @@ def random_skew(n, rng, big=False):
             B[i][j] = v
             B[j][i] = -v
     return B
+
+
+def dense_mutate(rows, k):
+    """Fomin-Zelevinsky's matrix mutation entry by entry: the reference
+    for `_mutate_matrix`."""
+    out = []
+    for i, row in enumerate(rows):
+        new = []
+        for j, b in enumerate(row):
+            if i == k or j == k:
+                new.append(-b)
+            else:
+                bik, bkj = row[k], rows[k][j]
+                sgn = (bik > 0) - (bik < 0)
+                new.append(b + sgn * max(bik * bkj, 0))
+        out.append(tuple(new))
+    return tuple(out)
+
+
+def random_extended(rng):
+    """A skew-symmetric n x n top block, n <= 6, and up to 6 coefficient
+    rows, entries in -3..3."""
+    n = rng.randint(1, 6)
+    top = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            top[i][j] = rng.randint(-3, 3)
+            top[j][i] = -top[i][j]
+    bottom = [[rng.randint(-3, 3) for _ in range(n)]
+              for _ in range(rng.randint(0, 6))]
+    return tuple(map(tuple, top + bottom))
+
+
+def test_sparse_matrix_mutation_equals_the_dense_rule():
+    rng = random.Random(11)
+    for _ in range(300):
+        rows = random_extended(rng)
+        for k in range(len(rows[0])):
+            new = _mutate_matrix(rows, k)
+            assert new == dense_mutate(rows, k)
+            assert _mutate_matrix(new, k) == rows
+            # a row with b_ik = 0 is kept as it is
+            assert all(new[i] is row for i, row in enumerate(rows)
+                       if i != k and not row[k])
 
 
 def test_mutation_involution_random():

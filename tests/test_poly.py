@@ -237,6 +237,27 @@ def test_wide_ring_axioms_and_division(a, b, c):
         assert (a * b).div_exact(b) == a
 
 
+def _copy(p):
+    """p as a distinct object, so that `mul` takes its general route."""
+    return L.from_packed(dict(p._terms))
+
+
+@given(st.one_of(polys(max_terms=8), wide_polys(max_terms=8)))
+@settings(max_examples=150, deadline=None)
+def test_square_equals_the_product_with_a_copy(a):
+    assert a.mul(a) == a.mul(_copy(a))
+
+
+@given(st.one_of(polys(max_terms=6), wide_polys()))
+@settings(max_examples=100, deadline=None)
+def test_pow_equals_repeated_mul(a):
+    assert a.pow(1) is a
+    power = L.one()
+    for n in range(5):
+        assert a.pow(n) == power
+        power = power.mul(_copy(a))
+
+
 @given(wide_polys())
 @settings(max_examples=150, deadline=None)
 def test_terms_round_trip(p):
@@ -328,7 +349,9 @@ def test_mul_and_div_exact_are_reached_on_the_class(monkeypatch):
             return _original(a, b)
         monkeypatch.setattr(L, name, counted)
 
-    mutate_seed(principal_seed([[0, 1], [-1, 0]]), 0)
+    # column 0 holds two positive entries, so the exchange's plus side is
+    # the product x2 * x3 * y1
+    mutate_seed(principal_seed([[0, -1, -1], [1, 0, 0], [1, 0, 0]]), 0)
     assert calls["mul"] > 0 and calls["div_exact"] > 0
     calls.update(mul=0, div_exact=0)
     T = square()

@@ -6,7 +6,9 @@ The snapshot holds, all measured on the same source tree:
 
 - for each workload of BENCHMARK.json, the last line of standard output of
   `perfbench/run.py` with `--trace 0` and with `--trace 1`, plus the host
-  factor that run printed;
+  factor and the number of passes that run printed (read `peak_rss_mb`
+  against the passes: every pass adds its operation times to the run's
+  tally);
 - the non-blank line count of src/surfcluster/*.py (what
   `cat src/surfcluster/*.py | grep -c .` prints);
 - the wall time and summary line of the tier-1 suite;
@@ -80,6 +82,10 @@ def main(argv=None) -> int:
             result["host_factor"] = next(
                 (float(line.split()[2]) for line in out
                  if line.split()[:2] == ["host", "factor"]), None)
+            # the passes that ran, from run.py's first line: the Tally
+            # keeps every operation's time, so peak_rss_mb grows with them
+            first = out[0].split()
+            result["passes"] = int(first[first.index("passes") + 1])
             workloads.setdefault(w["name"], {})[f"trace{trace}"] = result
 
     snapshot = {
