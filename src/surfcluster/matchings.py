@@ -17,7 +17,11 @@ out, chosen slots) allowed on one abstract tile; it is derived by brute
 force once at import (see `_shape_rules`).  At a turn the corner shared by
 the entry and exit slots may stay uncovered, as in the rule "uncovered to
 uncovered by W" of the shape (S, E).  `_fold` runs a graph's tiles through
-their rules, starting covered and ending covered.
+their rules, starting covered and ending covered.  A tile's slots go by
+edge id in a fixed order, the entry slot first and then counterclockwise
+from the tile's a (see `snake`), so `_ORDERED` keeps each shape's rules
+sorted for each order a tile can have, and `_fold` reads the order off the
+tile's `slot_edge` as it stands.
 
 The extremal matchings P- and P+ need no DP: every vertex lies on the
 outer face, so the boundary edges form one cycle through all the vertices,
@@ -54,13 +58,13 @@ off the glue, so the transfer sum's count is checked.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple, TypeVar)
 
 from .poly import LaurentPoly, pack, xvar, yvar
-from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, LoopGraph,
-                    SnakeGraph)
+from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, _SLOTS,
+                    LoopGraph, SnakeGraph)
 from .surface import SurfaceError, Triangulation
 
 __all__ = [
@@ -120,13 +124,23 @@ def _shape_rules(entry: Optional[str], exit_: Optional[str]
 
 _RULES = {(a, b): _shape_rules(a, b)
           for a in (None, "S", "W") for b in (None, "N", "E")}
-# per shape and order of a tile's slots by edge id, the rules as (chosen
-# slots, covered in, covered out), the slots and the rules sorted as their
-# edge ids will be: by number, then by rank in that order
-_ORDERED = {(shape, order): sorted(
-    ((tuple(sorted(slots, key=order.index)), c, o) for c, o, slots in rules),
-    key=lambda r: (len(r[0]), [order.index(s) for s in r[0]]))
-    for shape, rules in _RULES.items() for order in permutations("SENW")}
+
+
+def _ranked(shape, order: str) -> List[Tuple[Tuple[str, ...], bool, bool]]:
+    """A shape's rules as (chosen slots, covered in, covered out) for a tile
+    whose slots go by edge id in this order, the slots and the rules sorted
+    as their edge ids will be: by number, then by rank in the order."""
+    return sorted(((tuple(sorted(slots, key=order.index)), c, o)
+                   for c, o, slots in _RULES[shape]),
+                  key=lambda r: (len(r[0]), [order.index(s) for s in r[0]]))
+
+
+# the entry slot, if any, is S or W and one of slots a and a + 1
+_ORDERED = {(shape, order): _ranked(shape, order) for shape, order in {
+    ((entry, exit_), "".join(sorted(_SLOTS[a:] + _SLOTS[:a],
+                                    key=lambda s: s != entry)))
+    for a in range(4) for entry in (None, _SLOTS[a], _SLOTS[(a + 1) % 4])
+    if entry in (None, "S", "W") for exit_ in (None, "N", "E")}}
 
 
 def _fold(g: SnakeGraph, start: V,
@@ -143,7 +157,7 @@ def _fold(g: SnakeGraph, start: V,
     states: Dict[bool, V] = {True: start}
     for tile, a, b in zip(g.tiles, entries, exits):
         se = tile.slot_edge
-        rules = _ORDERED[(a, b), tuple(sorted(se, key=se.__getitem__))]
+        rules = _ORDERED[(a, b), "".join(se)]
         new: Dict[bool, V] = {}
         for state, value in states.items():
             for slots, covered, out in rules:

@@ -1,18 +1,29 @@
 """Snake graphs of crossing paths: glued tiles with labeled edges.
 
 One tile per crossing.  A tile is a unit grid square split by its diagonal
-(the crossed arc) into two triangle copies: the one shared with the previous
-crossing and the one shared with the next.  Consecutive tiles are glued along
-the edge carrying the third arc of the triangle between the two crossings,
-the next tile sitting above or to the right; which one is forced by the
-requirement that consecutive tiles have opposite relative orientation.
+(the crossed arc) into two triangle copies: the earlier copy, shared with
+the previous crossing, and the later copy, shared with the next.
+Consecutive tiles are glued along the edge carrying the third arc of the
+triangle between the two crossings, and they have opposite relative
+orientation `rel`; once the first tile is placed, that forces the drawing.
+
+Placement is slot arithmetic.  The slots S, E, N, W are numbered 0 to 3
+counterclockwise, so slot i + 2 (mod 4) is opposite slot i, and a tile is
+one integer `a` besides its `rel`.  The earlier copy's two other sides go
+in slots a and a + 1, the later copy's in a + 2 and a + 3; each pair runs
+counterclockwise from the diagonal when rel = +1 and clockwise when
+rel = -1.  Tile 0 has a = 0.  Tile k+1 is entered through the slot
+opposite tile k's exit, and the side of its earlier copy glued there fixes
+its a.  The fewest quarter turns that make every exit N or E are then added
+to every a, so the drawing steps only up (U) or right (R).
 
 Gluing is by slot.  Tile k+1's entry slot (S after an upward step U, W after
 a step right R) is tile k's exit slot (N or E): one interior edge.  The two
 corners at its ends are shared, SW, SE of tile k+1 being NW, NE of tile k
 after U, and SW, NW being SE, NE after R.  Every other edge and corner gets
-the next id, tile by tile: edges in `Tile.slots` order, corners in SW, SE,
-NE, NW order.
+the next id, tile by tile: edges counterclockwise from slot a, corners in
+SW, SE, NE, NW order.  So a tile's `slot_edge`, which lists the entry slot
+first and then the others counterclockwise from a, is in edge-id order.
 
 Self-folded triangles are unfolded into the fan around their puncture before
 tiling, so a loop-radius-loop pass turns into three tiles that stay glued as
@@ -57,12 +68,9 @@ from .surface import (
 )
 
 __all__ = [
-    "Side",
-    "StripTri",
     "Tile",
     "SnakeGraph",
     "LoopGraph",
-    "GlueConflict",
     "MalformedLoopGraph",
     "NotchedTrianglePresent",
     "EndpointNotPuncture",
@@ -74,10 +82,6 @@ __all__ = [
     "build_loop_graph",
     "dump_snake",
 ]
-
-
-class GlueConflict(SurfaceError):
-    pass
 
 
 class MalformedLoopGraph(SurfaceError):
@@ -92,49 +96,12 @@ class EndpointNotPuncture(SurfaceError):
     pass
 
 
-class Side:
-    """One lift of an arc in the unfolded strip; identity distinguishes lifts."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def __repr__(self):
-        return f"Side({self.label})"
-
-
-@dataclass
-class StripTri:
-    """A triangle of the unfolded strip: ccw side lifts plus entry/exit slots."""
-
-    sides: Tuple[Side, Side, Side]
-    enter_slot: Optional[int]
-    exit_slot: Optional[int]
-
-    @property
-    def enter(self) -> Optional[Side]:
-        return None if self.enter_slot is None else self.sides[self.enter_slot]
-
-    @property
-    def exit(self) -> Optional[Side]:
-        return None if self.exit_slot is None else self.sides[self.exit_slot]
-
-    def third(self) -> Side:
-        """The side that is neither entered nor exited."""
-        for i, s in enumerate(self.sides):
-            if i != self.enter_slot and i != self.exit_slot:
-                return s
-        raise SurfaceError("degenerate strip triangle")
-
-    def from_slot(self, slot: int) -> Tuple[Side, Side, Side]:
-        """Cyclic rotation of the ccw sides starting at the given slot."""
-        s = self.sides
-        return (s[slot], s[(slot + 1) % 3], s[(slot + 2) % 3])
-
-
-def build_strip(T: Triangulation, path: CrossingPath) -> Tuple[List[StripTri], List[Tuple[int, int, int]]]:
+def build_strip(T: Triangulation, path: CrossingPath):
     """Unfold a crossing path into strip triangles; also return triple spans.
+
+    A strip triangle is (labels, enter, exit): its side labels
+    counterclockwise and the indices of the sides the path enters and exits
+    by, None at the ends of the path.
 
     `validate_path` is the only gate: it makes every crossed arc a side of
     the triangles it joins and lets a self-folded triangle be visited only
@@ -147,9 +114,8 @@ def build_strip(T: Triangulation, path: CrossingPath) -> Tuple[List[StripTri], L
         raise PathInvalid("a snake graph needs at least one crossing")
     tris = path.triangle_sequence()
     arcs = path.crossed_arcs()
-    strip: List[StripTri] = []
+    strip: List[Tuple[Tuple[str, ...], Optional[int], Optional[int]]] = []
     spans: List[Tuple[int, int, int]] = []
-    pending: Optional[Side] = None  # lift shared with the previous strip triangle
 
     j = 0
     while j <= d:
@@ -157,45 +123,30 @@ def build_strip(T: Triangulation, path: CrossingPath) -> Tuple[List[StripTri], L
         enter = arcs[j - 1] if j > 0 else None
         exit_ = arcs[j] if j < d else None
         if isinstance(tri, Ordinary):
-            lifts = []
-            enter_slot = exit_slot = None
-            for i, lab in enumerate(tri.sides):
-                if enter is not None and lab == enter and enter_slot is None:
-                    lifts.append(pending)
-                    enter_slot = i
-                else:
-                    lifts.append(Side(lab))
-                    if exit_ is not None and lab == exit_ and exit_slot is None:
-                        exit_slot = i
-            strip.append(StripTri(tuple(lifts), enter_slot, exit_slot))
-            pending = strip[-1].exit
+            en = None if enter is None else tri.sides.index(enter)
+            ex = next((i for i, lab in enumerate(tri.sides)
+                       if lab == exit_ and i != en), None)
+            strip.append((tri.sides, en, ex))
             j += 1
-        elif exit_ == tri.radius:
-            # pattern (2): this visit and the next form the fan pass
-            lam0 = pending
-            rho_a, rho_b = Side(tri.radius), Side(tri.radius)
-            lam1 = Side(tri.loop)
+            continue
+        # the fan around the enclosed puncture: radius, loop, radius
+        fan = (tri.radius, tri.loop, tri.radius)
+        if exit_ == tri.radius:
+            # pattern (2): this visit and the next form the fan pass.  The
+            # first copy is entered through the loop and left through the
+            # radius after it (ccw) or before it (cw); the second is entered
+            # through that radius and left through its loop.
             if path.crossings[j].wind == "ccw":
-                # (rho0, lam0, rho1) exit rho1; (rho1, lam1, rho2) exit lam1
-                rho1 = Side(tri.radius)
-                strip.append(StripTri((rho_a, lam0, rho1), 1, 2))
-                strip.append(StripTri((rho1, lam1, rho_b), 0, 1))
+                strip += [(fan, 1, 2), (fan, 0, 1)]
             else:
-                # (rho0, lam0, rho1) exit rho0; (rho-1, lam-1, rho0) exit lam-1
-                rho0 = Side(tri.radius)
-                strip.append(StripTri((rho0, lam0, rho_a), 1, 0))
-                strip.append(StripTri((rho_b, lam1, rho0), 2, 1))
+                strip += [(fan, 1, 0), (fan, 2, 1)]
             spans.append((j - 1, j, j + 1))
-            pending = lam1
             j += 2
         else:
             # pattern (1): the path ends (or, read backwards, starts) at the
             # enclosed puncture, crossing the loop
-            lam0 = Side(tri.loop) if enter is None else pending
-            strip.append(StripTri((Side(tri.radius), lam0, Side(tri.radius)),
-                                  None if enter is None else 1,
-                                  None if exit_ is None else 1))
-            pending = None if exit_ is None else lam0
+            strip.append((fan, None if enter is None else 1,
+                          None if exit_ is None else 1))
             j += 1
     return strip, spans
 
@@ -203,51 +154,20 @@ def build_strip(T: Triangulation, path: CrossingPath) -> Tuple[List[StripTri], L
 # ---------------------------------------------------------------------------
 # tile placement
 
+_SLOTS = "SENW"                          # counterclockwise
 _SLOT_CORNERS = {
     "S": ("SW", "SE"),
     "E": ("SE", "NE"),
     "N": ("NW", "NE"),
     "W": ("SW", "NW"),
 }
-
-# drawn cyclic order (diag, a, b) for each triangle position in an embedding
-_PAIR_PATTERN = {
-    "A_lower": ("S", "E"),
-    "A_upper": ("N", "W"),
-    "B_left": ("W", "S"),
-    "B_right": ("E", "N"),
-}
-_COMPLEMENT = {"A_lower": "A_upper", "A_upper": "A_lower",
-               "B_left": "B_right", "B_right": "B_left"}
-_EMBEDDING = {"A_lower": "A", "A_upper": "A", "B_left": "B", "B_right": "B"}
-# pair patterns containing a given slot (candidate homes for the entry copy)
-_PAIRS_WITH = {
-    "S": ("A_lower", "B_left"),
-    "W": ("A_upper", "B_left"),
-    "N": ("A_upper", "B_right"),
-    "E": ("A_lower", "B_right"),
-}
-_DIR_OF_SLOT = {"N": "U", "E": "R", "S": "D", "W": "L"}
-_ENTRY_OF_DIR = {"U": "S", "R": "W", "D": "N", "L": "E"}
-# the slot of tile k glued to tile k+1, and the corners of tile k+1 glued
-# to corners of tile k, by glue direction
+# the slot of tile k+1 glued to tile k, the slot of tile k glued to tile
+# k+1, and the corners of tile k+1 glued to corners of tile k, by glue
+# direction
+_ENTRY_OF_DIR = {"U": "S", "R": "W"}
 _EXIT_SLOT = {"U": "N", "R": "E"}
 _GLUED_CORNERS = {"U": {"SW": "NW", "SE": "NE"}, "R": {"SW": "SE", "NW": "NE"}}
 _CORNER_AT = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
-_DIR_VEC = {"U": (0, 1), "R": (1, 0), "D": (0, -1), "L": (-1, 0)}
-
-
-def _turned(step: Dict[str, str]) -> List[Dict[str, str]]:
-    """The maps of 0, 1, 2 and 3 steps."""
-    out = [{k: k for k in step}]
-    for _ in range(3):
-        out.append({k: step[v] for k, v in out[-1].items()})
-    return out
-
-
-# 0..3 counterclockwise quarter turns of the drawing
-_ROT_SLOTS = _turned({"S": "E", "E": "N", "N": "W", "W": "S"})
-_ROT_DIRS = _turned({"U": "L", "L": "D", "D": "R", "R": "U"})
 
 
 @dataclass
@@ -255,11 +175,18 @@ class Tile:
     diagonal: str
     rel: int
     pos: Tuple[int, int]
-    embedding: str                       # "A" (SW-NE diagonal) or "B" (SE-NW)
-    slots: Dict[str, Side]               # compass slot -> side lift
-    lower_slots: Tuple[str, str]         # copy of the earlier triangle
-    upper_slots: Tuple[str, str]
+    a: int                               # index in _SLOTS of the earlier copy
+    slots: Dict[str, str]                # compass slot -> edge label, ccw from a
     slot_edge: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def lower_slots(self) -> Tuple[str, str]:
+        """The slots of the copy of the earlier triangle."""
+        return _SLOTS[self.a], _SLOTS[(self.a + 1) % 4]
+
+    @property
+    def upper_slots(self) -> Tuple[str, str]:
+        return _SLOTS[(self.a + 2) % 4], _SLOTS[(self.a + 3) % 4]
 
 
 @dataclass
@@ -292,99 +219,45 @@ class SnakeGraph:
         return (self.vertex_of[(tile, c1)], self.vertex_of[(tile, c2)])
 
 
-def _place_pair(pattern: str, rel: int, pair: Tuple[Side, Side]) -> Dict[str, Side]:
-    a, b = _PAIR_PATTERN[pattern]
-    u, v = pair if rel == 1 else (pair[1], pair[0])
-    return {a: u, b: v}
-
-
-def _avoid_slots(embedding: str, rel: int) -> Tuple[str, str]:
-    # the two edges adjacent counterclockwise (rel=+1) or clockwise (rel=-1)
-    # to the first tile's diagonal endpoints
-    if embedding == "A":
-        return ("S", "N") if rel == 1 else ("E", "W")
-    return ("E", "W") if rel == 1 else ("S", "N")
+def _pair(side: int, rel: int) -> Tuple[int, int]:
+    """The indices of the two sides after `side` of a strip triangle, in the
+    order they fill a tile's slots: counterclockwise from it when rel = +1,
+    clockwise when rel = -1."""
+    pair = ((side + 1) % 3, (side + 2) % 3)
+    return pair if rel == 1 else pair[::-1]
 
 
 def build_tiles(T: Triangulation, path: CrossingPath, mirror: bool = False):
-    """Place all tiles of the snake graph of the given path.
-
-    Placement is forced tile by tile: consecutive tiles carry opposite
-    relative orientations and share the third arc of the triangle between
-    their crossings.  The drawing may come out pointing into any quadrant;
-    it is rotated afterwards so consecutive tiles always sit above or to
-    the right.
-    """
+    """Place all tiles of the snake graph of the given path by slot
+    arithmetic (see the module docstring)."""
     strip, spans = build_strip(T, path)
-    d = len(strip) - 1
-    tiles: List[Tile] = []
-    glue: List[str] = []  # directions, possibly in {U, R, D, L} before rotation
-
     rel = -1 if mirror else 1
-    # tile numbering is 0-based; tile k sits between strip[k], strip[k+1]
-    for k in range(d):
-        lower_tri = strip[k]
-        upper_tri = strip[k + 1]
-        diag = lower_tri.exit
-        assert diag is upper_tri.enter
-        lower_pair = lower_tri.from_slot(lower_tri.exit_slot)[1:]
-        upper_pair = upper_tri.from_slot(upper_tri.enter_slot)[1:]
-        glue_next = upper_tri.third() if k < d - 1 else None
-
-        if k == 0:
-            low_pat = "A_lower"
-            low = _place_pair(low_pat, rel, lower_pair)
-            up = _place_pair(_COMPLEMENT[low_pat], rel, upper_pair)
-        else:
-            entry_slot = _ENTRY_OF_DIR[glue[-1]]
-            rel = -rel
-            glue_prev = lower_tri.third()
-            placed = None
-            for low_pat in _PAIRS_WITH[entry_slot]:
-                low = _place_pair(low_pat, rel, lower_pair)
-                if low.get(entry_slot) is glue_prev:
-                    up = _place_pair(_COMPLEMENT[low_pat], rel, upper_pair)
-                    placed = (low_pat, low, up)
-                    break
-            if placed is None:
-                raise GlueConflict(f"cannot place tile {k}")
-            low_pat, low, up = placed
-
-        slots = dict(low)
-        slots.update(up)
-        tiles.append(Tile(diag.label, rel, (0, 0), _EMBEDDING[low_pat],
-                          slots, tuple(low.keys()), tuple(up.keys())))
-        if glue_next is not None:
-            slot = next(s for s, side in up.items() if side is glue_next)
-            glue.append(_DIR_OF_SLOT[slot])
-
-    _rotate_into_quadrant(tiles, glue)
-    pos = (0, 0)
-    tiles[0].pos = pos
-    for k, g in enumerate(glue):
-        dx, dy = _DIR_VEC[g]
-        pos = (pos[0] + dx, pos[1] + dy)
-        tiles[k + 1].pos = pos
+    placed = []                          # (diagonal, rel, a, labels from slot a)
+    exits: List[int] = []                # the slot of tile k glued to tile k+1
+    # tile k sits between strip[k] and strip[k+1]
+    for k, ((low, en, ex), (up, uen, uex)) in enumerate(zip(strip, strip[1:])):
+        lower, upper = _pair(ex, rel), _pair(uen, rel)
+        # the glue edges are the third sides of the strip triangles
+        a = (exits[-1] + 2 - lower.index(3 - en - ex)) % 4 if k else 0
+        if uex is not None:
+            exits.append((a + 2 + upper.index(3 - uen - uex)) % 4)
+        placed.append((low[ex], rel, a,
+                       [low[i] for i in lower] + [up[i] for i in upper]))
+        rel = -rel
+    # Opposite rels put a glued side at the same end of both pairs, so every
+    # tile gets tile 0's a and every exit is a + 2 or a + 3: some turn puts
+    # both in E (1) or N (2).
+    t = next(t for t in range(4) if all((e + t) % 4 in (1, 2) for e in exits))
+    glue = ["U" if (e + t) % 4 == 2 else "R" for e in exits]
+    tiles: List[Tile] = []
+    x = y = 0
+    for k, (diag, rel, a, labels) in enumerate(placed):
+        if k:
+            x, y = (x, y + 1) if glue[k - 1] == "U" else (x + 1, y)
+        a = (a + t) % 4
+        tiles.append(Tile(diag, rel, (x, y), a, {
+            _SLOTS[(a + i) % 4]: label for i, label in enumerate(labels)}))
     return tiles, glue, spans
-
-
-def _rotate_into_quadrant(tiles: List[Tile], glue: List[str]) -> None:
-    """Rotate the whole drawing so every glue direction is U or R: find the
-    number of quarter turns from the glue, then remap each tile once."""
-    turns = next((t for t in range(4)
-                  if all(_ROT_DIRS[t][g] in "UR" for g in glue)), None)
-    if turns is None:
-        raise GlueConflict("snake drawing does not fit a single quadrant")
-    if not turns:
-        return
-    rot, rot_dir = _ROT_SLOTS[turns], _ROT_DIRS[turns]
-    glue[:] = [rot_dir[g] for g in glue]
-    for t in tiles:
-        t.slots = {rot[s]: side for s, side in t.slots.items()}
-        t.lower_slots = (rot[t.lower_slots[0]], rot[t.lower_slots[1]])
-        t.upper_slots = (rot[t.upper_slots[0]], rot[t.upper_slots[1]])
-        if turns % 2:
-            t.embedding = "B" if t.embedding == "A" else "A"
 
 
 def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> SnakeGraph:
@@ -396,7 +269,7 @@ def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> S
     nvertices = 0
     for k, tile in enumerate(tiles):
         step = glue[k - 1] if k else None
-        entry, glued = _ENTRY_OF_DIR.get(step), _GLUED_CORNERS.get(step, {})
+        glued = _GLUED_CORNERS.get(step, {})
         x, y = tile.pos
         for corner in ("SW", "SE", "NE", "NW"):
             if corner in glued:
@@ -404,24 +277,26 @@ def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> S
             else:
                 vertex_of[(k, corner)] = nvertices
                 nvertices += 1
-        tile.slot_edge = {}
-        for slot, side in tile.slots.items():
-            if slot == entry:
-                e = edges[tiles[k - 1].slot_edge[_EXIT_SLOT[step]]]
-                e.tiles.append((k, slot))
-                e.boundary = False
-            else:
+        se = tile.slot_edge = {}
+        if step:
+            e = edges[tiles[k - 1].slot_edge[_EXIT_SLOT[step]]]
+            e.tiles.append((k, _ENTRY_OF_DIR[step]))
+            e.boundary = False
+            se[_ENTRY_OF_DIR[step]] = e.eid
+        for slot, label in tile.slots.items():
+            if slot not in se:
                 (dx1, dy1), (dx2, dy2) = (_CORNER_AT[c] for c in _SLOT_CORNERS[slot])
-                e = EdgeInfo(len(edges), side.label, [(k, slot)],
-                             ((x + dx1, y + dy1), (x + dx2, y + dy2)))
-                edges.append(e)
-            tile.slot_edge[slot] = e.eid
+                se[slot] = len(edges)
+                edges.append(EdgeInfo(len(edges), label, [(k, slot)],
+                                      ((x + dx1, y + dy1), (x + dx2, y + dy2))))
 
     outer = [next(eid for eid in t.slot_edge.values() if edges[eid].boundary)
              for t in tiles]
-    first = tiles[0]
+    # P- avoids the sides that follow tile 0's diagonal counterclockwise:
+    # slots a and a + 2 when rel = +1, a + 1 and a + 3 when rel = -1
+    b = (tiles[0].a + (tiles[0].rel < 0)) % 2
     return SnakeGraph(tiles, glue, edges, vertex_of, nvertices, spans,
-                      _avoid_slots(first.embedding, first.rel), outer)
+                      (_SLOTS[b], _SLOTS[b + 2]), outer)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +446,7 @@ def build_loop_graph(T: Triangulation, path: CrossingPath, p: str,
 def dump_snake(g: SnakeGraph) -> str:
     lines = [f"tiles {g.d} glue {''.join(g.glue) or '-'}"]
     for i, t in enumerate(g.tiles):
-        slots = " ".join(f"{s}={t.slots[s].label}" for s in ("S", "E", "N", "W"))
+        slots = " ".join(f"{s}={t.slots[s]}" for s in "SENW")
         lines.append(f"tile {i} pos=({t.pos[0]},{t.pos[1]}) diag={t.diagonal} "
                      f"rel={t.rel:+d} {slots}")
     for span in g.triple_spans:

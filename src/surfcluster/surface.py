@@ -326,6 +326,10 @@ def _check_vertex_names(T: Triangulation) -> List[str]:
         names.discard(None)
         if len(names) > 1:
             out.append(f"inconsistent vertex names {sorted(names)} in one corner orbit")
+        # a boundary vertex's clockwise corner walk ends at a boundary side
+        elif names & set(T.punctures) and \
+                any(_cw_next_corner(T, c) is None for c in orbit):
+            out.append(f"puncture {names.pop()!r} is on the boundary")
     return out
 
 

@@ -388,10 +388,10 @@ ORACLE_SURFACES = {
 }
 
 
-def oracle_graphs(T: Triangulation, max_d: int):
-    """The snake graphs, in both mirror images, of every walk path and of
-    the loop path around the puncture it ends at."""
-    from surfcluster.snake import build_loop_path, build_snake
+def oracle_walks(T: Triangulation, max_d: int):
+    """Every walk path and the loop path around the puncture it ends at,
+    each in both mirror images, as (path, mirror)."""
+    from surfcluster.snake import build_loop_path
     from surfcluster.surface import SurfaceError
 
     for path in walk_paths(T, max_d):
@@ -404,10 +404,19 @@ def oracle_graphs(T: Triangulation, max_d: int):
                 pass
         for pa in paths:
             for mirror in (False, True):
-                try:
-                    yield build_snake(T, pa, mirror=mirror)
-                except SurfaceError:
-                    pass
+                yield pa, mirror
+
+
+def oracle_graphs(T: Triangulation, max_d: int):
+    """The snake graphs of `oracle_walks`."""
+    from surfcluster.snake import build_snake
+    from surfcluster.surface import SurfaceError
+
+    for path, mirror in oracle_walks(T, max_d):
+        try:
+            yield build_snake(T, path, mirror=mirror)
+        except SurfaceError:
+            pass
 
 
 @pytest.fixture(scope="session")

@@ -362,6 +362,17 @@ def _two_punctures_notch(names):
                         "--notch", names]
 
 
+def _puncture_on_boundary(tmp):
+    """`expand` of arc 9 on the two-punctures surface with the vertex names
+    p and m5 swapped, so the declared puncture p names a boundary vertex."""
+    surface = json.loads((DATA / "two_punctures.json").read_text())
+    swap = {"p": "m5", "m5": "p"}
+    for t in surface["triangles"]:
+        t["vertices"] = [swap.get(v, v) for v in t["vertices"]]
+    return ["expand", "--surface", write(tmp, "s.json", surface),
+            "--arc", write(tmp, "arc.json", {"schema": 1, "arc": "9"})]
+
+
 BAD_INPUTS = {
     # parse layer: exit 1
     "surface is a list": (EXIT_PARSE, lambda tmp: [
@@ -454,6 +465,8 @@ BAD_INPUTS = {
         tmp, [[0, 1], [-1, 0]], ["1"], "2")),
     "verify index out of range": (EXIT_VALIDATION,
                                   lambda tmp: _hexagon_index(tmp, 4)),
+    # surface rules: exit 2
+    "puncture on the boundary": (EXIT_VALIDATION, _puncture_on_boundary),
     # path rules: exit 2
     "wind on a non-radius crossing": (EXIT_VALIDATION, lambda tmp: _square_expand(
         tmp, crossings=[{"arc": "d", "to_triangle": 1, "wind": "ccw"}])),

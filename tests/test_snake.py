@@ -7,6 +7,7 @@ from conftest import (
     gamma2,
     once_punctured_polygon,
     oracle_graphs,
+    oracle_walks,
     polygon,
     polygon_arc,
     square,
@@ -14,16 +15,20 @@ from conftest import (
     twice_punctured,
     gamma3,
 )
-from surfcluster.surface import Crossing, CrossingPath, PathInvalid, third_arc
+from surfcluster.surface import (Crossing, CrossingPath, PathInvalid,
+                                 SurfaceError, third_arc)
 from surfcluster.snake import (
     EndpointNotPuncture,
     NotchedTrianglePresent,
     build_loop_graph,
     build_loop_path,
     build_snake,
+    build_strip,
+    build_tiles,
     dump_snake,
 )
 from surfcluster.expand import expand_ordinary, expand_single_notch
+import snake_oracle
 
 
 def test_square_single_tile():
@@ -31,8 +36,7 @@ def test_square_single_tile():
     g = build_snake(T, square_other_diagonal(T))
     assert g.d == 1
     assert g.tiles[0].diagonal == "d"
-    assert sorted(s.label for s in g.tiles[0].slots.values()) == \
-        ["b1", "b2", "b3", "b4"]
+    assert sorted(g.tiles[0].slots.values()) == ["b1", "b2", "b3", "b4"]
 
 
 def test_gamma1_graph_structure():
@@ -166,6 +170,26 @@ def test_numbering_follows_the_drawing(name):
         assert {a for a, _ in glue} == {e.eid for e in g.edges if not e.boundary}
         graphs += 1
     assert graphs
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_placement_matches_pattern_tables(name):
+    # slot arithmetic places every tile as the pair-pattern tables and the
+    # quarter turns after them do, on every walk and loop path, both mirrors
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    checked = 0
+    for path, mirror in oracle_walks(T, max_d):
+        try:
+            tiles, glue, _ = build_tiles(T, path, mirror=mirror)
+        except SurfaceError:
+            continue
+        got = [(t.rel, list(t.slots.items()), t.lower_slots, t.upper_slots,
+                t.pos) for t in tiles]
+        want = snake_oracle.place(build_strip(T, path)[0], mirror)
+        assert (got, glue) == want, path
+        checked += 1
+    assert checked
 
 
 def test_loop_graph_end_structure():
