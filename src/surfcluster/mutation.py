@@ -16,6 +16,12 @@ and the support of row k.  Each side of the exchange relation is a product
 of cluster-variable powers times one frozen monomial; it is assembled from
 those factors alone, never by multiplying from one, so a side with a single
 factor is that factor.
+
+Other geometric coefficients come from principal ones by Fomin-Zelevinsky's
+separation formula (Cluster algebras IV, Thm 3.7): bind each y to its
+tropical monomial in the principal expansion and divide by the tropical
+value of the F-polynomial.  Both are substitutions by monomials with
+coefficient 1, as is setting the x's to 1 to get the F-polynomial.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from itertools import compress
 from operator import itemgetter, neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import LaurentPoly, NotDivisible, VarId, xvar, yvar
+from .poly import LaurentPoly, NotDivisible, VarId, lowest_exponents, xvar, yvar
 
 __all__ = [
     "Seed",
@@ -57,10 +63,6 @@ class Seed:
     @property
     def n(self) -> int:
         return len(self.cluster)
-
-    def top_block(self) -> List[List[int]]:
-        n = self.n
-        return [list(self.ext_matrix[i]) for i in range(n)]
 
 
 def principal_seed(B: Sequence[Sequence[int]],
@@ -165,35 +167,28 @@ def tropical_coeffs(s: Seed) -> Tuple[LaurentPoly, ...]:
 
 
 def f_from_x(X: LaurentPoly) -> LaurentPoly:
-    """Substitute every cluster variable by 1."""
-    return X.at_one("x")
+    """The F-polynomial of a principal-coefficient cluster variable: every
+    cluster variable bound to 1."""
+    one = LaurentPoly.one()
+    return X.substitute({v: one for v in X.variables() if v.kind == "x"})
 
 
 def _tropical_eval(F: LaurentPoly, ystar: Dict[VarId, LaurentPoly]) -> LaurentPoly:
-    """Evaluate a y-polynomial in the tropical semifield of the frozen
-    variables; the result is a monomial."""
-    mins: Dict[VarId, int] = {}
-    first = True
-    for ev, _ in F.terms():
-        exps: Dict[VarId, int] = {}
-        for v, e in ev:
-            val = ystar.get(v)
-            if val is None:
-                raise NonMonomialDenominator(f"unbound coefficient {v.text()}")
-            c, vex = val.monomial_parts()
-            if c != 1:
-                raise NonMonomialDenominator("tropical values must be monomials")
-            for u, eu in vex.items():
-                exps[u] = exps.get(u, 0) + e * eu
-        if first:
-            mins = dict(exps)
-            first = False
-        else:
-            for u in set(mins) | set(exps):
-                mins[u] = min(mins.get(u, 0), exps.get(u, 0))
-    if first:
+    """F evaluated in the tropical semifield of the frozen variables: the
+    monomial of the least exponents of F with the y's bound by `ystar`.
+    F must be a nonzero subtraction-free y-polynomial; then the terms that
+    the substitution merges never cancel, so the least exponents are taken
+    over the images of all of F's terms."""
+    if F.is_zero():
         raise NonMonomialDenominator("tropical evaluation of zero")
-    return LaurentPoly.monomial(1, {u: e for u, e in mins.items() if e})
+    unbound = F.variables() - ystar.keys()
+    if unbound:
+        raise NonMonomialDenominator(
+            f"unbound coefficient {min(unbound).text()}")
+    if any(c < 0 for c in F.coefficients()):
+        raise NonMonomialDenominator(
+            "tropical evaluation of a polynomial with a negative coefficient")
+    return LaurentPoly.monomial(1, lowest_exponents(F.substitute(ystar)))
 
 
 def specialize_geometric(X: LaurentPoly, F: LaurentPoly,
@@ -202,9 +197,7 @@ def specialize_geometric(X: LaurentPoly, F: LaurentPoly,
     substitute the tropical monomials into the principal expansion and divide
     by the tropical evaluation of the F-polynomial."""
     for v, val in ystar.items():
-        if not val.is_monomial():
+        if list(val.coefficients()) != [1]:
             raise NonMonomialDenominator(
-                f"{v.text()} is bound to a non-monomial")
-    sub = X.substitute(ystar)
-    den = _tropical_eval(F, ystar)
-    return sub.div_exact(den)
+                f"{v.text()} is not bound to a monomial with coefficient 1")
+    return X.substitute(ystar).div_exact(_tropical_eval(F, ystar))

@@ -21,10 +21,18 @@ Overflow guard.  Every key built from an exponent map checks its
 exponents.  Each polynomial caches a bound on |e_i| over its terms:
 products and quotients inherit the sum of their operands' bounds, a
 transfer sum the bound its snake graph gives (`matchings.edge_keys`), a
-substitution by monomials the bound it can reach, any
-other polynomial computes its largest |e_i| when first asked.  `mul` and
-`div_exact` raise ExponentOverflow when the two bounds (made exact first)
-add up to 2**31 or more, so no digit ever spills into its neighbour.
+substitution b * (1 + the sum of its bindings' bounds) for a bound b of
+self, any other polynomial computes its largest |e_i| when first asked.
+`mul`, `div_exact` and `substitute` raise ExponentOverflow when the bound
+of their result, recomputed from exact operand bounds, reaches 2**31, so
+no digit ever spills into its neighbour.
+
+Substitution.  Every substitution the engine makes is by monomials with
+coefficient 1: renaming variables (tag switching), setting variables to 1
+(F-polynomials) and putting tropical coefficients in for the y's (the
+separation formula).  So `substitute` only moves keys: a variable with
+exponent e bound to the monomial with key b moves a key by
+e * (b - its own unit).  Terms that meet on one key merge.
 
 Decoding.  Adding the offset sum(2**31 * 2**(32*i)) makes every digit
 nonnegative without carries, and xor-ing the same offset back turns each
@@ -90,7 +98,8 @@ class ExponentOverflow(ArithmeticError):
 
 
 class NonInvertibleSubstitution(ValueError):
-    """Raised when a negative power must be substituted by a non-monomial."""
+    """Raised when `substitute` would bind a variable of the polynomial to
+    anything but a monomial with coefficient 1, the only bindings it makes."""
 
 
 _KIND_RANK = {"x": 0, "y": 1, "h": 2}
@@ -297,21 +306,26 @@ def _orders() -> Tuple[List[int], List[int]]:
     return _ORDERS[1]
 
 
+def _merge(out: Dict[int, int], pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """Add each (key, coefficient) pair into out, dropping keys whose
+    coefficients sum to 0; returns out."""
+    for k, c in pairs:
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial; supports +, -, *, exact division."""
 
     __slots__ = ("_terms", "_hash", "_bound")
 
     def __init__(self, terms: Mapping[ExpVec, int] | None = None):
-        out: Dict[int, int] = {}
-        for ev, c in (terms or {}).items():
-            k = pack(dict(ev))
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        self._terms = out
+        self._terms = _merge(
+            {}, ((pack(dict(ev)), c) for ev, c in (terms or {}).items()))
         self._hash: int | None = None
         self._bound: int | None = None
 
@@ -415,13 +429,7 @@ class LaurentPoly:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        out = _merge(dict(self._terms), other._terms.items())
         ba, bb = self._bound, other._bound
         return LaurentPoly.from_packed(
             out, None if ba is None or bb is None else max(ba, bb))
@@ -566,20 +574,13 @@ class LaurentPoly:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[VarId, "LaurentPoly"]) -> "LaurentPoly":
-        """Simultaneous substitution of variables by polynomials.
+        """Simultaneous substitution of variables by monomials.
 
-        A variable occurring with a negative exponent may only be bound to a
-        (unit-coefficient) monomial, since its inverse must exist.
+        Every variable of self that is bound must be bound to a monomial
+        with coefficient 1 (NonInvertibleSubstitution otherwise).  Each
+        term's key then moves by e * (binding key - variable unit) per bound
+        variable with exponent e, and terms that land on one key merge.
         """
-        return self._substitute(bindings, shift=True)
-
-    def _substitute(self, bindings: Mapping[VarId, "LaurentPoly"],
-                    shift: bool) -> "LaurentPoly":
-        """`substitute`, two ways.  When `shift` is set and every variable
-        of self that is bound is bound to a monomial with coefficient 1,
-        each term's key moves by e * (binding key - variable unit) per bound
-        variable with exponent e; otherwise each bound factor is multiplied
-        in, the route the tests compare the shifts against."""
         if not bindings:
             return self
         terms = self._terms
@@ -589,78 +590,28 @@ class LaurentPoly:
         if not bound:
             return self
         vals = [bindings[v] for _, v in bound]
-        out: Dict[int, int] = {}
-        if shift and all(len(b._terms) == 1 and 1 in b._terms.values()
-                         for b in vals):
-            # a digit of the result is its unbound part plus
-            # sum(e * binding digit), each |e| at most the bound of self
-            new_bound = self._max_exp() * (1 + sum(b._max_exp() for b in vals))
-            if new_bound < _LIMIT:
-                cols = _columns(terms, lo, m)
-                keys: Iterable[int] = terms
-                for (j, v), b in zip(bound, vals):
-                    delta = next(iter(b._terms)) - v._unit
-                    keys = map(add, keys, map(mul, cols[j], repeat(delta)))
-                for k, c in zip(keys, terms.values()):
-                    s = out.get(k, 0) + c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-                return LaurentPoly.from_packed(out, new_bound)
-        # the unbound rest of a key keeps a subset of its digits
-        rest_bound = self._max_exp()
-        cache: Dict[Tuple[VarId, int], LaurentPoly] = {}
-        for (k, c), row in zip(terms.items(), _rows(terms, lo, m)):
-            rest = k
-            factor = LaurentPoly.const(c)
-            for j, v in bound:
-                e = row[j]
-                if not e:
-                    continue
-                rest -= e * v._unit
-                key = (v, e)
-                if key not in cache:
-                    val = bindings[v]
-                    if e < 0:
-                        if not val.is_monomial():
-                            raise NonInvertibleSubstitution(
-                                f"{v.text()}^{e} bound to a non-monomial")
-                        try:
-                            cache[key] = val.pow(e)
-                        except NotDivisible as exc:
-                            raise NonInvertibleSubstitution(str(exc)) from exc
-                    else:
-                        cache[key] = val.pow(e)
-                factor = factor.mul(cache[key])
-            factor = factor.mul(LaurentPoly.from_packed({rest: 1}, rest_bound))
-            for fk, fc in factor._terms.items():
-                s = out.get(fk, 0) + fc
-                if s:
-                    out[fk] = s
-                else:
-                    del out[fk]
-        return LaurentPoly.from_packed(out)
-
-    def at_one(self, kind: str) -> "LaurentPoly":
-        """Every variable of the given kind ('x', 'y' or 'h') set to 1: each
-        key loses its digits of that kind."""
-        terms = self._terms
-        lo, m = _window(terms)
+        for (_, v), b in zip(bound, vals):
+            if len(b._terms) != 1 or 1 not in b._terms.values():
+                raise NonInvertibleSubstitution(
+                    f"{v.text()} bound to {b.canonical_text()}, not to a "
+                    "monomial with coefficient 1")
+        # a digit of the result is its unbound part plus
+        # sum(e * binding digit), each |e| at most the bound of self
+        new_bound = self._max_exp() * (1 + sum(b._max_exp() for b in vals))
+        if new_bound >= _LIMIT:
+            new_bound = self._max_exp(exact=True) * (
+                1 + sum(b._max_exp(exact=True) for b in vals))
+            if new_bound >= _LIMIT:
+                raise ExponentOverflow(f"substituted exponents up to "
+                                       f"{new_bound} leave the packed range "
+                                       "|e| < 2**31")
         cols = _columns(terms, lo, m)
-        parts = [map(_VARS[lo + j]._unit.__mul__, cols[j]) for j in range(m)
-                 if any(cols[j]) and _VARS[lo + j].kind == kind]
-        if not parts:
-            return self
-        out: Dict[int, int] = {}
-        for k, part, c in zip(terms, map(sum, zip(*parts)), terms.values()):
-            k -= part
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return LaurentPoly.from_packed(out, self._bound)
+        keys: Iterable[int] = terms
+        for (j, v), b in zip(bound, vals):
+            delta = next(iter(b._terms)) - v._unit
+            keys = map(add, keys, map(mul, cols[j], repeat(delta)))
+        return LaurentPoly.from_packed(
+            _merge({}, zip(keys, terms.values())), new_bound)
 
     # -- canonical text ----------------------------------------------------
 

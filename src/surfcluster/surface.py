@@ -16,11 +16,11 @@ around each puncture.
 
 Data that depends on the triangulation alone is kept on the Triangulation,
 never in a module-level cache.  The arc and boundary label sets behind
-`is_arc` and `is_boundary` and the label -> slots map the corner walk steps
-through are built with it, as validating a surface reads all three.  Each
-edge label's weight map with its packed key, and each diagonal's packed phi
-key, is filled in by `matchings` the first time it is needed.  Nothing
-computed for one arc is kept.
+`is_arc` and `is_boundary`, the label -> slots map, every vertex's clockwise
+corner walk and the corner orbits are built with it, as validating a surface
+reads all of them.  Each edge label's weight map with its packed key, and
+each diagonal's packed phi key, is filled in by `matchings` the first time
+it is needed.  Nothing computed for one arc is kept.
 """
 
 from __future__ import annotations
@@ -107,6 +107,12 @@ class Triangulation:
     # arc label -> list of (triangle, slot) over pseudo-sides
     _side_slots: Dict[str, List[Tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
+    # corner -> (the closed clockwise walk around its vertex as (corner,
+    # exit side) steps, the corner's place in it); and the corner orbits
+    _walks: Dict[Tuple[int, int], Tuple[Tuple, int]] = field(
+        init=False, repr=False, compare=False)
+    _orbits: List[List[Tuple[int, int]]] = field(
+        init=False, repr=False, compare=False)
     # label -> (weight exponent map, packed key), and diagonal -> packed key
     # of phi of its height 1; `matchings` fills an entry the first time it
     # needs it
@@ -127,6 +133,35 @@ class Triangulation:
         object.__setattr__(self, "_arc_set", frozenset(self.arcs))
         object.__setattr__(self, "_boundary_set", frozenset(self.boundary))
         object.__setattr__(self, "_side_slots", slots)
+        # one clockwise step from corner k exits through slot k + 1 and
+        # resumes at the other slot of that side; a boundary side, or a
+        # label without exactly two slots, ends the walk
+        step = {}
+        for i, t in enumerate(self.triangles):
+            for k, s in enumerate(_pseudo_sides(t)):
+                pair = slots[s]
+                if len(pair) == 2 and s not in self._boundary_set:
+                    step[(i, (k - 1) % 3)] = pair[pair[0] == (i, k)]
+        corners = [(i, k) for i in range(len(self.triangles)) for k in range(3)]
+        reached = set(step.values())
+        walks, orbits, seen = {}, [], set()
+        # steps are one-to-one: walks from corners no step reaches end,
+        # every other walk closes
+        for c0 in [c for c in corners if c not in reached] + corners:
+            if c0 in seen:
+                continue
+            walk, c = [c0], step.get(c0)
+            while c is not None and c != c0:
+                walk.append(c)
+                c = step.get(c)
+            seen.update(walk)
+            orbits.append(sorted(walk))
+            if c == c0:
+                cycle = tuple((c, _pseudo_sides(self.triangles[c[0]])[
+                    (c[1] + 1) % 3]) for c in walk)
+                walks.update((c, (cycle, j)) for j, c in enumerate(walk))
+        object.__setattr__(self, "_walks", walks)
+        object.__setattr__(self, "_orbits", sorted(orbits))
 
     # -- label classification ------------------------------------------
 
@@ -146,9 +181,7 @@ class Triangulation:
     def tagged_name(self, label: str) -> str:
         """Tagged-arc name of an ideal arc: loops become the notched twin."""
         sf = self._loops.get(label)
-        if sf is not None:
-            return sf.notched_label or f"{sf.radius}~{sf.puncture}"
-        return label
+        return label if sf is None else self.notched_twin(sf.radius)
 
     def tagged_names(self) -> Tuple[str, ...]:
         return tuple(self.tagged_name(a) for a in self.arcs)
@@ -317,18 +350,13 @@ def _check_vertex_names(T: Triangulation) -> List[str]:
         if p not in seen_punctures:
             out.append(f"puncture {p!r} is not located by any triangle vertex")
     # orbit consistency: all corners in one orbit must carry the same name
-    try:
-        orbits = _corner_orbits(T)
-    except SurfaceError as exc:
-        return out + [str(exc)]
-    for orbit in orbits:
+    for orbit in _corner_orbits(T):
         names = {vertex_of_corner(T, c) for c in orbit}
         names.discard(None)
         if len(names) > 1:
             out.append(f"inconsistent vertex names {sorted(names)} in one corner orbit")
         # a boundary vertex's clockwise corner walk ends at a boundary side
-        elif names & set(T.punctures) and \
-                any(_cw_next_corner(T, c) is None for c in orbit):
+        elif names & set(T.punctures) and orbit[0] not in T._walks:
             out.append(f"puncture {names.pop()!r} is on the boundary")
     return out
 
@@ -353,45 +381,10 @@ def _pseudo_sides(t: Triangle) -> Tuple[str, ...]:
     return t.sides
 
 
-def _cw_next_corner(T: Triangulation, corner):
-    """One clockwise step of the corner walk; None when exiting through boundary."""
-    tri, k = corner
-    sides = _pseudo_sides(T.triangles[tri])
-    exit_slot = (k + 1) % 3
-    exit_arc = sides[exit_slot]
-    if T.is_boundary(exit_arc):
-        return None
-    others = [s for s in T._side_slots.get(exit_arc, [])
-              if s != (tri, exit_slot)]
-    if len(others) != 1:
-        raise SurfaceError(f"arc {exit_arc!r} does not have exactly two slots")
-    ntri, m = others[0]
-    return (ntri, m)
-
-
 def _corner_orbits(T: Triangulation):
-    """Vertices of the triangulation as sets of corners."""
-    parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    corners = [(i, k) for i in range(len(T.triangles)) for k in range(3)]
-    for c in corners:
-        parent[c] = c
-    for c in corners:
-        nxt = _cw_next_corner(T, c)
-        if nxt is not None:
-            ra, rb = find(c), find(nxt)
-            if ra != rb:
-                parent[ra] = rb
-    orbits: Dict[Tuple[int, int], List] = {}
-    for c in corners:
-        orbits.setdefault(find(c), []).append(c)
-    return list(orbits.values())
+    """Vertices of the triangulation as sorted lists of corners, in the
+    order of their first corners."""
+    return T._orbits
 
 
 def vertex_of_corner(T: Triangulation, corner) -> Optional[str]:
@@ -423,18 +416,11 @@ def corner_walk(T: Triangulation, c0) -> List[Tuple[Tuple[int, int], str]]:
     Returns the cyclic list of (corner, exit arc) steps; raises if the walk
     hits the boundary (the vertex is not interior).
     """
-    out = []
-    c = c0
-    while True:
-        tri, k = c
-        sides = _pseudo_sides(T.triangles[tri])
-        exit_arc = sides[(k + 1) % 3]
-        if T.is_boundary(exit_arc):
-            raise SurfaceError("corner walk hit the boundary")
-        out.append((c, exit_arc))
-        c = _cw_next_corner(T, c)
-        if c == c0:
-            return out
+    found = T._walks.get(c0)
+    if found is None:
+        raise SurfaceError("corner walk hit the boundary")
+    cycle, j = found
+    return list(cycle[j:] + cycle[:j])
 
 
 def arcs_around_puncture(T: Triangulation, p: str) -> List[str]:

@@ -117,7 +117,7 @@ def test_top_block_stays_skew_and_coeffs_monomial():
     s = principal_seed(random_skew(4, rng), ["1", "2", "3", "4"])
     for k in (0, 1, 2, 3, 2, 1):
         s = mutate_seed(s, k)
-        top = s.top_block()
+        top = s.ext_matrix[:s.n]
         for i in range(4):
             for j in range(4):
                 assert top[i][j] == -top[j][i]
@@ -204,6 +204,27 @@ def test_specialize_geometric_rejects_polynomials():
     F = L.one()
     with pytest.raises(NonMonomialDenominator):
         specialize_geometric(X, F, {yvar("1"): L.one() + L.var(yvar("2"))})
+
+
+@pytest.mark.parametrize("value", [2 * L.var(yvar("2")), -1 * L.var(yvar("2"))])
+def test_specialize_geometric_refuses_all_but_unit_monomials(value):
+    y1 = L.var(yvar("1"))
+    X = (1 + y1) * L.var(xvar("1"), -1)
+    with pytest.raises(NonMonomialDenominator):
+        specialize_geometric(X, f_from_x(X), {yvar("1"): value})
+
+
+def test_tropical_evaluation_refusals():
+    y1, y2 = L.var(yvar("1")), L.var(yvar("2"))
+    X = (1 + y1) * L.var(xvar("1"), -1)
+    # y2 of F is unbound
+    with pytest.raises(NonMonomialDenominator):
+        specialize_geometric(X, 1 + y1 + y2, {yvar("1"): y2})
+    # tropical evaluation is defined for subtraction-free F only
+    with pytest.raises(NonMonomialDenominator):
+        specialize_geometric(X, 1 - y1, {yvar("1"): y2})
+    with pytest.raises(NonMonomialDenominator):
+        specialize_geometric(X, L.zero(), {yvar("1"): y2})
 
 
 def test_expansion_f_agrees_with_oracle_f():

@@ -53,8 +53,13 @@ def test_substitute_examples():
     p = x1 * L.var(xvar("2"), -1)
     assert p.substitute({xvar("2"): x3}) == x1 * L.var(xvar("3"), -1)
     assert (L.one() + yd).substitute({yvar("d"): L.one()}) == L.const(2)
-    with pytest.raises(NonInvertibleSubstitution):
-        L.var(xvar("1"), -1).substitute({xvar("1"): x2 + x3})
+    # only a monomial with coefficient 1 is substituted, whatever the sign
+    # of the exponent; the binding of a variable p lacks is not read
+    for value in (x2 + x3, -1 * x3, 2 * x3, L.zero()):
+        for q in (L.var(xvar("1"), -1), x1 * x1 + x2):
+            with pytest.raises(NonInvertibleSubstitution):
+                q.substitute({xvar("1"): value})
+        assert x2.substitute({xvar("1"): value}) == x2
 
 
 def test_substitute_is_simultaneous():
@@ -67,11 +72,29 @@ def test_substitute_is_simultaneous():
 def test_substitution_by_monomials_merges_and_cancels_terms():
     assert (x1 + x2).substitute({xvar("1"): x2}) == 2 * x2
     assert (x1 - x2).substitute({xvar("1"): x2}) == L.zero()
-    # a binding with another coefficient than 1 multiplies
-    assert (x1 * x1 + x2).substitute({xvar("1"): -1 * x3}) == x3 * x3 + x2
+    # only a monomial with coefficient 1 moves keys; -x3 is refused
+    with pytest.raises(NonInvertibleSubstitution):
+        (x1 * x1 + x2).substitute({xvar("1"): -1 * x3})
 
 
-def test_key_shifts_equal_the_general_route_on_a_long_expansion():
+def reference_substitute(p, bindings):
+    """`substitute` by unit monomials, term by term from the decoded
+    exponents."""
+    out = L.zero()
+    for ev, c in p.terms():
+        exps = {}
+        for v, e in ev:
+            if v in bindings:
+                _, image = bindings[v].monomial_parts()
+            else:
+                image = {v: 1}
+            for u, eu in image.items():
+                exps[u] = exps.get(u, 0) + e * eu
+        out = out + L.monomial(c, {u: e for u, e in exps.items() if e})
+    return out
+
+
+def test_key_shifts_equal_the_reference_on_a_long_expansion():
     # d = 17 zigzag arc: 4181 terms in 17 x and 17 y variables, x with
     # negative exponents; rename all 34 of them
     from conftest import zigzag_arc, zigzag_polygon
@@ -82,7 +105,7 @@ def test_key_shifts_equal_the_general_route_on_a_long_expansion():
     assert len(names) == 34
     bind = {v: L.var(VarId(v.kind, v.name + "'")) for v in names}
     got = p.substitute(bind)
-    assert got == p._substitute(bind, shift=False)
+    assert got == reference_substitute(p, bind)
     assert got.num_terms() == p.num_terms()
     assert got.substitute({VarId(v.kind, v.name + "'"): L.var(v)
                            for v in names}) == p
@@ -266,12 +289,17 @@ def test_terms_round_trip(p):
         assert list(ev) == sorted(ev) and all(e for _, e in ev)
 
 
-@given(wide_polys())
+@given(wide_polys(), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
-def test_at_one_is_substitution_by_one(p):
-    for kind in "xy":
-        ones = {v: L.one() for v in p.variables() if v.kind == kind}
-        assert p.at_one(kind) == p.substitute(ones)
+def test_substitution_by_unit_monomials_equals_the_reference(p, rng):
+    names = sorted(p.variables())
+    shuffled = rng.sample(names, len(names))
+    cases = [
+        {v: L.var(w) for v, w in zip(names, shuffled)},             # swaps
+        {v: L.var(VarId(v.kind, v.name + "'")) for v in names},     # fresh
+    ] + [{v: L.one() for v in names if v.kind == kind} for kind in "xy"]
+    for bind in cases:
+        assert p.substitute(bind) == reference_substitute(p, bind)
 
 
 @given(wide_exps(), wide_exps())

@@ -4,6 +4,7 @@ from conftest import (
     annulus22,
     digon,
     example_surface,
+    looped_digon,
     once_punctured_polygon,
     polygon,
     polygon_arc,
@@ -11,6 +12,7 @@ from conftest import (
     square_other_diagonal,
     twice_punctured,
     twice_punctured_digon,
+    zigzag_polygon,
 )
 from surfcluster.surface import (
     Crossing,
@@ -18,15 +20,19 @@ from surfcluster.surface import (
     NotAPuncture,
     NotASide,
     Ordinary,
+    SurfaceError,
     Topology,
     Triangulation,
     arcs_around_puncture,
+    corner_walk,
     extended_principal,
     puncture_degree,
     signed_adjacency,
     third_arc,
     validate_path,
     validate_surface,
+    _corner_orbits,
+    _pseudo_sides,
 )
 from surfcluster.mutation import principal_seed, run_sequence
 
@@ -84,6 +90,45 @@ def test_signed_adjacency_skew_symmetric_everywhere(T):
         for j in range(len(B)):
             assert B[i][j] == -B[j][i]
             assert abs(B[i][j]) <= 2
+
+
+def _reference_step(T, corner):
+    """One clockwise step around a vertex, found by searching the slots:
+    the other slot of the side after the corner, None at a boundary side."""
+    tri, k = corner
+    exit_slot = (tri, (k + 1) % 3)
+    arc = _pseudo_sides(T.triangles[tri])[exit_slot[1]]
+    if T.is_boundary(arc):
+        return None
+    (other,) = [s for s in T._side_slots[arc] if s != exit_slot]
+    return other
+
+
+@pytest.mark.parametrize("T", ALL_FIXTURES + [
+    once_punctured_polygon(5), looped_digon(), zigzag_polygon(7)])
+def test_stored_corner_walks_match_step_by_step_walking(T):
+    corners = [(i, k) for i in range(len(T.triangles)) for k in range(3)]
+    orbit_of = {c: {c} for c in corners}
+    for c in corners:
+        nxt = _reference_step(T, c)
+        if nxt is not None and orbit_of[nxt] is not orbit_of[c]:
+            merged = orbit_of[c] | orbit_of[nxt]
+            for d in merged:
+                orbit_of[d] = merged
+    orbits = {id(o): sorted(o) for o in orbit_of.values()}
+    assert _corner_orbits(T) == sorted(orbits.values())
+    for c0 in corners:
+        walk, c = [], c0
+        while c is not None:
+            tri, k = c
+            walk.append((c, _pseudo_sides(T.triangles[tri])[(k + 1) % 3]))
+            c = _reference_step(T, c)
+            if c == c0:
+                assert corner_walk(T, c0) == walk
+                break
+        else:
+            with pytest.raises(SurfaceError, match="hit the boundary"):
+                corner_walk(T, c0)
 
 
 def test_reversing_all_orientations_transposes_B():

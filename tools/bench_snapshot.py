@@ -9,8 +9,8 @@ The snapshot holds, all measured on the same source tree:
   factor and the number of passes that run printed (read `peak_rss_mb`
   against the passes: every pass adds its operation times to the run's
   tally);
-- the non-blank line count of src/surfcluster/*.py (what
-  `cat src/surfcluster/*.py | grep -c .` prints);
+- the non-blank line count of src/surfcluster/*.py, as `tools/loc.py`
+  counts it;
 - the wall time and summary line of the tier-1 suite;
 - the sha256 of the source files, so the tree it measured can be checked.
 
@@ -30,6 +30,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import loc  # tools/loc.py: this script's directory is on sys.path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "surfcluster").glob("*.py"))
@@ -62,11 +64,8 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     digest = hashlib.sha256()
-    loc = 0
     for path in SOURCES:
-        text = path.read_bytes()
-        digest.update(path.name.encode() + b"\0" + text)
-        loc += sum(1 for line in text.decode().splitlines() if line)
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
     head = _run(["git", "rev-parse", "HEAD"]).strip()
     dirty = bool(_run(["git", "status", "--porcelain", "--", "src"]).strip())
 
@@ -95,7 +94,7 @@ def main(argv=None) -> int:
         "host": {"python": platform.python_version(),
                  "machine": platform.machine(), "cpus": os.cpu_count()},
         "command": {"seed": SEED, "seconds": SECONDS},
-        "src_nonblank_loc": loc,
+        "src_nonblank_loc": sum(loc.counts_in_tree().values()),
         "tier1": _tier1(),
         "workloads": workloads,
     }
