@@ -5,9 +5,11 @@
 thin wrappers around it.
 
 Ordinary arcs sum weight times specialized height over the perfect
-matchings of the snake graph without listing them: heights are linear in
-the matching, so each edge carries one packed monomial and the tile-by-tile
-matching DP carries one polynomial per state (`matchings.transfer_sum`).
+matchings of the snake graph without listing them, and without building
+the graph: heights are linear in the matching, so each rule of each tile
+that `snake.build_tiles` places carries one packed monomial, and the
+tile-by-tile matching DP carries one polynomial per state
+(`matchings.strip_rules` and `matchings.strip_sum`).
 
 Notched arcs come from ordinary transfer sums through two identities, with
 no loop-graph matching listed:
@@ -49,16 +51,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .poly import (LaurentPoly, NotDivisible, VarId, lowest_exponents, xvar,
                    yvar)
 from .matchings import (
-    edge_keys,
     matching_count,
-    minimal_maximal,
     phi_specialize,
-    transfer_sum,
+    strip_rules,
+    strip_sum,
     x_exps_of_labels,
     x_of_label,
 )
 from .mutation import f_from_x
-from .snake import EndpointNotPuncture, build_loop_path, build_snake
+from .snake import EndpointNotPuncture, build_loop_path, build_tiles
 from .surface import (
     CrossingPath,
     SelfFolded,
@@ -183,17 +184,16 @@ def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
     if isinstance(gamma, str):
         x = x_of_label(T, gamma)
         return Expansion(x, x, LaurentPoly.one(), ref, 1)
-    g = build_snake(T, gamma, mirror=mirror)
-    minus, _ = minimal_maximal(g)
-    start, keys, bound = edge_keys(g, T, minus)
-    # every perfect matching adds one monomial with coefficient 1, its key
-    # start plus the keys of its edges
-    acc = transfer_sum(g, start, keys)
-    count = matching_count(g)
+    tiles, glue, _ = build_tiles(T, gamma, mirror=mirror)
+    # every perfect matching adds one monomial with coefficient 1
+    acc = strip_sum(*strip_rules(T, tiles, glue))
+    count = matching_count(glue)
     if sum(acc.values()) != count:
         raise ArithmeticError(f"the transfer sum counts {sum(acc.values())} "
                               f"matchings, the continuant {count}")
-    num = LaurentPoly.from_packed(acc, bound)
+    # a matching has d + 1 edges, each adding at most 1 to an x exponent,
+    # and each of the d tiles moves a y exponent by at most 1
+    num = LaurentPoly.from_packed(acc, len(tiles) + 1)
     cross = crossing_monomial(T, gamma)
     return Expansion(num.div_exact(cross), num, cross, ref, count)
 

@@ -1,5 +1,6 @@
-"""Perfect matchings of snake graphs: the matching DP, extremal matchings,
-heights, weights, and the symmetric/compatible selections for loop graphs.
+"""Perfect matchings of snake graphs: the matching DP, run on a graph or
+straight from the tiles (the strip kernel), extremal matchings, heights,
+weights, and the symmetric/compatible selections for loop graphs.
 
 A matching is a frozenset of edge ids.  One dynamic program runs along the
 tile order.  Tile k meets the later tiles only at the two ends of its exit
@@ -26,7 +27,16 @@ tile's `slot_edge` as it stands.
 The extremal matchings P- and P+ need no DP: every vertex lies on the
 outer face, so the boundary edges form one cycle through all the vertices,
 and the two matchings that use boundary edges only are its two sets of
-alternate edges.  `minimal_maximal` walks that cycle once.
+alternate edges.  No walk around the cycle is needed: colour each corner
+(x, y) by the parity of x + y.  Walked counterclockwise, the cycle runs
+along each edge counterclockwise around its tile, and one set of
+alternate edges starts at corners of one colour.  Slot i (S, E, N, W =
+0..3) of the tile at (x, y) starts at parity x + y + i, and tile k sits
+at x + y = k, the drawing stepping up or right.  P- avoids tile 0's
+`minus_avoid_slots`, opposite slots of parity b, so it holds the boundary
+edge in slot i of tile k exactly when i + k and b differ in parity
+(`_in_minus`).  `minimal_maximal` splits a graph's boundary edges so, and
+`outer_slots` reads P- so on each tile's outer edge, with no graph.
 
 Enumeration folds the DP into lists of partial matchings.  The order of
 the result is the order the DP reaches the matchings: states in the order
@@ -38,47 +48,47 @@ Heights count the tiles enclosed by P ⊖ P-, each read off the tile's one
 outer-face edge (see `height_exponents`); the end restriction of a loop-graph
 matching is read the same way on its first d tiles, with no copy of the end.
 
-Because each tile's height is decided by one edge, the height is linear in
-P: h(P) = h0 + sum of delta_e over the edges e of P (see `edge_keys`).  The
-weight is a product over the edges and the specialization phi is linear, so
-x(P)·y(P) is a fixed monomial times one monomial per edge of P.
-`transfer_sum` therefore folds the same dynamic program into one packed
-polynomial per state, and the matching sum of an ordinary arc costs
-tiles × states × terms instead of one pass per matching.  Each label's
-weight and phi of each diagonal's height are packed once per
-triangulation and kept on it; the x and y digits of a key are disjoint,
-so an edge's key is the sum of its weight key and its phi key.  Notched
-arcs are transfer sums too (see `expand`), so enumeration stays only for
-the `matchings` command and the oracles the tests check against: the
-per-matching sum of an ordinary arc, and the paper's loop-graph sums over
-symmetric matchings and compatible pairs.
-`matching_count` counts the matchings a second way, by a continuant read
-off the glue, so the transfer sum's count is checked.
+Each tile's height is decided by one edge, so the height is linear in P;
+the weight is a product over the edges and phi is linear, so x(P)·y(P) is
+a fixed monomial times one monomial per edge of P.  The matching sum of an
+ordinary arc therefore needs no graph: `strip_rules` reads each tile that
+`snake.build_tiles` places as one (covered in, covered out, packed key)
+per rule of its shape, and `strip_sum` folds them with one polynomial per
+state, at a cost of tiles × states × terms.  Each label's weight and phi
+of each diagonal's height are packed once per triangulation and kept on
+it; the x and y digits of a key are disjoint, so a slot's key is the sum
+of the two.  The graph route (`snake.build_snake`, `_fold`) stays for
+enumeration, which only the `matchings` command and the test oracles use:
+the per-matching sum of an ordinary arc, and the paper's loop-graph sums
+over symmetric matchings and compatible pairs.  `matching_count` counts
+the matchings a second way, by a continuant read off the glue, so the
+strip sum's count is checked.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple, TypeVar)
 
 from .poly import LaurentPoly, pack, xvar, yvar
 from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, _SLOTS,
-                    LoopGraph, SnakeGraph)
+                    LoopGraph, SnakeGraph, Tile)
 from .surface import SurfaceError, Triangulation
 
 __all__ = [
     "Matching",
     "NotAMatching",
     "enumerate_matchings",
-    "boundary_matchings",
     "minimal_maximal",
     "height_exponents",
     "phi_specialize",
     "x_of_label",
     "matching_weight",
-    "edge_keys",
-    "transfer_sum",
+    "outer_slots",
+    "strip_rules",
+    "strip_sum",
     "matching_count",
     "gamma_symmetric_filter",
     "perfect_end_restriction",
@@ -143,6 +153,12 @@ _ORDERED = {(shape, order): _ranked(shape, order) for shape, order in {
     if entry in (None, "S", "W") for exit_ in (None, "N", "E")}}
 
 
+def _shapes(glue: Sequence[str]):
+    """Each tile's (entry slot, exit slot): None at the ends."""
+    return zip([None] + [_ENTRY_OF_DIR[d] for d in glue],
+               [_EXIT_SLOT[d] for d in glue] + [None])
+
+
 def _fold(g: SnakeGraph, start: V,
           extend: Callable[[Optional[V], V, Tuple[int, ...]], V]
           ) -> Optional[V]:
@@ -152,12 +168,10 @@ def _fold(g: SnakeGraph, start: V,
     state's accumulator (None at first) and returns it.  States go in the
     order reached, each one's rules by edge count, then ids.  Returns the
     value after the last tile, None when g has no perfect matching."""
-    entries = [None] + [_ENTRY_OF_DIR[d] for d in g.glue]
-    exits = [_EXIT_SLOT[d] for d in g.glue] + [None]
     states: Dict[bool, V] = {True: start}
-    for tile, a, b in zip(g.tiles, entries, exits):
+    for tile, shape in zip(g.tiles, _shapes(g.glue)):
         se = tile.slot_edge
-        rules = _ORDERED[(a, b), "".join(se)]
+        rules = _ORDERED[shape, "".join(se)]
         new: Dict[bool, V] = {}
         for state, value in states.items():
             for slots, covered, out in rules:
@@ -180,45 +194,20 @@ def enumerate_matchings(g: SnakeGraph) -> List[Matching]:
     return [frozenset(p) for p in _fold(g, [()], _extend_partials) or []]
 
 
-def boundary_matchings(g: SnakeGraph) -> List[Matching]:
-    """The perfect matchings that use boundary edges only."""
-    interior = {e.eid for e in g.edges if not e.boundary}
-
-    def extend(acc, partials, chosen):
-        keep = interior.isdisjoint(chosen)
-        return _extend_partials(acc, partials if keep else (), chosen)
-
-    return [frozenset(p) for p in _fold(g, [()], extend) or []]
+def _in_minus(tile0: Tile, k: int, slot: str) -> bool:
+    """Whether P- holds the boundary edge in this slot of tile k, tile0
+    being the first tile (see the module docstring)."""
+    return (_SLOTS.index(slot) + k - tile0.a - (tile0.rel < 0)) % 2 == 1
 
 
 def minimal_maximal(g: SnakeGraph) -> Tuple[Matching, Matching]:
-    """The two boundary-only matchings, (minimal, maximal): alternate
-    edges of the boundary cycle (see the module docstring).  P- is the one
-    that avoids the first tile's `minus_avoid_slots`."""
-    around: Dict[int, List[Tuple[int, int]]] = {}   # vertex -> (edge, far end)
+    """The two boundary-only matchings, (minimal, maximal): the boundary
+    edges split by `_in_minus`."""
+    sides: Tuple[set, set] = (set(), set())
     for e in g.edges:
         if e.boundary:
-            a, b = g.edge_vertices(e)
-            around.setdefault(a, []).append((e.eid, b))
-            around.setdefault(b, []).append((e.eid, a))
-    cycle: List[int] = []
-    eid, v = around[0][0]       # vertex 0 is the first tile's SW corner
-    while len(cycle) < g.nvertices:
-        cycle.append(eid)
-        if v == 0 or len(around[v]) != 2:
-            break
-        (e1, w1), (e2, w2) = around[v]
-        eid, v = (e2, w2) if e1 == eid else (e1, w1)
-    if v != 0 or len(cycle) != g.nvertices or len(cycle) % 2:
-        raise NotAMatching("expected two boundary matchings: the boundary "
-                           "is not one even cycle through every vertex")
-    sides = (frozenset(cycle[0::2]), frozenset(cycle[1::2]))
-    avoid = {g.tiles[0].slot_edge[s] for s in g.minus_avoid_slots}
-    minus = [m for m in sides if avoid.isdisjoint(m)]
-    if len(minus) != 1:
-        raise NotAMatching("the minimal matching is not determined")
-    pm = minus[0]
-    return pm, sides[1] if pm is sides[0] else sides[0]
+            sides[_in_minus(g.tiles[0], *e.tiles[0])].add(e.eid)
+    return frozenset(sides[True]), frozenset(sides[False])
 
 
 def _check_matching(g: SnakeGraph, P: Matching) -> None:
@@ -339,72 +328,89 @@ def matching_weight(g: SnakeGraph, P: Matching, T: Triangulation) -> LaurentPoly
 
 
 # ---------------------------------------------------------------------------
-# the matching sum as a transfer matrix
+# the matching sum of an ordinary arc, from its tiles
 
 
-def edge_keys(g: SnakeGraph, T: Triangulation,
-              minus: Matching) -> Tuple[int, List[int], int]:
-    """(start, keys, bound) with x(P)·y(P) = start + sum(keys[e] for e in
-    P) as packed keys, for every perfect matching P of g, and `bound` a
-    bound on |exponent| over those monomials.
-
-    A tile whose outer edge o lies in `minus` is enclosed unless o is in P:
-    it adds its diagonal to the start and takes it off o.  Any other tile is
-    enclosed when o is in P: it adds its diagonal to o.  The weight is a
-    product over the edges and phi is linear, so each edge carries its
-    label's weight times phi of its height: the sum of the two keys kept
-    on T.
-
-    Each of the d + 1 edges of P adds at most 1 to an x exponent, and each
-    of the d tiles moves a y exponent by at most 1, so d + 1 is the bound.
-    """
-    keys = [_weight(T, e.label)[1] for e in g.edges]
-    start = 0
-    for tile, eid in zip(g.tiles, g.outer_edges):
-        key = _phi_key(T, tile.diagonal)
-        if eid in minus:
-            start += key
-            keys[eid] -= key
-        else:
-            keys[eid] += key
-    return start, keys, g.d + 1
+def outer_slots(tiles: Sequence[Tile], glue: Sequence[str]
+                ) -> List[Tuple[str, bool]]:
+    """Per tile, the slot of its outer edge (the first from a that is no
+    glue slot, as in `build_snake`) and whether P- holds that edge (see the
+    module docstring)."""
+    out = []
+    for k, (tile, shape) in enumerate(zip(tiles, _shapes(glue))):
+        slot = next(s for s in tile.slots if s not in shape)
+        out.append((slot, _in_minus(tiles[0], k, slot)))
+    return out
 
 
-def transfer_sum(g: SnakeGraph, start: int,
-                 keys: Sequence[int]) -> Dict[int, int]:
-    """Sum over the perfect matchings P of g of the monomial with packed key
-    start + sum(keys[e] for e in P), as {packed key: coefficient}.
+def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str]
+                ) -> Tuple[int, List[List[Tuple[bool, bool, int]]]]:
+    """(start, rules): per tile, (covered in, covered out, key) for each
+    rule of its shape, so that x(P)·y(P) is start plus the keys of the
+    rules a perfect matching P takes.  A key sums the label keys of the
+    chosen slots; phi of the diagonal is added on the outer slot, or, when
+    P- holds the outer edge, to the start and taken off the outer slot."""
+    start, rules = 0, []
+    for tile, shape, (outer, minus) in zip(tiles, _shapes(glue),
+                                           outer_slots(tiles, glue)):
+        keys = {s: _weight(T, label)[1] for s, label in tile.slots.items()}
+        phi = _phi_key(T, tile.diagonal)
+        if minus:
+            start += phi
+            phi = -phi
+        keys[outer] += phi
+        rules.append([(c, o, sum(map(keys.__getitem__, slots)))
+                      for c, o, slots in _RULES[shape]])
+    return start, rules
 
-    The same DP as `enumerate_matchings`, but each state carries the
-    polynomial of its partial matchings instead of their list, so the cost
-    grows with tiles × states × terms rather than with the matching count.
-    With every key 0 the result is {0: number of perfect matchings}.
-    """
-    def extend(acc, terms, chosen):
-        k = sum(keys[e] for e in chosen)
-        if acc is None:
-            return {t + k: c for t, c in terms.items()}
-        get = acc.get
-        for t, c in terms.items():
-            acc[t + k] = get(t + k, 0) + c
-        return acc
 
-    return _fold(g, {start: 1}, extend) or {}
+def _merged(a_off: int, a: Dict[int, int], b_off: int,
+            b: Dict[int, int]) -> Tuple[int, Dict[int, int]]:
+    """The sum of two shifted polynomials (see `strip_sum`) in a copy of the
+    larger dict, which keeps its shift."""
+    if len(a) < len(b):
+        a_off, a, b_off, b = b_off, b, a_off, a
+    acc = a.copy()
+    get = acc.get
+    for t, c in zip(map(add, b, repeat(b_off - a_off)), b.values()):
+        acc[t] = get(t, 0) + c
+    return a_off, acc
 
 
-def matching_count(g: SnakeGraph) -> int:
-    """The number of perfect matchings of g, independent of the DP: the
-    continuant of the run lengths of its sign sequence (Çanakçı–Schiffler,
-    arXiv:1608.06568).
+def strip_sum(start: int, rules: Sequence[Sequence[Tuple[bool, bool, int]]]
+              ) -> Dict[int, int]:
+    """The matching DP over the rules of `strip_rules`, as {packed key:
+    coefficient}.  A state is (shift, terms), the polynomial of its
+    partial matchings with every key of terms moved by shift: a rule adds
+    its key to the shift, so only two rules into one state build a dict."""
+    states = {True: (start, {0: 1})}
+    for tile in rules:
+        new: Dict[bool, Tuple[int, Dict[int, int]]] = {}
+        for covered, out, k in tile:
+            src = states.get(covered)
+            if src is not None:
+                got = new.get(out)
+                new[out] = (src[0] + k, src[1]) if got is None else \
+                    _merged(*got, src[0] + k, src[1])
+        states = new
+    off, terms = states.get(True, (0, {}))
+    return dict(zip(map(add, terms, repeat(off)), terms.values()))
+
+
+def matching_count(glue: Sequence[str]) -> int:
+    """The number of perfect matchings of the snake graph with this glue,
+    independent of the DP: the continuant of the run lengths of its sign
+    sequence (Çanakçı–Schiffler, arXiv:1608.06568).
 
     The sign sequence has one sign per glue edge plus e_0 and e_d.  Tile k
     sits between signs k and k+1: they differ where the snake goes straight
     through it and agree where it turns, and the end tiles count as
     straight.
     """
+    d = len(glue) + 1
     runs = [1]
-    for k in range(g.d):
-        if 0 < k < g.d - 1 and g.glue[k - 1] != g.glue[k]:
+    for k in range(d):
+        if 0 < k < d - 1 and glue[k - 1] != glue[k]:
             runs[-1] += 1
         else:
             runs.append(1)

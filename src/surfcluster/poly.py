@@ -19,13 +19,14 @@ monomial group), which is what long division needs.
 
 Overflow guard.  Every key built from an exponent map checks its
 exponents.  Each polynomial caches a bound on |e_i| over its terms:
-products and quotients inherit the sum of their operands' bounds, a
-transfer sum the bound its snake graph gives (`matchings.edge_keys`), a
-substitution b * (1 + the sum of its bindings' bounds) for a bound b of
-self, any other polynomial computes its largest |e_i| when first asked.
+products and quotients inherit the sum of their operands' bounds, an
+ordinary arc's numerator the bound d + 1 of its d tiles, a substitution
+b * (1 + the sum of its bindings' bounds) for a bound b of self, any
+other polynomial computes its largest |e_i| when first asked.
 `mul`, `div_exact` and `substitute` raise ExponentOverflow when the bound
-of their result, recomputed from exact operand bounds, reaches 2**31, so
-no digit ever spills into its neighbour.
+of their result, recomputed from exact operand bounds (for `substitute`,
+from the result's columns), reaches 2**31, so no digit ever spills into
+its neighbour.
 
 Substitution.  Every substitution the engine makes is by monomials with
 coefficient 1: renaming variables (tag switching), setting variables to 1
@@ -598,14 +599,24 @@ class LaurentPoly:
         # a digit of the result is its unbound part plus
         # sum(e * binding digit), each |e| at most the bound of self
         new_bound = self._max_exp() * (1 + sum(b._max_exp() for b in vals))
+        cols = _columns(terms, lo, m)
         if new_bound >= _LIMIT:
             new_bound = self._max_exp(exact=True) * (
                 1 + sum(b._max_exp(exact=True) for b in vals))
+        if new_bound >= _LIMIT:
+            # the result's columns, in Python ints
+            out = {lo + j: col for j, col in enumerate(cols)
+                   if _VARS[lo + j] not in bindings}
+            for (j, _), b in zip(bound, vals):
+                for v, e in b.monomial_parts()[1].items():
+                    out[v._index] = [s + x * e for s, x in zip(
+                        out.get(v._index, repeat(0)), cols[j])]
+            new_bound = max((abs(e) for c in out.values() for e in c),
+                            default=0)
             if new_bound >= _LIMIT:
                 raise ExponentOverflow(f"substituted exponents up to "
                                        f"{new_bound} leave the packed range "
                                        "|e| < 2**31")
-        cols = _columns(terms, lo, m)
         keys: Iterable[int] = terms
         for (j, v), b in zip(bound, vals):
             delta = next(iter(b._terms)) - v._unit

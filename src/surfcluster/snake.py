@@ -255,8 +255,8 @@ def build_tiles(T: Triangulation, path: CrossingPath, mirror: bool = False):
         if k:
             x, y = (x, y + 1) if glue[k - 1] == "U" else (x + 1, y)
         a = (a + t) % 4
-        tiles.append(Tile(diag, rel, (x, y), a, {
-            _SLOTS[(a + i) % 4]: label for i, label in enumerate(labels)}))
+        tiles.append(Tile(diag, rel, (x, y), a,
+                          dict(zip(_SLOTS[a:] + _SLOTS[:a], labels))))
     return tiles, glue, spans
 
 

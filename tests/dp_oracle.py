@@ -6,9 +6,10 @@ kept when it covers no vertex twice and leaves no vertex uncovered whose
 last tile is k.  It knows nothing of glue slots or tile shapes, so it
 checks the two-state rule table of `surfcluster.matchings` from outside.
 
-`enumerate_matchings`, `boundary_matchings` and `transfer_sum` take the
-arguments of the functions of that name in `surfcluster.matchings` and
-should return the same values, lists in the same order.
+`enumerate_matchings` and `boundary_matchings` take the arguments of the
+functions of that name in `surfcluster.matchings`, and `transfer_sum` those
+of `graph_route.transfer_sum`; each should return the same values, lists in
+the same order.
 """
 
 from itertools import combinations

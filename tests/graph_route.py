@@ -1,0 +1,107 @@
+"""The matching sum of an ordinary arc on its snake graph, kept as a test
+oracle for the strip kernel of `surfcluster.matchings`.
+
+It reads everything off the `SnakeGraph`: P- from a walk around the
+boundary cycle (`boundary_walk`), one packed key per edge id
+(`edge_keys`), and the matching DP folded over those edge ids by
+`matchings._fold` (`transfer_sum`).  The strip kernel builds no graph, so
+the two routes share the rule table and the label and phi keys but not
+the edge numbering, the outer edges or P-.  `boundary_matchings` folds
+the same DP over the boundary edges only, a third way to P- and P+.
+"""
+
+from typing import Dict, List, Sequence, Tuple
+
+from surfcluster.matchings import (Matching, NotAMatching, _extend_partials,
+                                   _fold, _phi_key, _weight)
+from surfcluster.snake import SnakeGraph, build_snake
+from surfcluster.surface import CrossingPath, Triangulation
+
+
+def edge_keys(g: SnakeGraph, T: Triangulation,
+              minus: Matching) -> Tuple[int, List[int], int]:
+    """(start, keys, bound) with x(P)·y(P) = start + sum(keys[e] for e in
+    P) as packed keys, for every perfect matching P of g, and `bound` a
+    bound on |exponent| over those monomials.
+
+    A tile whose outer edge o lies in `minus` is enclosed unless o is in P:
+    it adds its diagonal to the start and takes it off o.  Any other tile is
+    enclosed when o is in P: it adds its diagonal to o.  Each of the d + 1
+    edges of P adds at most 1 to an x exponent, and each of the d tiles
+    moves a y exponent by at most 1, so d + 1 is the bound.
+    """
+    keys = [_weight(T, e.label)[1] for e in g.edges]
+    start = 0
+    for tile, eid in zip(g.tiles, g.outer_edges):
+        key = _phi_key(T, tile.diagonal)
+        if eid in minus:
+            start += key
+            keys[eid] -= key
+        else:
+            keys[eid] += key
+    return start, keys, g.d + 1
+
+
+def transfer_sum(g: SnakeGraph, start: int,
+                 keys: Sequence[int]) -> Dict[int, int]:
+    """Sum over the perfect matchings P of g of the monomial with packed key
+    start + sum(keys[e] for e in P), as {packed key: coefficient}.  With
+    every key 0 the result is {0: number of perfect matchings}."""
+    def extend(acc, terms, chosen):
+        k = sum(keys[e] for e in chosen)
+        acc = {} if acc is None else acc
+        for t, c in terms.items():
+            acc[t + k] = acc.get(t + k, 0) + c
+        return acc
+
+    return _fold(g, {start: 1}, extend) or {}
+
+
+def boundary_matchings(g: SnakeGraph) -> List[Matching]:
+    """The perfect matchings that use boundary edges only, by the DP."""
+    interior = {e.eid for e in g.edges if not e.boundary}
+
+    def extend(acc, partials, chosen):
+        keep = interior.isdisjoint(chosen)
+        return _extend_partials(acc, partials if keep else (), chosen)
+
+    return [frozenset(p) for p in _fold(g, [()], extend) or []]
+
+
+def boundary_walk(g: SnakeGraph) -> Tuple[Matching, Matching]:
+    """(P-, P+) read off one walk around the boundary cycle: its two sets
+    of alternate edges, P- being the one that avoids the first tile's
+    `minus_avoid_slots`."""
+    around: Dict[int, List[Tuple[int, int]]] = {}   # vertex -> (edge, far end)
+    for e in g.edges:
+        if e.boundary:
+            a, b = g.edge_vertices(e)
+            around.setdefault(a, []).append((e.eid, b))
+            around.setdefault(b, []).append((e.eid, a))
+    cycle: List[int] = []
+    eid, v = around[0][0]       # vertex 0 is the first tile's SW corner
+    while len(cycle) < g.nvertices:
+        cycle.append(eid)
+        if v == 0 or len(around[v]) != 2:
+            break
+        (e1, w1), (e2, w2) = around[v]
+        eid, v = (e2, w2) if e1 == eid else (e1, w1)
+    if v != 0 or len(cycle) != g.nvertices or len(cycle) % 2:
+        raise NotAMatching("expected two boundary matchings: the boundary "
+                           "is not one even cycle through every vertex")
+    sides = (frozenset(cycle[0::2]), frozenset(cycle[1::2]))
+    avoid = {g.tiles[0].slot_edge[s] for s in g.minus_avoid_slots}
+    minus = [m for m in sides if avoid.isdisjoint(m)]
+    if len(minus) != 1:
+        raise NotAMatching("the minimal matching is not determined")
+    pm = minus[0]
+    return pm, sides[1] if pm is sides[0] else sides[0]
+
+
+def graph_sum(T: Triangulation, path: CrossingPath,
+              mirror: bool = False) -> Tuple[Dict[int, int], int]:
+    """(numerator keys, bound) of an ordinary arc by the graph route."""
+    g = build_snake(T, path, mirror=mirror)
+    minus, _ = boundary_walk(g)
+    start, keys, bound = edge_keys(g, T, minus)
+    return transfer_sum(g, start, keys), bound

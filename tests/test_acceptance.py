@@ -34,7 +34,6 @@ from surfcluster.surface import (
 from surfcluster.snake import (NotchedTrianglePresent,
                                build_loop_graph, build_snake)
 from surfcluster.matchings import (
-    boundary_matchings,
     enumerate_matchings,
     gamma_symmetric_filter,
     height_exponents,
@@ -42,6 +41,7 @@ from surfcluster.matchings import (
     perfect_end_restriction,
     phi_specialize,
 )
+from graph_route import boundary_matchings
 from surfcluster.expand import (
     expand_double_notch,
     expand_notched_loop,

@@ -252,8 +252,8 @@ def test_rejected_notched_arc_runs_no_transfer_sum(monkeypatch):
     # once: every loop path is checked before the first transfer sum
     import surfcluster.expand as ex
     calls = []
-    real = ex.transfer_sum
-    monkeypatch.setattr(ex, "transfer_sum",
+    real = ex.strip_sum
+    monkeypatch.setattr(ex, "strip_sum",
                         lambda *args: calls.append(args) or real(*args))
     T = twice_punctured()
     path = CrossingPath((1, "10"), (Crossing("5", 0), Crossing("6", 3)),

@@ -13,6 +13,7 @@ from conftest import (
     gamma2,
     gamma3,
     oracle_graphs,
+    oracle_walks,
     polygon,
     polygon_arc,
     square,
@@ -23,24 +24,27 @@ from conftest import (
 )
 from surfcluster.expand import expand_ordinary
 from surfcluster.poly import LaurentPoly as L, xvar, yvar
-from surfcluster.snake import build_loop_graph, build_snake
+from surfcluster.snake import build_loop_graph, build_snake, build_tiles
+from surfcluster.surface import SurfaceError
 from surfcluster.matchings import (
     _RULES,
     Matching,
     NotAMatching,
-    boundary_matchings,
     compatible_pairs,
-    edge_keys,
     enumerate_matchings,
     gamma_symmetric_filter,
     height_exponents,
     matching_count,
     matching_weight,
     minimal_maximal,
+    outer_slots,
     perfect_end_restriction,
     phi_specialize,
-    transfer_sum,
+    strip_rules,
+    strip_sum,
 )
+from graph_route import (boundary_matchings, boundary_walk, edge_keys,
+                         transfer_sum)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -184,7 +188,7 @@ def test_count_matches_kasteleyn(mk):
     # the transfer sum with every key 0 counts the matchings
     assert transfer_sum(g, 0, [0] * len(g.edges)) == {0: n}
     # and so does the continuant of the sign sequence read off the glue
-    assert matching_count(g) == n
+    assert matching_count(g.glue) == n
 
 
 def test_zigzag_expansion_count_matches_kasteleyn():
@@ -259,7 +263,7 @@ def test_three_tile_turns(mirror, glue):
     assert g.glue == glue
     ms = enumerate_matchings(g)
     assert ms == dp_oracle.enumerate_matchings(g)
-    assert len(ms) == kasteleyn_count(g) == matching_count(g) == 4
+    assert len(ms) == kasteleyn_count(g) == matching_count(g.glue) == 4
     keys = [1 << (8 * e) for e in range(len(g.edges))]
     assert transfer_sum(g, 0, keys) == dp_oracle.transfer_sum(g, 0, keys) \
         == {sum(keys[e] for e in P): 1 for P in ms}
@@ -276,7 +280,7 @@ def test_dp_equals_the_generic_dp(name):
         assert ms == dp_oracle.enumerate_matchings(g)         # in order
         bms = dp_oracle.boundary_matchings(g)
         assert boundary_matchings(g) == bms
-        assert matching_count(g) == len(ms)
+        assert matching_count(g.glue) == len(ms)
         # the boundary walk gives the pair the fold picks: P- is the one
         # boundary matching that avoids the first tile's avoid slots
         avoid = {g.tiles[0].slot_edge[s] for s in g.minus_avoid_slots}
@@ -292,6 +296,52 @@ def test_dp_equals_the_generic_dp(name):
         assert transfer_sum(g, 7, keys) == dp_oracle.transfer_sum(g, 7, keys)
         graphs += 1
     assert graphs
+
+
+def _strip_against_graph(T, path, mirror):
+    """The strip kernel against the graph route on one path: the same
+    packed sum, outer edges and P- membership, bound and count; and the
+    colour rule for P- and P+ against the walk around the boundary."""
+    g = build_snake(T, path, mirror=mirror)
+    tiles, glue, _ = build_tiles(T, path, mirror=mirror)
+    minus, plus = boundary_walk(g)
+    assert minimal_maximal(g) == (minus, plus)
+    outer = outer_slots(tiles, glue)
+    assert [t.slot_edge[s] for t, (s, _) in zip(g.tiles, outer)] == \
+        g.outer_edges
+    assert [m for _, m in outer] == [e in minus for e in g.outer_edges]
+    start, keys, bound = edge_keys(g, T, minus)
+    acc = strip_sum(*strip_rules(T, tiles, glue))
+    assert acc == transfer_sum(g, start, keys), path
+    assert bound == len(tiles) + 1
+    num = L.from_packed(acc)
+    assert num._max_exp(exact=True) <= bound
+    assert sum(acc.values()) == matching_count(glue) == \
+        matching_count(g.glue)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_strip_kernel_equals_the_graph_route(name):
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    paths = 0
+    for path, mirror in oracle_walks(T, max_d):
+        try:
+            build_snake(T, path, mirror=mirror)
+        except SurfaceError:
+            with pytest.raises(SurfaceError):
+                build_tiles(T, path, mirror=mirror)
+            continue
+        _strip_against_graph(T, path, mirror)
+        paths += 1
+    assert paths
+
+
+def test_strip_kernel_equals_the_graph_route_on_zigzag_arcs():
+    for c in range(4, 22):
+        T = zigzag_polygon(c)
+        for mirror in (False, True):
+            _strip_against_graph(T, zigzag_arc(T), mirror)
 
 
 # -- heights -------------------------------------------------------------------

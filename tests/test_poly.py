@@ -361,6 +361,26 @@ def test_overestimated_bound_does_not_refuse_a_representable_product():
     assert one * L.var(x, 2 ** 30) == L.var(x, 2 ** 30)
 
 
+def test_substitution_near_the_limit_returns_representable_results():
+    # the operand bounds, 2**30 and 1, allow exponents up to 2**31, but
+    # the result's digits are what must fit
+    x1, x2 = xvar("1"), xvar("2")
+    p = L.monomial(1, {x1: 2 ** 30, x2: -2 ** 30})
+    assert p.substitute({x2: L.var(x1)}) == L.one()
+    q = L.monomial(1, {x1: 2 ** 30 - 1, x2: 2 ** 30}) + 3 * L.var(x1, -5)
+    assert q.substitute({x1: L.var(x2), x2: L.var(x1, -1)}) == \
+        L.monomial(1, {x1: -2 ** 30, x2: 2 ** 30 - 1}) + 3 * L.var(x2, -5)
+
+
+def test_substitution_past_the_limit_is_refused():
+    x1, x2 = xvar("1"), xvar("2")
+    p = L.monomial(1, {x1: 2 ** 30, x2: 2 ** 30})
+    with pytest.raises(ExponentOverflow):
+        p.substitute({x2: L.var(x1)})
+    with pytest.raises(ExponentOverflow):
+        L.var(x2, -2 ** 30).substitute({x2: L.var(x1, 2)})
+
+
 def test_mul_and_div_exact_are_reached_on_the_class(monkeypatch):
     # the benchmark's per-layer tracer wraps these two on the class; the
     # mutation oracle and the expansions must keep calling them there
