@@ -16,8 +16,6 @@ from .surface import (
     TaggedArcRef,
     Topology,
     Triangulation,
-    extended_principal,
-    puncture_degree,
     signed_adjacency,
     third_arc,
     validate_path,
@@ -29,7 +27,6 @@ from .matchings import (
     gamma_symmetric_filter,
     compatible_pairs,
     height_exponents,
-    matching_weight,
     minimal_maximal,
     phi_specialize,
 )

@@ -75,9 +75,9 @@ from .snake import build_snake, dump_snake
 from .matchings import (
     enumerate_matchings,
     height_exponents,
-    matching_weight,
     minimal_maximal,
     phi_specialize,
+    weight_exps,
 )
 from .expand import Expansion, expand_arc, f_polynomial, g_vector
 from .mutation import (
@@ -327,8 +327,8 @@ def parse_seed(data: bytes):
     obj = _json(data, _SEED, "seed")
     rows = obj["matrix"]
     n = len(rows[0]) if rows else 0
-    if not rows or len(rows) < n or any(len(r) != n for r in rows):
-        raise ParseError("seed: matrix must be n x n or (n+m) x n")
+    if n == 0 or len(rows) < n or any(len(r) != n for r in rows):
+        raise ParseError("seed: matrix must be n x n or (n+m) x n, n >= 1")
     names = obj.get("names", [str(i + 1) for i in range(n)])
     if len(names) != n:
         raise ValidationError(f"seed: {len(names)} names for {n} columns")
@@ -414,7 +414,7 @@ def _cmd_matchings(args) -> int:
     minus, _ = minimal_maximal(g)
     for P in enumerate_matchings(g):
         edges = ",".join(str(e) for e in sorted(P))
-        w = matching_weight(g, P, T)
+        w = LaurentPoly.monomial(1, weight_exps(g, P, T))
         m = height_exponents(g, P, minus)
         h = " ".join(f"h_{k}^{v}" for k, v in sorted(m.items())) or "1"
         y = phi_specialize(m, T)

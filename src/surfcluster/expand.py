@@ -27,19 +27,18 @@ no loop-graph matching listed:
 The paper's sums over the symmetric matchings and compatible pairs of loop
 graphs are the oracle the tests check both identities against.
 
-An `Expansion` carries `poly`, the exact Laurent polynomial; its numerator
-`poly * cross` over the crossing monomial `cross` (extended by the arc ends
-at each notched puncture); the tagged `arc`; and `matchings_used`, the
-number of summands of the matching formula.  At x = y = 1 every expansion
-is its matching count and (1 - Y) vanishes, so the identities give
-F_l(1) / F_gamma(1) symmetric matchings for one notch and
-F_p(1) * F_q(1) / F_gamma(1) compatible pairs for two.  These quotients, and
-the polynomial ones, are exact whenever the identities hold; a remainder
-raises `NotDivisible`.  The closed form of a doubly-notched arc of the
-triangulation sums no matchings and reports 0.  Equality testing uses
-`poly`.  `f_polynomial` sets every x to 1 in `poly`; `euler_table` reads
-the F-polynomial's coefficients, so it counts matchings by height for every
-kind of arc.
+An `Expansion` is its exact Laurent polynomial `poly`, with the crossing
+monomial `cross` (extended by the arc ends at each notched puncture) and
+`matchings_used`, the number of summands of the matching formula.  Neither
+depends on the mirror drawing of the snake graph, so none is chosen here.
+At x = y = 1 every expansion is its matching count and (1 - Y) vanishes, so
+the identities give F_l(1) / F_gamma(1) symmetric matchings for one notch
+and F_p(1) * F_q(1) / F_gamma(1) compatible pairs for two.  These
+quotients, and the polynomial ones, are exact whenever the identities hold;
+a remainder raises `NotDivisible`.  The closed form of a doubly-notched arc
+of the triangulation sums no matchings and reports 0.  `f_polynomial` sets
+every x to 1 in `poly`; `euler_table` reads the F-polynomial's
+coefficients, so it counts matchings by height for every kind of arc.
 """
 
 from __future__ import annotations
@@ -100,11 +99,14 @@ class InhomogeneousExpansion(ArithmeticError):
 
 @dataclass
 class Expansion:
-    poly: LaurentPoly                     # exact quotient numerator/cross
-    numerator: LaurentPoly
-    cross: LaurentPoly                    # a monomial
-    arc: TaggedArcRef
+    poly: LaurentPoly
+    cross: LaurentPoly                    # a monomial with coefficient 1
     matchings_used: int                   # summands: matchings or pairs
+
+    @property
+    def numerator(self) -> LaurentPoly:
+        """`poly * cross`, the sum over matchings before the division."""
+        return self.poly.mul(self.cross)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Expansion):
@@ -117,27 +119,14 @@ class Expansion:
         return hash(self.poly)
 
     def display(self) -> str:
-        """Canonical text with the common monomial factor cancelled."""
-        num, den = reduced_fraction(self.numerator, self.cross)
+        """Canonical text of `poly` over the least monomial that clears its
+        negative exponents: the numerator over `cross`, reduced."""
+        den = LaurentPoly.monomial(1, {v: -e for v, e in lowest_exponents(
+            self.poly).items() if e < 0})
         if den.is_one():
-            return num.canonical_text()
+            return self.poly.canonical_text()
+        num = self.poly.mul(den)
         return f"({num.canonical_text()}) / ({den.canonical_text()})"
-
-
-def reduced_fraction(num: LaurentPoly, den: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-    """Cancel the largest common monomial factor of a monomial-denominator
-    fraction."""
-    if not den.is_monomial():
-        raise ValueError("not a monomial")
-    common = lowest_exponents(num, den)
-    if not common:
-        return num, den
-    shift = LaurentPoly.monomial(1, {v: -e for v, e in common.items()})
-    # the denominator is a monomial: shift its exponents directly
-    c, exps = den.monomial_parts()
-    for v, e in common.items():
-        exps[v] = exps.get(v, 0) - e
-    return num.mul(shift), LaurentPoly.monomial(c, exps)
 
 
 def _puncture_at(T: Triangulation, spot: Tuple[int, str]) -> Optional[str]:
@@ -146,25 +135,12 @@ def _puncture_at(T: Triangulation, spot: Tuple[int, str]) -> Optional[str]:
 
 
 def crossing_monomial(T: Triangulation, path: Union[CrossingPath, str],
-                      notches: int = 0, p: Optional[str] = None,
-                      q: Optional[str] = None) -> LaurentPoly:
+                      punctures: Sequence[str] = ()) -> LaurentPoly:
     """Product of the crossed-arc weights, extended by the arc ends at each
     notched puncture."""
-    labels: List[str] = []
-    if isinstance(path, CrossingPath):
-        labels.extend(path.crossed_arcs())
-        if notches >= 1 and p is None:
-            p = _puncture_at(T, path.end)
-        if notches == 2 and q is None:
-            q = _puncture_at(T, path.start)
-    if notches >= 1:
-        if p is None:
-            raise EndpointNotPuncture("notched end is not at a puncture")
+    labels = list(path.crossed_arcs()) if isinstance(path, CrossingPath) else []
+    for p in punctures:
         labels.extend(arcs_around_puncture(T, p))
-    if notches == 2:
-        if q is None:
-            raise EndpointNotPuncture("second notched end is not at a puncture")
-        labels.extend(arcs_around_puncture(T, q))
     return LaurentPoly.monomial(1, x_exps_of_labels(T, labels))
 
 
@@ -176,15 +152,12 @@ def _quotient(a: int, b: int) -> int:
     return q
 
 
-def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
-              mirror: bool) -> Expansion:
+def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str]) -> Expansion:
     """The transfer sum of an ordinary arc; an arc of the triangulation is
     its own variable."""
-    ref = TaggedArcRef(gamma)
     if isinstance(gamma, str):
-        x = x_of_label(T, gamma)
-        return Expansion(x, x, LaurentPoly.one(), ref, 1)
-    tiles, glue, _ = build_tiles(T, gamma, mirror=mirror)
+        return Expansion(x_of_label(T, gamma), LaurentPoly.one(), 1)
+    tiles, glue, _ = build_tiles(T, gamma)
     # every perfect matching adds one monomial with coefficient 1
     acc = strip_sum(*strip_rules(T, tiles, glue))
     count = matching_count(glue)
@@ -195,11 +168,10 @@ def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
     # and each of the d tiles moves a y exponent by at most 1
     num = LaurentPoly.from_packed(acc, len(tiles) + 1)
     cross = crossing_monomial(T, gamma)
-    return Expansion(num.div_exact(cross), num, cross, ref, count)
+    return Expansion(num.div_exact(cross), cross, count)
 
 
 def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
-               mirror: bool = False,
                punctures: Sequence[Optional[str]] = ()) -> Expansion:
     """The expansion of a tagged arc: the transfer sum when no end is
     notched, the loop identity for one notch, the two-notch identity for
@@ -221,7 +193,7 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
         raise ValueError(f"orientation must be 'ccw' or 'cw', not "
                          f"{orientation!r}")
     if not (ref.notch_start or ref.notch_end):
-        return _ordinary(T, ref.base, mirror)
+        return _ordinary(T, ref.base)
     sides = _notched_sides(T, ref, orientation, punctures)
     gamma = sides[0][0]
     # the loop l that follows g to p, circles p and comes back; around a
@@ -231,8 +203,8 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
         sf = T.radius_triangle(g) if isinstance(g, str) else None
         loop_paths.append(sf.loop if sf is not None and sf.puncture == p
                           else build_loop_path(T, g, p))
-    loops = [_ordinary(T, loop, mirror) for loop in loop_paths]
-    x = _ordinary(T, gamma, mirror)
+    loops = [_ordinary(T, loop) for loop in loop_paths]
+    x = _ordinary(T, gamma)
     # x_l = x_gamma * x_gamma^(p), and at x = y = 1 each side counts
     # matchings, so the quotients are the notched arcs' counts
     singles = [l.poly.div_exact(x.poly) for l in loops]
@@ -254,8 +226,8 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
             one.sub(_y_ends_product(T, p)).mul(one.sub(_y_ends_product(T, q)))
             .mul(phi))
         poly = num.div_exact(x.poly)
-    cross = crossing_monomial(T, gamma, notches=len(sides), p=p, q=q)
-    return Expansion(poly, poly.mul(cross), cross, ref, count)
+    return Expansion(poly, crossing_monomial(T, gamma, [p for _, p in sides]),
+                     count)
 
 
 def _notched_sides(T: Triangulation, ref: TaggedArcRef, orientation: str,
@@ -297,35 +269,31 @@ def _notched_sides(T: Triangulation, ref: TaggedArcRef, orientation: str,
     return [(gamma, p), (gamma.reversed(), q)]
 
 
-def expand_ordinary(T: Triangulation, gamma: Union[CrossingPath, str],
-                    mirror: bool = False) -> Expansion:
+def expand_ordinary(T: Triangulation,
+                    gamma: Union[CrossingPath, str]) -> Expansion:
     """Matching-sum expansion of an ordinary arc (or an arc of the
     triangulation, which is its own variable)."""
-    return expand_arc(T, TaggedArcRef(gamma), mirror=mirror)
+    return expand_arc(T, TaggedArcRef(gamma))
 
 
 def expand_single_notch(T: Triangulation, gamma: Union[CrossingPath, str],
-                        p: Optional[str] = None,
-                        mirror: bool = False) -> Expansion:
+                        p: Optional[str] = None) -> Expansion:
     """Expansion of the arc notched at the puncture its path ends at (for
     an arc of the triangulation: at p)."""
-    return expand_arc(T, TaggedArcRef(gamma, notch_end=True), mirror=mirror,
-                      punctures=(p,))
+    return expand_arc(T, TaggedArcRef(gamma, notch_end=True), punctures=(p,))
 
 
 def expand_double_notch(T: Triangulation, gamma: Union[CrossingPath, str],
-                        p: Optional[str] = None, q: Optional[str] = None,
-                        mirror: bool = False) -> Expansion:
+                        p: Optional[str] = None,
+                        q: Optional[str] = None) -> Expansion:
     """Expansion of the arc between punctures p (its end) and q (its start)
     notched at both."""
     _check_not_two_marked_closed(T)   # expand_arc skips it for loops
-    return expand_arc(T, TaggedArcRef(gamma, True, True), mirror=mirror,
-                      punctures=(p, q))
+    return expand_arc(T, TaggedArcRef(gamma, True, True), punctures=(p, q))
 
 
 def expand_notched_loop(T: Triangulation, rho: CrossingPath, notches: int,
-                        orientation: str = "ccw",
-                        mirror: bool = False) -> Expansion:
+                        orientation: str = "ccw") -> Expansion:
     """Notched versions of a loop based at a puncture.
 
     The singly-notched loop is not a cluster variable; it is the formal
@@ -340,8 +308,7 @@ def expand_notched_loop(T: Triangulation, rho: CrossingPath, notches: int,
     p = _puncture_at(T, rho.end)
     if p is None or _puncture_at(T, rho.start) != p:
         raise EndpointNotPuncture("notched loops must begin and end at one puncture")
-    return expand_arc(T, TaggedArcRef(rho, notches == 2, True), orientation,
-                      mirror)
+    return expand_arc(T, TaggedArcRef(rho, notches == 2, True), orientation)
 
 
 def _check_not_two_marked_closed(T: Triangulation) -> None:
@@ -484,8 +451,7 @@ def retag_expansion(e: Expansion, T: Triangulation,
                 bind[v] = LaurentPoly.var(VarId(v.kind, mapping[v.name]))
         return poly.substitute(bind)
 
-    return Expansion(rename(e.poly), rename(e.numerator), rename(e.cross),
-                     e.arc, e.matchings_used)
+    return Expansion(rename(e.poly), rename(e.cross), e.matchings_used)
 
 
 def _toggle_notch_name(name: str, p: str) -> str:

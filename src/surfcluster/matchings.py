@@ -85,7 +85,6 @@ __all__ = [
     "height_exponents",
     "phi_specialize",
     "x_of_label",
-    "matching_weight",
     "outer_slots",
     "strip_rules",
     "strip_sum",
@@ -321,10 +320,6 @@ def x_exps_of_labels(T: Triangulation, labels: Iterable[str]) -> Dict:
 
 def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
     return x_exps_of_labels(T, (g.edges[eid].label for eid in edges))
-
-
-def matching_weight(g: SnakeGraph, P: Matching, T: Triangulation) -> LaurentPoly:
-    return LaurentPoly.monomial(1, weight_exps(g, P, T))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ it is needed.  Nothing computed for one arc is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 __all__ = [
     "Topology",
@@ -43,10 +43,8 @@ __all__ = [
     "PathInvalid",
     "validate_surface",
     "signed_adjacency",
-    "extended_principal",
     "validate_path",
     "third_arc",
-    "puncture_degree",
     "arcs_around_puncture",
 ]
 
@@ -275,6 +273,15 @@ def validate_surface(T: Triangulation) -> List[str]:
     g, b, p, c = (topo.genus, topo.boundary_components,
                   topo.punctures, topo.boundary_marked)
 
+    negative = [k for k, count in vars(topo).items() if count < 0]
+    if negative:
+        v.append(f"topology: {', '.join(negative)} must not be negative")
+    if len(T.punctures) != p:
+        v.append(f"{len(T.punctures)} punctures listed, topology has {p}")
+    if len(T.boundary) != c:
+        v.append(f"{len(T.boundary)} boundary segments listed, topology has "
+                 f"{c} boundary marked points")
+
     labels = list(T.arcs) + list(T.boundary) + list(T.punctures)
     if len(set(labels)) != len(labels):
         v.append("labels are not unique across arcs, boundary and punctures")
@@ -350,7 +357,7 @@ def _check_vertex_names(T: Triangulation) -> List[str]:
         if p not in seen_punctures:
             out.append(f"puncture {p!r} is not located by any triangle vertex")
     # orbit consistency: all corners in one orbit must carry the same name
-    for orbit in _corner_orbits(T):
+    for orbit in T._orbits:
         names = {vertex_of_corner(T, c) for c in orbit}
         names.discard(None)
         if len(names) > 1:
@@ -379,12 +386,6 @@ def _pseudo_sides(t: Triangle) -> Tuple[str, ...]:
     if isinstance(t, SelfFolded):
         return (t.radius, t.radius, t.loop)
     return t.sides
-
-
-def _corner_orbits(T: Triangulation):
-    """Vertices of the triangulation as sorted lists of corners, in the
-    order of their first corners."""
-    return T._orbits
 
 
 def vertex_of_corner(T: Triangulation, corner) -> Optional[str]:
@@ -426,11 +427,6 @@ def corner_walk(T: Triangulation, c0) -> List[Tuple[Tuple[int, int], str]]:
 def arcs_around_puncture(T: Triangulation, p: str) -> List[str]:
     """Arc ends incident to p in clockwise order (loops at p appear twice)."""
     return [arc for _, arc in corner_walk(T, puncture_corner(T, p))]
-
-
-def puncture_degree(T: Triangulation, p: str) -> int:
-    """Number of ideal-arc ends incident to p (a loop at p counts twice)."""
-    return len(arcs_around_puncture(T, p))
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +482,6 @@ def signed_adjacency(T: Triangulation) -> List[List[int]]:
                         B[index[ui]][index[vj]] += 1
                         B[index[vj]][index[ui]] -= 1
     return B
-
-
-def extended_principal(B: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Stack B on top of the n-by-n identity."""
-    n = len(B)
-    out = [list(row) for row in B]
-    for i in range(n):
-        out.append([1 if j == i else 0 for j in range(n)])
-    return out
 
 
 # ---------------------------------------------------------------------------

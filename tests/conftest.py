@@ -185,9 +185,9 @@ def _name_vertices(T0: Triangulation, special) -> Triangulation:
     name; boundary orbits are named m1, m2, ...; self-folded punctures name
     themselves.  Exactly the punctures of T0 must be matched.
     """
-    from surfcluster.surface import _corner_orbits, _pseudo_sides
+    from surfcluster.surface import _pseudo_sides
 
-    orbits = _corner_orbits(T0)
+    orbits = T0._orbits
     names = {}
     interior = []
     bcount = 0

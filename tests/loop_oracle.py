@@ -36,7 +36,6 @@ from surfcluster.matchings import (
 )
 from surfcluster.poly import LaurentPoly, pack
 from surfcluster.snake import EndpointNotPuncture, LoopGraph, build_loop_graph
-from surfcluster.surface import TaggedArcRef
 
 
 def _merge(*exp_maps) -> Dict:
@@ -55,8 +54,8 @@ def _scale(exps: Dict, k: int) -> Dict:
     return {v: k * e for v, e in exps.items()}
 
 
-def _sum(terms: Iterable[Tuple[Dict, Dict]], cross: LaurentPoly,
-         ref: TaggedArcRef) -> Expansion:
+def _sum(terms: Iterable[Tuple[Dict, Dict]],
+         cross: LaurentPoly) -> Expansion:
     """The matching sum over listed summands: one monomial per summand from
     its (x, y) exponent maps, divided once by the crossing monomial.  The
     two maps hold x and y variables apart, so their packed keys add without
@@ -68,7 +67,7 @@ def _sum(terms: Iterable[Tuple[Dict, Dict]], cross: LaurentPoly,
         acc[key] = acc.get(key, 0) + 1
         count += 1
     num = LaurentPoly.from_packed(acc)
-    return Expansion(num.div_exact(cross), num, cross, ref, count)
+    return Expansion(num.div_exact(cross), cross, count)
 
 
 def _symmetric_terms(T, lg: LoopGraph, power: int
@@ -108,8 +107,7 @@ def _pair_sum(T, gamma, p: str, q: str, mirror: bool) -> Expansion:
                              roles_p=roles_p, roles_q=roles_q)
     terms = ((_merge(terms_p[P][0], terms_q[Q][0]),
               _merge(terms_p[P][1], terms_q[Q][1])) for P, Q in pairs)
-    return _sum(terms, crossing_monomial(T, gamma, notches=2, p=p, q=q),
-                TaggedArcRef(gamma, notch_start=True, notch_end=True))
+    return _sum(terms, crossing_monomial(T, gamma, (p, q)))
 
 
 def single_notch(T, gamma, p=None, mirror=False) -> Expansion:
@@ -121,8 +119,7 @@ def single_notch(T, gamma, p=None, mirror=False) -> Expansion:
         raise EndpointNotPuncture("path does not end at a puncture")
     lg = build_loop_graph(T, gamma, p, mirror=mirror)
     terms = _symmetric_terms(T, lg, 1)[0].values()
-    return _sum(terms, crossing_monomial(T, gamma, notches=1, p=p),
-                TaggedArcRef(gamma, notch_end=True))
+    return _sum(terms, crossing_monomial(T, gamma, (p,)))
 
 
 def double_notch(T, gamma, p=None, q=None, mirror=False) -> Expansion:

@@ -325,6 +325,13 @@ def _square_surface(**fields):
     return {**square_json(), **fields}
 
 
+def _square_topology(tmp_path, **fields):
+    """`expand` on the square with fields of its topology replaced."""
+    obj = square_json()
+    obj["topology"].update(fields)
+    return _square_expand(tmp_path, obj)
+
+
 def _first_triangle(**fields):
     tris = square_json()["triangles"]
     return _square_surface(triangles=[{**tris[0], **fields}, *tris[1:]])
@@ -447,6 +454,10 @@ BAD_INPUTS = {
         tmp, {"schema": 1, "matrix": [[0, 1], [-1]]})),
     "ragged coefficient row": (EXIT_PARSE, lambda tmp: _mutate(
         tmp, {"schema": 1, "matrix": [[0, 1], [-1, 0], [1]]})),
+    "seed with no columns": (EXIT_PARSE, lambda tmp: _mutate(
+        tmp, {"schema": 1, "matrix": [[]]})),
+    "seed with two empty rows": (EXIT_PARSE, lambda tmp: _mutate(
+        tmp, {"schema": 1, "matrix": [[], []]})),
     "100 000 nested lists": (EXIT_PARSE, lambda tmp: _raw_surface(
         tmp, b"[" * 100_000)),
     "bytes that decode in no UTF": (EXIT_PARSE, lambda tmp: _raw_surface(
@@ -467,6 +478,14 @@ BAD_INPUTS = {
                                   lambda tmp: _hexagon_index(tmp, 4)),
     # surface rules: exit 2
     "puncture on the boundary": (EXIT_VALIDATION, _puncture_on_boundary),
+    "negative genus": (EXIT_VALIDATION, lambda tmp: _square_topology(
+        tmp, genus=-1, punctures=2)),
+    "negative boundary components": (EXIT_VALIDATION, lambda tmp: _square_topology(
+        tmp, boundary_components=-1)),
+    "more punctures than listed": (EXIT_VALIDATION, lambda tmp: _square_topology(
+        tmp, punctures=1)),
+    "more boundary marked points than segments": (
+        EXIT_VALIDATION, lambda tmp: _square_topology(tmp, boundary_marked=5)),
     # path rules: exit 2
     "wind on a non-radius crossing": (EXIT_VALIDATION, lambda tmp: _square_expand(
         tmp, crossings=[{"arc": "d", "to_triangle": 1, "wind": "ccw"}])),

@@ -24,10 +24,12 @@ from surfcluster.matchings import (
     height_exponents,
     minimal_maximal,
     phi_exps,
+    strip_rules,
+    strip_sum,
     weight_exps,
 )
 from surfcluster.poly import LaurentPoly as L, xvar, yvar
-from surfcluster.snake import build_loop_path, build_snake
+from surfcluster.snake import build_loop_path, build_snake, build_tiles
 from surfcluster.surface import (
     Crossing,
     CrossingPath,
@@ -48,7 +50,6 @@ from surfcluster.expand import (
     f_polynomial,
     g_vector,
     retag_expansion,
-    reduced_fraction,
     z_factor,
 )
 from surfcluster.mutation import mutate_seed, principal_seed, run_sequence
@@ -68,7 +69,7 @@ def test_crossing_monomial_square():
 
 def test_crossing_monomial_notched():
     T = twice_punctured()
-    cm = crossing_monomial(T, gamma3(T), notches=2)
+    cm = crossing_monomial(T, gamma3(T), ("p", "q"))
     expect = L.one()
     for n in ("3", "4", "5", "6", "7", "8"):
         expect = expect * L.var(xvar(n))
@@ -108,8 +109,7 @@ def _per_matching_sum(T, path, mirror):
     ms = enumerate_matchings(g)
     terms = ((weight_exps(g, P, T), phi_exps(height_exponents(g, P, minus), T))
              for P in ms)
-    return (loop_oracle._sum(terms, crossing_monomial(T, path),
-                             TaggedArcRef(path)), len(ms))
+    return loop_oracle._sum(terms, crossing_monomial(T, path)), len(ms)
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
@@ -117,9 +117,9 @@ def test_transfer_sum_equals_per_matching_sum(name):
     mk, max_d = ORACLE_SURFACES[name]
     T = mk()
     for path in walk_paths(T, max_d):
+        got = expand_ordinary(T, path)
         for mirror in (False, True):
             want, count = _per_matching_sum(T, path, mirror)
-            got = expand_ordinary(T, path, mirror=mirror)
             assert got.numerator == want.numerator, path
             assert got.poly == want.poly
             assert got.matchings_used == count
@@ -127,26 +127,30 @@ def test_transfer_sum_equals_per_matching_sum(name):
 
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_graph_bound_covers_the_numerator(name):
-    # the numerator is built with a bound read off the snake graph, so that
+    # the numerator is built with a bound read off the tiles, so that
     # dividing it by the crossing monomial need not decode its keys; loop
     # paths, whose numerators the notched arcs divide, are checked too
     mk, max_d = ORACLE_SURFACES[name]
     T = mk()
 
-    def check(path, mirror):
-        num = expand_ordinary(T, path, mirror=mirror).numerator
-        assert num._max_exp() >= num._max_exp(exact=True), path
+    def check(path):
+        got = expand_ordinary(T, path).numerator
+        for mirror in (False, True):
+            tiles, glue, _ = build_tiles(T, path, mirror=mirror)
+            num = L.from_packed(strip_sum(*strip_rules(T, tiles, glue)),
+                                len(tiles) + 1)
+            assert num._max_exp() >= num._max_exp(exact=True), path
+            assert num == got, path
 
     for path in walk_paths(T, max_d):
         p = T.vertex_name(*path.end)
-        for mirror in (False, True):
-            check(path, mirror)
-            if p in T.punctures:
-                try:
-                    loop = build_loop_path(T, path, p)
-                except SurfaceError:
-                    continue
-                check(loop, mirror)
+        check(path)
+        if p in T.punctures:
+            try:
+                loop = build_loop_path(T, path, p)
+            except SurfaceError:
+                continue
+            check(loop)
 
 
 def _outcome(f, *args, **kwargs):
@@ -204,9 +208,10 @@ def test_identities_equal_loop_graph_sums(name):
     T = mk()
     computed, compared = set(), 0
     for kind, route, oracle, args in _notched_cases(T, max_d):
+        got = _outcome(route, *args)
         for mirror in (False, True):
             want = _outcome(oracle, *args, mirror=mirror)
-            assert _outcome(route, *args, mirror=mirror) == want, (kind, args)
+            assert got == want, (kind, args, mirror)
             compared += 1
             if not isinstance(want, str):
                 computed.add(kind)
@@ -301,8 +306,7 @@ def test_notched_end_circles_the_puncture_from_its_end_slot():
         principal_seed(signed_adjacency(T), T.tagged_names()), 5)
     for start, arc, other in (((2, "c"), "c", "a"), ((1, "a"), "a", "c")):
         path = CrossingPath(start, (Crossing(arc, 0),), (0, arc))
-        for mirror in (False, True):
-            assert expand_single_notch(T, path, mirror=mirror).poly in oracle
+        assert expand_single_notch(T, path).poly in oracle
         path = CrossingPath(start, (Crossing(arc, 0),), (0, other))
         with pytest.raises(PathInvalid, match="minimal position"):
             expand_single_notch(T, path)
@@ -482,7 +486,7 @@ def test_g_vector_rejects_inhomogeneous():
     from surfcluster.expand import Expansion
     bad = L.var(xvar("d")) + L.var(xvar("d"), 2)
     with pytest.raises(InhomogeneousExpansion):
-        g_vector(Expansion(bad, bad, L.one(), None, 0), B, T.tagged_names())
+        g_vector(Expansion(bad, L.one(), 0), B, T.tagged_names())
 
 
 def test_euler_table():
@@ -527,9 +531,8 @@ def test_retag_twice_identity_general():
 def test_display_reduces_common_monomials():
     E = example_surface()
     e = expand_ordinary(E, gamma1(E))
-    num, den = reduced_fraction(e.numerator, e.cross)
-    _, dexp = den.monomial_parts()
-    assert dexp == {xvar(n): 1 for n in ("1", "2", "3", "4", "5", "6")}
+    den = L.monomial(1, {xvar(n): 1 for n in ("1", "2", "3", "4", "5", "6")})
+    assert e.display().endswith(f") / ({den.canonical_text()})")
 
 
 @pytest.mark.parametrize("name", ["square", "hexagon", "annulus22",
@@ -541,7 +544,7 @@ def test_display_matches_the_multiplied_fraction(name):
     if T.punctures:
         cases += [(route, args) for _, route, _, args in
                   _notched_cases(T, min(max_d, 4))]
-    shown = 0
+    shown = retagged = 0
     for route, args in cases:
         try:
             e = route(*args)
@@ -549,7 +552,14 @@ def test_display_matches_the_multiplied_fraction(name):
             continue
         assert e.display() == text_oracle.display(e), args
         shown += 1
-    assert shown > 0
+        if route is expand_ordinary:
+            continue
+        # retagging is the one other place that builds an Expansion
+        for p in T.punctures:
+            r = retag_expansion(e, T, [p])
+            assert r.display() == text_oracle.display(r), (args, p)
+            retagged += 1
+    assert shown > 0 and (retagged > 0 or not T.punctures)
 
 
 def test_retag_against_oracle_names():

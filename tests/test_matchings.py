@@ -35,13 +35,13 @@ from surfcluster.matchings import (
     gamma_symmetric_filter,
     height_exponents,
     matching_count,
-    matching_weight,
     minimal_maximal,
     outer_slots,
     perfect_end_restriction,
     phi_specialize,
     strip_rules,
     strip_sum,
+    weight_exps,
 )
 from graph_route import (boundary_matchings, boundary_walk, edge_keys,
                          transfer_sum)
@@ -400,7 +400,7 @@ def test_square_minimal_weight_is_one():
     T = square()
     g = build_snake(T, square_other_diagonal(T))
     minus, _ = minimal_maximal(g)
-    assert matching_weight(g, minus, T) == L.one()
+    assert L.monomial(1, weight_exps(g, minus, T)) == L.one()
 
 
 def test_phi_specialize_examples():
@@ -419,7 +419,7 @@ def test_weights_use_composite_loop_variable():
     E = example_surface()
     g = build_snake(E, gamma1(E))
     minus, _ = minimal_maximal(g)
-    w = matching_weight(g, minus, E)
+    w = L.monomial(1, weight_exps(g, minus, E))
     _, exps = w.monomial_parts()
     assert exps.get(xvar("1"), 0) == 2 and exps.get(xvar("2"), 0) == 3
 

@@ -25,13 +25,10 @@ from surfcluster.surface import (
     Triangulation,
     arcs_around_puncture,
     corner_walk,
-    extended_principal,
-    puncture_degree,
     signed_adjacency,
     third_arc,
     validate_path,
     validate_surface,
-    _corner_orbits,
     _pseudo_sides,
 )
 from surfcluster.mutation import principal_seed, run_sequence
@@ -46,6 +43,21 @@ ALL_FIXTURES = [square(), digon(), polygon(5), polygon(6),
 def test_validate_square_and_digon_ok():
     assert validate_surface(square()) == []
     assert validate_surface(digon()) == []
+
+
+@pytest.mark.parametrize("topology, message", [
+    (Topology(-1, 1, 2, 4), "topology: genus must not be negative"),
+    (Topology(0, -1, 0, 4), "topology: boundary_components must not be"),
+    (Topology(0, 1, 1, 4), "0 punctures listed, topology has 1"),
+    (Topology(0, 1, 0, 5), "4 boundary segments listed, topology has 5"),
+])
+def test_topology_that_contradicts_the_file(topology, message):
+    # the square's arcs, boundary and triangles under a topology they do
+    # not have: each contradiction is one violation
+    T = square()
+    T = Triangulation(T.arcs, T.boundary, T.punctures, T.triangles, topology)
+    problems = validate_surface(T)
+    assert sum(p.startswith(message) for p in problems) == 1, problems
 
 
 def test_forbidden_unpunctured_triangle():
@@ -116,7 +128,7 @@ def test_stored_corner_walks_match_step_by_step_walking(T):
             for d in merged:
                 orbit_of[d] = merged
     orbits = {id(o): sorted(o) for o in orbit_of.values()}
-    assert _corner_orbits(T) == sorted(orbits.values())
+    assert T._orbits == sorted(orbits.values())
     for c0 in corners:
         walk, c = [], c0
         while c is not None:
@@ -146,6 +158,10 @@ def test_reversing_all_orientations_transposes_B():
 
 
 def test_extended_principal():
+    # a principal seed stacks B on top of the identity
+    def extended_principal(B):
+        return [list(row) for row in principal_seed(B).ext_matrix]
+
     assert extended_principal([[0]]) == [[0], [1]]
     assert extended_principal([[0, 0], [0, 0]]) == \
         [[0, 0], [0, 0], [1, 0], [0, 1]]
@@ -232,6 +248,10 @@ def test_third_arc():
 
 
 def test_puncture_degree():
+    # the number of arc ends at p, a loop at p counting twice
+    def puncture_degree(T, p):
+        return len(arcs_around_puncture(T, p))
+
     assert puncture_degree(digon(), "P") == 1
     assert puncture_degree(once_punctured_polygon(4), "P") == 4
     with pytest.raises(NotAPuncture):

@@ -1,0 +1,134 @@
+"""List the functions of src/surfcluster that no command and no benchmark
+workload enters.
+
+    python3 tools/reach.py
+
+Under `sys.setprofile` it runs every CLI command on the shipped fixtures of
+tests/data: each command of the golden list (tests/test_golden.py) on each
+of its (surface, arc) pairs, `expand` of the doubly-notched arc with each
+`--notch` choice, `mutate` on the rank-2 seed and `verify` on both bundles.
+Then it runs one pass of each perfbench workload (seed 7) and checks every
+outcome against perfbench/expected.json.
+
+It prints each function and method defined in src/surfcluster/*.py whose
+code was never entered, with its non-blank line count, then the total.  A
+function nested in another counts as part of it and is not listed.  A
+command that exits non-zero or a workload outcome that fails its check is
+reported, and makes the exit code 1.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "surfcluster"
+DATA = ROOT / "tests" / "data"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+FIXTURES = [
+    ("square.json", "square_arc.json"),
+    ("three_punctures.json", "ordinary_arc.json"),
+    ("three_punctures.json", "notched_arc.json"),
+    ("two_punctures.json", "double_notched_arc.json"),
+]
+COMMANDS = [("expand",), ("expand", "--json"), ("fpoly",), ("gvector",),
+            ("matchings",), ("snake",), ("snake", "--dot")]
+NOTCHES = ["p", "q", "p,q", "q,p"]
+SEED = 7
+
+
+def functions():
+    """{(file, first line): (qualified name, non-blank lines)} for every
+    function and method of the package; the first line is that of the first
+    decorator, as in the function's code object."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in
+                                                  child.decorator_list])
+                    body = lines[first - 1:child.end_lineno]
+                    out[str(path), first] = (f"{prefix}{child.name}",
+                                             sum(1 for line in body if line))
+
+        visit(ast.parse("\n".join(lines)), f"{path.stem}.")
+    return out
+
+
+def commands():
+    """argv of every command on the shipped fixtures."""
+    for surface, arc in FIXTURES:
+        for cmd in COMMANDS:
+            yield [cmd[0], "--surface", str(DATA / surface),
+                   "--arc", str(DATA / arc), *cmd[1:]]
+    for names in NOTCHES:
+        yield ["expand", "--surface", str(DATA / "two_punctures.json"),
+               "--arc", str(DATA / "double_notched_arc.json"),
+               "--notch", names]
+    yield ["mutate", "--seed", str(DATA / "seed_rank2.json"),
+           "--sequence", "1,2,1"]
+    for bundle in ("hexagon_bundle.json", "punctured_bundle.json"):
+        yield ["verify", "--bundle", str(DATA / bundle)]
+
+
+def run_all():
+    """Run the commands and one pass of each workload; returns the
+    problems seen."""
+    from surfcluster.cli import main
+    import workloads
+    problems = []
+    for argv in commands():
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+        if rc != 0:
+            problems.append(f"exit {rc}: {' '.join(argv)}")
+    expected = workloads.load_expected()
+    for name, make in workloads.WORKLOADS.items():
+        workload = make(random.Random(SEED), expected)
+        for item in workload.items:
+            problem = workload.check(item.id, item.run()[2])
+            if problem is not None:
+                problems.append(f"{name} {item.id}: {problem}")
+    return problems
+
+
+def main() -> int:
+    defined = functions()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        problems = run_all()
+    finally:
+        sys.setprofile(None)
+    unreached = sorted(v for k, v in defined.items() if k not in entered)
+    width = max((len(name) for name, _ in unreached), default=0)
+    for name, count in unreached:
+        print(f"{name:<{width}}  {count:>4}")
+    print(f"{len(unreached)} of {len(defined)} functions never entered, "
+          f"{sum(count for _, count in unreached)} non-blank lines")
+    for problem in problems:
+        print(f"problem: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
