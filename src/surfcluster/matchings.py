@@ -72,7 +72,7 @@ from operator import add
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple, TypeVar)
 
-from .poly import LaurentPoly, pack, xvar, yvar
+from .poly import LaurentPoly, base_of, pack, xvar, yvar
 from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, _SLOTS,
                     LoopGraph, SnakeGraph, Tile)
 from .surface import SurfaceError, Triangulation
@@ -86,6 +86,7 @@ __all__ = [
     "phi_specialize",
     "x_of_label",
     "outer_slots",
+    "key_base",
     "strip_rules",
     "strip_sum",
     "matching_count",
@@ -279,6 +280,15 @@ def phi_specialize(m: Dict[str, int], T: Triangulation) -> LaurentPoly:
     return LaurentPoly.monomial(1, phi_exps(m, T))
 
 
+def key_base(T: Triangulation) -> int:
+    """The base of the keys kept on T.  The first call interns the x and y
+    variables of all T's tagged names at once: one block of the registry."""
+    if T.key_base is None:
+        object.__setattr__(T, "key_base", base_of(
+            [make(name) for name in T.tagged_names() for make in (xvar, yvar)]))
+    return T.key_base
+
+
 def _weight(T: Triangulation, label: str) -> Tuple[Dict, int]:
     """(exponent map, packed key) of an edge label's weight: boundary
     segments weigh 1, self-folded loops weigh radius times notched twin.
@@ -292,7 +302,7 @@ def _weight(T: Triangulation, label: str) -> Tuple[Dict, int]:
             exps = {xvar(sf.radius): 1, xvar(T.notched_twin(sf.radius)): 1}
         else:
             exps = {xvar(label): 1}
-        got = T.label_weights[label] = (exps, pack(exps))
+        got = T.label_weights[label] = (exps, pack(exps, key_base(T)))
     return got
 
 
@@ -301,7 +311,8 @@ def _phi_key(T: Triangulation, diagonal: str) -> int:
     -1 packs to its negative.  Kept in `T.diagonal_phis`."""
     key = T.diagonal_phis.get(diagonal)
     if key is None:
-        key = T.diagonal_phis[diagonal] = pack(phi_exps({diagonal: 1}, T))
+        key = T.diagonal_phis[diagonal] = pack(phi_exps({diagonal: 1}, T),
+                                               key_base(T))
     return key
 
 

@@ -17,6 +17,12 @@ sign.  In particular a key determines its exponents.  Key order is
 compatible with addition, so it is a monomial order (of the Laurent
 monomial group), which is what long division needs.
 
+Base digit.  A polynomial stores each key divided by 2**(32*lo), for a base
+lo at or below its lowest variable's index (`var` and `monomial` take that
+index), so late variables bring no zero digit for each earlier one.  Ring
+operations shift the operand of higher base down to the lower (one with no
+variable keeps any base); `==` and the hash ignore the base.
+
 Overflow guard.  Every key built from an exponent map checks its
 exponents.  Each polynomial caches a bound on |e_i| over its terms:
 products and quotients inherit the sum of their operands' bounds, an
@@ -39,6 +45,7 @@ Decoding.  Adding the offset sum(2**31 * 2**(32*i)) makes every digit
 nonnegative without carries, and xor-ing the same offset back turns each
 digit into its two's complement, so `struct` (a few keys) or an `array` of
 32-bit ints (all of them at once) reads the exponents as signed fields in C.
+The decoders count digits from the keys' base, and their callers add it.
 
 Variables carry a kind ('x', 'y' or 'h') and a name.  Variables are ordered
 by kind and then by a natural ordering of the name ("2" before "10"); that
@@ -86,6 +93,7 @@ __all__ = [
     "yvar",
     "hvar",
     "pack",
+    "base_of",
     "lowest_exponents",
 ]
 
@@ -155,7 +163,6 @@ class VarId:
     name: str
     _key: Tuple = field(init=False, repr=False, compare=False)
     _index: int = field(init=False, repr=False, compare=False)
-    _unit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = _INTERNED.get(self.kind)
@@ -173,7 +180,6 @@ class VarId:
             key, index = known._key, known._index
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_unit", 1 << (_BITS * index))
 
     def __hash__(self) -> int:
         return self._index
@@ -213,14 +219,19 @@ def hvar(name: str) -> VarId:
 ExpVec = Tuple[Tuple[VarId, int], ...]
 
 
-def pack(exps: Mapping[VarId, int]) -> int:
-    """The packed key of an exponent map."""
+def pack(exps: Mapping[VarId, int], lo: int = 0) -> int:
+    """The packed key of an exponent map, in a base lo at most its indices."""
     key = 0
     for v, e in exps.items():
         if not -_LIMIT < e < _LIMIT:
             raise ExponentOverflow(f"exponent {e} of {v.text()} out of range")
-        key += e * v._unit
+        key += e << (_BITS * (v._index - lo))
     return key
+
+
+def base_of(variables: Iterable[VarId]) -> int:
+    """The lowest registry index among the variables (0 for none)."""
+    return min((v._index for v in variables), default=0)
 
 
 # m fields -> (offset, unpacker of m signed little-endian 32-bit fields)
@@ -244,16 +255,8 @@ def _window(keys: Collection[int]) -> Tuple[int, int]:
     return lo, (max(map(int.bit_length, keys), default=0) >> 5) + 1 - lo
 
 
-def _rows(keys: Iterable[int], lo: int, m: int) -> List[Tuple[int, ...]]:
-    """The exponents at indices lo .. lo+m-1 of each key."""
-    off, codec = _codec(m)
-    s = _BITS * lo
-    return [codec.unpack((((k >> s) + off) ^ off).to_bytes(4 * m, "little"))
-            for k in keys]
-
-
 def _flat(keys: Iterable[int], lo: int, m: int) -> "array[int]":
-    """`_rows` laid end to end, as one array of 32-bit ints."""
+    """Each key's exponents at indices lo .. lo+m-1, end to end, as int32s."""
     off, _ = _codec(m)
     s = _BITS * lo
     flat = array("i", b"".join([
@@ -269,23 +272,11 @@ def _columns(keys: Iterable[int], lo: int, m: int) -> List["array[int]"]:
     return [flat[j::m] for j in range(m)]
 
 
-def _support(keys: Iterable[int], lo: int, m: int) -> List[int]:
-    """The indices in the window at which some key has a nonzero digit: the
-    decoded digits are two's complement, so or-ing them keeps each apart."""
-    off, codec = _codec(m)
-    s = _BITS * lo
-    mask = 0
-    for k in keys:
-        mask |= ((k >> s) + off) ^ off
-    digits = codec.unpack(mask.to_bytes(4 * m, "little"))
-    return [lo + j for j, e in enumerate(digits) if e]
-
-
-def _expvec(key: int, rank: List[int]) -> ExpVec:
-    """One key as an ExpVec; `rank` is `_orders()[0]`."""
+def _expvec(key: int, rank: List[int], base: int) -> ExpVec:
+    """One key in base `base` as an ExpVec; `rank` is `_orders()[0]`."""
     lo, m = _window((key,))
-    (row,) = _rows((key,), lo, m)
-    pairs = sorted(((lo + j, e) for j, e in enumerate(row) if e),
+    pairs = sorted(((base + lo + j, e)
+                    for j, e in enumerate(_flat((key,), lo, m)) if e),
                    key=lambda p: rank[p[0]])
     return tuple((_VARS[i], e) for i, e in pairs)
 
@@ -319,24 +310,42 @@ def _merge(out: Dict[int, int], pairs: Iterable[Tuple[int, int]]) -> Dict[int, i
     return out
 
 
+def _shifted(terms: Dict[int, int], n: int) -> Dict[int, int]:
+    """terms in a base n lower; n < 0 only for terms whose keys are all 0."""
+    return {k << _BITS * n: c for k, c in terms.items()} if n > 0 else terms
+
+
+def _common(a: "LaurentPoly", b: "LaurentPoly"
+            ) -> Tuple[int, Dict[int, int], Dict[int, int]]:
+    """(base, a's terms, b's terms) in one base (see "Base digit")."""
+    la, lb = a._lo, b._lo
+    if la < lb and any(a._terms):
+        return la, a._terms, _shifted(b._terms, lb - la)
+    if lb < la and any(b._terms):
+        return lb, _shifted(a._terms, la - lb), b._terms
+    return max(la, lb), a._terms, b._terms
+
+
 class LaurentPoly:
     """Immutable Laurent polynomial; supports +, -, *, exact division."""
 
-    __slots__ = ("_terms", "_hash", "_bound")
+    __slots__ = ("_terms", "_lo", "_hash", "_bound")
 
     def __init__(self, terms: Mapping[ExpVec, int] | None = None):
         self._terms = _merge(
             {}, ((pack(dict(ev)), c) for ev, c in (terms or {}).items()))
+        self._lo = 0
         self._hash: int | None = None
         self._bound: int | None = None
 
     @classmethod
-    def from_packed(cls, terms: Dict[int, int],
-                    bound: int | None = None) -> "LaurentPoly":
-        """Wrap a dict of packed keys to nonzero coefficients (not copied);
-        `bound`, if given, bounds every |exponent|."""
+    def from_packed(cls, terms: Dict[int, int], bound: int | None = None,
+                    lo: int = 0) -> "LaurentPoly":
+        """Wrap a dict of packed keys in base lo to nonzero coefficients
+        (not copied); `bound`, if given, bounds every |exponent|."""
         p = object.__new__(cls)
         p._terms = terms
+        p._lo = lo
         p._hash = None
         p._bound = bound
         return p
@@ -359,16 +368,15 @@ class LaurentPoly:
 
     @staticmethod
     def var(v: VarId, exp: int = 1) -> "LaurentPoly":
-        if exp == 0:
-            return LaurentPoly.const(1)
-        return LaurentPoly.from_packed({pack({v: exp}): 1}, abs(exp))
+        return LaurentPoly.monomial(1, {v: exp})
 
     @staticmethod
     def monomial(coeff: int, exps: Mapping[VarId, int]) -> "LaurentPoly":
         if coeff == 0:
             return LaurentPoly.from_packed({}, 0)
-        return LaurentPoly.from_packed(
-            {pack(exps): int(coeff)}, max(map(abs, exps.values()), default=0))
+        lo = base_of(exps)
+        bound = max(map(abs, exps.values()), default=0)
+        return LaurentPoly.from_packed({pack(exps, lo): int(coeff)}, bound, lo)
 
     # -- basic queries -------------------------------------------------
 
@@ -386,18 +394,19 @@ class LaurentPoly:
         if len(self._terms) != 1:
             raise ValueError("not a monomial")
         (k, c), = self._terms.items()
-        return c, dict(_expvec(k, _orders()[0]))
+        return c, dict(_expvec(k, _orders()[0], self._lo))
 
     def terms(self) -> Iterable[Tuple[ExpVec, int]]:
         rank = _orders()[0]
-        return [(_expvec(k, rank), c) for k, c in self._terms.items()]
+        return [(_expvec(k, rank, self._lo), c) for k, c in self._terms.items()]
 
     def num_terms(self) -> int:
         return len(self._terms)
 
     def variables(self) -> set:
-        keys = self._terms
-        return {_VARS[i] for i in _support(keys, *_window(keys))}
+        lo, m = _window(self._terms)
+        return {_VARS[self._lo + lo + j] for j, col in
+                enumerate(_columns(self._terms, lo, m)) if any(col)}
 
     def coefficients(self) -> Iterable[int]:
         return self._terms.values()
@@ -430,29 +439,30 @@ class LaurentPoly:
             return other
         if not other._terms:
             return self
-        out = _merge(dict(self._terms), other._terms.items())
+        lo, a, b = _common(self, other)
+        out = _merge(dict(a), b.items())
         ba, bb = self._bound, other._bound
         return LaurentPoly.from_packed(
-            out, None if ba is None or bb is None else max(ba, bb))
+            out, None if ba is None or bb is None else max(ba, bb), lo)
 
     def neg(self) -> "LaurentPoly":
         return LaurentPoly.from_packed(
-            {k: -c for k, c in self._terms.items()}, self._bound)
+            {k: -c for k, c in self._terms.items()}, self._bound, self._lo)
 
     def sub(self, other: "LaurentPoly") -> "LaurentPoly":
         return self.add(other.neg())
 
     def mul(self, other: "LaurentPoly") -> "LaurentPoly":
-        a, b = self._terms, other._terms
-        if not a or not b:
+        if not self._terms or not other._terms:
             return LaurentPoly.zero()
         bound = self._product_bound(other)
+        lo, a, b = _common(self, other)
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
             (kb, cb), = b.items()
             return LaurentPoly.from_packed(
-                {k + kb: c * cb for k, c in a.items()}, bound)
+                {k + kb: c * cb for k, c in a.items()}, bound, lo)
         out: Dict[int, int] = {}
         get = out.get
         if a is b:
@@ -471,7 +481,7 @@ class LaurentPoly:
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
         return LaurentPoly.from_packed(
-            {k: c for k, c in out.items() if c}, bound)
+            {k: c for k, c in out.items() if c}, bound, lo)
 
     def pow(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -484,7 +494,7 @@ class LaurentPoly:
                                        "range |e| < 2**31")
             coeff = 1 if c == 1 or n % 2 == 0 else -1
             (k,) = self._terms
-            return LaurentPoly.from_packed({k * n: coeff}, b)
+            return LaurentPoly.from_packed({k * n: coeff}, b, self._lo)
         # square and multiply; no product with one, so pow(1) is self
         out = None
         base = self
@@ -505,29 +515,31 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly.zero()
         bound = self._product_bound(other)
+        base, num, den = _common(self, other)
         if other.is_monomial():
-            (kd, cd), = other._terms.items()
+            (kd, cd), = den.items()
             if cd == 1:
                 return LaurentPoly.from_packed(
-                    {k - kd: c for k, c in self._terms.items()}, bound)
+                    {k - kd: c for k, c in num.items()}, bound, base)
             out: Dict[int, int] = {}
-            for k, coeff in self._terms.items():
+            for k, coeff in num.items():
                 q, r = divmod(coeff, cd)
                 if r:
                     raise NotDivisible(
                         f"coefficient {coeff} not divisible by {cd}")
                 out[k - kd] = q
-            return LaurentPoly.from_packed(out, bound)
-        return self._long_division(other)
+            return LaurentPoly.from_packed(out, bound, base)
+        return self._long_division(num, den, base)
 
-    def _long_division(self, other: "LaurentPoly") -> "LaurentPoly":
-        # Division under key order, leads popped from a heap of pending
-        # keys.  An exact quotient's Newton polytope is that of self minus
-        # that of other, so each of its exponents lies in the box
-        # [min self - min other, max self - max other]; a lead outside it
-        # means a remainder.  Quotient keys strictly decrease inside a
-        # finite box, so the loop terminates.
-        num, den = self._terms, other._terms
+    @staticmethod
+    def _long_division(num: Dict[int, int], den: Dict[int, int],
+                       base: int) -> "LaurentPoly":
+        # num / den, both in the base.  Division under key order, leads
+        # popped from a heap of pending keys.  An exact quotient's Newton
+        # polytope is that of num minus that of den, so each of its
+        # exponents lies in the box [min num - min den, max num - max den];
+        # a lead outside it means a remainder.  Quotient keys strictly
+        # decrease inside a finite box, so the loop terminates.
         lo, m = _window(list(num) + list(den))
         box = [(min(a) - min(b), max(a) - max(b))
                for a, b in zip(_columns(num, lo, m), _columns(den, lo, m))]
@@ -570,7 +582,7 @@ class LaurentPoly:
                     else:
                         del rem[k]
         return LaurentPoly.from_packed(
-            quo, max(max(-low, high) for low, high in box))
+            quo, max(max(-low, high) for low, high in box), base)
 
     # -- substitution ------------------------------------------------------
 
@@ -580,14 +592,16 @@ class LaurentPoly:
         Every variable of self that is bound must be bound to a monomial
         with coefficient 1 (NonInvertibleSubstitution otherwise).  Each
         term's key then moves by e * (binding key - variable unit) per bound
-        variable with exponent e, and terms that land on one key merge.
+        variable with exponent e, and terms that land on one key merge.  A
+        binding with a lower base lowers the result's base to its own.
         """
         if not bindings:
             return self
-        terms = self._terms
+        terms, base = self._terms, self._lo
         lo, m = _window(terms)
-        bound = [(i - lo, _VARS[i]) for i in _support(terms, lo, m)
-                 if _VARS[i] in bindings]
+        cols = _columns(terms, lo, m)
+        bound = [(j, _VARS[base + lo + j]) for j in range(m)
+                 if any(cols[j]) and _VARS[base + lo + j] in bindings]
         if not bound:
             return self
         vals = [bindings[v] for _, v in bound]
@@ -599,14 +613,13 @@ class LaurentPoly:
         # a digit of the result is its unbound part plus
         # sum(e * binding digit), each |e| at most the bound of self
         new_bound = self._max_exp() * (1 + sum(b._max_exp() for b in vals))
-        cols = _columns(terms, lo, m)
         if new_bound >= _LIMIT:
             new_bound = self._max_exp(exact=True) * (
                 1 + sum(b._max_exp(exact=True) for b in vals))
         if new_bound >= _LIMIT:
             # the result's columns, in Python ints
-            out = {lo + j: col for j, col in enumerate(cols)
-                   if _VARS[lo + j] not in bindings}
+            out = {base + lo + j: col for j, col in enumerate(cols)
+                   if _VARS[base + lo + j] not in bindings}
             for (j, _), b in zip(bound, vals):
                 for v, e in b.monomial_parts()[1].items():
                     out[v._index] = [s + x * e for s, x in zip(
@@ -617,12 +630,14 @@ class LaurentPoly:
                 raise ExponentOverflow(f"substituted exponents up to "
                                        f"{new_bound} leave the packed range "
                                        "|e| < 2**31")
-        keys: Iterable[int] = terms
+        out_lo = min([base] + [b._lo for b in vals if any(b._terms)])
+        keys: Iterable[int] = _shifted(terms, base - out_lo)
         for (j, v), b in zip(bound, vals):
-            delta = next(iter(b._terms)) - v._unit
+            (k,) = _shifted(b._terms, b._lo - out_lo)
+            delta = k - (1 << _BITS * (v._index - out_lo))
             keys = map(add, keys, map(mul, cols[j], repeat(delta)))
         return LaurentPoly.from_packed(
-            _merge({}, zip(keys, terms.values())), new_bound)
+            _merge({}, zip(keys, terms.values())), new_bound, out_lo)
 
     # -- canonical text ----------------------------------------------------
 
@@ -636,6 +651,7 @@ class LaurentPoly:
             return "0"
         lo, m = _window(terms)
         cols = _columns(terms, lo, m)
+        lo += self._lo  # registry indices from here on
         used = [lo + j for j in range(m) if any(cols[j])]
         if not used:
             return str(terms[0])
@@ -702,11 +718,12 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        _, a, b = _common(self, other)
+        return a == b
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(frozenset(_shifted(self._terms, self._lo).items()))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -720,9 +737,10 @@ def lowest_exponents(*polys: LaurentPoly) -> Dict[VarId, int]:
     """Per variable, the least exponent over all terms of all the
     polynomials (a variable a term lacks counts as exponent 0); zero
     entries are left out."""
-    keys = [k for p in polys for k in p._terms]
+    base = min((p._lo for p in polys if any(p._terms)), default=0)
+    keys = [k for p in polys for k in _shifted(p._terms, p._lo - base)]
     if not keys:
         return {}
     lo, m = _window(keys)
-    return {_VARS[lo + j]: e for j, e in enumerate(map(min, _columns(keys, lo, m)))
-            if e}
+    return {_VARS[base + lo + j]: e
+            for j, e in enumerate(map(min, _columns(keys, lo, m))) if e}

@@ -20,7 +20,7 @@ never in a module-level cache.  The arc and boundary label sets behind
 corner walk and the corner orbits are built with it, as validating a surface
 reads all of them.  Each edge label's weight map with its packed key, and
 each diagonal's packed phi key, is filled in by `matchings` the first time
-it is needed.  Nothing computed for one arc is kept.
+it is needed, and their base before them.  Nothing for one arc is kept.
 """
 
 from __future__ import annotations
@@ -112,12 +112,14 @@ class Triangulation:
     _orbits: List[List[Tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
     # label -> (weight exponent map, packed key), and diagonal -> packed key
-    # of phi of its height 1; `matchings` fills an entry the first time it
-    # needs it
+    # of phi of its height 1, both in base key_base; `matchings` fills an
+    # entry the first time it needs it, and key_base before the first
     label_weights: Dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
     diagonal_phis: Dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
+    key_base: Optional[int] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         loops = {t.loop: t for t in self.triangles if isinstance(t, SelfFolded)}
@@ -336,8 +338,23 @@ def validate_surface(T: Triangulation) -> List[str]:
             v.append(f"boundary segment {s!r} occurs in {slots.get(s, 0)} slots, expected 1")
 
     if not v:
+        if (cycles := _boundary_cycles(T)) != b:
+            v.append(f"boundary segments close up into {cycles} cycles, "
+                     f"topology has {b} boundary components")
         v.extend(_check_vertex_names(T))
     return v
+
+
+def _boundary_cycles(T: Triangulation) -> int:
+    """The cycles the boundary segments close up into: components of the
+    corner orbits joined by boundary side j of a triangle's corners j-1, j."""
+    orbit_of = {c: n for n, orbit in enumerate(T._orbits) for c in orbit}
+    parts: List[set] = []
+    for i, j in (slot for s in T.boundary for slot in T._side_slots[s]):
+        ends = {orbit_of[(i, j)], orbit_of[(i, (j - 1) % 3)]}
+        joined = [p for p in parts if p & ends]
+        parts = [p for p in parts if not p & ends] + [ends.union(*joined)]
+    return len(parts)
 
 
 def _check_vertex_names(T: Triangulation) -> List[str]:

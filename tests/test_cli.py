@@ -6,7 +6,8 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import digon, example_surface, gamma1, square, twice_punctured
+from conftest import (annulus22, digon, example_surface, gamma1, square,
+                      twice_punctured)
 from surfcluster.cli import (
     EXIT_COMPUTE,
     EXIT_PARSE,
@@ -380,6 +381,15 @@ def _puncture_on_boundary(tmp):
             "--arc", write(tmp, "arc.json", {"schema": 1, "arc": "9"})]
 
 
+def _annulus_as_torus(tmp):
+    """`expand` of arc t1 on the annulus relabelled genus 1, no boundary
+    components: both count formulas still hold."""
+    surface = render_surface(annulus22())
+    surface["topology"].update(genus=1, boundary_components=0)
+    return ["expand", "--surface", write(tmp, "s.json", surface),
+            "--arc", write(tmp, "arc.json", {"schema": 1, "arc": "t1"})]
+
+
 BAD_INPUTS = {
     # parse layer: exit 1
     "surface is a list": (EXIT_PARSE, lambda tmp: [
@@ -486,6 +496,8 @@ BAD_INPUTS = {
         tmp, punctures=1)),
     "more boundary marked points than segments": (
         EXIT_VALIDATION, lambda tmp: _square_topology(tmp, boundary_marked=5)),
+    "annulus as a torus with boundary segments": (
+        EXIT_VALIDATION, _annulus_as_torus),
     # path rules: exit 2
     "wind on a non-radius crossing": (EXIT_VALIDATION, lambda tmp: _square_expand(
         tmp, crossings=[{"arc": "d", "to_triangle": 1, "wind": "ccw"}])),

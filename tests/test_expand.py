@@ -22,6 +22,7 @@ from conftest import (
 from surfcluster.matchings import (
     enumerate_matchings,
     height_exponents,
+    key_base,
     minimal_maximal,
     phi_exps,
     strip_rules,
@@ -138,7 +139,7 @@ def test_graph_bound_covers_the_numerator(name):
         for mirror in (False, True):
             tiles, glue, _ = build_tiles(T, path, mirror=mirror)
             num = L.from_packed(strip_sum(*strip_rules(T, tiles, glue)),
-                                len(tiles) + 1)
+                                len(tiles) + 1, key_base(T))
             assert num._max_exp() >= num._max_exp(exact=True), path
             assert num == got, path
 

@@ -34,6 +34,7 @@ from surfcluster.matchings import (
     enumerate_matchings,
     gamma_symmetric_filter,
     height_exponents,
+    key_base,
     matching_count,
     minimal_maximal,
     outer_slots,
@@ -314,7 +315,7 @@ def _strip_against_graph(T, path, mirror):
     acc = strip_sum(*strip_rules(T, tiles, glue))
     assert acc == transfer_sum(g, start, keys), path
     assert bound == len(tiles) + 1
-    num = L.from_packed(acc)
+    num = L.from_packed(acc, lo=key_base(T))
     assert num._max_exp(exact=True) <= bound
     assert sum(acc.values()) == matching_count(glue) == \
         matching_count(g.glue)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +15,7 @@ from surfcluster.poly import (
     NotDivisible,
     VarId,
     hvar,
+    lowest_exponents,
     pack,
     xvar,
     yvar,
@@ -262,7 +269,7 @@ def test_wide_ring_axioms_and_division(a, b, c):
 
 def _copy(p):
     """p as a distinct object, so that `mul` takes its general route."""
-    return L.from_packed(dict(p._terms))
+    return L.from_packed(dict(p._terms), lo=p._lo)
 
 
 @given(st.one_of(polys(max_terms=8), wide_polys(max_terms=8)))
@@ -411,3 +418,120 @@ def test_mul_and_div_exact_are_reached_on_the_class(monkeypatch):
     T = twice_punctured()
     expand_double_notch(T, gamma3(T))
     assert calls["mul"] > 0 and calls["div_exact"] > 0
+
+
+# -- bases -------------------------------------------------------------------
+# An early and a late block of variables, 48 wide variables apart.  Each
+# polynomial is drawn twice: in one base (0, through the constructor) and
+# with its keys shifted down to a base between 0 and its lowest variable.
+
+EARLY = [xvar("1"), yvar("1"), xvar("2")]
+LATE = [make(f"late{i}") for i in range(2) for make in (xvar, yvar)]
+
+
+@st.composite
+def two_bases(draw):
+    block = draw(st.sampled_from([EARLY, LATE, EARLY + LATE]))
+    terms = draw(st.dictionaries(
+        st.dictionaries(st.sampled_from(block), st.integers(-3, 3),
+                        max_size=3).map(lambda m: tuple(m.items())),
+        st.integers(-3, 3), max_size=4))
+    one_base = L(terms)
+    top = min((v._index for v in one_base.variables()),
+              default=LATE[-1]._index)
+    lo = draw(st.integers(0, top))
+    return L.from_packed({k >> (32 * lo): c for k, c in one_base._terms.items()},
+                         lo=lo), one_base
+
+
+def _same(p, q):
+    assert p == q and q == p
+    assert hash(p) == hash(q)
+    assert p.canonical_text() == q.canonical_text()
+
+
+@given(two_bases(), two_bases(), two_bases())
+@settings(max_examples=150, deadline=None)
+def test_mixed_bases_agree_with_one_base(a, b, c):
+    (a, ra), (b, rb), (c, rc) = a, b, c
+    _same(a, ra)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(a * b, ra * rb)
+    _same(a * b, b * a)
+    _same((a * b) * c, ra * (rb * rc))
+    _same(a * (b + c), ra * rb + ra * rc)
+    _same(a.pow(3), ra.pow(3))
+    if not b.is_zero():
+        _same((a * b).div_exact(b), ra)
+        _same((ra * rb).div_exact(b), a)
+    assert lowest_exponents(a, b, c) == lowest_exponents(ra, rb, rc)
+    # late variables bound below every base they have, early ones up
+    bind = {v: L.var(EARLY[0], -1) if v in LATE else L.var(LATE[-1])
+            for v in EARLY + LATE}
+    bind[EARLY[1]] = L.one()
+    one_base = {v: L({tuple(b.monomial_parts()[1].items()): 1})
+                for v, b in bind.items()}
+    _same(a.substitute(bind), ra.substitute(one_base))
+
+
+# Run in a fresh interpreter, whose registry holds 50 unrelated variables
+# before the surface's and the seed's: every polynomial made along the way
+# is recorded with its largest key and the index span of its variables.
+_KEY_WIDTHS = """
+import json
+from conftest import gamma3, twice_punctured
+from surfcluster.expand import expand_double_notch
+from surfcluster.mutation import mutate_seed, principal_seed
+from surfcluster.poly import LaurentPoly, xvar
+
+for i in range(50):
+    xvar(f"unrelated{i}")
+made = []
+wrapped = LaurentPoly.from_packed.__func__
+
+
+def recorded(cls, *args, **kw):
+    made.append(wrapped(cls, *args, **kw))
+    return made[-1]
+
+
+LaurentPoly.from_packed = classmethod(recorded)
+
+
+def widths():
+    out = []
+    for p in made:
+        span = [v._index for v in p.variables()]
+        if span:
+            out.append((max(abs(k).bit_length() for k in p._terms),
+                        max(span) - min(span) + 1))
+    made.clear()
+    return out
+
+
+T = twice_punctured()
+expand_double_notch(T, gamma3(T))
+arc = widths()
+seed = principal_seed([[0, 2], [-2, 0]])
+for k in range(20):
+    seed = mutate_seed(seed, k % 2)
+print(json.dumps({"arc": arc, "chain": widths(),
+                  "surface": 2 * len(T.tagged_names())}))
+"""
+
+
+def test_keys_span_their_own_variables_only():
+    here = Path(__file__).resolve().parent
+    run = subprocess.run(
+        [sys.executable, "-c", _KEY_WIDTHS], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(here.parent / "src"), str(here)])})
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["chain"] and got["arc"]
+    assert all(bits <= 32 * span for bits, span in got["chain"])
+    # the strip sums start at the surface's lowest variable, so a
+    # polynomial of the expansion spans at most the x and y variables of
+    # the surface's tagged names
+    assert all(bits <= 32 * got["surface"] for bits, _ in got["arc"])

@@ -1,3 +1,7 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import (
@@ -31,6 +35,7 @@ from surfcluster.surface import (
     validate_surface,
     _pseudo_sides,
 )
+from surfcluster.cli import parse_surface
 from surfcluster.mutation import principal_seed, run_sequence
 
 
@@ -43,6 +48,55 @@ ALL_FIXTURES = [square(), digon(), polygon(5), polygon(6),
 def test_validate_square_and_digon_ok():
     assert validate_surface(square()) == []
     assert validate_surface(digon()) == []
+
+
+def _shipped_and_benchmark_surfaces():
+    """Every surface in a shipped data file and every fixture surface of
+    the benchmark's input generator, as schema-1 objects."""
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted((root / "tests" / "data").glob("*.json")):
+        obj = json.loads(path.read_text())
+        if "triangles" in obj:
+            yield path.name, obj
+        elif "surface" in obj:
+            yield path.name, obj["surface"]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", root / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for name, make in inputs.SWEEP_FIXTURES:
+        yield name, make()
+    for c in (6, 16, 17, 18, 20):
+        yield f"zigzag{c}", inputs.zigzag_polygon(c)
+    yield "punctured_hexagon", inputs.once_punctured_polygon(6)
+
+
+@pytest.mark.parametrize("T", ALL_FIXTURES + [
+    polygon(4), polygon(7), zigzag_polygon(8), once_punctured_polygon(6),
+    looped_digon()])
+def test_every_conftest_fixture_validates(T):
+    # the boundary-cycle count agrees with every fixture surface
+    assert validate_surface(T) == []
+
+
+SURFACE_FILES = dict(_shipped_and_benchmark_surfaces())
+
+
+@pytest.mark.parametrize("name", list(SURFACE_FILES))
+def test_every_shipped_and_benchmark_surface_validates(name):
+    # raises ValidationError if it does not validate
+    parse_surface(json.dumps(SURFACE_FILES[name]).encode())
+
+
+def test_boundary_components_are_counted_from_the_boundary_cycles():
+    # (g, b) -> (g + 1, b - 2) keeps both count formulas: the annulus as a
+    # closed torus that lists four boundary segments
+    T = annulus22()
+    T = Triangulation(T.arcs, T.boundary, T.punctures, T.triangles,
+                      Topology(1, 0, 0, 4))
+    assert validate_surface(T) == [
+        "boundary segments close up into 2 cycles, topology has 0 boundary "
+        "components"]
 
 
 @pytest.mark.parametrize("topology, message", [

@@ -13,9 +13,8 @@ from surfcluster.expand import Expansion
 from surfcluster.poly import (
     LaurentPoly,
     _VARS,
+    _flat,
     _orders,
-    _rows,
-    _support,
     _window,
     lowest_exponents,
 )
@@ -26,14 +25,17 @@ def canonical_text(p: LaurentPoly) -> str:
     if not terms:
         return "0"
     lo, m = _window(terms)
-    rows = list(zip(_rows(terms, lo, m), terms.values()))
-    used = _support(terms, lo, m)
-    rank, shown = _orders()
+    flat = _flat(terms, lo, m)
+    rows = list(zip((flat[i:i + m] for i in range(0, len(flat), m)),
+                    terms.values()))
+    used = [lo + j for j in range(m) if any(row[j] for row, _ in rows)]
+    # indices above the base, as the decoded rows give them
+    rank, shown, names = (r[p._lo:] for r in (*_orders(), _VARS))
     # positions in a row, in VarId order / display order / y only
     lex = [i - lo for i in sorted(used, key=rank.__getitem__)]
-    order = [(i - lo, _VARS[i].text())
+    order = [(i - lo, names[i].text())
              for i in sorted(used, key=shown.__getitem__)]
-    ys = [i - lo for i in used if _VARS[i].kind == "y"]
+    ys = [i - lo for i in used if names[i].kind == "y"]
     rows.sort(key=lambda row: (sum([row[0][j] for j in ys]),
                                [-row[0][j] for j in lex]))
     parts = []
