@@ -17,7 +17,6 @@ from .surface import (
     Topology,
     Triangulation,
     signed_adjacency,
-    third_arc,
     validate_path,
     validate_surface,
 )
@@ -33,7 +32,6 @@ from .matchings import (
 from .expand import (
     Expansion,
     crossing_monomial,
-    euler_table,
     expand_arc,
     expand_double_notch,
     expand_notched_loop,
@@ -42,7 +40,6 @@ from .expand import (
     f_polynomial,
     g_vector,
     retag_expansion,
-    z_factor,
 )
 from .mutation import (
     Seed,

@@ -293,36 +293,6 @@ def _arc(obj: dict, T: Triangulation, what: str):
     return path, ref, orientation
 
 
-def render_surface(T: Triangulation) -> dict:
-    """Inverse of parse_surface: a JSON-ready description of the surface."""
-    tris = []
-    for t in T.triangles:
-        if isinstance(t, SelfFolded):
-            sf = {"loop": t.loop, "radius": t.radius, "puncture": t.puncture}
-            if t.base is not None:
-                sf["base"] = t.base
-            if t.notched_label is not None:
-                sf["notched_label"] = t.notched_label
-            tris.append({"self_folded": sf})
-        else:
-            entry = {"sides": list(t.sides)}
-            if t.vertices is not None:
-                entry["vertices"] = list(t.vertices)
-            tris.append(entry)
-    topo = T.topology
-    return {
-        "schema": 1,
-        "topology": {"genus": topo.genus,
-                     "boundary_components": topo.boundary_components,
-                     "punctures": topo.punctures,
-                     "boundary_marked": topo.boundary_marked},
-        "arcs": list(T.arcs),
-        "boundary": list(T.boundary),
-        "punctures": list(T.punctures),
-        "triangles": tris,
-    }
-
-
 def parse_seed(data: bytes):
     obj = _json(data, _SEED, "seed")
     rows = obj["matrix"]

@@ -33,12 +33,14 @@ monomial `cross` (extended by the arc ends at each notched puncture) and
 depends on the mirror drawing of the snake graph, so none is chosen here.
 At x = y = 1 every expansion is its matching count and (1 - Y) vanishes, so
 the identities give F_l(1) / F_gamma(1) symmetric matchings for one notch
-and F_p(1) * F_q(1) / F_gamma(1) compatible pairs for two.  These
-quotients, and the polynomial ones, are exact whenever the identities hold;
-a remainder raises `NotDivisible`.  The closed form of a doubly-notched arc
-of the triangulation sums no matchings and reports 0.  `f_polynomial` sets
-every x to 1 in `poly`; `euler_table` reads the F-polynomial's
-coefficients, so it counts matchings by height for every kind of arc.
+and F_p(1) * F_q(1) / F_gamma(1) compatible pairs for two.  The polynomial
+quotients are exact whenever the identities hold (a remainder raises
+`NotDivisible`), so a notched arc's count is its own value at x = y = 1,
+the sum of its coefficients.  The closed form of a doubly-notched arc of
+the triangulation sums no matchings and reports 0.  `f_polynomial` sets
+every x to 1 in `poly`.  The z factors that relate an arc to its notched
+version and the Euler tables that count matchings by height are kept with
+the tests (`tests/helpers.py`).
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .poly import (LaurentPoly, NotDivisible, VarId, lowest_exponents, xvar,
-                   yvar)
+from .poly import LaurentPoly, VarId, lowest_exponents, yvar
 from .matchings import (
     key_base,
     matching_count,
@@ -67,9 +68,6 @@ from .surface import (
     TaggedArcRef,
     Triangulation,
     arcs_around_puncture,
-    corner_walk,
-    puncture_corner,
-    third_arc,
 )
 
 __all__ = [
@@ -82,10 +80,8 @@ __all__ = [
     "expand_single_notch",
     "expand_double_notch",
     "expand_notched_loop",
-    "z_factor",
     "f_polynomial",
     "g_vector",
-    "euler_table",
     "retag_expansion",
 ]
 
@@ -108,16 +104,6 @@ class Expansion:
     def numerator(self) -> LaurentPoly:
         """`poly * cross`, the sum over matchings before the division."""
         return self.poly.mul(self.cross)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Expansion):
-            return self.poly == other.poly
-        if isinstance(other, LaurentPoly):
-            return self.poly == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.poly)
 
     def display(self) -> str:
         """Canonical text of `poly` over the least monomial that clears its
@@ -143,14 +129,6 @@ def crossing_monomial(T: Triangulation, path: Union[CrossingPath, str],
     for p in punctures:
         labels.extend(arcs_around_puncture(T, p))
     return LaurentPoly.monomial(1, x_exps_of_labels(T, labels))
-
-
-def _quotient(a: int, b: int) -> int:
-    """a / b for two matching counts that must divide exactly."""
-    q, r = divmod(a, b)
-    if r:
-        raise NotDivisible(f"matching count {a} is not a multiple of {b}")
-    return q
 
 
 def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str]) -> Expansion:
@@ -206,27 +184,26 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
                           else build_loop_path(T, g, p))
     loops = [_ordinary(T, loop) for loop in loop_paths]
     x = _ordinary(T, gamma)
-    # x_l = x_gamma * x_gamma^(p), and at x = y = 1 each side counts
-    # matchings, so the quotients are the notched arcs' counts
+    # x_l = x_gamma * x_gamma^(p)
     singles = [l.poly.div_exact(x.poly) for l in loops]
-    counts = [_quotient(l.matchings_used, x.matchings_used) for l in loops]
     p = sides[0][1]
     q = sides[1][1] if len(sides) == 2 else None
     if q is None:
-        poly, count = singles[0], counts[0]
+        poly = singles[0]
     else:
         one = LaurentPoly.one()
         if isinstance(gamma, str):
             y_chi, phi = LaurentPoly.var(yvar(T.tagged_name(gamma))), one
-            count = 0                     # the closed form sums no matchings
         else:
             y_chi, phi = one, phi_specialize(Counter(gamma.crossed_arcs()), T)
-            # (1 - Y_p)(1 - Y_q) vanishes at y = 1
-            count = _quotient(counts[0] * counts[1], x.matchings_used)
         num = singles[0].mul(singles[1]).mul(y_chi).add(
             one.sub(_y_ends_product(T, p)).mul(one.sub(_y_ends_product(T, q)))
             .mul(phi))
         poly = num.div_exact(x.poly)
+    # the identities divide matching counts at x = y = 1; the closed form
+    # for an arc of the triangulation sums no matchings
+    closed = q is not None and isinstance(gamma, str)
+    count = 0 if closed else sum(poly.coefficients())
     return Expansion(poly, crossing_monomial(T, gamma, [p for _, p in sides]),
                      count)
 
@@ -349,37 +326,7 @@ def _notched_puncture(T: Triangulation, arc: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# z factors, F-polynomials, g-vectors, tables
-
-
-def z_factor(T: Triangulation, p: str) -> LaurentPoly:
-    """The coefficient-free factor relating an arc to its notched version."""
-    walk = corner_walk(T, puncture_corner(T, p))
-    h = len(walk)
-    if h == 1:
-        (corner, arc) = walk[0]
-        sf = T.radius_triangle(arc)
-        if sf is None or sf.puncture != p:
-            raise SurfaceError("single incident arc is not a self-folded radius")
-        return LaurentPoly.monomial(
-            1, {xvar(T.notched_twin(arc)): 1, xvar(arc): -1})
-    arcs = [a for _, a in walk]
-    corners = [c for c, _ in walk]
-    num = LaurentPoly.zero()
-    for i in range(h):
-        # bracket of (arcs[i], arcs[i+1]): third side of the corner triangle
-        corner = corners[(i + 1) % h]
-        tri = corner[0]
-        bracket = third_arc(T, arcs[i], arcs[(i + 1) % h], tri)
-        term = x_of_label(T, bracket)
-        for j in range(h):
-            if j != i and j != (i + 1) % h:
-                term = term.mul(x_of_label(T, arcs[j]))
-        num = num.add(term)
-    den = LaurentPoly.one()
-    for a in arcs:
-        den = den.mul(x_of_label(T, a))
-    return num.div_exact(den)
+# F-polynomials, g-vectors, retagging
 
 
 def f_polynomial(e: Expansion) -> LaurentPoly:
@@ -414,18 +361,6 @@ def g_vector(e: Expansion, B: Sequence[Sequence[int]],
         raise InhomogeneousExpansion(
             f"expansion has {len(degs)} distinct degrees")
     return list(degs.pop())
-
-
-def euler_table(e: Expansion, arc_names: Sequence[str]) -> Dict[Tuple[int, ...], int]:
-    """Count matchings by the exponent vector of their height monomial:
-    the coefficients of the F-polynomial, keyed by their y exponents."""
-    ys = [yvar(name) for name in arc_names]
-    out: Dict[Tuple[int, ...], int] = {}
-    for ev, c in f_polynomial(e).terms():
-        exps = dict(ev)
-        key = tuple(exps.get(y, 0) for y in ys)
-        out[key] = out.get(key, 0) + c
-    return out
 
 
 def retag_expansion(e: Expansion, T: Triangulation,

@@ -20,9 +20,10 @@ the entry and exit slots may stay uncovered, as in the rule "uncovered to
 uncovered by W" of the shape (S, E).  `_fold` runs a graph's tiles through
 their rules, starting covered and ending covered.  A tile's slots go by
 edge id in a fixed order, the entry slot first and then counterclockwise
-from the tile's a (see `snake`), so `_ORDERED` keeps each shape's rules
-sorted for each order a tile can have, and `_fold` reads the order off the
-tile's `slot_edge` as it stands.
+from the tile's a (see `snake`), so `_ORDERED` derives each shape's rules
+again for each order a tile can have, drawing the slots in that order: each
+state's rules then come out sorted as their edge ids will be.  `_fold`
+reads the order off the tile's `slot_edge` as it stands.
 
 The extremal matchings P- and P+ need no DP: every vertex lies on the
 outer face, so the boundary edges form one cycle through all the vertices,
@@ -32,11 +33,13 @@ alternate edges.  No walk around the cycle is needed: colour each corner
 along each edge counterclockwise around its tile, and one set of
 alternate edges starts at corners of one colour.  Slot i (S, E, N, W =
 0..3) of the tile at (x, y) starts at parity x + y + i, and tile k sits
-at x + y = k, the drawing stepping up or right.  P- avoids tile 0's
-`minus_avoid_slots`, opposite slots of parity b, so it holds the boundary
-edge in slot i of tile k exactly when i + k and b differ in parity
-(`_in_minus`).  `minimal_maximal` splits a graph's boundary edges so, and
-`outer_slots` reads P- so on each tile's outer edge, with no graph.
+at x + y = k, the drawing stepping up or right.  P- avoids the sides that
+follow tile 0's diagonal counterclockwise: slots a and a + 2 when rel = +1,
+a + 1 and a + 3 when rel = -1, opposite slots of parity b = a + (rel < 0).
+So it holds the boundary edge in slot i of tile k exactly when i + k and b
+differ in parity (`_in_minus`).  `minimal_maximal` splits a graph's
+boundary edges so, and `outer_slots` reads P- so on each tile's outer
+edge, with no graph.
 
 Enumeration folds the DP into lists of partial matchings.  The order of
 the result is the order the DP reaches the matchings: states in the order
@@ -105,10 +108,11 @@ class NotAMatching(SurfaceError):
 V = TypeVar("V")
 
 
-def _shape_rules(entry: Optional[str], exit_: Optional[str]
+def _shape_rules(entry: Optional[str], exit_: Optional[str], order: str
                  ) -> List[Tuple[bool, bool, Tuple[str, ...]]]:
     """(covered in, covered out, chosen slots) for every way a tile with
-    these glue slots extends a partial matching.
+    these glue slots extends a partial matching.  Slots are drawn in
+    `order`, so each state's rules go by number of slots, then by rank.
 
     The state is whether the corners of the glue slot are covered.  A set
     of the tile's slots other than its entry is kept when it covers no
@@ -118,7 +122,7 @@ def _shape_rules(entry: Optional[str], exit_: Optional[str]
     without an exit it ends covered.
     """
     ent, ext = _SLOT_CORNERS.get(entry, ()), set(_SLOT_CORNERS.get(exit_, ()))
-    free = [s for s in "SENW" if s != entry]
+    free = [s for s in order if s != entry]
     rules = []
     for covered in ((True, False) if entry else (True,)):
         for r in range(len(free) + 1):
@@ -132,21 +136,11 @@ def _shape_rules(entry: Optional[str], exit_: Optional[str]
     return rules
 
 
-_RULES = {(a, b): _shape_rules(a, b)
+_RULES = {(a, b): _shape_rules(a, b, _SLOTS)
           for a in (None, "S", "W") for b in (None, "N", "E")}
 
-
-def _ranked(shape, order: str) -> List[Tuple[Tuple[str, ...], bool, bool]]:
-    """A shape's rules as (chosen slots, covered in, covered out) for a tile
-    whose slots go by edge id in this order, the slots and the rules sorted
-    as their edge ids will be: by number, then by rank in the order."""
-    return sorted(((tuple(sorted(slots, key=order.index)), c, o)
-                   for c, o, slots in _RULES[shape]),
-                  key=lambda r: (len(r[0]), [order.index(s) for s in r[0]]))
-
-
 # the entry slot, if any, is S or W and one of slots a and a + 1
-_ORDERED = {(shape, order): _ranked(shape, order) for shape, order in {
+_ORDERED = {(shape, order): _shape_rules(*shape, order) for shape, order in {
     ((entry, exit_), "".join(sorted(_SLOTS[a:] + _SLOTS[:a],
                                     key=lambda s: s != entry)))
     for a in range(4) for entry in (None, _SLOTS[a], _SLOTS[(a + 1) % 4])
@@ -174,7 +168,7 @@ def _fold(g: SnakeGraph, start: V,
         rules = _ORDERED[shape, "".join(se)]
         new: Dict[bool, V] = {}
         for state, value in states.items():
-            for slots, covered, out in rules:
+            for covered, out, slots in rules:
                 if covered is state:
                     new[out] = extend(new.get(out), value,
                                       tuple([se[s] for s in slots]))

@@ -15,7 +15,9 @@ with b_ik = 0 is kept as the same tuple, and the rest touch only column k
 and the support of row k.  Each side of the exchange relation is a product
 of cluster-variable powers times one frozen monomial; it is assembled from
 those factors alone, never by multiplying from one, so a side with a single
-factor is that factor.
+factor is that factor.  A seed's cluster variables and frozen monomials are
+stored in one base, the lowest registry index of its x and y variables (see
+`poly`), so no step shifts keys to align two operands.
 
 Other geometric coefficients come from principal ones by Fomin-Zelevinsky's
 separation formula (Cluster algebras IV, Thm 3.7): bind each y to its
@@ -31,7 +33,8 @@ from itertools import compress
 from operator import itemgetter, neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import LaurentPoly, NotDivisible, VarId, lowest_exponents, xvar, yvar
+from .poly import (LaurentPoly, NotDivisible, VarId, base_of, lowest_exponents,
+                   pack, xvar, yvar)
 
 __all__ = [
     "Seed",
@@ -76,18 +79,19 @@ def principal_seed(B: Sequence[Sequence[int]],
         raise ValueError("top block must be skew-symmetric")
     zero = (0,) * n
     rows += [zero[:i] + (1,) + zero[i + 1:] for i in range(n)]
-    cluster = tuple(LaurentPoly.var(xvar(nm)) for nm in names)
-    frozen = tuple(yvar(nm) for nm in names)
-    return Seed(tuple(rows), cluster, frozen)
+    return geometric_seed(rows, names, names)
 
 
 def geometric_seed(ext: Sequence[Sequence[int]], names: Sequence[str],
                    frozen_names: Sequence[str]) -> Seed:
-    n = len(names)
-    rows = tuple(tuple(r) for r in ext)
-    cluster = tuple(LaurentPoly.var(xvar(nm)) for nm in names)
+    """Seed with the extended matrix ext, the cluster variables x_name and
+    the frozen variables y_name, all stored in one base (see `poly`)."""
+    xs = [xvar(nm) for nm in names]
     frozen = tuple(yvar(nm) for nm in frozen_names)
-    return Seed(rows, cluster, frozen)
+    lo = base_of(xs + list(frozen))
+    cluster = tuple(LaurentPoly.from_packed({pack({x: 1}, lo): 1}, 1, lo)
+                    for x in xs)
+    return Seed(tuple(tuple(r) for r in ext), cluster, frozen)
 
 
 def _mutate_matrix(rows: Sequence[Tuple[int, ...]], k: int):
@@ -110,10 +114,12 @@ def _mutate_matrix(rows: Sequence[Tuple[int, ...]], k: int):
     return tuple(out)
 
 
-def _side(factors: List[LaurentPoly], frozen: Dict[VarId, int]) -> LaurentPoly:
-    """The product of the factors and the frozen monomial."""
+def _side(factors: List[LaurentPoly], frozen: Dict[VarId, int],
+          lo: int) -> LaurentPoly:
+    """The product of the factors and the frozen monomial, in base lo."""
     if frozen:
-        factors.append(LaurentPoly.monomial(1, frozen))
+        factors.append(LaurentPoly.from_packed(
+            {pack(frozen, lo): 1}, max(frozen.values()), lo))
     out = factors[0] if factors else LaurentPoly.one()
     for f in factors[1:]:
         out = out.mul(f)
@@ -137,7 +143,8 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         else:
             u = s.frozen[i - n]
             frozen[side][u] = frozen[side].get(u, 0) + e
-    plus, minus = map(_side, powers, frozen)
+    lo = cluster[k]._lo                   # the base of the whole seed
+    plus, minus = (_side(p, f, lo) for p, f in zip(powers, frozen))
     try:
         newvar = plus.add(minus).div_exact(cluster[k])
     except NotDivisible as exc:

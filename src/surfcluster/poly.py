@@ -47,9 +47,10 @@ digit into its two's complement, so `struct` (a few keys) or an `array` of
 32-bit ints (all of them at once) reads the exponents as signed fields in C.
 The decoders count digits from the keys' base, and their callers add it.
 
-Variables carry a kind ('x', 'y' or 'h') and a name.  Variables are ordered
-by kind and then by a natural ordering of the name ("2" before "10"); that
-order, not the registry index, fixes the canonical text rendering.
+Variables carry a kind, 'x' for a cluster variable or 'y' for a
+coefficient, and a name.  Variables are ordered by kind and then by a
+natural ordering of the name ("2" before "10"); that order, not the
+registry index, fixes the canonical text rendering.
 
 Multiplication.  A product adds every pair of keys into one dict; a
 polynomial times a monomial shifts the keys.  A polynomial times itself
@@ -58,7 +59,7 @@ at 2*k_i and 2*c_i*c_j at k_i + k_j, which halves the pairs.
 
 Canonical text.  Terms print by total y-degree ascending, then by exponent
 vector in descending lexicographic order over the variables in VarId order;
-factors print y before x before h.  `canonical_text` decodes all keys at
+factors print y before x.  `canonical_text` decodes all keys at
 once into one exponent column per variable.  Each monomial is rendered
 unsorted, by joining per row the factor strings looked up column by column
 in `_FACTORS`: one dict per registry index, from exponent to "*t^e",
@@ -91,7 +92,6 @@ __all__ = [
     "NonInvertibleSubstitution",
     "xvar",
     "yvar",
-    "hvar",
     "pack",
     "base_of",
     "lowest_exponents",
@@ -111,8 +111,8 @@ class NonInvertibleSubstitution(ValueError):
     anything but a monomial with coefficient 1, the only bindings it makes."""
 
 
-_KIND_RANK = {"x": 0, "y": 1, "h": 2}
-_DISPLAY_RANK = {"y": 0, "x": 1, "h": 2}
+_KIND_RANK = {"x": 0, "y": 1}
+_DISPLAY_RANK = {"y": 0, "x": 1}
 
 _CHUNKS = re.compile(r"(\d+)|(\D+)")
 
@@ -155,7 +155,7 @@ _INTERNED: Dict[str, Dict[str, "VarId"]] = {k: {} for k in _KIND_RANK}
 
 @dataclass(frozen=True)
 class VarId:
-    """A symbol: kind 'x'/'y'/'h' plus the (tagged) arc name it refers to.
+    """A symbol: kind 'x' or 'y' plus the (tagged) arc name it refers to.
     The first VarId of a kind and name takes the next registry index; equal
     ones made later share it."""
 
@@ -187,16 +187,13 @@ class VarId:
     def __lt__(self, other: "VarId") -> bool:
         return self._key < other._key
 
-    def __le__(self, other: "VarId") -> bool:
-        return self._key <= other._key
-
     def text(self) -> str:
         if self.name and self.name[0].isdigit():
             return f"{self.kind}{self.name}"
         return f"{self.kind}_{self.name}"
 
 
-_X, _Y, _H = (_INTERNED[k] for k in "xyh")
+_X, _Y = (_INTERNED[k] for k in "xy")
 
 
 def xvar(name: str) -> VarId:
@@ -207,11 +204,6 @@ def xvar(name: str) -> VarId:
 def yvar(name: str) -> VarId:
     v = _Y.get(name)
     return v if v is not None else VarId("y", name)
-
-
-def hvar(name: str) -> VarId:
-    v = _H.get(name)
-    return v if v is not None else VarId("h", name)
 
 
 # An exponent vector as the other modules see it: sorted tuple of
@@ -330,13 +322,6 @@ class LaurentPoly:
     """Immutable Laurent polynomial; supports +, -, *, exact division."""
 
     __slots__ = ("_terms", "_lo", "_hash", "_bound")
-
-    def __init__(self, terms: Mapping[ExpVec, int] | None = None):
-        self._terms = _merge(
-            {}, ((pack(dict(ev)), c) for ev, c in (terms or {}).items()))
-        self._lo = 0
-        self._hash: int | None = None
-        self._bound: int | None = None
 
     @classmethod
     def from_packed(cls, terms: Dict[int, int], bound: int | None = None,
@@ -645,7 +630,7 @@ class LaurentPoly:
         """Deterministic rendering: total y-degree ascending, then exponent
         vectors in descending lexicographic order over the variables in
         VarId order (larger leading exponents print first); factors print
-        y before x before h."""
+        y before x."""
         terms = self._terms
         if not terms:
             return "0"

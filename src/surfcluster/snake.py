@@ -34,13 +34,13 @@ Loop paths (`build_loop_path`) follow a path or an arc of the triangulation
 to a puncture, circle it clockwise from the corner the path ends at and
 double back; `expand` reads notched arcs off their ordinary expansions.
 Loop graphs are the snake graphs of loop paths, carrying the roles of the
-edges of their two ends (the first and last d tiles), the distinguished
-vertices where the corridor attaches, and the structural isomorphism between
-the ends; the paper's sums over their symmetric matchings and compatible
-pairs are kept as a test oracle.  An edge's role is its position, 0 or 1,
-counterclockwise from the diagonal in its source triangle; it is read off
-`rel`: the slot at index i of a tile's `lower_slots` or `upper_slots` has
-role i when rel = +1 and 1 - i when rel = -1.
+edges of their two ends (the first and last d tiles), which the structural
+isomorphism between the ends preserves; the paper's sums over their
+symmetric matchings and compatible pairs are kept as a test oracle.  An
+edge's role is its position, 0 or 1, counterclockwise from the diagonal in
+its source triangle; it is read off `rel`: the slot at index i of a tile's
+`lower_slots` or `upper_slots` has role i when rel = +1 and 1 - i when
+rel = -1.
 
 The drawing only steps up or right, so tiles never overlap and each tile
 meets only its neighbours, along the glue edges.  Every tile therefore keeps
@@ -167,7 +167,6 @@ _SLOT_CORNERS = {
 _ENTRY_OF_DIR = {"U": "S", "R": "W"}
 _EXIT_SLOT = {"U": "N", "R": "E"}
 _GLUED_CORNERS = {"U": {"SW": "NW", "SE": "NE"}, "R": {"SW": "SE", "NW": "NE"}}
-_CORNER_AT = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
 
 
 @dataclass
@@ -194,7 +193,6 @@ class EdgeInfo:
     eid: int
     label: str
     tiles: List[Tuple[int, str]]
-    segment: Tuple[Tuple[int, int], Tuple[int, int]]
     boundary: bool = True
 
 
@@ -206,7 +204,6 @@ class SnakeGraph:
     vertex_of: Dict[Tuple[int, str], int]  # (tile, corner) -> vertex id
     nvertices: int
     triple_spans: List[Tuple[int, int, int]]
-    minus_avoid_slots: Tuple[str, str]   # slots of tile 0 avoided by P-
     outer_edges: List[int]               # per tile, one edge on the outer face
 
     @property
@@ -270,7 +267,6 @@ def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> S
     for k, tile in enumerate(tiles):
         step = glue[k - 1] if k else None
         glued = _GLUED_CORNERS.get(step, {})
-        x, y = tile.pos
         for corner in ("SW", "SE", "NE", "NW"):
             if corner in glued:
                 vertex_of[(k, corner)] = vertex_of[(k - 1, glued[corner])]
@@ -285,18 +281,12 @@ def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> S
             se[_ENTRY_OF_DIR[step]] = e.eid
         for slot, label in tile.slots.items():
             if slot not in se:
-                (dx1, dy1), (dx2, dy2) = (_CORNER_AT[c] for c in _SLOT_CORNERS[slot])
                 se[slot] = len(edges)
-                edges.append(EdgeInfo(len(edges), label, [(k, slot)],
-                                      ((x + dx1, y + dy1), (x + dx2, y + dy2))))
+                edges.append(EdgeInfo(len(edges), label, [(k, slot)]))
 
     outer = [next(eid for eid in t.slot_edge.values() if edges[eid].boundary)
              for t in tiles]
-    # P- avoids the sides that follow tile 0's diagonal counterclockwise:
-    # slots a and a + 2 when rel = +1, a + 1 and a + 3 when rel = -1
-    b = (tiles[0].a + (tiles[0].rel < 0)) % 2
-    return SnakeGraph(tiles, glue, edges, vertex_of, nvertices, spans,
-                      (_SLOTS[b], _SLOTS[b + 2]), outer)
+    return SnakeGraph(tiles, glue, edges, vertex_of, nvertices, spans, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +355,6 @@ class LoopGraph:
     graph: SnakeGraph
     d: int
     e_p: int
-    zeta: Tuple[str, ...]
-    v1: int
-    v2: int
     end_roles: Dict[int, Dict[int, Tuple[int, str, int]]]
     # end_roles[which_end][edge_id] = (tile 0..d-1 in q->p order, 'lower'|'upper', role)
 
@@ -407,20 +394,6 @@ def end_subgraphs(g: SnakeGraph, d: int, e_p: int) -> LoopGraph:
     n = 2 * d + e_p
     if g.d != n:
         raise MalformedLoopGraph(f"graph has {g.d} tiles, expected {n}")
-    zeta = tuple(g.tiles[d + i].diagonal for i in range(e_p))
-
-    # v1: vertex of tile d-1 where its outer (later-triangle) pair meets
-    def pair_corner(tile_idx: int, slots: Tuple[str, str]) -> int:
-        c1 = set(_SLOT_CORNERS[slots[0]])
-        c2 = set(_SLOT_CORNERS[slots[1]])
-        shared = c1 & c2
-        if len(shared) != 1:
-            raise MalformedLoopGraph("outer pair does not share a corner")
-        return g.vertex_of[(tile_idx, shared.pop())]
-
-    v1 = pair_corner(d - 1, g.tiles[d - 1].upper_slots)
-    v2 = pair_corner(d + e_p, g.tiles[d + e_p].lower_slots)
-
     roles = {1: _end_role_map(g, d, e_p, 1), 2: _end_role_map(g, d, e_p, 2)}
     if len(roles[1]) != len(roles[2]):
         raise MalformedLoopGraph("end subgraphs have different sizes")
@@ -428,7 +401,7 @@ def end_subgraphs(g: SnakeGraph, d: int, e_p: int) -> LoopGraph:
     lab2 = sorted((repr(r), g.edges[e].label) for e, r in roles[2].items())
     if lab1 != lab2:
         raise MalformedLoopGraph("end subgraphs are not label-isomorphic")
-    return LoopGraph(g, d, e_p, zeta, v1, v2, roles)
+    return LoopGraph(g, d, e_p, roles)
 
 
 def build_loop_graph(T: Triangulation, path: CrossingPath, p: str,

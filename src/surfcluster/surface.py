@@ -38,22 +38,16 @@ __all__ = [
     "CrossingPath",
     "TaggedArcRef",
     "SurfaceError",
-    "NotASide",
     "NotAPuncture",
     "PathInvalid",
     "validate_surface",
     "signed_adjacency",
     "validate_path",
-    "third_arc",
     "arcs_around_puncture",
 ]
 
 
 class SurfaceError(ValueError):
-    pass
-
-
-class NotASide(SurfaceError):
     pass
 
 
@@ -448,23 +442,6 @@ def arcs_around_puncture(T: Triangulation, p: str) -> List[str]:
 
 # ---------------------------------------------------------------------------
 # signed adjacency matrix
-
-
-def third_arc(T: Triangulation, a: str, b: str, tri: int) -> str:
-    """Remaining side of an ordinary triangle, or the radius of a self-folded one."""
-    t = T.triangles[tri]
-    if isinstance(t, SelfFolded):
-        if {a, b} - {t.loop, t.radius}:
-            raise NotASide(f"{a!r},{b!r} are not sides of self-folded triangle {tri}")
-        return t.radius
-    sides = list(t.sides)
-    for lab in (a, b):
-        if lab not in sides:
-            raise NotASide(f"{lab!r} is not a side of triangle {tri}")
-        sides.remove(lab)
-    if len(sides) != 1:
-        raise NotASide(f"{a!r},{b!r} do not determine a third side in triangle {tri}")
-    return sides[0]
 
 
 def signed_adjacency(T: Triangulation) -> List[List[int]]:

@@ -25,6 +25,10 @@ from surfcluster.surface import (
     Triangulation,
 )
 
+# a tile's corners as offsets from its lower left corner, where its `pos`
+# puts it in the drawing of a snake graph
+CORNER_AT = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
+
 
 def polygon(c: int) -> Triangulation:
     """Convex c-gon with the fan triangulation from vertex 1.

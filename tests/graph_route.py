@@ -8,9 +8,10 @@ boundary cycle (`boundary_walk`), one packed key per edge id
 the two routes share the rule table and the label and phi keys but not
 the edge numbering, the outer edges or P-.  `boundary_matchings` folds
 the same DP over the boundary edges only, a third way to P- and P+.
+`minus_avoid` states which edges of the first tile P- avoids.
 """
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from surfcluster.matchings import (Matching, NotAMatching, _extend_partials,
                                    _fold, _phi_key, _weight)
@@ -68,10 +69,18 @@ def boundary_matchings(g: SnakeGraph) -> List[Matching]:
     return [frozenset(p) for p in _fold(g, [()], extend) or []]
 
 
+def minus_avoid(g: SnakeGraph) -> Set[int]:
+    """The two edges of the first tile that P- avoids: the sides that
+    follow its diagonal counterclockwise, which are slots a and a + 2 when
+    rel = +1 and slots a + 1 and a + 3 when rel = -1."""
+    tile = g.tiles[0]
+    b = tile.a + (tile.rel < 0)
+    return {tile.slot_edge["SENW"[(b + i) % 4]] for i in (0, 2)}
+
+
 def boundary_walk(g: SnakeGraph) -> Tuple[Matching, Matching]:
     """(P-, P+) read off one walk around the boundary cycle: its two sets
-    of alternate edges, P- being the one that avoids the first tile's
-    `minus_avoid_slots`."""
+    of alternate edges, P- being the one that avoids `minus_avoid`."""
     around: Dict[int, List[Tuple[int, int]]] = {}   # vertex -> (edge, far end)
     for e in g.edges:
         if e.boundary:
@@ -90,7 +99,7 @@ def boundary_walk(g: SnakeGraph) -> Tuple[Matching, Matching]:
         raise NotAMatching("expected two boundary matchings: the boundary "
                            "is not one even cycle through every vertex")
     sides = (frozenset(cycle[0::2]), frozenset(cycle[1::2]))
-    avoid = {g.tiles[0].slot_edge[s] for s in g.minus_avoid_slots}
+    avoid = minus_avoid(g)
     minus = [m for m in sides if avoid.isdisjoint(m)]
     if len(minus) != 1:
         raise NotAMatching("the minimal matching is not determined")

@@ -49,9 +49,9 @@ from surfcluster.expand import (
     expand_single_notch,
     f_polynomial,
     g_vector,
-    z_factor,
     _y_ends_product,
 )
+from helpers import z_factor
 from surfcluster.mutation import (
     DivisionFailed,
     mutate_seed,

@@ -15,8 +15,8 @@ from surfcluster.cli import (
     EXIT_VERIFY,
     main,
     parse_surface,
-    render_surface,
 )
+from helpers import render_surface
 
 
 def write(tmp_path, name, obj):
@@ -150,6 +150,17 @@ def test_mutate_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "x1 = x1^-1*x2 + y1*x1^-1" in out
     assert "y1 = y1^-1" in out
+
+
+def test_mutate_geometric_seed(capsys):
+    # one coefficient row, not a row of I: its frozen variable is u1
+    seed = str(DATA / "seed_geometric.json")
+    assert main(["mutate", "--seed", seed, "--sequence", "1,2,1"]) == 0
+    assert capsys.readouterr().out == (
+        "x1 = x1*x2^-1 + y_u1*x2^-1\n"
+        "x2 = x2^-1 + x1^-1 + y_u1*x1^-1*x2^-1\n"
+        "y1 = y_u1\n"
+        "y2 = 1\n")
 
 
 def test_verify_bundle(tmp_path, capsys):

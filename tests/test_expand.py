@@ -42,7 +42,6 @@ from surfcluster.surface import (
 from surfcluster.expand import (
     InhomogeneousExpansion,
     crossing_monomial,
-    euler_table,
     expand_arc,
     expand_double_notch,
     expand_notched_loop,
@@ -51,8 +50,8 @@ from surfcluster.expand import (
     f_polynomial,
     g_vector,
     retag_expansion,
-    z_factor,
 )
+from helpers import euler_table, z_factor
 from surfcluster.mutation import mutate_seed, principal_seed, run_sequence
 import loop_oracle
 import text_oracle
@@ -217,6 +216,30 @@ def test_identities_equal_loop_graph_sums(name):
             if not isinstance(want, str):
                 computed.add(kind)
     assert compared > 0 and computed == must_compute
+
+
+@pytest.mark.parametrize("name", list(IDENTITY_SURFACES))
+def test_notched_count_is_the_value_at_one(name):
+    # a notched arc's count is its polynomial at x = y = 1, the sum of its
+    # coefficients; the closed form of a doubly-notched arc of the
+    # triangulation sums no matchings and reads 0
+    mk, max_d, must_compute = IDENTITY_SURFACES[name]
+    T = mk()
+    computed = 0
+    for _, route, _, args in _notched_cases(T, max_d):
+        got = _outcome(route, *args)
+        if not isinstance(got, str):
+            poly, _, count = got
+            assert count == sum(poly.coefficients()) > 0, args
+            computed += 1
+    assert bool(computed) == bool(must_compute)
+    for arc in T.arcs:
+        got = _outcome(expand_single_notch, T, arc)
+        if not isinstance(got, str):
+            assert got[2] == sum(got[0].coefficients()) > 0, arc
+        got = _outcome(expand_double_notch, T, arc)
+        if not isinstance(got, str):
+            assert got[2] == 0, arc
 
 
 def test_expand_is_still_a_module():

@@ -13,8 +13,8 @@ from pathlib import Path
 
 from conftest import example_surface, gamma1, gamma2, gamma3, twice_punctured
 from surfcluster.cli import main
+from helpers import euler_table
 from surfcluster.expand import (
-    euler_table,
     expand_double_notch,
     expand_ordinary,
     expand_single_notch,

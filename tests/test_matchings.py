@@ -6,6 +6,7 @@ import pytest
 
 import dp_oracle
 from conftest import (
+    CORNER_AT,
     ORACLE_SURFACES,
     digon,
     example_surface,
@@ -27,6 +28,7 @@ from surfcluster.poly import LaurentPoly as L, xvar, yvar
 from surfcluster.snake import build_loop_graph, build_snake, build_tiles
 from surfcluster.surface import SurfaceError
 from surfcluster.matchings import (
+    _ORDERED,
     _RULES,
     Matching,
     NotAMatching,
@@ -45,7 +47,7 @@ from surfcluster.matchings import (
     weight_exps,
 )
 from graph_route import (boundary_matchings, boundary_walk, edge_keys,
-                         transfer_sum)
+                         minus_avoid, transfer_sum)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -55,11 +57,9 @@ def kasteleyn_count(g) -> int:
     """Independent matching count: determinant of the signed bipartite
     adjacency matrix (horizontal edges +1, vertical edges signed by column)."""
     coord = {}
-    for e in g.edges:
-        a, b = g.edge_vertices(e)
-        (x1, y1), (x2, y2) = e.segment
-        coord.setdefault(a, (x1, y1))
-        coord.setdefault(b, (x2, y2))
+    for (k, corner), v in g.vertex_of.items():
+        (x, y), (dx, dy) = g.tiles[k].pos, CORNER_AT[corner]
+        coord.setdefault(v, (x + dx, y + dy))
     blacks = [v for v, (x, y) in coord.items() if (x + y) % 2 == 0]
     whites = [v for v, (x, y) in coord.items() if (x + y) % 2 == 1]
     if len(blacks) != len(whites):
@@ -70,7 +70,7 @@ def kasteleyn_count(g) -> int:
     M = [[0] * n for _ in range(n)]
     for e in g.edges:
         a, b = g.edge_vertices(e)
-        (x1, y1), (x2, y2) = e.segment
+        (x1, y1), (x2, y2) = coord[a], coord[b]
         sign = 1 if y1 == y2 else (-1) ** x1
         if a in wi:
             a, b = b, a
@@ -223,6 +223,27 @@ def _unit_tile(x, y):
             for s, seg in _SEGMENTS.items()}
 
 
+def _ranked(shape, order):
+    """A shape's rules as (chosen slots, covered in, covered out) for a
+    tile whose slots go by edge id in this order, the slots and the rules
+    sorted as their edge ids will be: by number, then by rank in the
+    order."""
+    return sorted(((tuple(sorted(slots, key=order.index)), c, o)
+                   for c, o, slots in _RULES[shape]),
+                  key=lambda r: (len(r[0]), [order.index(s) for s in r[0]]))
+
+
+def test_ordered_rules_are_the_ranked_rules():
+    # `_fold` reads each state's rules in order; the order across states
+    # does not matter
+    assert len(_ORDERED) == 24
+    for (shape, order), rules in _ORDERED.items():
+        for state in (True, False):
+            assert [(slots, o) for c, o, slots in rules if c is state] == \
+                [(slots, o) for slots, c, o in _ranked(shape, order)
+                 if c is state], (shape, order, state)
+
+
 @pytest.mark.parametrize("entry, exit_",
                          list(product((None, "S", "W"), (None, "N", "E"))))
 def test_rule_table_against_a_window_of_three_tiles(entry, exit_):
@@ -284,7 +305,7 @@ def test_dp_equals_the_generic_dp(name):
         assert matching_count(g.glue) == len(ms)
         # the boundary walk gives the pair the fold picks: P- is the one
         # boundary matching that avoids the first tile's avoid slots
-        avoid = {g.tiles[0].slot_edge[s] for s in g.minus_avoid_slots}
+        avoid = minus_avoid(g)
         minus = [m for m in bms if not m & avoid]
         plus = [m for m in bms if m & avoid]
         assert len(minus) == len(plus) == 1

@@ -199,6 +199,26 @@ def test_specialize_geometric_boundary_system():
             assert specialize_geometric(X, F, ystar) == b.cluster[k]
 
 
+def test_a_step_shifts_no_keys(monkeypatch):
+    # a seed's cluster variables and frozen monomials share one base, so no
+    # ring operation of a mutation step shifts an operand's keys to align
+    # two bases
+    from surfcluster import poly
+    common, shifted = poly._common, []
+
+    def counted(a, b):
+        base, ta, tb = common(a, b)
+        shifted.append(ta is not a._terms or tb is not b._terms)
+        return base, ta, tb
+
+    monkeypatch.setattr(poly, "_common", counted)
+    T = polygon(6)
+    seq = [0, 1, 2, 0, 2, 1]
+    run_sequence(principal_seed(signed_adjacency(T), T.tagged_names()), seq)
+    run_sequence(boundary_coefficient_seed(T)[0], seq)
+    assert shifted and not any(shifted)
+
+
 def test_specialize_geometric_rejects_polynomials():
     X = L.var(xvar("1"))
     F = L.one()

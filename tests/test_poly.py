@@ -14,7 +14,6 @@ from surfcluster.poly import (
     NonInvertibleSubstitution,
     NotDivisible,
     VarId,
-    hvar,
     lowest_exponents,
     pack,
     xvar,
@@ -24,6 +23,13 @@ from surfcluster.poly import (
 x1, x2, x3 = (L.var(xvar(n)) for n in ("1", "2", "3"))
 xd = L.var(xvar("d"))
 y1, yd = L.var(yvar("1")), L.var(yvar("d"))
+
+
+def in_base_zero(terms):
+    """The polynomial with these {ExpVec: coefficient} terms, its keys
+    stored in base 0."""
+    p = sum((L.monomial(c, dict(ev)) for ev, c in terms.items()), L.zero())
+    return L.from_packed({k << (32 * p._lo): c for k, c in p._terms.items()})
 
 
 def test_add_identity_and_cancellation():
@@ -136,10 +142,10 @@ def test_natural_name_order():
 
 # -- the renderer against the straightforward one -----------------------------
 #
-# every kind, names whose natural order differs from their string order, and
+# both kinds, names whose natural order differs from their string order, and
 # names that tie under it ("1" and "01")
 
-TEXT_VARS = [make(n) for make in (xvar, yvar, hvar)
+TEXT_VARS = [make(n) for make in (xvar, yvar)
              for n in ("1", "01", "10", "a2", "a10")]
 
 
@@ -162,7 +168,7 @@ def test_canonical_text_matches_the_straightforward_renderer(p):
 
 
 @pytest.mark.parametrize("p", [
-    L.zero(), L.const(1), L.const(-7), L.var(hvar("a10"), -2),
+    L.zero(), L.const(1), L.const(-7), L.var(xvar("a10"), -2),
     -3 * L.var(yvar("01")), L.one() + L.var(xvar("10")),
     L.const(2) - L.var(xvar("1")) * L.var(xvar("01"), -1),
     L.var(yvar("a2")) + L.var(yvar("a10")) + L.var(xvar("a2"), 3),
@@ -227,9 +233,11 @@ def test_hash_and_equality():
 
 
 def test_varid_ordering_total():
-    vs = [yvar("2"), xvar("10"), xvar("2"), yvar("10"), VarId("h", "3")]
+    vs = [yvar("2"), xvar("10"), xvar("2"), yvar("10")]
     ranked = sorted(vs)
-    assert [v.text() for v in ranked] == ["x2", "x10", "y2", "y10", "h3"]
+    assert [v.text() for v in ranked] == ["x2", "x10", "y2", "y10"]
+    with pytest.raises(ValueError):
+        VarId("h", "3")
 
 
 # -- the packed kernel ---------------------------------------------------------
@@ -291,7 +299,7 @@ def test_pow_equals_repeated_mul(a):
 @given(wide_polys())
 @settings(max_examples=150, deadline=None)
 def test_terms_round_trip(p):
-    assert L(dict(p.terms())) == p
+    assert in_base_zero(dict(p.terms())) == p
     for ev, _ in p.terms():
         assert list(ev) == sorted(ev) and all(e for _, e in ev)
 
@@ -422,7 +430,7 @@ def test_mul_and_div_exact_are_reached_on_the_class(monkeypatch):
 
 # -- bases -------------------------------------------------------------------
 # An early and a late block of variables, 48 wide variables apart.  Each
-# polynomial is drawn twice: in one base (0, through the constructor) and
+# polynomial is drawn twice: in one base (0) and
 # with its keys shifted down to a base between 0 and its lowest variable.
 
 EARLY = [xvar("1"), yvar("1"), xvar("2")]
@@ -436,7 +444,7 @@ def two_bases(draw):
         st.dictionaries(st.sampled_from(block), st.integers(-3, 3),
                         max_size=3).map(lambda m: tuple(m.items())),
         st.integers(-3, 3), max_size=4))
-    one_base = L(terms)
+    one_base = in_base_zero(terms)
     top = min((v._index for v in one_base.variables()),
               default=LATE[-1]._index)
     lo = draw(st.integers(0, top))
@@ -470,8 +478,7 @@ def test_mixed_bases_agree_with_one_base(a, b, c):
     bind = {v: L.var(EARLY[0], -1) if v in LATE else L.var(LATE[-1])
             for v in EARLY + LATE}
     bind[EARLY[1]] = L.one()
-    one_base = {v: L({tuple(b.monomial_parts()[1].items()): 1})
-                for v, b in bind.items()}
+    one_base = {v: in_base_zero(dict(b.terms())) for v, b in bind.items()}
     _same(a.substitute(bind), ra.substitute(one_base))
 
 
@@ -483,7 +490,7 @@ import json
 from conftest import gamma3, twice_punctured
 from surfcluster.expand import expand_double_notch
 from surfcluster.mutation import mutate_seed, principal_seed
-from surfcluster.poly import LaurentPoly, xvar
+from surfcluster.poly import LaurentPoly, xvar, yvar
 
 for i in range(50):
     xvar(f"unrelated{i}")
@@ -516,8 +523,10 @@ arc = widths()
 seed = principal_seed([[0, 2], [-2, 0]])
 for k in range(20):
     seed = mutate_seed(seed, k % 2)
+block = [make(n)._index for n in ("1", "2") for make in (xvar, yvar)]
 print(json.dumps({"arc": arc, "chain": widths(),
-                  "surface": 2 * len(T.tagged_names())}))
+                  "surface": 2 * len(T.tagged_names()),
+                  "seed": max(block) - min(block) + 1}))
 """
 
 
@@ -530,8 +539,9 @@ def test_keys_span_their_own_variables_only():
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     assert got["chain"] and got["arc"]
-    assert all(bits <= 32 * span for bits, span in got["chain"])
-    # the strip sums start at the surface's lowest variable, so a
-    # polynomial of the expansion spans at most the x and y variables of
-    # the surface's tagged names
+    # a seed's polynomials start at its lowest variable and a
+    # triangulation's strip sums at the surface's, so each spans at most
+    # the registry indices of the seed's x and y variables, or the x and y
+    # variables of the surface's tagged names
+    assert all(bits <= 32 * got["seed"] for bits, _ in got["chain"])
     assert all(bits <= 32 * got["surface"] for bits, _ in got["arc"])

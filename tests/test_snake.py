@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import (
+    CORNER_AT,
     ORACLE_SURFACES,
     example_surface,
     gamma1,
@@ -15,9 +16,11 @@ from conftest import (
     twice_punctured,
     gamma3,
 )
+from helpers import third_arc
 from surfcluster.surface import (Crossing, CrossingPath, PathInvalid,
-                                 SurfaceError, third_arc)
+                                 SurfaceError)
 from surfcluster.snake import (
+    _SLOT_CORNERS,
     EndpointNotPuncture,
     NotchedTrianglePresent,
     build_loop_graph,
@@ -148,9 +151,6 @@ def test_loop_path_rejects_either_junction_at_the_puncture():
             build_loop_path(T, path, "P")
 
 
-_CORNER_AT = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
-
-
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_numbering_follows_the_drawing(name):
     # vertex and edge ids are first-seen numberings of the drawing, tile by
@@ -160,7 +160,7 @@ def test_numbering_follows_the_drawing(name):
     for g in oracle_graphs(mk(), max_d):
         point_of = {}
         for k, t in enumerate(g.tiles):
-            for corner, (dx, dy) in _CORNER_AT.items():
+            for corner, (dx, dy) in CORNER_AT.items():
                 pt = (t.pos[0] + dx, t.pos[1] + dy)
                 v = g.vertex_of[(k, corner)]
                 assert point_of.setdefault(v, pt) == pt
@@ -170,8 +170,12 @@ def test_numbering_follows_the_drawing(name):
                                   for s in t.slots))
         assert seen == list(range(len(g.edges)))
         for e in g.edges:
-            a, b = g.edge_vertices(e)
-            assert (point_of[a], point_of[b]) == e.segment
+            # a glue edge is the same segment in both of its tiles
+            ends = {point_of[v] for v in g.edge_vertices(e)}
+            for k, slot in e.tiles:
+                x, y = g.tiles[k].pos
+                assert ends == {(x + CORNER_AT[c][0], y + CORNER_AT[c][1])
+                                for c in _SLOT_CORNERS[slot]}
         glue = [(g.tiles[k].slot_edge["N" if d == "U" else "E"],
                  g.tiles[k + 1].slot_edge["S" if d == "U" else "W"])
                 for k, d in enumerate(g.glue)]
@@ -205,8 +209,9 @@ def test_loop_graph_end_structure():
     T = example_surface()
     lg = build_loop_graph(T, gamma2(T), "P2")
     assert lg.d == 2 and lg.e_p == 3
-    assert lg.zeta == ("9", "8", "7")
-    assert lg.v1 != lg.v2
+    # the corridor around P2
+    corridor = lg.graph.tiles[lg.d:lg.d + lg.e_p]
+    assert [t.diagonal for t in corridor] == ["9", "8", "7"]
     # ends are label-isomorphic under the role maps
     roles1 = {r: lg.graph.edges[e].label for e, r in lg.end_roles[1].items()}
     roles2 = {r: lg.graph.edges[e].label for e, r in lg.end_roles[2].items()}

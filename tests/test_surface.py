@@ -22,7 +22,6 @@ from surfcluster.surface import (
     Crossing,
     CrossingPath,
     NotAPuncture,
-    NotASide,
     Ordinary,
     SurfaceError,
     Topology,
@@ -30,12 +29,12 @@ from surfcluster.surface import (
     arcs_around_puncture,
     corner_walk,
     signed_adjacency,
-    third_arc,
     validate_path,
     validate_surface,
     _pseudo_sides,
 )
 from surfcluster.cli import parse_surface
+from helpers import NotASide, third_arc
 from surfcluster.mutation import principal_seed, run_sequence
 
 
