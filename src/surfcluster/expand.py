@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .poly import LaurentPoly, VarId, lowest_exponents, yvar
 from .matchings import (
-    key_base,
+    _keys,
     matching_count,
     phi_specialize,
     strip_rules,
@@ -145,7 +145,7 @@ def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str]) -> Expansion:
                               f"matchings, the continuant {count}")
     # a matching has d + 1 edges, each adding at most 1 to an x exponent,
     # and each of the d tiles moves a y exponent by at most 1
-    num = LaurentPoly.from_packed(acc, len(tiles) + 1, key_base(T))
+    num = LaurentPoly.from_packed(acc, len(tiles) + 1, _keys(T)[0])
     cross = crossing_monomial(T, gamma)
     return Expansion(num.div_exact(cross), cross, count)
 

@@ -1,6 +1,6 @@
-"""Perfect matchings of snake graphs: the matching DP, run on a graph or
-straight from the tiles (the strip kernel), extremal matchings, heights,
-weights, and the symmetric/compatible selections for loop graphs.
+"""Perfect matchings of snake graphs: the matching DP (the strip kernel),
+extremal matchings, heights, weights, and the symmetric/compatible
+selections for loop graphs.
 
 A matching is a frozenset of edge ids.  One dynamic program runs along the
 tile order.  Tile k meets the later tiles only at the two ends of its exit
@@ -17,13 +17,7 @@ E: nine shapes.  `_RULES` lists, per shape, every (covered in, covered
 out, chosen slots) allowed on one abstract tile; it is derived by brute
 force once at import (see `_shape_rules`).  At a turn the corner shared by
 the entry and exit slots may stay uncovered, as in the rule "uncovered to
-uncovered by W" of the shape (S, E).  `_fold` runs a graph's tiles through
-their rules, starting covered and ending covered.  A tile's slots go by
-edge id in a fixed order, the entry slot first and then counterclockwise
-from the tile's a (see `snake`), so `_ORDERED` derives each shape's rules
-again for each order a tile can have, drawing the slots in that order: each
-state's rules then come out sorted as their edge ids will be.  `_fold`
-reads the order off the tile's `slot_edge` as it stands.
+uncovered by W" of the shape (S, E).
 
 The extremal matchings P- and P+ need no DP: every vertex lies on the
 outer face, so the boundary edges form one cycle through all the vertices,
@@ -41,15 +35,10 @@ differ in parity (`_in_minus`).  `minimal_maximal` splits a graph's
 boundary edges so, and `outer_slots` reads P- so on each tile's outer
 edge, with no graph.
 
-Enumeration folds the DP into lists of partial matchings.  The order of
-the result is the order the DP reaches the matchings: states in the order
-they were first reached at each tile, and each state's rules by the number
-of chosen edges and then by their sorted edge ids.  It is deterministic,
-but it is not the order of the sorted edge-id tuples.
-
 Heights count the tiles enclosed by P ⊖ P-, each read off the tile's one
-outer-face edge (see `height_exponents`); the end restriction of a loop-graph
-matching is read the same way on its first d tiles, with no copy of the end.
+outer-face edge, the one in its `outer_slots` slot (see
+`height_exponents`); the end restriction of a loop-graph matching is read
+the same way on its first d tiles, with no copy of the end.
 
 Each tile's height is decided by one edge, so the height is linear in P;
 the weight is a product over the edges and phi is linear, so x(P)·y(P) is
@@ -58,22 +47,25 @@ ordinary arc therefore needs no graph: `strip_rules` reads each tile that
 `snake.build_tiles` places as one (covered in, covered out, packed key)
 per rule of its shape, and `strip_sum` folds them with one polynomial per
 state, at a cost of tiles × states × terms.  Each label's weight and phi
-of each diagonal's height are packed once per triangulation and kept on
-it; the x and y digits of a key are disjoint, so a slot's key is the sum
-of the two.  The graph route (`snake.build_snake`, `_fold`) stays for
-enumeration, which only the `matchings` command and the test oracles use:
-the per-matching sum of an ordinary arc, and the paper's loop-graph sums
-over symmetric matchings and compatible pairs.  `matching_count` counts
-the matchings a second way, by a continuant read off the glue, so the
-strip sum's count is checked.
+of each arc's height are packed once per triangulation, in one key table
+kept on it (`_keys`); the x and y digits of a key are disjoint, so a
+slot's key is the sum of the two.
+
+Enumeration runs the same DP on a graph: `enumerate_matchings` keys each
+rule by the bit mask of the edge ids it chooses, so every term of the sum
+is one matching, and returns the matchings sorted by their sorted edge
+ids.  It is exponential and serves only the `matchings` command and the
+test oracles: the per-matching sum of an ordinary arc, and the paper's
+loop-graph sums over symmetric matchings and compatible pairs.
+`matching_count` counts the matchings a second way, by a continuant read
+off the glue, so the strip sum's count is checked.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, repeat
 from operator import add
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Tuple, TypeVar)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import LaurentPoly, base_of, pack, xvar, yvar
 from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, _SLOTS,
@@ -89,7 +81,6 @@ __all__ = [
     "phi_specialize",
     "x_of_label",
     "outer_slots",
-    "key_base",
     "strip_rules",
     "strip_sum",
     "matching_count",
@@ -105,14 +96,10 @@ class NotAMatching(SurfaceError):
     pass
 
 
-V = TypeVar("V")
-
-
-def _shape_rules(entry: Optional[str], exit_: Optional[str], order: str
+def _shape_rules(entry: Optional[str], exit_: Optional[str]
                  ) -> List[Tuple[bool, bool, Tuple[str, ...]]]:
     """(covered in, covered out, chosen slots) for every way a tile with
-    these glue slots extends a partial matching.  Slots are drawn in
-    `order`, so each state's rules go by number of slots, then by rank.
+    these glue slots extends a partial matching.
 
     The state is whether the corners of the glue slot are covered.  A set
     of the tile's slots other than its entry is kept when it covers no
@@ -122,7 +109,7 @@ def _shape_rules(entry: Optional[str], exit_: Optional[str], order: str
     without an exit it ends covered.
     """
     ent, ext = _SLOT_CORNERS.get(entry, ()), set(_SLOT_CORNERS.get(exit_, ()))
-    free = [s for s in order if s != entry]
+    free = [s for s in _SLOTS if s != entry]
     rules = []
     for covered in ((True, False) if entry else (True,)):
         for r in range(len(free) + 1):
@@ -136,15 +123,8 @@ def _shape_rules(entry: Optional[str], exit_: Optional[str], order: str
     return rules
 
 
-_RULES = {(a, b): _shape_rules(a, b, _SLOTS)
+_RULES = {(a, b): _shape_rules(a, b)
           for a in (None, "S", "W") for b in (None, "N", "E")}
-
-# the entry slot, if any, is S or W and one of slots a and a + 1
-_ORDERED = {(shape, order): _shape_rules(*shape, order) for shape, order in {
-    ((entry, exit_), "".join(sorted(_SLOTS[a:] + _SLOTS[:a],
-                                    key=lambda s: s != entry)))
-    for a in range(4) for entry in (None, _SLOTS[a], _SLOTS[(a + 1) % 4])
-    if entry in (None, "S", "W") for exit_ in (None, "N", "E")}}
 
 
 def _shapes(glue: Sequence[str]):
@@ -153,39 +133,21 @@ def _shapes(glue: Sequence[str]):
                [_EXIT_SLOT[d] for d in glue] + [None])
 
 
-def _fold(g: SnakeGraph, start: V,
-          extend: Callable[[Optional[V], V, Tuple[int, ...]], V]
-          ) -> Optional[V]:
-    """The matching DP folded over per-state values: the covered state
-    starts with `start`, and `extend(acc, value, chosen)` adds a state's
-    value, extended by the sorted tuple of chosen edge ids, to the next
-    state's accumulator (None at first) and returns it.  States go in the
-    order reached, each one's rules by edge count, then ids.  Returns the
-    value after the last tile, None when g has no perfect matching."""
-    states: Dict[bool, V] = {True: start}
-    for tile, shape in zip(g.tiles, _shapes(g.glue)):
-        se = tile.slot_edge
-        rules = _ORDERED[shape, "".join(se)]
-        new: Dict[bool, V] = {}
-        for state, value in states.items():
-            for covered, out, slots in rules:
-                if covered is state:
-                    new[out] = extend(new.get(out), value,
-                                      tuple([se[s] for s in slots]))
-        states = new
-    return states.get(True)
-
-
-def _extend_partials(acc, partials, chosen):
-    acc = [] if acc is None else acc
-    acc.extend(p + chosen for p in partials)
-    return acc
+def _edge_rules(g: SnakeGraph, keys: Sequence[int]
+                ) -> List[List[Tuple[bool, bool, int]]]:
+    """The rules of g's tiles for `strip_sum`, each keyed by the sum of
+    keys[e] over the edges e it chooses."""
+    return [[(c, o, sum(keys[tile.slot_edge[s]] for s in slots))
+             for c, o, slots in _RULES[shape]]
+            for tile, shape in zip(g.tiles, _shapes(g.glue))]
 
 
 def enumerate_matchings(g: SnakeGraph) -> List[Matching]:
-    """All perfect matchings, in the order the DP reaches them (see the
-    module docstring)."""
-    return [frozenset(p) for p in _fold(g, [()], _extend_partials) or []]
+    """All perfect matchings, sorted by their sorted edge ids: the strip
+    DP with each edge keyed by its own bit, so each term is one matching."""
+    masks = strip_sum(0, _edge_rules(g, [1 << e for e in range(len(g.edges))]))
+    return sorted((frozenset(e for e in range(m.bit_length()) if m >> e & 1)
+                   for m in masks), key=sorted)
 
 
 def _in_minus(tile0: Tile, k: int, slot: str) -> bool:
@@ -218,7 +180,8 @@ def _tile_heights(g: SnakeGraph, P: Matching, minus: Matching,
     """Heights of the first n tiles, grouped by diagonal label: a tile is
     enclosed exactly when its outer edge lies in one of P and minus."""
     m: Dict[str, int] = {}
-    for tile, eid in zip(g.tiles[:n], g.outer_edges):
+    for tile, (slot, _) in zip(g.tiles[:n], outer_slots(g.tiles, g.glue)):
+        eid = tile.slot_edge[slot]
         if (eid in P) != (eid in minus):
             m[tile.diagonal] = m.get(tile.diagonal, 0) + 1
     return m
@@ -274,51 +237,43 @@ def phi_specialize(m: Dict[str, int], T: Triangulation) -> LaurentPoly:
     return LaurentPoly.monomial(1, phi_exps(m, T))
 
 
-def key_base(T: Triangulation) -> int:
-    """The base of the keys kept on T.  The first call interns the x and y
-    variables of all T's tagged names at once: one block of the registry."""
-    if T.key_base is None:
-        object.__setattr__(T, "key_base", base_of(
-            [make(name) for name in T.tagged_names() for make in (xvar, yvar)]))
-    return T.key_base
-
-
-def _weight(T: Triangulation, label: str) -> Tuple[Dict, int]:
-    """(exponent map, packed key) of an edge label's weight: boundary
-    segments weigh 1, self-folded loops weigh radius times notched twin.
-    Kept in `T.label_weights`; the map is shared and must not be changed."""
-    got = T.label_weights.get(label)
-    if got is None:
-        sf = T.loop_triangle(label)
-        if T.is_boundary(label):
-            exps = {}
-        elif sf is not None:
-            exps = {xvar(sf.radius): 1, xvar(T.notched_twin(sf.radius)): 1}
-        else:
-            exps = {xvar(label): 1}
-        got = T.label_weights[label] = (exps, pack(exps, key_base(T)))
-    return got
-
-
-def _phi_key(T: Triangulation, diagonal: str) -> int:
-    """Packed key of phi of a diagonal's height 1; phi is linear, so height
-    -1 packs to its negative.  Kept in `T.diagonal_phis`."""
-    key = T.diagonal_phis.get(diagonal)
-    if key is None:
-        key = T.diagonal_phis[diagonal] = pack(phi_exps({diagonal: 1}, T),
-                                               key_base(T))
-    return key
+def _keys(T: Triangulation) -> Tuple[int, Dict[str, Tuple[Dict, int]],
+                                     Dict[str, int]]:
+    """T's key table (base, weights, phis), built on the first call and
+    kept on T: each label's weight as (exponent map, packed key) and each
+    arc's phi of height 1 as a packed key, all in one base.  Boundary
+    segments weigh 1, self-folded loops weigh radius times notched twin;
+    phi is linear, so height -1 packs to its negative.  The base interns
+    the x and y variables of all T's tagged names at once: one block of the
+    registry.  The maps are shared and must not be changed."""
+    if T.key_table is None:
+        base = base_of([make(name) for name in T.tagged_names()
+                        for make in (xvar, yvar)])
+        weights = {}
+        for label in T.arcs + T.boundary:
+            sf = T.loop_triangle(label)
+            if T.is_boundary(label):
+                exps = {}
+            elif sf is not None:
+                exps = {xvar(sf.radius): 1, xvar(T.notched_twin(sf.radius)): 1}
+            else:
+                exps = {xvar(label): 1}
+            weights[label] = (exps, pack(exps, base))
+        phis = {arc: pack(phi_exps({arc: 1}, T), base) for arc in T.arcs}
+        object.__setattr__(T, "key_table", (base, weights, phis))
+    return T.key_table
 
 
 def x_of_label(T: Triangulation, label: str) -> LaurentPoly:
-    return LaurentPoly.monomial(1, _weight(T, label)[0])
+    return LaurentPoly.monomial(1, _keys(T)[1][label][0])
 
 
 def x_exps_of_labels(T: Triangulation, labels: Iterable[str]) -> Dict:
     """Exponent map of the product of the labels' weights."""
+    weights = _keys(T)[1]
     out: Dict = {}
     for label in labels:
-        for v, e in _weight(T, label)[0].items():
+        for v, e in weights[label][0].items():
             out[v] = out.get(v, 0) + e
     return out
 
@@ -334,8 +289,8 @@ def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
 def outer_slots(tiles: Sequence[Tile], glue: Sequence[str]
                 ) -> List[Tuple[str, bool]]:
     """Per tile, the slot of its outer edge (the first from a that is no
-    glue slot, as in `build_snake`) and whether P- holds that edge (see the
-    module docstring)."""
+    glue slot: no other tile has that edge) and whether P- holds that edge
+    (see the module docstring)."""
     out = []
     for k, (tile, shape) in enumerate(zip(tiles, _shapes(glue))):
         slot = next(s for s in tile.slots if s not in shape)
@@ -350,11 +305,12 @@ def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str]
     rules a perfect matching P takes.  A key sums the label keys of the
     chosen slots; phi of the diagonal is added on the outer slot, or, when
     P- holds the outer edge, to the start and taken off the outer slot."""
+    _, weights, phis = _keys(T)
     start, rules = 0, []
     for tile, shape, (outer, minus) in zip(tiles, _shapes(glue),
                                            outer_slots(tiles, glue)):
-        keys = {s: _weight(T, label)[1] for s, label in tile.slots.items()}
-        phi = _phi_key(T, tile.diagonal)
+        keys = {s: weights[label][1] for s, label in tile.slots.items()}
+        phi = phis[tile.diagonal]
         if minus:
             start += phi
             phi = -phi

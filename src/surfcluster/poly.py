@@ -506,14 +506,6 @@ class LaurentPoly:
             if cd == 1:
                 return LaurentPoly.from_packed(
                     {k - kd: c for k, c in num.items()}, bound, base)
-            out: Dict[int, int] = {}
-            for k, coeff in num.items():
-                q, r = divmod(coeff, cd)
-                if r:
-                    raise NotDivisible(
-                        f"coefficient {coeff} not divisible by {cd}")
-                out[k - kd] = q
-            return LaurentPoly.from_packed(out, bound, base)
         return self._long_division(num, den, base)
 
     @staticmethod

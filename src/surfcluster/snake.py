@@ -44,8 +44,8 @@ rel = -1.
 
 The drawing only steps up or right, so tiles never overlap and each tile
 meets only its neighbours, along the glue edges.  Every tile therefore keeps
-an edge on the outer face; `build_snake` records one per tile
-(`SnakeGraph.outer_edges`), and matching heights are read off those edges
+an edge on the outer face: the first slot from a that is no glue slot
+(`matchings.outer_slots`), and matching heights are read off those edges
 alone.
 """
 
@@ -204,7 +204,6 @@ class SnakeGraph:
     vertex_of: Dict[Tuple[int, str], int]  # (tile, corner) -> vertex id
     nvertices: int
     triple_spans: List[Tuple[int, int, int]]
-    outer_edges: List[int]               # per tile, one edge on the outer face
 
     @property
     def d(self) -> int:
@@ -283,10 +282,7 @@ def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> S
             if slot not in se:
                 se[slot] = len(edges)
                 edges.append(EdgeInfo(len(edges), label, [(k, slot)]))
-
-    outer = [next(eid for eid in t.slot_edge.values() if edges[eid].boundary)
-             for t in tiles]
-    return SnakeGraph(tiles, glue, edges, vertex_of, nvertices, spans, outer)
+    return SnakeGraph(tiles, glue, edges, vertex_of, nvertices, spans)
 
 
 # ---------------------------------------------------------------------------

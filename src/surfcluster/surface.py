@@ -105,15 +105,10 @@ class Triangulation:
         init=False, repr=False, compare=False)
     _orbits: List[List[Tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
-    # label -> (weight exponent map, packed key), and diagonal -> packed key
-    # of phi of its height 1, both in base key_base; `matchings` fills an
-    # entry the first time it needs it, and key_base before the first
-    label_weights: Dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
-    diagonal_phis: Dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
-    key_base: Optional[int] = field(default=None, init=False, repr=False,
-                                    compare=False)
+    # the packed weight and phi keys of `matchings._keys`, built the first
+    # time they are needed
+    key_table: Optional[Tuple] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         loops = {t.loop: t for t in self.triangles if isinstance(t, SelfFolded)}

@@ -6,10 +6,11 @@ kept when it covers no vertex twice and leaves no vertex uncovered whose
 last tile is k.  It knows nothing of glue slots or tile shapes, so it
 checks the two-state rule table of `surfcluster.matchings` from outside.
 
-`enumerate_matchings` and `boundary_matchings` take the arguments of the
-functions of that name in `surfcluster.matchings`, and `transfer_sum` those
-of `graph_route.transfer_sum`; each should return the same values, lists in
-the same order.
+`enumerate_matchings` takes the arguments of the function of that name in
+`surfcluster.matchings`, and `boundary_matchings` and `transfer_sum` those
+of the functions of those names in `graph_route`; each should return the
+same values, lists as sets: this DP lists matchings in the order it
+reaches them, those functions sorted by their sorted edge ids.
 """
 
 from itertools import combinations

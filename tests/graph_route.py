@@ -2,21 +2,28 @@
 oracle for the strip kernel of `surfcluster.matchings`.
 
 It reads everything off the `SnakeGraph`: P- from a walk around the
-boundary cycle (`boundary_walk`), one packed key per edge id
-(`edge_keys`), and the matching DP folded over those edge ids by
-`matchings._fold` (`transfer_sum`).  The strip kernel builds no graph, so
-the two routes share the rule table and the label and phi keys but not
-the edge numbering, the outer edges or P-.  `boundary_matchings` folds
-the same DP over the boundary edges only, a third way to P- and P+.
-`minus_avoid` states which edges of the first tile P- avoids.
+boundary cycle (`boundary_walk`), each tile's outer edge as its first
+boundary edge in edge-id order (`outer_edges`), and one packed key per
+edge id (`edge_keys`); `transfer_sum` runs the matching DP over those edge
+keys through `matchings.strip_sum`.  The strip kernel builds no graph, so
+the two routes share the rule table, the DP and the label and phi keys but
+not the edge numbering, the outer edges or P-.  `boundary_matchings` keeps
+the enumerated matchings that use boundary edges only, a third way to P-
+and P+.  `minus_avoid` states which edges of the first tile P- avoids.
 """
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from surfcluster.matchings import (Matching, NotAMatching, _extend_partials,
-                                   _fold, _phi_key, _weight)
+from surfcluster.matchings import (Matching, NotAMatching, _edge_rules,
+                                   _keys, enumerate_matchings, strip_sum)
 from surfcluster.snake import SnakeGraph, build_snake
 from surfcluster.surface import CrossingPath, Triangulation
+
+
+def outer_edges(g: SnakeGraph) -> List[int]:
+    """Per tile, one edge on the outer face: its first boundary edge."""
+    return [next(e for e in t.slot_edge.values() if g.edges[e].boundary)
+            for t in g.tiles]
 
 
 def edge_keys(g: SnakeGraph, T: Triangulation,
@@ -31,10 +38,11 @@ def edge_keys(g: SnakeGraph, T: Triangulation,
     edges of P adds at most 1 to an x exponent, and each of the d tiles
     moves a y exponent by at most 1, so d + 1 is the bound.
     """
-    keys = [_weight(T, e.label)[1] for e in g.edges]
+    _, weights, phis = _keys(T)
+    keys = [weights[e.label][1] for e in g.edges]
     start = 0
-    for tile, eid in zip(g.tiles, g.outer_edges):
-        key = _phi_key(T, tile.diagonal)
+    for tile, eid in zip(g.tiles, outer_edges(g)):
+        key = phis[tile.diagonal]
         if eid in minus:
             start += key
             keys[eid] -= key
@@ -48,25 +56,13 @@ def transfer_sum(g: SnakeGraph, start: int,
     """Sum over the perfect matchings P of g of the monomial with packed key
     start + sum(keys[e] for e in P), as {packed key: coefficient}.  With
     every key 0 the result is {0: number of perfect matchings}."""
-    def extend(acc, terms, chosen):
-        k = sum(keys[e] for e in chosen)
-        acc = {} if acc is None else acc
-        for t, c in terms.items():
-            acc[t + k] = acc.get(t + k, 0) + c
-        return acc
-
-    return _fold(g, {start: 1}, extend) or {}
+    return strip_sum(start, _edge_rules(g, keys))
 
 
 def boundary_matchings(g: SnakeGraph) -> List[Matching]:
-    """The perfect matchings that use boundary edges only, by the DP."""
-    interior = {e.eid for e in g.edges if not e.boundary}
-
-    def extend(acc, partials, chosen):
-        keep = interior.isdisjoint(chosen)
-        return _extend_partials(acc, partials if keep else (), chosen)
-
-    return [frozenset(p) for p in _fold(g, [()], extend) or []]
+    """The perfect matchings that use boundary edges only."""
+    boundary = {e.eid for e in g.edges if e.boundary}
+    return [P for P in enumerate_matchings(g) if P <= boundary]
 
 
 def minus_avoid(g: SnakeGraph) -> Set[int]:

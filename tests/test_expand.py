@@ -20,9 +20,9 @@ from conftest import (
     walk_paths,
 )
 from surfcluster.matchings import (
+    _keys,
     enumerate_matchings,
     height_exponents,
-    key_base,
     minimal_maximal,
     phi_exps,
     strip_rules,
@@ -138,7 +138,7 @@ def test_graph_bound_covers_the_numerator(name):
         for mirror in (False, True):
             tiles, glue, _ = build_tiles(T, path, mirror=mirror)
             num = L.from_packed(strip_sum(*strip_rules(T, tiles, glue)),
-                                len(tiles) + 1, key_base(T))
+                                len(tiles) + 1, _keys(T)[0])
             assert num._max_exp() >= num._max_exp(exact=True), path
             assert num == got, path
 

@@ -24,30 +24,30 @@ from conftest import (
     zigzag_polygon,
 )
 from surfcluster.expand import expand_ordinary
-from surfcluster.poly import LaurentPoly as L, xvar, yvar
+from surfcluster.poly import LaurentPoly as L, pack, xvar, yvar
 from surfcluster.snake import build_loop_graph, build_snake, build_tiles
 from surfcluster.surface import SurfaceError
 from surfcluster.matchings import (
-    _ORDERED,
     _RULES,
+    _keys,
     Matching,
     NotAMatching,
     compatible_pairs,
     enumerate_matchings,
     gamma_symmetric_filter,
     height_exponents,
-    key_base,
     matching_count,
     minimal_maximal,
     outer_slots,
     perfect_end_restriction,
+    phi_exps,
     phi_specialize,
     strip_rules,
     strip_sum,
     weight_exps,
 )
 from graph_route import (boundary_matchings, boundary_walk, edge_keys,
-                         minus_avoid, transfer_sum)
+                         minus_avoid, outer_edges, transfer_sum)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -223,27 +223,6 @@ def _unit_tile(x, y):
             for s, seg in _SEGMENTS.items()}
 
 
-def _ranked(shape, order):
-    """A shape's rules as (chosen slots, covered in, covered out) for a
-    tile whose slots go by edge id in this order, the slots and the rules
-    sorted as their edge ids will be: by number, then by rank in the
-    order."""
-    return sorted(((tuple(sorted(slots, key=order.index)), c, o)
-                   for c, o, slots in _RULES[shape]),
-                  key=lambda r: (len(r[0]), [order.index(s) for s in r[0]]))
-
-
-def test_ordered_rules_are_the_ranked_rules():
-    # `_fold` reads each state's rules in order; the order across states
-    # does not matter
-    assert len(_ORDERED) == 24
-    for (shape, order), rules in _ORDERED.items():
-        for state in (True, False):
-            assert [(slots, o) for c, o, slots in rules if c is state] == \
-                [(slots, o) for slots, c, o in _ranked(shape, order)
-                 if c is state], (shape, order, state)
-
-
 @pytest.mark.parametrize("entry, exit_",
                          list(product((None, "S", "W"), (None, "N", "E"))))
 def test_rule_table_against_a_window_of_three_tiles(entry, exit_):
@@ -284,7 +263,7 @@ def test_three_tile_turns(mirror, glue):
     g = build_snake(T, polygon_arc(T, 2, 6), mirror=mirror)
     assert g.glue == glue
     ms = enumerate_matchings(g)
-    assert ms == dp_oracle.enumerate_matchings(g)
+    assert set(ms) == set(dp_oracle.enumerate_matchings(g))
     assert len(ms) == kasteleyn_count(g) == matching_count(g.glue) == 4
     keys = [1 << (8 * e) for e in range(len(g.edges))]
     assert transfer_sum(g, 0, keys) == dp_oracle.transfer_sum(g, 0, keys) \
@@ -299,11 +278,12 @@ def test_dp_equals_the_generic_dp(name):
     graphs = 0
     for g in oracle_graphs(T, max_d):
         ms = enumerate_matchings(g)
-        assert ms == dp_oracle.enumerate_matchings(g)         # in order
+        assert ms == sorted(set(ms), key=sorted)       # each once, sorted
+        assert set(ms) == set(dp_oracle.enumerate_matchings(g))
         bms = dp_oracle.boundary_matchings(g)
-        assert boundary_matchings(g) == bms
+        assert boundary_matchings(g) == sorted(bms, key=sorted)
         assert matching_count(g.glue) == len(ms)
-        # the boundary walk gives the pair the fold picks: P- is the one
+        # the boundary walk gives the pair the DP finds: P- is the one
         # boundary matching that avoids the first tile's avoid slots
         avoid = minus_avoid(g)
         minus = [m for m in bms if not m & avoid]
@@ -320,6 +300,22 @@ def test_dp_equals_the_generic_dp(name):
     assert graphs
 
 
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_key_table_holds_every_label_and_arc(name):
+    T = ORACLE_SURFACES[name][0]()
+    base, weights, phis = _keys(T)
+    assert _keys(T) is T.key_table                 # built once, kept on T
+    assert set(weights) == set(T.arcs) | set(T.boundary)
+    assert set(phis) == set(T.arcs)
+    for label, (exps, key) in weights.items():
+        assert key == pack(exps, base)
+        assert (exps == {}) == T.is_boundary(label)
+    for arc, key in phis.items():
+        assert key == pack(phi_exps({arc: 1}, T), base)
+        # phi is linear: height -1 packs to the negative key
+        assert pack(phi_exps({arc: -1}, T), base) == -key
+
+
 def _strip_against_graph(T, path, mirror):
     """The strip kernel against the graph route on one path: the same
     packed sum, outer edges and P- membership, bound and count; and the
@@ -328,15 +324,15 @@ def _strip_against_graph(T, path, mirror):
     tiles, glue, _ = build_tiles(T, path, mirror=mirror)
     minus, plus = boundary_walk(g)
     assert minimal_maximal(g) == (minus, plus)
-    outer = outer_slots(tiles, glue)
+    outer, graph_outer = outer_slots(tiles, glue), outer_edges(g)
     assert [t.slot_edge[s] for t, (s, _) in zip(g.tiles, outer)] == \
-        g.outer_edges
-    assert [m for _, m in outer] == [e in minus for e in g.outer_edges]
+        graph_outer
+    assert [m for _, m in outer] == [e in minus for e in graph_outer]
     start, keys, bound = edge_keys(g, T, minus)
     acc = strip_sum(*strip_rules(T, tiles, glue))
     assert acc == transfer_sum(g, start, keys), path
     assert bound == len(tiles) + 1
-    num = L.from_packed(acc, lo=key_base(T))
+    num = L.from_packed(acc, lo=_keys(T)[0])
     assert num._max_exp(exact=True) <= bound
     assert sum(acc.values()) == matching_count(glue) == \
         matching_count(g.glue)

@@ -62,6 +62,24 @@ def test_div_by_monomial_is_always_exact():
     assert q == x1 * inv2 + y1 * inv2
 
 
+@pytest.mark.parametrize("coeff, exps", [
+    (2, {xvar("1"): 1}),
+    (-3, {xvar("1"): 1, yvar("1"): -1}),
+])
+def test_div_by_a_monomial_with_coefficient(coeff, exps):
+    # long division by a one-term divisor: exact when the coefficient
+    # divides every coefficient, NotDivisible otherwise
+    m = L.monomial(coeff, exps)
+    q = 5 * x2 * x2 - 7 * y1 + L.var(xvar("3"), -2)
+    assert (q * m).div_exact(m) == q
+    assert (coeff * x1 * y1 - 4 * coeff * x3).div_exact(m) * m == \
+        coeff * x1 * y1 - 4 * coeff * x3
+    with pytest.raises(NotDivisible):
+        (q * m + x2).div_exact(m)
+    with pytest.raises(NotDivisible):
+        (x1 + 2 * coeff * y1).div_exact(m)
+
+
 def test_substitute_examples():
     p = x1 * L.var(xvar("2"), -1)
     assert p.substitute({xvar("2"): x3}) == x1 * L.var(xvar("3"), -1)

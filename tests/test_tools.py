@@ -1,6 +1,7 @@
 """Smoke tests for the stdlib scripts under tools/."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,17 +24,33 @@ def test_loc_counts_non_empty_lines():
     assert count("def f():\n    pass\n\n# note\n") == 3
 
 
-def test_loc_against_head_prints_a_totals_row():
-    run = subprocess.run([sys.executable, str(ROOT / "tools" / "loc.py"),
-                          "HEAD"], cwd=ROOT, capture_output=True, text=True,
-                         timeout=120)
+def test_loc_against_head_prints_a_totals_row(tmp_path):
+    # the script and the package, committed to a fresh repository and then
+    # given one more line, so the test needs no checkout of its own
+    shutil.copytree(ROOT / "src" / "surfcluster",
+                    tmp_path / "src" / "surfcluster",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tools").mkdir()
+    shutil.copy(ROOT / "tools" / "loc.py", tmp_path / "tools")
+    git = ["git", "-c", "user.name=loc", "-c", "user.email=loc@example.com",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "x"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True,
+                       capture_output=True, timeout=60)
+    with open(tmp_path / "src" / "surfcluster" / "poly.py", "a") as f:
+        f.write("\n# one more line\n")
+    run = subprocess.run([sys.executable, str(tmp_path / "tools" / "loc.py"),
+                          "HEAD"], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0].split() == ["module", "HEAD", "tree", "diff"]
+    assert lines[1:-1] and all(line.split()[0].endswith(".py")
+                               for line in lines[1:-1])
     total = lines[-1].split()
     assert total[0] == "total" and len(total) == 4
-    assert int(total[1]) > 0 and int(total[2]) > 0
-    assert int(total[2]) - int(total[1]) == int(total[3])
+    assert int(total[1]) > 0
+    assert int(total[2]) - int(total[1]) == int(total[3]) == 1
 
 
 def test_reach_flags_unkept_and_missing_names():

@@ -4,8 +4,8 @@ workload enters, and check that each one is kept on purpose.
     python3 tools/reach.py
 
 Under `sys.setprofile` it runs every CLI command on the shipped fixtures of
-tests/data: each command of the golden list (tests/test_golden.py) on each
-of its (surface, arc) pairs, `expand` of the doubly-notched arc with each
+tests/data: each (surface, arc, command) run pinned in
+tests/data/golden.json, `expand` of the doubly-notched arc with each
 `--notch` choice, `mutate` on the rank-2 principal and geometric seeds and
 `verify` on both bundles.  Then it runs one pass of each perfbench workload
 (seed 7) and checks every outcome against perfbench/expected.json.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import json
 import random
 import sys
 from pathlib import Path
@@ -31,14 +32,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "surfcluster"
 DATA = ROOT / "tests" / "data"
 
-FIXTURES = [
-    ("square.json", "square_arc.json"),
-    ("three_punctures.json", "ordinary_arc.json"),
-    ("three_punctures.json", "notched_arc.json"),
-    ("two_punctures.json", "double_notched_arc.json"),
-]
-COMMANDS = [("expand",), ("expand", "--json"), ("fpoly",), ("gvector",),
-            ("matchings",), ("snake",), ("snake", "--dot")]
 NOTCHES = ["p", "q", "p,q", "q,p"]
 SEED = 7
 
@@ -116,10 +109,11 @@ def functions():
 
 def commands():
     """argv of every command on the shipped fixtures."""
-    for surface, arc in FIXTURES:
-        for cmd in COMMANDS:
-            yield [cmd[0], "--surface", str(DATA / surface),
-                   "--arc", str(DATA / arc), *cmd[1:]]
+    # a golden key is "<surface> <arc> <command> [flag]"
+    for key in json.loads((DATA / "golden.json").read_text())["cli"]:
+        surface, arc, cmd, *flags = key.split()
+        yield [cmd, "--surface", str(DATA / surface),
+               "--arc", str(DATA / arc), *flags]
     for names in NOTCHES:
         yield ["expand", "--surface", str(DATA / "two_punctures.json"),
                "--arc", str(DATA / "double_notched_arc.json"),
