@@ -128,7 +128,7 @@ def crossing_monomial(T: Triangulation, path: Union[CrossingPath, str],
     labels = list(path.crossed_arcs()) if isinstance(path, CrossingPath) else []
     for p in punctures:
         labels.extend(arcs_around_puncture(T, p))
-    return LaurentPoly.monomial(1, x_exps_of_labels(T, labels))
+    return _keys(T)[0].monomial(x_exps_of_labels(T, labels))
 
 
 def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str]) -> Expansion:

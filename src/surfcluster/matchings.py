@@ -47,9 +47,10 @@ ordinary arc therefore needs no graph: `strip_rules` reads each tile that
 `snake.build_tiles` places as one (covered in, covered out, packed key)
 per rule of its shape, and `strip_sum` folds them with one polynomial per
 state, at a cost of tiles × states × terms.  Each label's weight and phi
-of each arc's height are packed once per triangulation, in one key table
-kept on it (`_keys`); the x and y digits of a key are disjoint, so a
-slot's key is the sum of the two.
+of each arc's height are packed once per triangulation, in T's ring and in
+one key table kept on T (`_keys`); a key adds the weight and height of a
+slot, and a monomial built here (`x_of_label`, `phi_specialize`) lies in
+T's ring too.
 
 Enumeration runs the same DP on a graph: `enumerate_matchings` keys each
 rule by the bit mask of the edge ids it chooses, so every term of the sum
@@ -67,7 +68,7 @@ from itertools import combinations, repeat
 from operator import add
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import LaurentPoly, base_of, pack, xvar, yvar
+from .poly import LaurentPoly, Ring, ring_of, xvar, yvar
 from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, _SLOTS,
                     LoopGraph, SnakeGraph, Tile)
 from .surface import SurfaceError, Triangulation
@@ -234,21 +235,21 @@ def phi_exps(m: Dict[str, int], T: Triangulation) -> Dict:
 
 
 def phi_specialize(m: Dict[str, int], T: Triangulation) -> LaurentPoly:
-    return LaurentPoly.monomial(1, phi_exps(m, T))
+    return _keys(T)[0].monomial(phi_exps(m, T))
 
 
-def _keys(T: Triangulation) -> Tuple[int, Dict[str, Tuple[Dict, int]],
+def _keys(T: Triangulation) -> Tuple[Ring, Dict[str, Tuple[Dict, int]],
                                      Dict[str, int]]:
-    """T's key table (base, weights, phis), built on the first call and
+    """T's key table (ring, weights, phis), built on the first call and
     kept on T: each label's weight as (exponent map, packed key) and each
-    arc's phi of height 1 as a packed key, all in one base.  Boundary
-    segments weigh 1, self-folded loops weigh radius times notched twin;
-    phi is linear, so height -1 packs to its negative.  The base interns
-    the x and y variables of all T's tagged names at once: one block of the
-    registry.  The maps are shared and must not be changed."""
+    arc's phi of height 1 as a packed key, all in T's ring, that of the x
+    and y variables of all T's tagged names.  Boundary segments weigh 1,
+    self-folded loops weigh radius times notched twin; phi is linear, so
+    height -1 packs to its negative.  The maps are shared and must not be
+    changed."""
     if T.key_table is None:
-        base = base_of([make(name) for name in T.tagged_names()
-                        for make in (xvar, yvar)])
+        ring = ring_of(make(name) for name in T.tagged_names()
+                       for make in (xvar, yvar))
         weights = {}
         for label in T.arcs + T.boundary:
             sf = T.loop_triangle(label)
@@ -258,14 +259,15 @@ def _keys(T: Triangulation) -> Tuple[int, Dict[str, Tuple[Dict, int]],
                 exps = {xvar(sf.radius): 1, xvar(T.notched_twin(sf.radius)): 1}
             else:
                 exps = {xvar(label): 1}
-            weights[label] = (exps, pack(exps, base))
-        phis = {arc: pack(phi_exps({arc: 1}, T), base) for arc in T.arcs}
-        object.__setattr__(T, "key_table", (base, weights, phis))
+            weights[label] = (exps, ring.pack(exps))
+        phis = {arc: ring.pack(phi_exps({arc: 1}, T)) for arc in T.arcs}
+        object.__setattr__(T, "key_table", (ring, weights, phis))
     return T.key_table
 
 
 def x_of_label(T: Triangulation, label: str) -> LaurentPoly:
-    return LaurentPoly.monomial(1, _keys(T)[1][label][0])
+    ring, weights, _ = _keys(T)
+    return ring.monomial(weights[label][0])
 
 
 def x_exps_of_labels(T: Triangulation, labels: Iterable[str]) -> Dict:

@@ -15,9 +15,9 @@ with b_ik = 0 is kept as the same tuple, and the rest touch only column k
 and the support of row k.  Each side of the exchange relation is a product
 of cluster-variable powers times one frozen monomial; it is assembled from
 those factors alone, never by multiplying from one, so a side with a single
-factor is that factor.  A seed's cluster variables and frozen monomials are
-stored in one base, the lowest registry index of its x and y variables (see
-`poly`), so no step shifts keys to align two operands.
+factor is that factor.  A seed's cluster variables and frozen monomials lie
+in one ring, that of its x and y variables (see `poly`), so no step
+re-packs an operand.
 
 Other geometric coefficients come from principal ones by Fomin-Zelevinsky's
 separation formula (Cluster algebras IV, Thm 3.7): bind each y to its
@@ -33,8 +33,8 @@ from itertools import compress
 from operator import itemgetter, neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (LaurentPoly, NotDivisible, VarId, base_of, lowest_exponents,
-                   pack, xvar, yvar)
+from .poly import (LaurentPoly, NotDivisible, Ring, VarId, lowest_exponents,
+                   ring_of, xvar, yvar)
 
 __all__ = [
     "Seed",
@@ -85,11 +85,11 @@ def principal_seed(B: Sequence[Sequence[int]],
 def geometric_seed(ext: Sequence[Sequence[int]], names: Sequence[str],
                    frozen_names: Sequence[str]) -> Seed:
     """Seed with the extended matrix ext, the cluster variables x_name and
-    the frozen variables y_name, all stored in one base (see `poly`)."""
+    the frozen variables y_name, all in one ring (see `poly`)."""
     xs = [xvar(nm) for nm in names]
     frozen = tuple(yvar(nm) for nm in frozen_names)
-    lo = base_of(xs + list(frozen))
-    cluster = tuple(LaurentPoly.from_packed({pack({x: 1}, lo): 1}, 1, lo)
+    ring = ring_of(xs + list(frozen))
+    cluster = tuple(LaurentPoly.from_packed({ring.units[x]: 1}, 1, ring)
                     for x in xs)
     return Seed(tuple(tuple(r) for r in ext), cluster, frozen)
 
@@ -115,11 +115,10 @@ def _mutate_matrix(rows: Sequence[Tuple[int, ...]], k: int):
 
 
 def _side(factors: List[LaurentPoly], frozen: Dict[VarId, int],
-          lo: int) -> LaurentPoly:
-    """The product of the factors and the frozen monomial, in base lo."""
+          ring: Ring) -> LaurentPoly:
+    """The product of the factors and the frozen monomial, in the ring."""
     if frozen:
-        factors.append(LaurentPoly.from_packed(
-            {pack(frozen, lo): 1}, max(frozen.values()), lo))
+        factors.append(ring.monomial(frozen))
     out = factors[0] if factors else LaurentPoly.one()
     for f in factors[1:]:
         out = out.mul(f)
@@ -143,8 +142,8 @@ def mutate_seed(s: Seed, k: int) -> Seed:
         else:
             u = s.frozen[i - n]
             frozen[side][u] = frozen[side].get(u, 0) + e
-    lo = cluster[k]._lo                   # the base of the whole seed
-    plus, minus = (_side(p, f, lo) for p, f in zip(powers, frozen))
+    ring = cluster[k]._ring               # the ring of the whole seed
+    plus, minus = (_side(p, f, ring) for p, f in zip(powers, frozen))
     try:
         newvar = plus.add(minus).div_exact(cluster[k])
     except NotDivisible as exc:

@@ -19,8 +19,9 @@ never in a module-level cache.  The arc and boundary label sets behind
 `is_arc` and `is_boundary`, the label -> slots map, every vertex's clockwise
 corner walk and the corner orbits are built with it, as validating a surface
 reads all of them.  Each edge label's weight map with its packed key, and
-each diagonal's packed phi key, is filled in by `matchings` the first time
-it is needed, and their base before them.  Nothing for one arc is kept.
+each diagonal's packed phi key, all in the ring of T's tagged names, are
+filled in by `matchings` the first time they are needed.  Nothing for one
+arc is kept.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ class Triangulation:
         init=False, repr=False, compare=False)
     _orbits: List[List[Tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
-    # the packed weight and phi keys of `matchings._keys`, built the first
-    # time they are needed
+    # the ring and the packed weight and phi keys of `matchings._keys`,
+    # built the first time they are needed
     key_table: Optional[Tuple] = field(default=None, init=False, repr=False,
                                        compare=False)
 

@@ -34,7 +34,7 @@ from surfcluster.matchings import (
     phi_exps,
     weight_exps,
 )
-from surfcluster.poly import LaurentPoly, pack
+from surfcluster.poly import LaurentPoly
 from surfcluster.snake import EndpointNotPuncture, LoopGraph, build_loop_graph
 
 
@@ -57,16 +57,16 @@ def _scale(exps: Dict, k: int) -> Dict:
 def _sum(terms: Iterable[Tuple[Dict, Dict]],
          cross: LaurentPoly) -> Expansion:
     """The matching sum over listed summands: one monomial per summand from
-    its (x, y) exponent maps, divided once by the crossing monomial.  The
-    two maps hold x and y variables apart, so their packed keys add without
-    one digit reaching another."""
+    its (x, y) exponent maps, packed in the crossing monomial's ring (the
+    triangulation's), divided once by the crossing monomial."""
+    ring = cross._ring
     acc: Dict[int, int] = {}
     count = 0
     for x, y in terms:
-        key = pack(x) + pack(y)
+        key = ring.pack(x) + ring.pack(y)
         acc[key] = acc.get(key, 0) + 1
         count += 1
-    num = LaurentPoly.from_packed(acc)
+    num = LaurentPoly.from_packed(acc, None, ring)
     return Expansion(num.div_exact(cross), cross, count)
 
 

@@ -24,7 +24,7 @@ from conftest import (
     zigzag_polygon,
 )
 from surfcluster.expand import expand_ordinary
-from surfcluster.poly import LaurentPoly as L, pack, xvar, yvar
+from surfcluster.poly import LaurentPoly as L, ring_of, xvar, yvar
 from surfcluster.snake import build_loop_graph, build_snake, build_tiles
 from surfcluster.surface import SurfaceError
 from surfcluster.matchings import (
@@ -303,17 +303,19 @@ def test_dp_equals_the_generic_dp(name):
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_key_table_holds_every_label_and_arc(name):
     T = ORACLE_SURFACES[name][0]()
-    base, weights, phis = _keys(T)
+    ring, weights, phis = _keys(T)
     assert _keys(T) is T.key_table                 # built once, kept on T
+    assert ring is ring_of(make(n) for n in T.tagged_names()
+                           for make in (xvar, yvar))
     assert set(weights) == set(T.arcs) | set(T.boundary)
     assert set(phis) == set(T.arcs)
     for label, (exps, key) in weights.items():
-        assert key == pack(exps, base)
+        assert key == ring.pack(exps)
         assert (exps == {}) == T.is_boundary(label)
     for arc, key in phis.items():
-        assert key == pack(phi_exps({arc: 1}, T), base)
+        assert key == ring.pack(phi_exps({arc: 1}, T))
         # phi is linear: height -1 packs to the negative key
-        assert pack(phi_exps({arc: -1}, T), base) == -key
+        assert ring.pack(phi_exps({arc: -1}, T)) == -key
 
 
 def _strip_against_graph(T, path, mirror):
@@ -332,7 +334,7 @@ def _strip_against_graph(T, path, mirror):
     acc = strip_sum(*strip_rules(T, tiles, glue))
     assert acc == transfer_sum(g, start, keys), path
     assert bound == len(tiles) + 1
-    num = L.from_packed(acc, lo=_keys(T)[0])
+    num = L.from_packed(acc, None, _keys(T)[0])
     assert num._max_exp(exact=True) <= bound
     assert sum(acc.values()) == matching_count(glue) == \
         matching_count(g.glue)

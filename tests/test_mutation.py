@@ -200,23 +200,25 @@ def test_specialize_geometric_boundary_system():
 
 
 def test_a_step_shifts_no_keys(monkeypatch):
-    # a seed's cluster variables and frozen monomials share one base, so no
-    # ring operation of a mutation step shifts an operand's keys to align
-    # two bases
+    # a seed's cluster variables and frozen monomials share one ring, so no
+    # ring operation of a mutation step re-packs an operand's keys into
+    # another ring
     from surfcluster import poly
-    common, shifted = poly._common, []
+    repack, repacked = poly._repack, []
 
-    def counted(a, b):
-        base, ta, tb = common(a, b)
-        shifted.append(ta is not a._terms or tb is not b._terms)
-        return base, ta, tb
+    def counted(p, ring, image):
+        repacked.append(p)
+        return repack(p, ring, image)
 
-    monkeypatch.setattr(poly, "_common", counted)
+    monkeypatch.setattr(poly, "_repack", counted)
     T = polygon(6)
     seq = [0, 1, 2, 0, 2, 1]
     run_sequence(principal_seed(signed_adjacency(T), T.tagged_names()), seq)
     run_sequence(boundary_coefficient_seed(T)[0], seq)
-    assert shifted and not any(shifted)
+    assert repacked == []
+    # the count sees a re-pack: x1 and y1 lie in rings of their own
+    L.var(xvar("1")).add(L.var(yvar("1")))
+    assert len(repacked) == 2
 
 
 def test_specialize_geometric_rejects_polynomials():

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import text_oracle
+from surfcluster import poly
 from surfcluster.poly import (
     ExponentOverflow,
     LaurentPoly as L,
@@ -15,7 +17,7 @@ from surfcluster.poly import (
     NotDivisible,
     VarId,
     lowest_exponents,
-    pack,
+    ring_of,
     xvar,
     yvar,
 )
@@ -25,41 +27,49 @@ xd = L.var(xvar("d"))
 y1, yd = L.var(yvar("1")), L.var(yvar("d"))
 
 
-def in_base_zero(terms):
-    """The polynomial with these {ExpVec: coefficient} terms, its keys
-    stored in base 0."""
-    p = sum((L.monomial(c, dict(ev)) for ev, c in terms.items()), L.zero())
-    return L.from_packed({k << (32 * p._lo): c for k, c in p._terms.items()})
+def add_all(*ps):
+    return reduce(L.add, ps, L.zero())
+
+
+def from_terms(terms):
+    """The polynomial with these {ExpVec: coefficient} terms."""
+    return add_all(*(L.monomial(c, dict(ev)) for ev, c in terms.items()))
+
+
+def widened(p, extra):
+    """p in the ring of its variables and `extra`, its keys re-packed."""
+    ring = ring_of(p._ring.set | set(extra))
+    return L.from_packed(poly._repack(p, ring, {}), p._bound, ring)
 
 
 def test_add_identity_and_cancellation():
-    assert x1 + L.zero() == x1
-    assert x1 + (-1) * x1 == L.zero()
-    assert (x2 + y1) + y1 == x2 + 2 * y1
+    assert x1.add(L.zero()) == x1
+    assert x1.add(L.const(-1).mul(x1)) == L.zero()
+    assert x2.add(y1).add(y1) == x2.add(L.const(2).mul(y1))
 
 
 def test_mul_examples():
-    assert x1 * L.var(xvar("1"), -1) == L.one()
-    assert (x1 + y1) * (x1 - y1) == x1 * x1 - y1 * y1
-    got = (L.one() + yd) * L.var(xvar("d"), -1)
-    assert got == L.var(xvar("d"), -1) + yd * L.var(xvar("d"), -1)
+    assert x1.mul(L.var(xvar("1"), -1)) == L.one()
+    assert x1.add(y1).mul(x1.sub(y1)) == x1.mul(x1).sub(y1.mul(y1))
+    got = L.one().add(yd).mul(L.var(xvar("d"), -1))
+    assert got == L.var(xvar("d"), -1).add(yd.mul(L.var(xvar("d"), -1)))
 
 
 def test_div_exact_examples():
-    assert (x1 * x2).div_exact(x1) == x2
-    assert (x1 * x1 - y1 * y1).div_exact(x1 + y1) == x1 - y1
+    assert x1.mul(x2).div_exact(x1) == x2
+    assert x1.mul(x1).sub(y1.mul(y1)).div_exact(x1.add(y1)) == x1.sub(y1)
     with pytest.raises(NotDivisible):
-        (x1 + y1).div_exact(x1 + x2)
+        x1.add(y1).div_exact(x1.add(x2))
     with pytest.raises(ZeroDivisionError):
         x1.div_exact(L.zero())
 
 
 def test_div_by_monomial_is_always_exact():
     # monomials are units of the Laurent ring, so this must not raise
-    q = (x1 + y1).div_exact(x2)
-    assert q * x2 == x1 + y1
+    q = x1.add(y1).div_exact(x2)
+    assert q.mul(x2) == x1.add(y1)
     inv2 = L.var(xvar("2"), -1)
-    assert q == x1 * inv2 + y1 * inv2
+    assert q == x1.mul(inv2).add(y1.mul(inv2))
 
 
 @pytest.mark.parametrize("coeff, exps", [
@@ -70,42 +80,43 @@ def test_div_by_a_monomial_with_coefficient(coeff, exps):
     # long division by a one-term divisor: exact when the coefficient
     # divides every coefficient, NotDivisible otherwise
     m = L.monomial(coeff, exps)
-    q = 5 * x2 * x2 - 7 * y1 + L.var(xvar("3"), -2)
-    assert (q * m).div_exact(m) == q
-    assert (coeff * x1 * y1 - 4 * coeff * x3).div_exact(m) * m == \
-        coeff * x1 * y1 - 4 * coeff * x3
+    q = add_all(L.const(5).mul(x2).mul(x2), L.const(-7).mul(y1),
+                L.var(xvar("3"), -2))
+    assert q.mul(m).div_exact(m) == q
+    r = L.const(coeff).mul(x1).mul(y1).sub(L.const(4 * coeff).mul(x3))
+    assert r.div_exact(m).mul(m) == r
     with pytest.raises(NotDivisible):
-        (q * m + x2).div_exact(m)
+        q.mul(m).add(x2).div_exact(m)
     with pytest.raises(NotDivisible):
-        (x1 + 2 * coeff * y1).div_exact(m)
+        x1.add(L.const(2 * coeff).mul(y1)).div_exact(m)
 
 
 def test_substitute_examples():
-    p = x1 * L.var(xvar("2"), -1)
-    assert p.substitute({xvar("2"): x3}) == x1 * L.var(xvar("3"), -1)
-    assert (L.one() + yd).substitute({yvar("d"): L.one()}) == L.const(2)
+    p = x1.mul(L.var(xvar("2"), -1))
+    assert p.substitute({xvar("2"): x3}) == x1.mul(L.var(xvar("3"), -1))
+    assert L.one().add(yd).substitute({yvar("d"): L.one()}) == L.const(2)
     # only a monomial with coefficient 1 is substituted, whatever the sign
     # of the exponent; the binding of a variable p lacks is not read
-    for value in (x2 + x3, -1 * x3, 2 * x3, L.zero()):
-        for q in (L.var(xvar("1"), -1), x1 * x1 + x2):
+    for value in (x2.add(x3), x3.neg(), L.const(2).mul(x3), L.zero()):
+        for q in (L.var(xvar("1"), -1), x1.mul(x1).add(x2)):
             with pytest.raises(NonInvertibleSubstitution):
                 q.substitute({xvar("1"): value})
         assert x2.substitute({xvar("1"): value}) == x2
 
 
 def test_substitute_is_simultaneous():
-    p = x1 * x2
+    p = x1.mul(x2)
     got = p.substitute({xvar("1"): x2, xvar("2"): x1})
-    assert got == x2 * x1
-    assert got.substitute({xvar("1"): x1}) == x1 * x2
+    assert got == x2.mul(x1)
+    assert got.substitute({xvar("1"): x1}) == x1.mul(x2)
 
 
 def test_substitution_by_monomials_merges_and_cancels_terms():
-    assert (x1 + x2).substitute({xvar("1"): x2}) == 2 * x2
-    assert (x1 - x2).substitute({xvar("1"): x2}) == L.zero()
+    assert x1.add(x2).substitute({xvar("1"): x2}) == L.const(2).mul(x2)
+    assert x1.sub(x2).substitute({xvar("1"): x2}) == L.zero()
     # only a monomial with coefficient 1 moves keys; -x3 is refused
     with pytest.raises(NonInvertibleSubstitution):
-        (x1 * x1 + x2).substitute({xvar("1"): -1 * x3})
+        x1.mul(x1).add(x2).substitute({xvar("1"): x3.neg()})
 
 
 def reference_substitute(p, bindings):
@@ -121,7 +132,7 @@ def reference_substitute(p, bindings):
                 image = {v: 1}
             for u, eu in image.items():
                 exps[u] = exps.get(u, 0) + e * eu
-        out = out + L.monomial(c, {u: e for u, e in exps.items() if e})
+        out = out.add(L.monomial(c, {u: e for u, e in exps.items() if e}))
     return out
 
 
@@ -144,18 +155,19 @@ def test_key_shifts_equal_the_reference_on_a_long_expansion():
 
 def test_canonical_text_examples():
     assert L.zero().canonical_text() == "0"
-    p = L.var(xvar("d"), -1) + yd * L.var(xvar("d"), -1)
+    p = L.var(xvar("d"), -1).add(yd.mul(L.var(xvar("d"), -1)))
     assert p.canonical_text() == "x_d^-1 + y_d*x_d^-1"
-    assert (2 * y1 + x2).canonical_text() == "x2 + 2*y1"
-    assert (x1 - y1).canonical_text() == "x1 - y1"
+    assert L.const(2).mul(y1).add(x2).canonical_text() == "x2 + 2*y1"
+    assert x1.sub(y1).canonical_text() == "x1 - y1"
     assert L.const(-3).canonical_text() == "-3"
 
 
 def test_natural_name_order():
-    p = L.var(xvar("10")) + L.var(xvar("2"))
+    p = L.var(xvar("10")).add(L.var(xvar("2")))
     assert p.canonical_text() == "x2 + x10"
     # equal natural keys fall back to the name, not to hashing or history
-    assert (L.var(xvar("1")) + L.var(xvar("01"))).canonical_text() == "x01 + x1"
+    assert L.var(xvar("1")).add(L.var(xvar("01"))).canonical_text() == \
+        "x01 + x1"
 
 
 # -- the renderer against the straightforward one -----------------------------
@@ -175,7 +187,7 @@ def text_polys(draw):
                       st.dictionaries(st.sampled_from(TEXT_VARS),
                                       st.integers(-3, 3), max_size=6)),
             max_size=8)):
-        out = out + L.monomial(c, exps)
+        out = out.add(L.monomial(c, exps))
     return out
 
 
@@ -187,24 +199,40 @@ def test_canonical_text_matches_the_straightforward_renderer(p):
 
 @pytest.mark.parametrize("p", [
     L.zero(), L.const(1), L.const(-7), L.var(xvar("a10"), -2),
-    -3 * L.var(yvar("01")), L.one() + L.var(xvar("10")),
-    L.const(2) - L.var(xvar("1")) * L.var(xvar("01"), -1),
-    L.var(yvar("a2")) + L.var(yvar("a10")) + L.var(xvar("a2"), 3),
+    L.const(-3).mul(L.var(yvar("01"))), L.one().add(L.var(xvar("10"))),
+    L.const(2).sub(L.var(xvar("1")).mul(L.var(xvar("01"), -1))),
+    add_all(L.var(yvar("a2")), L.var(yvar("a10")), L.var(xvar("a2"), 3)),
 ])
 def test_canonical_text_edge_cases(p):
     assert p.canonical_text() == text_oracle.canonical_text(p)
 
 
 # -- randomized ring laws ----------------------------------------------------
+#
+# Operands come from variable sets that are subsets, supersets or disjoint
+# from one another, each kept in its own ring or in a wider one, and some
+# are constants, so the laws hold across rings.
 
 VARS = [xvar("1"), xvar("2"), yvar("1"), yvar("2")]
+OTHER = [xvar("3"), yvar("3")]
+POOLS = [VARS, VARS[:2], VARS[2:], [VARS[0], VARS[3]], OTHER]
+
+
+@st.composite
+def in_some_ring(draw, p, pool, everything):
+    """p in its own ring, that of its pool, or that of every variable; or
+    else a constant."""
+    if draw(st.integers(0, 7)) == 0:
+        return L.const(draw(st.integers(-3, 3)))
+    return widened(p, draw(st.sampled_from([(), pool, everything])))
 
 
 @st.composite
 def polys(draw, max_terms=4):
+    pool = draw(st.sampled_from(POOLS))
     terms = draw(st.lists(
         st.tuples(st.integers(-4, 4),
-                  st.lists(st.tuples(st.sampled_from(VARS),
+                  st.lists(st.tuples(st.sampled_from(pool),
                                      st.integers(-2, 2)),
                            max_size=3)),
         max_size=max_terms))
@@ -213,18 +241,18 @@ def polys(draw, max_terms=4):
         m = {}
         for v, e in exps:
             m[v] = m.get(v, 0) + e
-        out = out + L.monomial(c, m)
-    return out
+        out = out.add(L.monomial(c, m))
+    return draw(in_some_ring(out, pool, VARS + OTHER))
 
 
 @given(polys(), polys(), polys())
 @settings(max_examples=150, deadline=None)
 def test_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert a.add(b) == b.add(a)
+    assert a.add(b).add(c) == a.add(b.add(c))
+    assert a.mul(b) == b.mul(a)
+    assert a.mul(b).mul(c) == a.mul(b.mul(c))
+    assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
 
 
 @given(polys(), polys())
@@ -232,7 +260,7 @@ def test_ring_axioms(a, b, c):
 def test_div_mul_roundtrip(a, b):
     if b.is_zero():
         return
-    assert (a * b).div_exact(b) == a
+    assert a.mul(b).div_exact(b) == a
 
 
 @given(polys(), polys())
@@ -245,9 +273,19 @@ def test_canonical_text_injective(a, b):
 
 
 def test_hash_and_equality():
-    assert hash(x1 + y1) == hash(y1 + x1)
-    assert x1 + y1 == y1 + x1
-    assert {x1 + y1, y1 + x1} == {x1 + y1}
+    assert hash(x1.add(y1)) == hash(y1.add(x1))
+    assert x1.add(y1) == y1.add(x1)
+    assert {x1.add(y1), y1.add(x1)} == {x1.add(y1)}
+
+
+def test_equal_polynomials_of_two_rings_are_one_set_element():
+    p = x1.add(y1)
+    # the same polynomial by way of x2: its ring keeps x2
+    q = x1.mul(x2).add(y1.mul(x2)).div_exact(x2)
+    assert p._ring is not q._ring
+    assert p == q and q == p and hash(p) == hash(q)
+    assert len({p, q}) == 1
+    assert p.canonical_text() == q.canonical_text()
 
 
 def test_varid_ordering_total():
@@ -264,38 +302,41 @@ def test_varid_ordering_total():
 # of a key borrow from each other, which the 4-variable strategy never does.
 
 WIDE = [xvar(f"w{i}") for i in range(24)] + [yvar(f"w{i}") for i in range(24)]
+WIDE_POOLS = [WIDE, WIDE[:24], WIDE[24:], WIDE[::2], WIDE[:6] + WIDE[40:]]
 BIG = 2 ** 20
 
 
 @st.composite
-def wide_exps(draw):
+def wide_exps(draw, pool=WIDE):
     return dict(draw(st.lists(
-        st.tuples(st.sampled_from(WIDE), st.integers(-BIG, BIG)),
+        st.tuples(st.sampled_from(pool), st.integers(-BIG, BIG)),
         max_size=6, unique_by=lambda t: t[0])))
 
 
 @st.composite
 def wide_polys(draw, max_terms=5):
+    pool = draw(st.sampled_from(WIDE_POOLS))
     out = L.zero()
-    for c, exps in draw(st.lists(st.tuples(st.integers(-4, 4), wide_exps()),
+    for c, exps in draw(st.lists(st.tuples(st.integers(-4, 4),
+                                           wide_exps(pool)),
                                  max_size=max_terms)):
-        out = out + L.monomial(c, exps)
-    return out
+        out = out.add(L.monomial(c, exps))
+    return draw(in_some_ring(out, pool, WIDE))
 
 
 @given(wide_polys(), wide_polys(), wide_polys())
 @settings(max_examples=150, deadline=None)
 def test_wide_ring_axioms_and_division(a, b, c):
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert a.mul(b) == b.mul(a)
+    assert a.mul(b).mul(c) == a.mul(b.mul(c))
+    assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
     if not b.is_zero():
-        assert (a * b).div_exact(b) == a
+        assert a.mul(b).div_exact(b) == a
 
 
 def _copy(p):
     """p as a distinct object, so that `mul` takes its general route."""
-    return L.from_packed(dict(p._terms), lo=p._lo)
+    return L.from_packed(dict(p._terms), p._bound, p._ring)
 
 
 @given(st.one_of(polys(max_terms=8), wide_polys(max_terms=8)))
@@ -317,7 +358,7 @@ def test_pow_equals_repeated_mul(a):
 @given(wide_polys())
 @settings(max_examples=150, deadline=None)
 def test_terms_round_trip(p):
-    assert in_base_zero(dict(p.terms())) == p
+    assert from_terms(dict(p.terms())) == p
     for ev, _ in p.terms():
         assert list(ev) == sorted(ev) and all(e for _, e in ev)
 
@@ -338,14 +379,19 @@ def test_substitution_by_unit_monomials_equals_the_reference(p, rng):
 @given(wide_exps(), wide_exps())
 @settings(max_examples=300, deadline=None)
 def test_key_order_is_lex_order(a, b):
-    # the variable interned last is the most significant
-    order = sorted(WIDE, key=lambda v: v._index, reverse=True)
-    lex_a = [a.get(v, 0) for v in order]
-    lex_b = [b.get(v, 0) for v in order]
-    assert (pack(a) < pack(b)) == (lex_a < lex_b)
-    assert (pack(a) == pack(b)) == (lex_a == lex_b)
+    # minus the total y-degree is the most significant digit, then the
+    # variables in VarId order
+    ring = ring_of(WIDE)
+    assert ring is ring_of(reversed(WIDE))
+
+    def lex(m):
+        return [-sum(e for v, e in m.items() if v.kind == "y")] + \
+            [m.get(v, 0) for v in sorted(WIDE)]
+
+    assert (ring.pack(a) < ring.pack(b)) == (lex(a) < lex(b))
+    assert (ring.pack(a) == ring.pack(b)) == (lex(a) == lex(b))
     ab = {v: a.get(v, 0) + b.get(v, 0) for v in set(a) | set(b)}
-    assert pack(a) + pack(b) == pack(ab)
+    assert ring.pack(a) + ring.pack(b) == ring.pack(ab)
 
 
 @given(wide_polys(), wide_polys(max_terms=3), wide_exps())
@@ -356,17 +402,17 @@ def test_inexact_division_by_a_non_monomial_raises(a, b, m):
     if b.num_terms() < 2:
         return
     with pytest.raises(NotDivisible):
-        (a * b + L.monomial(1, m)).div_exact(b)
+        a.mul(b).add(L.monomial(1, m)).div_exact(b)
 
 
 def test_inexact_laurent_division_examples():
     w0, w1 = L.var(WIDE[0]), L.var(WIDE[1])
     inv = L.var(WIDE[0], -BIG)
     with pytest.raises(NotDivisible):
-        (w0 * inv + w1).div_exact(w0 + inv)
+        w0.mul(inv).add(w1).div_exact(w0.add(inv))
     with pytest.raises(NotDivisible):
-        (2 * w0 + 2 * w1).div_exact(3 * w0 + w1)
-    assert (w0 * w0 - inv * inv).div_exact(w0 - inv) == w0 + inv
+        L.const(2).mul(w0.add(w1)).div_exact(L.const(3).mul(w0).add(w1))
+    assert w0.mul(w0).sub(inv.mul(inv)).div_exact(w0.sub(inv)) == w0.add(inv)
 
 
 def test_exponent_overflow_is_refused():
@@ -377,7 +423,7 @@ def test_exponent_overflow_is_refused():
     with pytest.raises(ExponentOverflow):
         L.monomial(1, {x: -2 ** 31})
     with pytest.raises(ExponentOverflow):
-        top * L.var(x)
+        top.mul(L.var(x))
     with pytest.raises(ExponentOverflow):
         top.div_exact(L.var(x, -1))
     with pytest.raises(ExponentOverflow):
@@ -387,11 +433,28 @@ def test_exponent_overflow_is_refused():
     assert issubclass(ExponentOverflow, ArithmeticError)
 
 
+def test_total_y_degree_overflow_is_refused():
+    # every exponent stays below 2**31, but the top digit of a key holds
+    # the total y-degree, and it would reach 2**31
+    ya, yb, yc, x = yvar("1"), yvar("2"), yvar("3"), xvar("1")
+    half = 2 ** 30
+    with pytest.raises(ExponentOverflow):
+        L.monomial(1, {ya: half, yb: half})
+    big = L.monomial(1, {ya: half, yb: half - 1})       # y-degree 2**31 - 1
+    with pytest.raises(ExponentOverflow):
+        big.mul(L.var(yc))
+    with pytest.raises(ExponentOverflow):
+        big.div_exact(L.var(yc, -1))
+    with pytest.raises(ExponentOverflow):
+        L.monomial(1, {ya: half, yb: half - 1, x: 1}).substitute(
+            {x: L.var(yc)})
+
+
 def test_overestimated_bound_does_not_refuse_a_representable_product():
     x = xvar("1")
-    one = L.var(x, 2 ** 29) * L.var(x, -2 ** 29)   # bound 2**30, exponent 0
+    one = L.var(x, 2 ** 29).mul(L.var(x, -2 ** 29))   # bound 2**30, exponent 0
     assert one == L.one()
-    assert one * L.var(x, 2 ** 30) == L.var(x, 2 ** 30)
+    assert one.mul(L.var(x, 2 ** 30)) == L.var(x, 2 ** 30)
 
 
 def test_substitution_near_the_limit_returns_representable_results():
@@ -400,9 +463,11 @@ def test_substitution_near_the_limit_returns_representable_results():
     x1, x2 = xvar("1"), xvar("2")
     p = L.monomial(1, {x1: 2 ** 30, x2: -2 ** 30})
     assert p.substitute({x2: L.var(x1)}) == L.one()
-    q = L.monomial(1, {x1: 2 ** 30 - 1, x2: 2 ** 30}) + 3 * L.var(x1, -5)
+    q = L.monomial(1, {x1: 2 ** 30 - 1, x2: 2 ** 30}).add(
+        L.const(3).mul(L.var(x1, -5)))
     assert q.substitute({x1: L.var(x2), x2: L.var(x1, -1)}) == \
-        L.monomial(1, {x1: -2 ** 30, x2: 2 ** 30 - 1}) + 3 * L.var(x2, -5)
+        L.monomial(1, {x1: -2 ** 30, x2: 2 ** 30 - 1}).add(
+            L.const(3).mul(L.var(x2, -5)))
 
 
 def test_substitution_past_the_limit_is_refused():
@@ -446,28 +511,17 @@ def test_mul_and_div_exact_are_reached_on_the_class(monkeypatch):
     assert calls["mul"] > 0 and calls["div_exact"] > 0
 
 
-# -- bases -------------------------------------------------------------------
-# An early and a late block of variables, 48 wide variables apart.  Each
-# polynomial is drawn twice: in one base (0) and
-# with its keys shifted down to a base between 0 and its lowest variable.
+# -- rings -------------------------------------------------------------------
+# Each polynomial is drawn twice: in the ring that `polys` gives it, and in
+# the ring of every variable, where the other operands are too.
 
-EARLY = [xvar("1"), yvar("1"), xvar("2")]
-LATE = [make(f"late{i}") for i in range(2) for make in (xvar, yvar)]
+ALL = VARS + OTHER
 
 
 @st.composite
-def two_bases(draw):
-    block = draw(st.sampled_from([EARLY, LATE, EARLY + LATE]))
-    terms = draw(st.dictionaries(
-        st.dictionaries(st.sampled_from(block), st.integers(-3, 3),
-                        max_size=3).map(lambda m: tuple(m.items())),
-        st.integers(-3, 3), max_size=4))
-    one_base = in_base_zero(terms)
-    top = min((v._index for v in one_base.variables()),
-              default=LATE[-1]._index)
-    lo = draw(st.integers(0, top))
-    return L.from_packed({k >> (32 * lo): c for k, c in one_base._terms.items()},
-                         lo=lo), one_base
+def two_rings(draw):
+    p = draw(polys())
+    return p, widened(p, ALL)
 
 
 def _same(p, q):
@@ -476,39 +530,40 @@ def _same(p, q):
     assert p.canonical_text() == q.canonical_text()
 
 
-@given(two_bases(), two_bases(), two_bases())
+@given(two_rings(), two_rings(), two_rings())
 @settings(max_examples=150, deadline=None)
-def test_mixed_bases_agree_with_one_base(a, b, c):
+def test_mixed_rings_agree_with_one_ring(a, b, c):
     (a, ra), (b, rb), (c, rc) = a, b, c
     _same(a, ra)
-    _same(a + b, ra + rb)
-    _same(a - b, ra - rb)
-    _same(a * b, ra * rb)
-    _same(a * b, b * a)
-    _same((a * b) * c, ra * (rb * rc))
-    _same(a * (b + c), ra * rb + ra * rc)
+    _same(a.add(b), ra.add(rb))
+    _same(a.sub(b), ra.sub(rb))
+    _same(a.mul(b), ra.mul(rb))
+    _same(a.mul(b), b.mul(a))
+    _same(a.mul(b).mul(c), ra.mul(rb.mul(rc)))
+    _same(a.mul(b.add(c)), ra.mul(rb).add(ra.mul(rc)))
     _same(a.pow(3), ra.pow(3))
     if not b.is_zero():
-        _same((a * b).div_exact(b), ra)
-        _same((ra * rb).div_exact(b), a)
+        _same(a.mul(b).div_exact(b), ra)
+        _same(ra.mul(rb).div_exact(b), a)
     assert lowest_exponents(a, b, c) == lowest_exponents(ra, rb, rc)
-    # late variables bound below every base they have, early ones up
-    bind = {v: L.var(EARLY[0], -1) if v in LATE else L.var(LATE[-1])
-            for v in EARLY + LATE}
-    bind[EARLY[1]] = L.one()
-    one_base = {v: in_base_zero(dict(b.terms())) for v, b in bind.items()}
-    _same(a.substitute(bind), ra.substitute(one_base))
+    # bindings from rings of their own, and from the ring of every variable
+    bind = {v: L.var(OTHER[0], -1) if v in VARS[:2] else L.var(VARS[3])
+            for v in ALL}
+    bind[VARS[2]] = L.one()
+    _same(a.substitute(bind),
+          ra.substitute({v: widened(m, ALL) for v, m in bind.items()}))
 
 
 # Run in a fresh interpreter, whose registry holds 50 unrelated variables
-# before the surface's and the seed's: every polynomial made along the way
-# is recorded with its largest key and the index span of its variables.
+# before the surface's and the seed's, and the seed's x1 and x2 before its
+# y1 and y2: every polynomial made along the way is recorded with the bit
+# length of its widest key.
 _KEY_WIDTHS = """
 import json
 from conftest import gamma3, twice_punctured
 from surfcluster.expand import expand_double_notch
 from surfcluster.mutation import mutate_seed, principal_seed
-from surfcluster.poly import LaurentPoly, xvar, yvar
+from surfcluster.poly import LaurentPoly, xvar
 
 for i in range(50):
     xvar(f"unrelated{i}")
@@ -525,12 +580,8 @@ LaurentPoly.from_packed = classmethod(recorded)
 
 
 def widths():
-    out = []
-    for p in made:
-        span = [v._index for v in p.variables()]
-        if span:
-            out.append((max(abs(k).bit_length() for k in p._terms),
-                        max(span) - min(span) + 1))
+    out = [max(abs(k).bit_length() for k in p._terms) for p in made
+           if p._terms]
     made.clear()
     return out
 
@@ -538,13 +589,14 @@ def widths():
 T = twice_punctured()
 expand_double_notch(T, gamma3(T))
 arc = widths()
+xvar("1"), xvar("2")
+for i in range(50):
+    xvar(f"later{i}")
 seed = principal_seed([[0, 2], [-2, 0]])
 for k in range(20):
     seed = mutate_seed(seed, k % 2)
-block = [make(n)._index for n in ("1", "2") for make in (xvar, yvar)]
 print(json.dumps({"arc": arc, "chain": widths(),
-                  "surface": 2 * len(T.tagged_names()),
-                  "seed": max(block) - min(block) + 1}))
+                  "surface": 2 * len(T.tagged_names())}))
 """
 
 
@@ -557,9 +609,9 @@ def test_keys_span_their_own_variables_only():
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     assert got["chain"] and got["arc"]
-    # a seed's polynomials start at its lowest variable and a
-    # triangulation's strip sums at the surface's, so each spans at most
-    # the registry indices of the seed's x and y variables, or the x and y
-    # variables of the surface's tagged names
-    assert all(bits <= 32 * got["seed"] for bits, _ in got["chain"])
-    assert all(bits <= 32 * got["surface"] for bits, _ in got["arc"])
+    # a key has one 32-bit digit per variable of its ring and a top digit,
+    # whatever was made before: a seed over x1, x2, y1 and y2 reads at most
+    # 5 digits, and a triangulation's strip sums its tagged names' x and y
+    # digits and the top one
+    assert max(got["chain"]) <= 160
+    assert max(got["arc"]) <= 32 * (got["surface"] + 1)

@@ -1,47 +1,32 @@
 """The straightforward canonical-text renderer, kept as a test oracle.
 
-`canonical_text(p)` decodes every term into a row of exponents, sorts the
+`canonical_text(p)` reads the terms through the public `terms()` and orders
+them by `VarId` order alone, with nothing of the key layout: it sorts the
 rows with one Python list key each (total y-degree, then the negated
 exponents in VarId order) and renders every factor with its own format
-call.  `display(e)` cancels the common monomial of an expansion's
+call, y before x.  `display(e)` cancels the common monomial of an expansion's
 numerator and crossing monomial by multiplying both by its inverse, then
 renders both with `canonical_text`.  `LaurentPoly.canonical_text` and
 `Expansion.display` must produce the same bytes.
 """
 
 from surfcluster.expand import Expansion
-from surfcluster.poly import (
-    LaurentPoly,
-    _VARS,
-    _flat,
-    _orders,
-    _window,
-    lowest_exponents,
-)
+from surfcluster.poly import LaurentPoly, lowest_exponents
 
 
 def canonical_text(p: LaurentPoly) -> str:
-    terms = p._terms
-    if not terms:
+    rows = [(dict(ev), c) for ev, c in p.terms()]
+    if not rows:
         return "0"
-    lo, m = _window(terms)
-    flat = _flat(terms, lo, m)
-    rows = list(zip((flat[i:i + m] for i in range(0, len(flat), m)),
-                    terms.values()))
-    used = [lo + j for j in range(m) if any(row[j] for row, _ in rows)]
-    # indices above the base, as the decoded rows give them
-    rank, shown, names = (r[p._lo:] for r in (*_orders(), _VARS))
-    # positions in a row, in VarId order / display order / y only
-    lex = [i - lo for i in sorted(used, key=rank.__getitem__)]
-    order = [(i - lo, names[i].text())
-             for i in sorted(used, key=shown.__getitem__)]
-    ys = [i - lo for i in used if names[i].kind == "y"]
-    rows.sort(key=lambda row: (sum([row[0][j] for j in ys]),
-                               [-row[0][j] for j in lex]))
+    lex = sorted({v for exps, _ in rows for v in exps})
+    shown = sorted(lex, key=lambda v: (v.kind != "y", v))
+    rows.sort(key=lambda row: (
+        sum(e for v, e in row[0].items() if v.kind == "y"),
+        [-row[0].get(v, 0) for v in lex]))
     parts = []
-    for f, c in rows:
-        mono = "*".join([t if f[j] == 1 else f"{t}^{f[j]}"
-                         for j, t in order if f[j]])
+    for exps, c in rows:
+        mono = "*".join([v.text() if exps[v] == 1 else
+                         f"{v.text()}^{exps[v]}" for v in shown if v in exps])
         if not mono:
             body = str(abs(c))
         elif abs(c) == 1:
