@@ -89,8 +89,7 @@ def geometric_seed(ext: Sequence[Sequence[int]], names: Sequence[str],
     xs = [xvar(nm) for nm in names]
     frozen = tuple(yvar(nm) for nm in frozen_names)
     ring = ring_of(xs + list(frozen))
-    cluster = tuple(LaurentPoly.from_packed({ring.units[x]: 1}, 1, ring)
-                    for x in xs)
+    cluster = tuple(ring.monomial({x: 1}) for x in xs)
     return Seed(tuple(tuple(r) for r in ext), cluster, frozen)
 
 

@@ -298,7 +298,8 @@ def _common(a: "LaurentPoly", b: "LaurentPoly"
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial; supports +, -, *, exact division."""
+    """Immutable Laurent polynomial; supports add, sub, mul, pow and exact
+    division."""
 
     __slots__ = ("_terms", "_ring", "_bound")
 
@@ -605,38 +606,6 @@ class LaurentPoly:
         return "-" + text[3:] if text[1] == "-" else text[3:]
 
     # -- protocol plumbing --------------------------------------------------
-
-    def __add__(self, other):
-        return self.add(self._coerce(other))
-
-    def __radd__(self, other):
-        return self._coerce(other).add(self)
-
-    def __sub__(self, other):
-        return self.sub(self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other).sub(self)
-
-    def __mul__(self, other):
-        return self.mul(self._coerce(other))
-
-    def __rmul__(self, other):
-        return self._coerce(other).mul(self)
-
-    def __neg__(self):
-        return self.neg()
-
-    def __pow__(self, n: int):
-        return self.pow(n)
-
-    @staticmethod
-    def _coerce(other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly.const(other)
-        return NotImplemented
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -661,7 +661,7 @@ def test_verify_differ_names_the_differing_terms(tmp_path, capsys):
     T = parse(json.dumps(bundle["surface"]).encode())
     path, _, _ = parse_arc(json.dumps(case["arc"]).encode(), T)
     seed = principal_seed(signed_adjacency(T), T.tagged_names())
-    diff = expand_ordinary(T, path).poly - run_sequence(seed, [0]).cluster[1]
+    diff = expand_ordinary(T, path).poly.sub(run_sequence(seed, [0]).cluster[1])
     assert lines == [f"{case['name']}: DIFFER",
                      f"  expansion - oracle = {diff.canonical_text()}"]
 

@@ -101,7 +101,7 @@ def test_square_one_step_exchange():
     seed = principal_seed(signed_adjacency(T), T.tagged_names())
     out = mutate_seed(seed, 0).cluster[0]
     xd, yd = L.var(xvar("d")), L.var(yvar("d"))
-    assert out * xd == 1 + yd
+    assert out.mul(xd) == L.one().add(yd)
     assert out == expand_ordinary(T, square_other_diagonal(T)).poly
 
 
@@ -127,8 +127,8 @@ def test_top_block_stays_skew_and_coeffs_monomial():
 
 def test_f_from_x():
     xd, yd = L.var(xvar("d")), L.var(yvar("d"))
-    e = (1 + yd) * L.var(xvar("d"), -1)
-    assert f_from_x(e) == 1 + yd
+    e = L.one().add(yd).mul(L.var(xvar("d"), -1))
+    assert f_from_x(e) == L.one().add(yd)
     assert f_from_x(xd) == L.one()
 
 
@@ -225,26 +225,27 @@ def test_specialize_geometric_rejects_polynomials():
     X = L.var(xvar("1"))
     F = L.one()
     with pytest.raises(NonMonomialDenominator):
-        specialize_geometric(X, F, {yvar("1"): L.one() + L.var(yvar("2"))})
+        specialize_geometric(X, F, {yvar("1"): L.one().add(L.var(yvar("2")))})
 
 
-@pytest.mark.parametrize("value", [2 * L.var(yvar("2")), -1 * L.var(yvar("2"))])
+@pytest.mark.parametrize("value", [L.const(2).mul(L.var(yvar("2"))),
+                                   L.var(yvar("2")).neg()])
 def test_specialize_geometric_refuses_all_but_unit_monomials(value):
     y1 = L.var(yvar("1"))
-    X = (1 + y1) * L.var(xvar("1"), -1)
+    X = L.one().add(y1).mul(L.var(xvar("1"), -1))
     with pytest.raises(NonMonomialDenominator):
         specialize_geometric(X, f_from_x(X), {yvar("1"): value})
 
 
 def test_tropical_evaluation_refusals():
     y1, y2 = L.var(yvar("1")), L.var(yvar("2"))
-    X = (1 + y1) * L.var(xvar("1"), -1)
+    X = L.one().add(y1).mul(L.var(xvar("1"), -1))
     # y2 of F is unbound
     with pytest.raises(NonMonomialDenominator):
-        specialize_geometric(X, 1 + y1 + y2, {yvar("1"): y2})
+        specialize_geometric(X, L.one().add(y1).add(y2), {yvar("1"): y2})
     # tropical evaluation is defined for subtraction-free F only
     with pytest.raises(NonMonomialDenominator):
-        specialize_geometric(X, 1 - y1, {yvar("1"): y2})
+        specialize_geometric(X, L.one().sub(y1), {yvar("1"): y2})
     with pytest.raises(NonMonomialDenominator):
         specialize_geometric(X, L.zero(), {yvar("1"): y2})
 

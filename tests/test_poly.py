@@ -554,10 +554,11 @@ def test_mixed_rings_agree_with_one_ring(a, b, c):
           ra.substitute({v: widened(m, ALL) for v, m in bind.items()}))
 
 
-# Run in a fresh interpreter, whose registry holds 50 unrelated variables
-# before the surface's and the seed's, and the seed's x1 and x2 before its
-# y1 and y2: every polynomial made along the way is recorded with the bit
-# length of its widest key.
+# Run in a fresh interpreter, in which 50 unrelated variables are made
+# before the surface's and the seed's; the surface makes x2 and y2 among
+# its 16 variables, and the seed adds x1 and y1 after them.  Every
+# polynomial made along the way is recorded with the bit length of its
+# widest key.
 _KEY_WIDTHS = """
 import json
 from conftest import gamma3, twice_punctured
@@ -589,9 +590,6 @@ def widths():
 T = twice_punctured()
 expand_double_notch(T, gamma3(T))
 arc = widths()
-xvar("1"), xvar("2")
-for i in range(50):
-    xvar(f"later{i}")
 seed = principal_seed([[0, 2], [-2, 0]])
 for k in range(20):
     seed = mutate_seed(seed, k % 2)
@@ -611,7 +609,8 @@ def test_keys_span_their_own_variables_only():
     assert got["chain"] and got["arc"]
     # a key has one 32-bit digit per variable of its ring and a top digit,
     # whatever was made before: a seed over x1, x2, y1 and y2 reads at most
-    # 5 digits, and a triangulation's strip sums its tagged names' x and y
-    # digits and the top one
+    # 5 digits (a layout by creation order spans the surface's variables
+    # between x2 and x1, about 550 bits), and a triangulation's strip sums
+    # its tagged names' x and y digits and the top one
     assert max(got["chain"]) <= 160
     assert max(got["arc"]) <= 32 * (got["surface"] + 1)

@@ -37,7 +37,7 @@ SEED = 7
 
 _PINNED = "the benchmark's tracer wraps it by name (perfbench/tracing.py)"
 _LOOP = "the loop-graph oracle that the benchmark pins calls it"
-_TESTS = "an operator or protocol method that the tests use"
+_TESTS = "a protocol method that the tests use"
 # function -> why it stays although no command and no workload enters it
 KEPT = {
     "cli._Mismatch.__init__": "runs only when a file breaks its schema",
@@ -59,15 +59,6 @@ KEPT = {
     "mutation.specialize_geometric": "the separation formula: other "
                                      "geometric coefficients from principal",
     "mutation._tropical_eval": "specialize_geometric calls it",
-    "poly.LaurentPoly.__add__": _TESTS,
-    "poly.LaurentPoly.__radd__": _TESTS,
-    "poly.LaurentPoly.__sub__": _TESTS,
-    "poly.LaurentPoly.__rsub__": _TESTS,
-    "poly.LaurentPoly.__mul__": _TESTS,
-    "poly.LaurentPoly.__rmul__": _TESTS,
-    "poly.LaurentPoly.__neg__": _TESTS,
-    "poly.LaurentPoly.__pow__": _TESTS,
-    "poly.LaurentPoly._coerce": _TESTS,
     "poly.LaurentPoly.__bool__": _TESTS,
     "poly.LaurentPoly.__hash__": _TESTS,
     "poly.LaurentPoly.__repr__": "shows a polynomial in a failing test",
