@@ -40,9 +40,9 @@ hash do not depend on the ring.
 Overflow guard.  Every key built from an exponent map checks its
 exponents and its total y-degree.  Each polynomial caches a bound on
 |digit| over its keys, the top digit included: products and quotients
-inherit the sum of their operands' bounds, an ordinary arc's numerator
-the bound d + 1 of its d tiles, any other polynomial computes its largest
-|digit| when first asked.  `mul` and `div_exact` raise ExponentOverflow
+inherit the sum of their operands' bounds, a monomial its largest
+|digit|, an ordinary arc's numerator the bound d + 1 of its d tiles, any
+other polynomial computes its largest |digit| when first asked.  `mul` and `div_exact` raise ExponentOverflow
 when the bound of their result, recomputed from exact operand bounds,
 reaches 2**31.  `substitute` bounds its result by b * (1 + k + the sum of
 its k bindings' bounds) for a bound b of self, as the top digit also
@@ -211,20 +211,23 @@ class Ring:
         # display order: y before x, each in VarId order
         self.shown = sorted(range(n), key=lambda j: (vs[j].kind == "x", -j))
 
-    def pack(self, exps: Mapping[VarId, int]) -> int:
-        """The key of an exponent map over variables of the ring."""
-        for v, e in exps.items():
-            if not -_LIMIT < e < _LIMIT:
-                raise ExponentOverflow(f"exponent {e} of {v.text()} out of range")
-        ydeg = sum(e for v, e in exps.items() if v.kind == "y")
-        if not -_LIMIT < ydeg < _LIMIT:
-            raise ExponentOverflow(f"total y-degree {ydeg} out of range")
-        return sum(e * self.units[v] for v, e in exps.items())
-
     def monomial(self, exps: Mapping[VarId, int], coeff: int = 1
                  ) -> "LaurentPoly":
-        return LaurentPoly.from_packed({self.pack(exps): int(coeff)}, None,
-                                       self)
+        """coeff times the monomial of an exponent map over variables of
+        the ring, bounded by the largest |digit| of its key."""
+        ydeg = sum([e for v, e in exps.items() if v.kind == "y"])
+        bound = max([abs(ydeg), *map(abs, exps.values())])
+        if bound >= _LIMIT:
+            raise ExponentOverflow(f"exponent or total y-degree {bound} "
+                                   "out of range")
+        return LaurentPoly.from_packed(
+            {sum([e * self.units[v] for v, e in exps.items()]): int(coeff)},
+            bound, self)
+
+    def pack(self, exps: Mapping[VarId, int]) -> int:
+        """The key of an exponent map over variables of the ring."""
+        (key,) = self.monomial(exps)._terms
+        return key
 
     def digits(self, key: int) -> Tuple[int, ...]:
         """The n + 1 digits of one key, lowest first."""

@@ -160,6 +160,7 @@ def test_canonical_text_examples():
     assert L.const(2).mul(y1).add(x2).canonical_text() == "x2 + 2*y1"
     assert x1.sub(y1).canonical_text() == "x1 - y1"
     assert L.const(-3).canonical_text() == "-3"
+    assert L.monomial(3, {}).canonical_text() == "3"
 
 
 def test_natural_name_order():
