@@ -66,9 +66,6 @@ KEPT = {
                                   "with it",
     "poly.LaurentPoly.zero": "mul and div_exact return it for a zero "
                              "operand; the tests use it",
-    "poly.LaurentPoly.monomial_parts": "pow with a negative exponent and "
-                                       "substitute near the exponent limit "
-                                       "call it",
     "poly.LaurentPoly.var": "the closed form of a doubly-notched arc of the "
                             "triangulation and retag_expansion call it",
 }
