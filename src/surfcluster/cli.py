@@ -75,7 +75,6 @@ from .snake import build_snake, dump_snake
 from .matchings import (
     enumerate_matchings,
     height_exponents,
-    minimal_maximal,
     phi_specialize,
     weight_exps,
 )
@@ -381,11 +380,10 @@ def _cmd_matchings(args) -> int:
     if not isinstance(arc, CrossingPath):
         raise ValidationError("matchings needs a crossing path")
     g = build_snake(T, arc)
-    minus, _ = minimal_maximal(g)
     for P in enumerate_matchings(g):
         edges = ",".join(str(e) for e in sorted(P))
         w = LaurentPoly.monomial(1, weight_exps(g, P, T))
-        m = height_exponents(g, P, minus)
+        m = height_exponents(g, P)
         h = " ".join(f"h_{k}^{v}" for k, v in sorted(m.items())) or "1"
         y = phi_specialize(m, T)
         print(f"{edges}\t{w.canonical_text()}\t{h}\t{y.canonical_text()}")

@@ -29,9 +29,8 @@ graphs are the oracle the tests check both identities against.
 
 An `Expansion` is its exact Laurent polynomial `poly`, with the crossing
 monomial `cross` (extended by the arc ends at each notched puncture) and
-`matchings_used`, the number of summands of the matching formula.  Neither
-depends on the mirror drawing of the snake graph, so none is chosen here.
-At x = y = 1 every expansion is its matching count and (1 - Y) vanishes, so
+`matchings_used`, the number of summands of the matching formula.  At
+x = y = 1 every expansion is its matching count and (1 - Y) vanishes, so
 the identities give F_l(1) / F_gamma(1) symmetric matchings for one notch
 and F_p(1) * F_q(1) / F_gamma(1) compatible pairs for two.  The polynomial
 quotients are exact whenever the identities hold (a remainder raises

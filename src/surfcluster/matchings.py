@@ -28,15 +28,14 @@ along each edge counterclockwise around its tile, and one set of
 alternate edges starts at corners of one colour.  Slot i (S, E, N, W =
 0..3) of the tile at (x, y) starts at parity x + y + i, and tile k sits
 at x + y = k, the drawing stepping up or right.  P- avoids the sides that
-follow tile 0's diagonal counterclockwise: slots a and a + 2 when rel = +1,
-a + 1 and a + 3 when rel = -1, opposite slots of parity b = a + (rel < 0).
-So it holds the boundary edge in slot i of tile k exactly when i + k and b
-differ in parity (`_in_minus`).  `minimal_maximal` splits a graph's
-boundary edges so, and `outer_slots` reads P- so on each tile's outer
-edge, with no graph.
+follow tile 0's diagonal counterclockwise, which are slots a and a + 2, as
+tile 0 has rel = +1.  So it holds the boundary edge in slot i of tile k
+exactly when i + k and a differ in parity (`_in_minus`).  `outer_slots`
+reads P- so on each tile's outer edge, with no graph, and
+`minimal_maximal` splits a graph's boundary edges so.
 
 Heights count the tiles enclosed by P ⊖ P-, each read off the tile's one
-outer-face edge, the one in its `outer_slots` slot (see
+outer-face edge and P-'s hold on it, both from `outer_slots` (see
 `height_exponents`); the end restriction of a loop-graph matching is read
 the same way on its first d tiles, with no copy of the end.
 
@@ -53,9 +52,10 @@ slot, and a monomial built here (`x_of_label`, `phi_specialize`) lies in
 T's ring too.
 
 Enumeration runs the same DP on a graph: `enumerate_matchings` keys each
-rule by the bit mask of the edge ids it chooses, so every term of the sum
-is one matching, and returns the matchings sorted by their sorted edge
-ids.  It is exponential and serves only the `matchings` command and the
+slot by the bit of its edge id, so every term of the sum is one matching,
+and returns the matchings sorted by their sorted edge ids.  It and
+`strip_rules` key each rule by the sum of its chosen slots' keys with one
+helper (`_rules`).  Enumeration is exponential and serves only the `matchings` command and the
 test oracles: the per-matching sum of an ordinary arc, and the paper's
 loop-graph sums over symmetric matchings and compatible pairs.
 `matching_count` counts the matchings a second way, by a continuant read
@@ -134,27 +134,29 @@ def _shapes(glue: Sequence[str]):
                [_EXIT_SLOT[d] for d in glue] + [None])
 
 
-def _edge_rules(g: SnakeGraph, keys: Sequence[int]
-                ) -> List[List[Tuple[bool, bool, int]]]:
-    """The rules of g's tiles for `strip_sum`, each keyed by the sum of
-    keys[e] over the edges e it chooses."""
-    return [[(c, o, sum(keys[tile.slot_edge[s]] for s in slots))
+def _rules(slot_keys: Iterable[Dict[str, int]], glue: Sequence[str]
+           ) -> List[List[Tuple[bool, bool, int]]]:
+    """Per tile, (covered in, covered out, key) for each rule of its shape
+    (see `strip_sum`), the key summing the tile's slot keys over the slots
+    the rule chooses."""
+    return [[(c, o, sum(map(keys.__getitem__, slots)))
              for c, o, slots in _RULES[shape]]
-            for tile, shape in zip(g.tiles, _shapes(g.glue))]
+            for keys, shape in zip(slot_keys, _shapes(glue))]
 
 
 def enumerate_matchings(g: SnakeGraph) -> List[Matching]:
     """All perfect matchings, sorted by their sorted edge ids: the strip
     DP with each edge keyed by its own bit, so each term is one matching."""
-    masks = strip_sum(0, _edge_rules(g, [1 << e for e in range(len(g.edges))]))
+    masks = strip_sum(0, _rules(({s: 1 << e for s, e in t.slot_edge.items()}
+                                 for t in g.tiles), g.glue))
     return sorted((frozenset(e for e in range(m.bit_length()) if m >> e & 1)
                    for m in masks), key=sorted)
 
 
-def _in_minus(tile0: Tile, k: int, slot: str) -> bool:
-    """Whether P- holds the boundary edge in this slot of tile k, tile0
-    being the first tile (see the module docstring)."""
-    return (_SLOTS.index(slot) + k - tile0.a - (tile0.rel < 0)) % 2 == 1
+def _in_minus(a: int, k: int, slot: str) -> bool:
+    """Whether P- holds the boundary edge in this slot of tile k, a being
+    the first tile's a (see the module docstring)."""
+    return (_SLOTS.index(slot) + k - a) % 2 == 1
 
 
 def minimal_maximal(g: SnakeGraph) -> Tuple[Matching, Matching]:
@@ -163,7 +165,7 @@ def minimal_maximal(g: SnakeGraph) -> Tuple[Matching, Matching]:
     sides: Tuple[set, set] = (set(), set())
     for e in g.edges:
         if e.boundary:
-            sides[_in_minus(g.tiles[0], *e.tiles[0])].add(e.eid)
+            sides[_in_minus(g.tiles[0].a, *e.tiles[0])].add(e.eid)
     return frozenset(sides[True]), frozenset(sides[False])
 
 
@@ -176,22 +178,19 @@ def _check_matching(g: SnakeGraph, P: Matching) -> None:
         raise NotAMatching("edge set does not cover every vertex exactly once")
 
 
-def _tile_heights(g: SnakeGraph, P: Matching, minus: Matching,
-                  n: int) -> Dict[str, int]:
+def _tile_heights(g: SnakeGraph, P: Matching, n: int) -> Dict[str, int]:
     """Heights of the first n tiles, grouped by diagonal label: a tile is
-    enclosed exactly when its outer edge lies in one of P and minus."""
+    enclosed exactly when its outer edge lies in one of P and P-."""
     m: Dict[str, int] = {}
-    for tile, (slot, _) in zip(g.tiles[:n], outer_slots(g.tiles, g.glue)):
-        eid = tile.slot_edge[slot]
-        if (eid in P) != (eid in minus):
+    for tile, (slot, minus) in zip(g.tiles[:n], outer_slots(g.tiles, g.glue)):
+        if (tile.slot_edge[slot] in P) != minus:
             m[tile.diagonal] = m.get(tile.diagonal, 0) + 1
     return m
 
 
-def height_exponents(g: SnakeGraph, P: Matching,
-                     minus: Optional[Matching] = None) -> Dict[str, int]:
-    """Tiles enclosed by the cycles of P-minus symmetric difference,
-    grouped by diagonal label.
+def height_exponents(g: SnakeGraph, P: Matching) -> Dict[str, int]:
+    """Tiles enclosed by the cycles of the symmetric difference of P and
+    P-, grouped by diagonal label.
 
     The symmetric difference is a disjoint union of cycles, and every tile
     has an edge on the outer face.  A step from the tile out through that
@@ -200,9 +199,7 @@ def height_exponents(g: SnakeGraph, P: Matching,
     whether the tile is enclosed.
     """
     _check_matching(g, P)
-    if minus is None:
-        minus, _ = minimal_maximal(g)
-    return _tile_heights(g, P, minus, g.d)
+    return _tile_heights(g, P, g.d)
 
 
 def phi_exps(m: Dict[str, int], T: Triangulation) -> Dict:
@@ -296,7 +293,7 @@ def outer_slots(tiles: Sequence[Tile], glue: Sequence[str]
     out = []
     for k, (tile, shape) in enumerate(zip(tiles, _shapes(glue))):
         slot = next(s for s in tile.slots if s not in shape)
-        out.append((slot, _in_minus(tiles[0], k, slot)))
+        out.append((slot, _in_minus(tiles[0].a, k, slot)))
     return out
 
 
@@ -308,18 +305,16 @@ def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str]
     chosen slots; phi of the diagonal is added on the outer slot, or, when
     P- holds the outer edge, to the start and taken off the outer slot."""
     _, weights, phis = _keys(T)
-    start, rules = 0, []
-    for tile, shape, (outer, minus) in zip(tiles, _shapes(glue),
-                                           outer_slots(tiles, glue)):
+    start, slot_keys = 0, []
+    for tile, (outer, minus) in zip(tiles, outer_slots(tiles, glue)):
         keys = {s: weights[label][1] for s, label in tile.slots.items()}
         phi = phis[tile.diagonal]
         if minus:
             start += phi
             phi = -phi
         keys[outer] += phi
-        rules.append([(c, o, sum(map(keys.__getitem__, slots)))
-                      for c, o, slots in _RULES[shape]])
-    return start, rules
+        slot_keys.append(keys)
+    return start, _rules(slot_keys, glue)
 
 
 def _merged(a_off: int, a: Dict[int, int], b_off: int,

@@ -12,9 +12,9 @@ counterclockwise, so slot i + 2 (mod 4) is opposite slot i, and a tile is
 one integer `a` besides its `rel`.  The earlier copy's two other sides go
 in slots a and a + 1, the later copy's in a + 2 and a + 3; each pair runs
 counterclockwise from the diagonal when rel = +1 and clockwise when
-rel = -1.  Tile 0 has a = 0.  Tile k+1 is entered through the slot
-opposite tile k's exit, and the side of its earlier copy glued there fixes
-its a.  The fewest quarter turns that make every exit N or E are then added
+rel = -1.  Tile 0 has a = 0 and rel = +1, so a path has one drawing.
+Tile k+1 is entered through the slot opposite tile k's exit, and the side
+of its earlier copy glued there fixes its a.  The fewest quarter turns that make every exit N or E are then added
 to every a, so the drawing steps only up (U) or right (R).
 
 Gluing is by slot.  Tile k+1's entry slot (S after an upward step U, W after
@@ -223,11 +223,11 @@ def _pair(side: int, rel: int) -> Tuple[int, int]:
     return pair if rel == 1 else pair[::-1]
 
 
-def build_tiles(T: Triangulation, path: CrossingPath, mirror: bool = False):
+def build_tiles(T: Triangulation, path: CrossingPath):
     """Place all tiles of the snake graph of the given path by slot
     arithmetic (see the module docstring)."""
     strip, spans = build_strip(T, path)
-    rel = -1 if mirror else 1
+    rel = 1
     placed = []                          # (diagonal, rel, a, labels from slot a)
     exits: List[int] = []                # the slot of tile k glued to tile k+1
     # tile k sits between strip[k] and strip[k+1]
@@ -256,10 +256,10 @@ def build_tiles(T: Triangulation, path: CrossingPath, mirror: bool = False):
     return tiles, glue, spans
 
 
-def build_snake(T: Triangulation, path: CrossingPath, mirror: bool = False) -> SnakeGraph:
+def build_snake(T: Triangulation, path: CrossingPath) -> SnakeGraph:
     """Glue the placed tiles into one graph, numbering edges and vertices
     tile by tile (see the module docstring)."""
-    tiles, glue, spans = build_tiles(T, path, mirror=mirror)
+    tiles, glue, spans = build_tiles(T, path)
     edges: List[EdgeInfo] = []
     vertex_of: Dict[Tuple[int, str], int] = {}
     nvertices = 0
@@ -400,10 +400,9 @@ def end_subgraphs(g: SnakeGraph, d: int, e_p: int) -> LoopGraph:
     return LoopGraph(g, d, e_p, roles)
 
 
-def build_loop_graph(T: Triangulation, path: CrossingPath, p: str,
-                     mirror: bool = False) -> LoopGraph:
+def build_loop_graph(T: Triangulation, path: CrossingPath, p: str) -> LoopGraph:
     lp = build_loop_path(T, path, p)
-    g = build_snake(T, lp, mirror=mirror)
+    g = build_snake(T, lp)
     e_p = lp.d - 2 * path.d
     return end_subgraphs(g, path.d, e_p)
 

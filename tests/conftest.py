@@ -393,22 +393,18 @@ ORACLE_SURFACES = {
 
 
 def oracle_walks(T: Triangulation, max_d: int):
-    """Every walk path and the loop path around the puncture it ends at,
-    each in both mirror images, as (path, mirror)."""
+    """Every walk path and the loop path around the puncture it ends at."""
     from surfcluster.snake import build_loop_path
     from surfcluster.surface import SurfaceError
 
     for path in walk_paths(T, max_d):
-        paths = [path]
+        yield path
         p = T.vertex_name(*path.end)
         if p in T.punctures:
             try:
-                paths.append(build_loop_path(T, path, p))
+                yield build_loop_path(T, path, p)
             except SurfaceError:
                 pass
-        for pa in paths:
-            for mirror in (False, True):
-                yield pa, mirror
 
 
 def oracle_graphs(T: Triangulation, max_d: int):
@@ -416,9 +412,9 @@ def oracle_graphs(T: Triangulation, max_d: int):
     from surfcluster.snake import build_snake
     from surfcluster.surface import SurfaceError
 
-    for path, mirror in oracle_walks(T, max_d):
+    for path in oracle_walks(T, max_d):
         try:
-            yield build_snake(T, path, mirror=mirror)
+            yield build_snake(T, path)
         except SurfaceError:
             pass
 

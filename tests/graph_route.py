@@ -6,7 +6,8 @@ boundary cycle (`boundary_walk`), each tile's outer edge as its first
 boundary edge in edge-id order (`outer_edges`), and one packed key per
 edge id (`edge_keys`); `transfer_sum` runs the matching DP over those edge
 keys through `matchings.strip_sum`.  The strip kernel builds no graph, so
-the two routes share the rule table, the DP and the label and phi keys but
+the two routes share the rule table and builder, the DP and the label and
+phi keys but
 not the edge numbering, the outer edges or P-.  `boundary_matchings` keeps
 the enumerated matchings that use boundary edges only, a third way to P-
 and P+.  `minus_avoid` states which edges of the first tile P- avoids.
@@ -14,10 +15,10 @@ and P+.  `minus_avoid` states which edges of the first tile P- avoids.
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from surfcluster.matchings import (Matching, NotAMatching, _edge_rules,
-                                   _keys, enumerate_matchings, strip_sum)
-from surfcluster.snake import SnakeGraph, build_snake
-from surfcluster.surface import CrossingPath, Triangulation
+from surfcluster.matchings import (Matching, NotAMatching, _keys, _rules,
+                                   enumerate_matchings, strip_sum)
+from surfcluster.snake import SnakeGraph
+from surfcluster.surface import Triangulation
 
 
 def outer_edges(g: SnakeGraph) -> List[int]:
@@ -56,7 +57,8 @@ def transfer_sum(g: SnakeGraph, start: int,
     """Sum over the perfect matchings P of g of the monomial with packed key
     start + sum(keys[e] for e in P), as {packed key: coefficient}.  With
     every key 0 the result is {0: number of perfect matchings}."""
-    return strip_sum(start, _edge_rules(g, keys))
+    slot_keys = ({s: keys[e] for s, e in t.slot_edge.items()} for t in g.tiles)
+    return strip_sum(start, _rules(slot_keys, g.glue))
 
 
 def boundary_matchings(g: SnakeGraph) -> List[Matching]:
@@ -67,11 +69,10 @@ def boundary_matchings(g: SnakeGraph) -> List[Matching]:
 
 def minus_avoid(g: SnakeGraph) -> Set[int]:
     """The two edges of the first tile that P- avoids: the sides that
-    follow its diagonal counterclockwise, which are slots a and a + 2 when
-    rel = +1 and slots a + 1 and a + 3 when rel = -1."""
+    follow its diagonal counterclockwise, which are slots a and a + 2, the
+    first tile having rel = +1."""
     tile = g.tiles[0]
-    b = tile.a + (tile.rel < 0)
-    return {tile.slot_edge["SENW"[(b + i) % 4]] for i in (0, 2)}
+    return {tile.slot_edge["SENW"[(tile.a + i) % 4]] for i in (0, 2)}
 
 
 def boundary_walk(g: SnakeGraph) -> Tuple[Matching, Matching]:
@@ -102,11 +103,3 @@ def boundary_walk(g: SnakeGraph) -> Tuple[Matching, Matching]:
     pm = minus[0]
     return pm, sides[1] if pm is sides[0] else sides[0]
 
-
-def graph_sum(T: Triangulation, path: CrossingPath,
-              mirror: bool = False) -> Tuple[Dict[int, int], int]:
-    """(numerator keys, bound) of an ordinary arc by the graph route."""
-    g = build_snake(T, path, mirror=mirror)
-    minus, _ = boundary_walk(g)
-    start, keys, bound = edge_keys(g, T, minus)
-    return transfer_sum(g, start, keys), bound

@@ -29,7 +29,6 @@ from surfcluster.matchings import (
     enumerate_matchings,
     gamma_symmetric_filter,
     height_exponents,
-    minimal_maximal,
     perfect_end_restriction,
     phi_exps,
     weight_exps,
@@ -76,10 +75,9 @@ def _symmetric_terms(T, lg: LoopGraph, power: int
     """The symmetric matchings of a loop graph, in enumeration order, each
     with its weight and height exponent maps divided `power` times by those
     of its perfect end restriction; and the roles of each restriction."""
-    minus, _ = minimal_maximal(lg.graph)
-    # the end-1 sub-snake's minimal matching agrees with `minus` on the
-    # outer edges of the first d tiles: both alternate along the same
-    # boundary path from tile 0, so its heights are read against `minus`
+    # the end-1 sub-snake's minimal matching agrees with P- on the outer
+    # edges of the first d tiles: both alternate along the same boundary
+    # path from tile 0, so its heights are read against P-
     end1 = {r: e for e, r in lg.end_roles[1].items()}
     out, restrictions = {}, {}
     for P in gamma_symmetric_filter(lg, enumerate_matchings(lg.graph)):
@@ -87,20 +85,20 @@ def _symmetric_terms(T, lg: LoopGraph, power: int
         restrictions[P] = roles
         w = weight_exps(lg.graph, P, T)
         w_restr = weight_exps(lg.graph, roles.values(), T)
-        m = height_exponents(lg.graph, P, minus)
+        m = height_exponents(lg.graph, P)
         m_restr = _tile_heights(lg.graph, frozenset(end1[r] for r in roles),
-                                minus, lg.d)
+                                lg.d)
         out[P] = (_merge(w, _scale(w_restr, -power)),
                   phi_exps(_merge(m, _scale(m_restr, -power)), T))
     return out, restrictions
 
 
-def _pair_sum(T, gamma, p: str, q: str, mirror: bool) -> Expansion:
+def _pair_sum(T, gamma, p: str, q: str) -> Expansion:
     """Sum over compatible pairs of symmetric matchings of the loop graphs at
     the two ends; on the q side the restriction divides twice (so three
     times in all)."""
-    lp = build_loop_graph(T, gamma, p, mirror=mirror)
-    lq = build_loop_graph(T, gamma.reversed(), q, mirror=mirror)
+    lp = build_loop_graph(T, gamma, p)
+    lq = build_loop_graph(T, gamma.reversed(), q)
     terms_p, roles_p = _symmetric_terms(T, lp, 1)
     terms_q, roles_q = _symmetric_terms(T, lq, 2)
     pairs = compatible_pairs(lp, lq, list(terms_p), list(terms_q),
@@ -110,19 +108,19 @@ def _pair_sum(T, gamma, p: str, q: str, mirror: bool) -> Expansion:
     return _sum(terms, crossing_monomial(T, gamma, (p, q)))
 
 
-def single_notch(T, gamma, p=None, mirror=False) -> Expansion:
+def single_notch(T, gamma, p=None) -> Expansion:
     """The arc notched at the puncture its path ends at: a sum over the
     symmetric matchings of the loop graph around it."""
     if p is None:
         p = _puncture_at(T, gamma.end)
     if p is None:
         raise EndpointNotPuncture("path does not end at a puncture")
-    lg = build_loop_graph(T, gamma, p, mirror=mirror)
+    lg = build_loop_graph(T, gamma, p)
     terms = _symmetric_terms(T, lg, 1)[0].values()
     return _sum(terms, crossing_monomial(T, gamma, (p,)))
 
 
-def double_notch(T, gamma, p=None, q=None, mirror=False) -> Expansion:
+def double_notch(T, gamma, p=None, q=None) -> Expansion:
     """The arc between punctures p (its end) and q (its start) notched at
     both: a sum over compatible pairs."""
     _check_not_two_marked_closed(T)
@@ -133,11 +131,11 @@ def double_notch(T, gamma, p=None, q=None, mirror=False) -> Expansion:
     if p is None or q is None:
         raise EndpointNotPuncture("both endpoints must be punctures")
     if p == q:
-        return notched_loop(T, gamma, 2, mirror=mirror)
-    return _pair_sum(T, gamma, p, q, mirror)
+        return notched_loop(T, gamma, 2)
+    return _pair_sum(T, gamma, p, q)
 
 
-def notched_loop(T, rho, notches, orientation="ccw", mirror=False) -> Expansion:
+def notched_loop(T, rho, notches, orientation="ccw") -> Expansion:
     """A loop based at a puncture, notched once (following the loop in the
     given orientation) or at both ends."""
     p = _puncture_at(T, rho.end)
@@ -145,5 +143,5 @@ def notched_loop(T, rho, notches, orientation="ccw", mirror=False) -> Expansion:
         raise EndpointNotPuncture("notched loops must begin and end at one puncture")
     oriented = rho if orientation == "ccw" else rho.reversed()
     if notches == 1:
-        return single_notch(T, oriented, p, mirror=mirror)
-    return _pair_sum(T, oriented, p, p, mirror)
+        return single_notch(T, oriented, p)
+    return _pair_sum(T, oriented, p, p)

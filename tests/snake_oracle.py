@@ -55,7 +55,7 @@ def _place_pair(pattern: str, rel: int, pair) -> Dict[str, Tuple[int, int]]:
     return {a: u, b: v}
 
 
-def place(strip, mirror: bool = False):
+def place(strip):
     """The tiles and glue of the strip's snake graph (see the module
     docstring).  A side is named (strip triangle, index) until the end, so
     the glued side is found by identity, not by label."""
@@ -67,7 +67,7 @@ def place(strip, mirror: bool = False):
         return (k, (side + 1) % 3), (k, (side + 2) % 3)
 
     d = len(strip) - 1
-    rel = -1 if mirror else 1
+    rel = 1
     placed, glue = [], []
     for k in range(d):
         lower_pair, upper_pair = after(k, strip[k][2]), after(k + 1, strip[k + 1][1])

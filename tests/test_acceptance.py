@@ -473,7 +473,7 @@ def test_criterion_9_structural_lemmas():
     for g in graphs:
         minus, _ = minimal_maximal(g)
         for P in enumerate_matchings(g):
-            assert height_exponents(g, P, minus) == twist_heights(g, P, minus)
+            assert height_exponents(g, P) == twist_heights(g, P, minus)
             heights_checked += 1
     print(f"\nACCEPTANCE 9: structural invariants PASS "
           f"({heights_checked} height cross-checks)")

@@ -23,7 +23,6 @@ from surfcluster.matchings import (
     _keys,
     enumerate_matchings,
     height_exponents,
-    minimal_maximal,
     phi_exps,
     strip_rules,
     strip_sum,
@@ -101,13 +100,12 @@ def test_hexagon_against_oracle():
     assert expand_ordinary(T, arc).poly == oracle
 
 
-def _per_matching_sum(T, path, mirror):
+def _per_matching_sum(T, path):
     """The ordinary-arc sum the slow way: one monomial per enumerated
     matching, from its weight and specialized height."""
-    g = build_snake(T, path, mirror=mirror)
-    minus, _ = minimal_maximal(g)
+    g = build_snake(T, path)
     ms = enumerate_matchings(g)
-    terms = ((weight_exps(g, P, T), phi_exps(height_exponents(g, P, minus), T))
+    terms = ((weight_exps(g, P, T), phi_exps(height_exponents(g, P), T))
              for P in ms)
     return loop_oracle._sum(terms, crossing_monomial(T, path)), len(ms)
 
@@ -118,11 +116,10 @@ def test_transfer_sum_equals_per_matching_sum(name):
     T = mk()
     for path in walk_paths(T, max_d):
         got = expand_ordinary(T, path)
-        for mirror in (False, True):
-            want, count = _per_matching_sum(T, path, mirror)
-            assert got.numerator == want.numerator, path
-            assert got.poly == want.poly
-            assert got.matchings_used == count
+        want, count = _per_matching_sum(T, path)
+        assert got.numerator == want.numerator, path
+        assert got.poly == want.poly
+        assert got.matchings_used == count
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
@@ -135,12 +132,11 @@ def test_graph_bound_covers_the_numerator(name):
 
     def check(path):
         got = expand_ordinary(T, path).numerator
-        for mirror in (False, True):
-            tiles, glue, _ = build_tiles(T, path, mirror=mirror)
-            num = L.from_packed(strip_sum(*strip_rules(T, tiles, glue)),
-                                len(tiles) + 1, _keys(T)[0])
-            assert num._max_exp() >= num._max_exp(exact=True), path
-            assert num == got, path
+        tiles, glue, _ = build_tiles(T, path)
+        num = L.from_packed(strip_sum(*strip_rules(T, tiles, glue)),
+                            len(tiles) + 1, _keys(T)[0])
+        assert num._max_exp() >= num._max_exp(exact=True), path
+        assert num == got, path
 
     for path in walk_paths(T, max_d):
         p = T.vertex_name(*path.end)
@@ -209,12 +205,11 @@ def test_identities_equal_loop_graph_sums(name):
     computed, compared = set(), 0
     for kind, route, oracle, args in _notched_cases(T, max_d):
         got = _outcome(route, *args)
-        for mirror in (False, True):
-            want = _outcome(oracle, *args, mirror=mirror)
-            assert got == want, (kind, args, mirror)
-            compared += 1
-            if not isinstance(want, str):
-                computed.add(kind)
+        want = _outcome(oracle, *args)
+        assert got == want, (kind, args)
+        compared += 1
+        if not isinstance(want, str):
+            computed.add(kind)
     assert compared > 0 and computed == must_compute
 
 

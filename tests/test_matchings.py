@@ -255,12 +255,14 @@ def test_rule_table_against_a_window_of_three_tiles(entry, exit_):
                     for c, o, slots in _RULES[entry, exit_]}
 
 
-@pytest.mark.parametrize("mirror, glue", [(False, ["R", "U"]),
-                                          (True, ["U", "R"])])
-def test_three_tile_turns(mirror, glue):
-    # the hexagon's arc 2-6 crosses the three fan diagonals and turns once
+@pytest.mark.parametrize("reverse, glue", [(False, ["R", "U"]),
+                                           (True, ["U", "R"])])
+def test_three_tile_turns(reverse, glue):
+    # the hexagon's arc 2-6 crosses the three fan diagonals and turns once,
+    # one way read from 2 and the other read from 6
     T = polygon(6)
-    g = build_snake(T, polygon_arc(T, 2, 6), mirror=mirror)
+    arc = polygon_arc(T, 2, 6)
+    g = build_snake(T, arc.reversed() if reverse else arc)
     assert g.glue == glue
     ms = enumerate_matchings(g)
     assert set(ms) == set(dp_oracle.enumerate_matchings(g))
@@ -318,12 +320,12 @@ def test_key_table_holds_every_label_and_arc(name):
         assert ring.pack(phi_exps({arc: -1}, T)) == -key
 
 
-def _strip_against_graph(T, path, mirror):
+def _strip_against_graph(T, path):
     """The strip kernel against the graph route on one path: the same
     packed sum, outer edges and P- membership, bound and count; and the
     colour rule for P- and P+ against the walk around the boundary."""
-    g = build_snake(T, path, mirror=mirror)
-    tiles, glue, _ = build_tiles(T, path, mirror=mirror)
+    g = build_snake(T, path)
+    tiles, glue, _ = build_tiles(T, path)
     minus, plus = boundary_walk(g)
     assert minimal_maximal(g) == (minus, plus)
     outer, graph_outer = outer_slots(tiles, glue), outer_edges(g)
@@ -345,14 +347,14 @@ def test_strip_kernel_equals_the_graph_route(name):
     mk, max_d = ORACLE_SURFACES[name]
     T = mk()
     paths = 0
-    for path, mirror in oracle_walks(T, max_d):
+    for path in oracle_walks(T, max_d):
         try:
-            build_snake(T, path, mirror=mirror)
+            build_snake(T, path)
         except SurfaceError:
             with pytest.raises(SurfaceError):
-                build_tiles(T, path, mirror=mirror)
+                build_tiles(T, path)
             continue
-        _strip_against_graph(T, path, mirror)
+        _strip_against_graph(T, path)
         paths += 1
     assert paths
 
@@ -360,8 +362,7 @@ def test_strip_kernel_equals_the_graph_route(name):
 def test_strip_kernel_equals_the_graph_route_on_zigzag_arcs():
     for c in range(4, 22):
         T = zigzag_polygon(c)
-        for mirror in (False, True):
-            _strip_against_graph(T, zigzag_arc(T), mirror)
+        _strip_against_graph(T, zigzag_arc(T))
 
 
 # -- heights -------------------------------------------------------------------
@@ -371,8 +372,8 @@ def test_minimal_matching_zero_heights():
     T = example_surface()
     g = build_snake(T, gamma1(T))
     minus, plus = minimal_maximal(g)
-    assert height_exponents(g, minus, minus) == {}
-    full = height_exponents(g, plus, minus)
+    assert height_exponents(g, minus) == {}
+    full = height_exponents(g, plus)
     # the maximal matching encloses every tile
     expect = {}
     for t in g.tiles:
@@ -384,7 +385,7 @@ def test_single_tile_heights():
     T = square()
     g = build_snake(T, square_other_diagonal(T))
     minus, plus = minimal_maximal(g)
-    assert height_exponents(g, plus, minus) == {"d": 1}
+    assert height_exponents(g, plus) == {"d": 1}
 
 
 @pytest.mark.parametrize("mk", [
@@ -397,7 +398,7 @@ def test_heights_match_twist_oracle(mk):
     g = mk()
     minus, _ = minimal_maximal(g)
     for P in enumerate_matchings(g):
-        assert height_exponents(g, P, minus) == twist_heights(g, P, minus)
+        assert height_exponents(g, P) == twist_heights(g, P, minus)
 
 
 @pytest.mark.parametrize("spoil", [
@@ -410,7 +411,7 @@ def test_heights_reject_non_matchings(spoil):
     g = build_snake(T, gamma1(T))
     minus, _ = minimal_maximal(g)
     with pytest.raises(NotAMatching):
-        height_exponents(g, spoil(g, minus), minus)
+        height_exponents(g, spoil(g, minus))
 
 
 # -- weights and specialization --------------------------------------------------

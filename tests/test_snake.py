@@ -31,17 +31,7 @@ from surfcluster.snake import (
     dump_snake,
 )
 from surfcluster.expand import expand_ordinary
-from surfcluster.matchings import strip_rules, strip_sum
 import snake_oracle
-
-
-def _strip_sums(T, path):
-    """The packed matching sum of a path in each of its two drawings."""
-    sums = []
-    for mirror in (False, True):
-        tiles, glue, _ = build_tiles(T, path, mirror=mirror)
-        sums.append(strip_sum(*strip_rules(T, tiles, glue)))
-    return sums
 
 
 def test_square_single_tile():
@@ -85,13 +75,6 @@ def test_grid_positions_consistent_with_glue():
     for k, d in enumerate(g.glue):
         (x0, y0), (x1, y1) = g.tiles[k].pos, g.tiles[k + 1].pos
         assert (x1 - x0, y1 - y0) == ((0, 1) if d == "U" else (1, 0))
-
-
-def test_mirror_embedding_same_expansion():
-    T = example_surface()
-    for path in (gamma1(T), gamma2(T)):
-        a, b = _strip_sums(T, path)
-        assert a == b
 
 
 def test_reversal_same_expansion():
@@ -188,18 +171,18 @@ def test_numbering_follows_the_drawing(name):
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_placement_matches_pattern_tables(name):
     # slot arithmetic places every tile as the pair-pattern tables and the
-    # quarter turns after them do, on every walk and loop path, both mirrors
+    # quarter turns after them do, on every walk and loop path
     mk, max_d = ORACLE_SURFACES[name]
     T = mk()
     checked = 0
-    for path, mirror in oracle_walks(T, max_d):
+    for path in oracle_walks(T, max_d):
         try:
-            tiles, glue, _ = build_tiles(T, path, mirror=mirror)
+            tiles, glue, _ = build_tiles(T, path)
         except SurfaceError:
             continue
         got = [(t.rel, list(t.slots.items()), t.lower_slots, t.upper_slots,
                 t.pos) for t in tiles]
-        want = snake_oracle.place(build_strip(T, path)[0], mirror)
+        want = snake_oracle.place(build_strip(T, path)[0])
         assert (got, glue) == want, path
         checked += 1
     assert checked
@@ -271,11 +254,3 @@ def test_hexagon_fan_zigzag_glue():
     g = build_snake(T, polygon_arc(T, 2, 6))
     assert g.d == 3
     assert g.glue[0] != g.glue[1]
-
-
-def test_mirror_embedding_loop_graphs():
-    T = example_surface()
-    g = gamma2(T)
-    for path in (g, build_loop_path(T, g, "P2")):
-        a, b = _strip_sums(T, path)
-        assert a == b

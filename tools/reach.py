@@ -45,6 +45,7 @@ KEPT = {
     "expand.retag_expansion": "tag switching, kept for arcs notched at a "
                               "puncture with a self-folded triangle",
     "expand._toggle_notch_name": "retag_expansion calls it",
+    "matchings.minimal_maximal": _PINNED,
     "matchings.gamma_symmetric_filter": _PINNED,
     "matchings.perfect_end_restriction": _PINNED,
     "matchings.compatible_pairs": _PINNED,
