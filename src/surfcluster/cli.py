@@ -73,6 +73,7 @@ from .surface import (
 )
 from .snake import build_snake, dump_snake
 from .matchings import (
+    _keys,
     enumerate_matchings,
     height_exponents,
     phi_specialize,
@@ -380,9 +381,10 @@ def _cmd_matchings(args) -> int:
     if not isinstance(arc, CrossingPath):
         raise ValidationError("matchings needs a crossing path")
     g = build_snake(T, arc)
+    ring = _keys(T)[0]
     for P in enumerate_matchings(g):
         edges = ",".join(str(e) for e in sorted(P))
-        w = LaurentPoly.monomial(1, weight_exps(g, P, T))
+        w = ring.monomial(weight_exps(g, P, T))
         m = height_exponents(g, P)
         h = " ".join(f"h_{k}^{v}" for k, v in sorted(m.items())) or "1"
         y = phi_specialize(m, T)

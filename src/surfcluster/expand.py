@@ -105,9 +105,9 @@ class Expansion:
         return self.poly.mul(self.cross)
 
     def display(self) -> str:
-        """Canonical text of `poly` over the least monomial that clears its
-        negative exponents: the numerator over `cross`, reduced."""
-        den = LaurentPoly.monomial(1, {v: -e for v, e in lowest_exponents(
+        """Canonical text of `poly` over the least monomial, in its ring,
+        that clears its negative exponents: numerator over `cross`, reduced."""
+        den = self.poly._ring.monomial({v: -e for v, e in lowest_exponents(
             self.poly).items() if e < 0})
         if den.is_one():
             return self.poly.canonical_text()
@@ -190,14 +190,16 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
     if q is None:
         poly = singles[0]
     else:
-        one = LaurentPoly.one()
+        one, ring = LaurentPoly.one(), _keys(T)[0]
         if isinstance(gamma, str):
-            y_chi, phi = LaurentPoly.var(yvar(T.tagged_name(gamma))), one
+            y_chi, phi = ring.monomial({yvar(T.tagged_name(gamma)): 1}), one
         else:
             y_chi, phi = one, phi_specialize(Counter(gamma.crossed_arcs()), T)
+        # 1 - Y at each end, Y the specialized y of the arc ends there
+        ends = [one.sub(phi_specialize(Counter(arcs_around_puncture(T, r)), T))
+                for r in (p, q)]
         num = singles[0].mul(singles[1]).mul(y_chi).add(
-            one.sub(_y_ends_product(T, p)).mul(one.sub(_y_ends_product(T, q)))
-            .mul(phi))
+            ends[0].mul(ends[1]).mul(phi))
         poly = num.div_exact(x.poly)
     # the identities divide matching counts at x = y = 1; the closed form
     # for an arc of the triangulation sums no matchings
@@ -294,14 +296,6 @@ def _check_not_two_marked_closed(T: Triangulation) -> None:
             topo.punctures + topo.boundary_marked == 2:
         raise ForbiddenSurface(
             "closed surface with exactly two marked points is not supported")
-
-
-def _y_ends_product(T: Triangulation, p: str) -> LaurentPoly:
-    """Product of y over arc ends at p, with self-folded substitutions."""
-    m: Dict[str, int] = {}
-    for arc in arcs_around_puncture(T, p):
-        m[arc] = m.get(arc, 0) + 1
-    return phi_specialize(m, T)
 
 
 def _arc_puncture_ends(T: Triangulation, arc: str) -> List[str]:

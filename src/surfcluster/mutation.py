@@ -158,7 +158,7 @@ def run_sequence(s: Seed, ks: Sequence[int]) -> Seed:
 
 
 def tropical_coeffs(s: Seed) -> Tuple[LaurentPoly, ...]:
-    """The coefficient tuple encoded by the bottom rows."""
+    """The coefficient tuple encoded by the bottom rows, in the seed's ring."""
     n = s.n
     out = []
     for j in range(n):
@@ -167,7 +167,7 @@ def tropical_coeffs(s: Seed) -> Tuple[LaurentPoly, ...]:
             b = s.ext_matrix[n + i][j]
             if b:
                 exps[u] = b
-        out.append(LaurentPoly.monomial(1, exps))
+        out.append(s.cluster[j]._ring.monomial(exps))
     return tuple(out)
 
 

@@ -45,8 +45,8 @@ rel = -1.
 The drawing only steps up or right, so tiles never overlap and each tile
 meets only its neighbours, along the glue edges.  Every tile therefore keeps
 an edge on the outer face: the first slot from a that is no glue slot
-(`matchings.outer_slots`), and matching heights are read off those edges
-alone.
+(`matchings.outer_slots`, which also says whether P- holds it), and
+matching heights are read off those edges alone.
 """
 
 from __future__ import annotations

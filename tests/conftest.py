@@ -310,6 +310,21 @@ def twice_punctured_digon() -> Triangulation:
                          ("p", "q"), tuple(tris), Topology(0, 1, 2, 2))
 
 
+def two_punctured_torus() -> Triangulation:
+    """A square torus (sides a and b, diagonal c, every corner at P) with a
+    second puncture Q inside one of its two triangles, joined to that
+    triangle's three corners by q1, q2 and q3: a closed surface with exactly
+    two marked points."""
+    tris = [
+        Ordinary(("a", "b", "c"), ("P", "P", "P")),          # 0
+        Ordinary(("c", "q2", "q1"), ("Q", "P", "P")),        # 1
+        Ordinary(("a", "q3", "q2"), ("Q", "P", "P")),        # 2
+        Ordinary(("b", "q1", "q3"), ("Q", "P", "P")),        # 3
+    ]
+    return Triangulation(("a", "b", "c", "q1", "q2", "q3"), (), ("P", "Q"),
+                         tuple(tris), Topology(1, 0, 2, 0))
+
+
 def looped_digon() -> Triangulation:
     """Twice-punctured digon whose loop l at p encloses the self-folded
     triangle around q: triangle 0 has p at two corners, so a path ending

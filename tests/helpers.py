@@ -3,17 +3,21 @@
 `render_surface` writes a triangulation back out as the JSON that
 `surfcluster.cli.parse_surface` reads.  `z_factor` is the coefficient-free
 factor relating an arc to its notched version, built from the brackets of
-consecutive arc ends around a puncture (`third_arc`).  `euler_table` counts
+consecutive arc ends around a puncture (`third_arc`); `y_ends` is the
+specialized product of y over the arc ends at a puncture, which the
+two-notch identity subtracts from 1.  `euler_table` counts
 matchings by height, read off an expansion's F-polynomial.
 """
 
+from collections import Counter
 from typing import Dict, Sequence, Tuple
 
 from surfcluster.expand import Expansion, f_polynomial
-from surfcluster.matchings import x_of_label
+from surfcluster.matchings import phi_specialize, x_of_label
 from surfcluster.poly import LaurentPoly, xvar, yvar
 from surfcluster.surface import (SelfFolded, SurfaceError, Triangulation,
-                                 corner_walk, puncture_corner)
+                                 arcs_around_puncture, corner_walk,
+                                 puncture_corner)
 
 
 class NotASide(SurfaceError):
@@ -95,6 +99,11 @@ def z_factor(T: Triangulation, p: str) -> LaurentPoly:
     for a in arcs:
         den = den.mul(x_of_label(T, a))
     return num.div_exact(den)
+
+
+def y_ends(T: Triangulation, p: str) -> LaurentPoly:
+    """Product of y over the arc ends at p, with self-folded substitutions."""
+    return phi_specialize(Counter(arcs_around_puncture(T, p)), T)
 
 
 def euler_table(e: Expansion, arc_names: Sequence[str]) -> Dict[Tuple[int, ...], int]:

@@ -49,9 +49,8 @@ from surfcluster.expand import (
     expand_single_notch,
     f_polynomial,
     g_vector,
-    _y_ends_product,
 )
-from helpers import z_factor
+from helpers import y_ends, z_factor
 from surfcluster.mutation import (
     DivisionFailed,
     mutate_seed,
@@ -374,8 +373,8 @@ def _identity_residual(T, rho, p, q, in_t):
     xp = expand_single_notch(T, rho, p).poly
     ychi = L.var(yvar(T.tagged_name(rho))) if in_t else L.one()
     lhs = xr.mul(xpq).sub(xp.mul(xq).mul(ychi))
-    rhs = L.one().sub(_y_ends_product(T, p)).mul(
-        L.one().sub(_y_ends_product(T, q))).mul(phi_specialize(crossings, T))
+    rhs = L.one().sub(y_ends(T, p)).mul(
+        L.one().sub(y_ends(T, q))).mul(phi_specialize(crossings, T))
     return lhs.sub(rhs)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (annulus22, digon, example_surface, gamma1, square,
-                      twice_punctured)
+                      twice_punctured, two_punctured_torus)
 from surfcluster.cli import (
     EXIT_COMPUTE,
     EXIT_PARSE,
@@ -245,6 +245,19 @@ def test_notch_at_the_start_puncture(capsys):
     want = expand_single_notch(T, path.reversed(), "q")
     assert want.matchings_used == 6
     assert _two_punctures_expand(capsys, "q") == want.display() + "\n"
+
+
+def test_two_marked_closed_surface_exits_2(tmp_path, capsys):
+    # the torus with punctures P and Q: an arc notched at both is refused
+    argv = ["expand", "--surface", write(tmp_path, "s.json", render_surface(
+        two_punctured_torus())), "--arc", write(tmp_path, "arc.json", {
+            "schema": 1, "arc": "q1"})]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--notch", "P,Q"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: closed surface with exactly two marked points "
+        "is not supported\n")
 
 
 def test_notch_names_in_either_order(capsys):

@@ -17,6 +17,7 @@ from conftest import (
     square_other_diagonal,
     twice_punctured,
     twice_punctured_digon,
+    two_punctured_torus,
     walk_paths,
 )
 from surfcluster.matchings import (
@@ -37,6 +38,7 @@ from surfcluster.surface import (
     SurfaceError,
     TaggedArcRef,
     signed_adjacency,
+    validate_surface,
 )
 from surfcluster.expand import (
     InhomogeneousExpansion,
@@ -50,7 +52,7 @@ from surfcluster.expand import (
     g_vector,
     retag_expansion,
 )
-from helpers import euler_table, z_factor
+from helpers import euler_table, y_ends, z_factor
 from surfcluster.mutation import mutate_seed, principal_seed, run_sequence
 import loop_oracle
 import text_oracle
@@ -287,6 +289,52 @@ def test_rejected_notched_arc_runs_no_transfer_sum(monkeypatch):
     assert calls == []
 
 
+def test_two_marked_closed_surface_refused_before_any_sum(monkeypatch):
+    # q1 joins the torus's two punctures P and Q; notching it at both is
+    # refused before a single transfer sum runs
+    import surfcluster.expand as ex
+    from surfcluster.expand import ForbiddenSurface
+    calls = []
+    real = ex.strip_sum
+    monkeypatch.setattr(ex, "strip_sum",
+                        lambda *args: calls.append(args) or real(*args))
+    T = two_punctured_torus()
+    assert validate_surface(T) == []
+    for run in (lambda: expand_arc(T, TaggedArcRef("q1", True, True)),
+                lambda: expand_arc(T, TaggedArcRef("q1", True, True),
+                                   punctures=("P", "Q")),
+                lambda: expand_double_notch(T, "q1"),
+                lambda: expand_double_notch(T, "q1", "Q", "P")):
+        with pytest.raises(ForbiddenSurface, match="exactly two marked"):
+            run()
+    assert calls == []
+    # one notch is allowed
+    assert expand_single_notch(T, "q1", "Q").matchings_used == 3
+
+
+def test_display_and_closed_form_repack_nothing(monkeypatch):
+    # the denominator of `display` and y_chi of the closed form are built in
+    # the ring of the polynomial they meet, so no operand is re-packed
+    from pathlib import Path
+    from surfcluster import poly
+    from surfcluster.cli import parse_arc, parse_surface
+    calls = []
+    real = poly._repack
+    data = Path(__file__).resolve().parent / "data"
+    T = parse_surface((data / "three_punctures.json").read_bytes())
+    expansions = []
+    for name in ("ordinary_arc.json", "notched_arc.json"):
+        _, ref, orientation = parse_arc((data / name).read_bytes(), T)
+        expansions.append(expand_arc(T, ref, orientation))
+    D = twice_punctured_digon()
+    monkeypatch.setattr(poly, "_repack",
+                        lambda *args: calls.append(args) or real(*args))
+    texts = [e.display() for e in expansions]
+    assert any(" / " in text for text in texts)
+    expand_double_notch(D, "rho", "p", "q")
+    assert calls == []
+
+
 @pytest.mark.parametrize("orientation", ["up", "CW", None])
 def test_expand_arc_rejects_an_unknown_orientation(orientation):
     T = twice_punctured()
@@ -376,11 +424,6 @@ def test_double_notch_identity_polynomial():
         _check_double_identity(T, rho, "p", "q", in_t)
 
 
-def _y_ends(T, p):
-    from surfcluster.expand import _y_ends_product
-    return _y_ends_product(T, p)
-
-
 def _check_double_identity(T, rho, p, q, in_t):
     if isinstance(rho, str):
         xr = L.var(xvar(rho))
@@ -398,7 +441,7 @@ def _check_double_identity(T, rho, p, q, in_t):
             crossings[a] = crossings.get(a, 0) + 1
     from surfcluster.matchings import phi_specialize
     prod_e = phi_specialize(crossings, T)
-    rhs = L.one().sub(_y_ends(T, p)).mul(L.one().sub(_y_ends(T, q))).mul(
+    rhs = L.one().sub(y_ends(T, p)).mul(L.one().sub(y_ends(T, q))).mul(
         prod_e)
     assert lhs == rhs
 

@@ -12,7 +12,9 @@ import json
 from pathlib import Path
 
 from conftest import example_surface, gamma1, gamma2, gamma3, twice_punctured
-from surfcluster.cli import main
+from surfcluster import matchings, mutation, poly
+from surfcluster.cli import main, parse_surface
+from surfcluster.poly import xvar, yvar
 from helpers import euler_table
 from surfcluster.expand import (
     expand_double_notch,
@@ -62,6 +64,36 @@ def snapshot() -> dict:
                                           TP.tagged_names())),
     }
     return {"cli": cli, "euler": euler}
+
+
+def test_commands_build_in_the_surface_ring(monkeypatch):
+    # every polynomial an expand, fpoly, gvector or matchings command makes
+    # lies in the ring of T's x and y variables or is a constant, so no
+    # operation interns a ring of its own
+    seen = []
+    real = poly.ring_of
+
+    def spy(variables):
+        s = frozenset(variables)
+        seen.append(s)
+        return real(s)
+
+    for module in (poly, matchings, mutation):
+        monkeypatch.setattr(module, "ring_of", spy)
+    runs = 0
+    for key in json.loads(GOLDEN.read_text())["cli"]:
+        surface, arc, cmd, *flags = key.split()
+        if cmd not in ("expand", "fpoly", "gvector", "matchings"):
+            continue
+        T = parse_surface((DATA / surface).read_bytes())
+        own = frozenset(make(n) for n in T.tagged_names()
+                        for make in (xvar, yvar))
+        seen.clear()
+        assert _stdout([cmd, "--surface", str(DATA / surface),
+                        "--arc", str(DATA / arc), *flags])["rc"] == 0
+        assert seen and set(seen) <= {own, frozenset()}, key
+        runs += 1
+    assert runs == 20
 
 
 def test_golden_outputs():

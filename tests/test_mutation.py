@@ -123,6 +123,7 @@ def test_top_block_stays_skew_and_coeffs_monomial():
                 assert top[i][j] == -top[j][i]
         for c in tropical_coeffs(s):
             assert c.is_monomial()
+            assert c._ring is s.cluster[0]._ring       # the seed's ring
 
 
 def test_f_from_x():

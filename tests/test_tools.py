@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -55,13 +57,59 @@ def test_loc_against_head_prints_a_totals_row(tmp_path):
 
 def test_reach_flags_unkept_and_missing_names():
     reach = _load("reach")
-    kept = set(reach.KEPT)
+    kept, traced = set(reach.KEPT), reach.traced_names()
     name = min(kept)
-    assert reach.kept_problems([name], kept | {"m.f"}) == []
-    assert reach.kept_problems([name, "m.f"], kept | {"m.f"}) == [
+    assert reach.kept_problems(kept, kept | {"m.f"}, traced) == []
+    assert reach.kept_problems(kept | {"m.f"}, kept | {"m.f"}, traced) == [
         "never entered and not kept: m.f"]
-    assert reach.kept_problems([], kept - {name}) == [
+    assert reach.kept_problems(kept - {name}, kept - {name}, traced) == [
         f"kept but not defined: {name}"]
+
+
+def test_reach_flags_kept_names_that_run_or_are_not_traced():
+    reach = _load("reach")
+    kept, traced = set(reach.KEPT), reach.traced_names()
+    assert "matchings.minimal_maximal" in traced
+    name = min(kept)
+    assert reach.kept_problems(kept - {name}, kept, traced) == [
+        f"kept but entered: {name}"]
+    assert reach.kept_problems(kept, kept, traced - {
+        "matchings.minimal_maximal"}) == [
+        "kept as traced but not in tracing._FUNCTIONS: "
+        "matchings.minimal_maximal"]
+
+
+@pytest.mark.parametrize("kept, problem", [
+    ({"m.idle": "why"}, None),
+    ({"m.idle": "why", "m.run": "why"}, "kept but entered: m.run"),
+    ({"m.idle": "pinned"},
+     "kept as traced but not in tracing._FUNCTIONS: m.idle"),
+])
+def test_reach_exit_code_on_stale_kept_entries(kept, problem, monkeypatch,
+                                               capsys):
+    # two stand-in functions, one of which the stand-in run enters
+    reach = _load("reach")
+
+    def run():
+        pass
+
+    def idle():
+        pass
+
+    def run_all():
+        run()
+        return []
+
+    monkeypatch.setattr(reach, "functions", lambda: {
+        (f.__code__.co_filename, f.__code__.co_firstlineno): (name, 2)
+        for f, name in ((run, "m.run"), (idle, "m.idle"))})
+    monkeypatch.setattr(reach, "run_all", run_all)
+    monkeypatch.setattr(reach, "KEPT", {
+        name: reach._PINNED if why == "pinned" else why
+        for name, why in kept.items()})
+    assert reach.main() == (0 if problem is None else 1)
+    err = capsys.readouterr().err
+    assert err == ("" if problem is None else f"problem: {problem}\n")
 
 
 def test_reach_lists_only_kept_functions():

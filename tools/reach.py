@@ -15,7 +15,9 @@ code was never entered, with its non-blank line count and the reason
 `KEPT` gives for it, then the total.  A function nested in another counts
 as part of it and is not listed.  The exit code is 1 when a command exits
 non-zero, a workload outcome fails its check, a function outside `KEPT` is
-never entered, or a name in `KEPT` no longer exists.  Stdlib only.
+never entered, a name in `KEPT` no longer exists or is entered after all,
+or a name kept because the tracer wraps it is not in the `_FUNCTIONS`
+table of perfbench/tracing.py, which is read, not imported.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -63,12 +65,13 @@ KEPT = {
     "poly.LaurentPoly.__bool__": _TESTS,
     "poly.LaurentPoly.__hash__": _TESTS,
     "poly.LaurentPoly.__repr__": "shows a polynomial in a failing test",
+    "poly.LaurentPoly.monomial": "a monomial in a ring of its own: var, "
+                                 "_tropical_eval and the tests call it",
     "poly.LaurentPoly.num_terms": "the benchmark's tracer counts terms "
                                   "with it",
     "poly.LaurentPoly.zero": "mul and div_exact return it for a zero "
                              "operand; the tests use it",
-    "poly.LaurentPoly.var": "the closed form of a doubly-notched arc of the "
-                            "triangulation and retag_expansion call it",
+    "poly.LaurentPoly.var": "retag_expansion and the tests call it",
 }
 
 
@@ -136,12 +139,31 @@ def run_all():
     return problems
 
 
-def kept_problems(unreached, names):
-    """The unreached functions missing from `KEPT`, and the names in `KEPT`
-    that are not among the defined names."""
+def traced_names():
+    """The functions that perfbench/tracing.py wraps by name, as
+    "module.name", read off its `_FUNCTIONS` table."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and
+                 [getattr(t, "id", None) for t in node.targets]
+                 == ["_FUNCTIONS"])
+    return {f"{module}.{name}" for module, names in table.values()
+            for name in names}
+
+
+def kept_problems(unreached, names, traced):
+    """The unreached functions missing from `KEPT`; the names in `KEPT`
+    that are not among the defined names, or that are defined and entered;
+    and the names kept as `_PINNED` that are not among the traced names."""
     return [f"never entered and not kept: {name}"
             for name in unreached if name not in KEPT] + \
-        [f"kept but not defined: {name}" for name in KEPT if name not in names]
+        [f"kept but not defined: {name}"
+         for name in KEPT if name not in names] + \
+        [f"kept but entered: {name}"
+         for name in KEPT if name in names and name not in unreached] + \
+        [f"kept as traced but not in tracing._FUNCTIONS: {name}"
+         for name, why in KEPT.items()
+         if why == _PINNED and name not in traced]
 
 
 def main() -> int:
@@ -165,7 +187,8 @@ def main() -> int:
     print(f"{len(unreached)} of {len(defined)} functions never entered, "
           f"{sum(count for _, count in unreached)} non-blank lines")
     problems += kept_problems([name for name, _ in unreached],
-                              {name for name, _ in defined.values()})
+                              {name for name, _ in defined.values()},
+                              traced_names())
     for problem in problems:
         print(f"problem: {problem}", file=sys.stderr)
     return 1 if problems else 0
