@@ -381,10 +381,9 @@ def _cmd_matchings(args) -> int:
     if not isinstance(arc, CrossingPath):
         raise ValidationError("matchings needs a crossing path")
     g = build_snake(T, arc)
-    ring = _keys(T)[0]
     for P in enumerate_matchings(g):
         edges = ",".join(str(e) for e in sorted(P))
-        w = ring.monomial(weight_exps(g, P, T))
+        w = _keys(T)[0].monomial(weight_exps(g, P, T))
         m = height_exponents(g, P)
         h = " ".join(f"h_{k}^{v}" for k, v in sorted(m.items())) or "1"
         y = phi_specialize(m, T)

@@ -195,7 +195,6 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
             y_chi, phi = ring.monomial({yvar(T.tagged_name(gamma)): 1}), one
         else:
             y_chi, phi = one, phi_specialize(Counter(gamma.crossed_arcs()), T)
-        # 1 - Y at each end, Y the specialized y of the arc ends there
         ends = [one.sub(phi_specialize(Counter(arcs_around_puncture(T, r)), T))
                 for r in (p, q)]
         num = singles[0].mul(singles[1]).mul(y_chi).add(

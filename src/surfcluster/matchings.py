@@ -52,12 +52,12 @@ slot, and a monomial built here (`x_of_label`, `phi_specialize`) lies in
 T's ring too.
 
 Enumeration runs the same DP on a graph: `enumerate_matchings` keys each
-slot by the bit of its edge id, so every term of the sum is one matching,
-and returns the matchings sorted by their sorted edge ids.  It and
-`strip_rules` key each rule by the sum of its chosen slots' keys with one
-helper (`_rules`).  Enumeration is exponential and serves only the `matchings` command and the
-test oracles: the per-matching sum of an ordinary arc, and the paper's
-loop-graph sums over symmetric matchings and compatible pairs.
+slot by the bit of its edge id (`_rules` sums the slot keys of each rule,
+for it as for `strip_rules`), so every term of the sum is one matching,
+and returns the matchings sorted by their sorted edge ids.  It is
+exponential and serves only the `matchings` command and the test oracles:
+the per-matching sum of an ordinary arc, and the paper's loop-graph sums
+over symmetric matchings and compatible pairs.
 `matching_count` counts the matchings a second way, by a continuant read
 off the glue, so the strip sum's count is checked.
 """

@@ -14,8 +14,9 @@ in slots a and a + 1, the later copy's in a + 2 and a + 3; each pair runs
 counterclockwise from the diagonal when rel = +1 and clockwise when
 rel = -1.  Tile 0 has a = 0 and rel = +1, so a path has one drawing.
 Tile k+1 is entered through the slot opposite tile k's exit, and the side
-of its earlier copy glued there fixes its a.  The fewest quarter turns that make every exit N or E are then added
-to every a, so the drawing steps only up (U) or right (R).
+of its earlier copy glued there fixes its a.  The fewest quarter turns
+that make every exit N or E are then added to every a, so the drawing
+steps only up (U) or right (R).
 
 Gluing is by slot.  Tile k+1's entry slot (S after an upward step U, W after
 a step right R) is tile k's exit slot (N or E): one interior edge.  The two
@@ -400,7 +401,8 @@ def end_subgraphs(g: SnakeGraph, d: int, e_p: int) -> LoopGraph:
     return LoopGraph(g, d, e_p, roles)
 
 
-def build_loop_graph(T: Triangulation, path: CrossingPath, p: str) -> LoopGraph:
+def build_loop_graph(T: Triangulation, path: CrossingPath,
+                     p: str) -> LoopGraph:
     lp = build_loop_path(T, path, p)
     g = build_snake(T, lp)
     e_p = lp.d - 2 * path.d
