@@ -266,7 +266,6 @@ def expand_double_notch(T: Triangulation, gamma: Union[CrossingPath, str],
                         q: Optional[str] = None) -> Expansion:
     """Expansion of the arc between punctures p (its end) and q (its start)
     notched at both."""
-    _check_not_two_marked_closed(T)   # expand_arc skips it for loops
     return expand_arc(T, TaggedArcRef(gamma, True, True), punctures=(p, q))
 
 

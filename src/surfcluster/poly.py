@@ -6,8 +6,9 @@ and the zero polynomial is the empty dict.  Coefficients are Python ints
 (arbitrary precision); nothing here ever rounds.
 
 Variables carry a kind, 'x' for a cluster variable or 'y' for a
-coefficient, and a name.  Variables are ordered by kind and then by a
-natural ordering of the name ("2" before "10"), the name breaking ties.
+coefficient, and a name.  There is one variable of each kind and name, so
+`==` and the hash are by identity.  Variables are ordered by kind and then
+by a natural ordering of the name ("2" before "10"), the name breaking ties.
 
 Rings.  A ring is a set of n variables, interned by the set (`ring_of`),
 so a triangulation and the principal seed over its tagged names share
@@ -136,32 +137,34 @@ class _Factors(dict):
 
 _AFTER_STAR = itemgetter(slice(1, None))
 
-# kind -> name -> the first variable made of it
+# kind -> name -> its one variable
 _INTERNED: Dict[str, Dict[str, "VarId"]] = {k: {} for k in _KIND_RANK}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class VarId:
     """A symbol: kind 'x' or 'y' plus the (tagged) arc name it refers to.
-    The first VarId of a kind and name computes its sort key; equal ones
-    made later share it."""
+    There is one VarId per kind and name: `VarId(kind, name)` returns it,
+    so `==` and the hash are by identity."""
 
     kind: str
     name: str
-    _key: Tuple = field(init=False, repr=False, compare=False)
+    _key: Tuple = field(repr=False)
 
-    def __post_init__(self) -> None:
-        names = _INTERNED.get(self.kind)
+    def __new__(cls, kind: str, name: str) -> "VarId":
+        names = _INTERNED.get(kind)
         if names is None:
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        known = names.get(self.name)
-        if known is None:
+            raise ValueError(f"unknown variable kind {kind!r}")
+        v = names.get(name)
+        if v is None:
+            v = names[name] = object.__new__(cls)
             # the name itself breaks ties such as "01" and "1"
-            key = (_KIND_RANK[self.kind], _natural_key(self.name), self.name)
-            names[self.name] = self
-        else:
-            key = known._key
-        object.__setattr__(self, "_key", key)
+            vars(v).update(kind=kind, name=name, _key=(
+                _KIND_RANK[kind], _natural_key(name), name))
+        return v
+
+    def __reduce__(self):                # copies and pickles stay interned
+        return VarId, (self.kind, self.name)
 
     def __lt__(self, other: "VarId") -> bool:
         return self._key < other._key
@@ -172,17 +175,12 @@ class VarId:
         return f"{self.kind}_{self.name}"
 
 
-_X, _Y = (_INTERNED[k] for k in "xy")
-
-
 def xvar(name: str) -> VarId:
-    v = _X.get(name)
-    return v if v is not None else VarId("x", name)
+    return VarId("x", name)
 
 
 def yvar(name: str) -> VarId:
-    v = _Y.get(name)
-    return v if v is not None else VarId("y", name)
+    return VarId("y", name)
 
 
 # An exponent vector as the other modules see it: sorted tuple of
@@ -215,14 +213,19 @@ class Ring:
                  ) -> "LaurentPoly":
         """coeff times the monomial of an exponent map over variables of
         the ring, bounded by the largest |digit| of its key."""
-        ydeg = sum([e for v, e in exps.items() if v.kind == "y"])
-        bound = max([abs(ydeg), *map(abs, exps.values())])
+        key = ydeg = bound = 0
+        for v, e in exps.items():
+            u = self.units[v]
+            key += e * u
+            if u < 0:                     # a y: its unit borrows the top digit
+                ydeg += e
+            if e > bound or -e > bound:
+                bound = abs(e)
+        bound = max(bound, abs(ydeg))
         if bound >= _LIMIT:
             raise ExponentOverflow(f"exponent or total y-degree {bound} "
                                    "out of range")
-        return LaurentPoly.from_packed(
-            {sum([e * self.units[v] for v, e in exps.items()]): int(coeff)},
-            bound, self)
+        return LaurentPoly.from_packed({key: int(coeff)}, bound, self)
 
     def pack(self, exps: Mapping[VarId, int]) -> int:
         """The key of an exponent map over variables of the ring."""

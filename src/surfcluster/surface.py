@@ -18,10 +18,12 @@ Data that depends on the triangulation alone is kept on the Triangulation,
 never in a module-level cache.  The arc and boundary label sets behind
 `is_arc` and `is_boundary`, the label -> slots map, every vertex's clockwise
 corner walk and the corner orbits are built with it, as validating a surface
-reads all of them.  Each edge label's weight map with its packed key, and
-each diagonal's packed phi key, all in the ring of T's tagged names, are
-filled in by `matchings` the first time they are needed.  Nothing for one
-arc is kept.
+reads all of them; so are each triangle's side set, the self-folded
+triangles and the vertex slots that resolve, from which `validate_path`
+checks a path in one pass.  Each edge label's weight map with its packed
+key, and each diagonal's packed phi key, all in the ring of T's tagged
+names, are filled in by `matchings` the first time they are needed.
+Nothing for one arc is kept.
 """
 
 from __future__ import annotations
@@ -97,6 +99,11 @@ class Triangulation:
     _radii: Dict[str, SelfFolded] = field(init=False, repr=False, compare=False)
     _arc_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
     _boundary_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    # for `validate_path`: each triangle's side set, the self-folded
+    # triangles, and the (triangle, vertex slot) pairs `vertex_name` resolves
+    _sides: Tuple = field(init=False, repr=False, compare=False)
+    _self_folded: FrozenSet[int] = field(init=False, repr=False, compare=False)
+    _vertex_slots: FrozenSet = field(init=False, repr=False, compare=False)
     # arc label -> list of (triangle, slot) over pseudo-sides
     _side_slots: Dict[str, List[Tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
@@ -122,6 +129,15 @@ class Triangulation:
         object.__setattr__(self, "_radii", radii)
         object.__setattr__(self, "_arc_set", frozenset(self.arcs))
         object.__setattr__(self, "_boundary_set", frozenset(self.boundary))
+        tris = range(len(self.triangles))
+        object.__setattr__(self, "_sides", tuple(
+            frozenset(self.triangle_sides(i)) for i in tris))
+        object.__setattr__(self, "_self_folded", frozenset(
+            i for i in tris if isinstance(self.triangles[i], SelfFolded)))
+        object.__setattr__(self, "_vertex_slots", frozenset(
+            (i, s) for i, t in enumerate(self.triangles) for s in (
+                ("puncture", "base") if isinstance(t, SelfFolded)
+                else t.sides)))
         object.__setattr__(self, "_side_slots", slots)
         # one clockwise step from corner k exits through slot k + 1 and
         # resumes at the other slot of that side; a boundary side, or a
@@ -479,47 +495,50 @@ def signed_adjacency(T: Triangulation) -> List[List[int]]:
 
 
 def validate_path(T: Triangulation, path: CrossingPath) -> List[str]:
-    """Check local validity of a crossing path; empty list when ok."""
+    """Check local validity of a crossing path; empty list when ok.  One
+    pass over the crossings, by membership in T's tables; a triangle index
+    out of range is the only problem reported, else end slots and the end
+    triangle come first, then crossings, re-entries, self-folded patterns."""
+    ntri, sides, folded = len(T.triangles), T._sides, T._self_folded
+    (prev, _), (last, _) = path.start, path.end
+    if not 0 <= prev < ntri:
+        return [f"triangle index {prev} out of range"]
     v: List[str] = []
-    tris = path.triangle_sequence()
-    ntri = len(T.triangles)
-    for idx in tris + (path.end[0],):
-        if not (0 <= idx < ntri):
-            return [f"triangle index {idx} out of range"]
-
-    # start/end vertex slots must be resolvable
-    for (tri, slot), what in ((path.start, "start"), (path.end, "end")):
-        try:
-            T.vertex_name(tri, slot)
-        except SurfaceError as exc:
-            v.append(f"{what}: {exc}")
-
-    if path.end[0] != tris[-1]:
-        v.append("end triangle differs from the last entered triangle")
-
-    arcs = path.crossed_arcs()
+    again: List[str] = []        # each triangle is left by another side
+    label, wound = None, False
     for j, c in enumerate(path.crossings):
-        if T.is_boundary(c.arc):
-            v.append(f"crossing {j}: boundary segment {c.arc!r} cannot be crossed")
-            continue
-        if not T.is_arc(c.arc):
-            v.append(f"crossing {j}: unknown arc {c.arc!r}")
-            continue
-        before, after = tris[j], c.to_triangle
-        for tri, what in ((before, "leaves"), (after, "enters")):
-            if c.arc not in T.triangle_sides(tri):
-                v.append(f"crossing {j}: {c.arc!r} is not a side of triangle {tri} it {what}")
-        if j + 1 < len(arcs) and arcs[j] == arcs[j + 1]:
-            v.append(f"crossings {j},{j+1}: consecutive crossed arcs must differ")
-
-    # each visited triangle is entered and left through different sides
-    for j in range(1, len(path.crossings)):
-        tri = path.crossings[j - 1].to_triangle
-        if path.crossings[j].to_triangle == tri and not isinstance(
-                T.triangles[tri], SelfFolded):
-            v.append(f"crossing {j}: re-enters ordinary triangle {tri} immediately")
-
-    v.extend(_check_self_folded_patterns(T, path))
+        arc, tri = c.arc, c.to_triangle
+        if not 0 <= tri < ntri:
+            return [f"triangle index {tri} out of range"]
+        if arc in T._boundary_set:
+            v.append(f"crossing {j}: boundary segment {arc!r} cannot be crossed")
+        elif arc not in T._arc_set:
+            v.append(f"crossing {j}: unknown arc {arc!r}")
+        else:
+            if arc == label:
+                v.append(f"crossings {j - 1},{j}: consecutive crossed arcs "
+                         "must differ")
+            if arc not in sides[prev]:
+                v.append(f"crossing {j}: {arc!r} is not a side of triangle {prev} it leaves")
+            if arc not in sides[tri]:
+                v.append(f"crossing {j}: {arc!r} is not a side of triangle {tri} it enters")
+        if tri == prev and j and prev not in folded:
+            again.append(f"crossing {j}: re-enters ordinary triangle {tri} immediately")
+        label, prev, wound = arc, tri, wound or c.wind is not None
+    if not 0 <= last < ntri:
+        return [f"triangle index {last} out of range"]
+    head: List[str] = []
+    for spot, what in ((path.start, "start"), (path.end, "end")):
+        if spot not in T._vertex_slots:
+            try:                 # raises: words the problem
+                T.vertex_name(*spot)
+            except SurfaceError as exc:
+                head.append(f"{what}: {exc}")
+    if last != prev:
+        head.append("end triangle differs from the last entered triangle")
+    v = head + v + again
+    if folded or wound:
+        v.extend(_check_self_folded_patterns(T, path))
     return v
 
 

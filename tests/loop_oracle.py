@@ -123,11 +123,11 @@ def single_notch(T, gamma, p=None) -> Expansion:
 def double_notch(T, gamma, p=None, q=None) -> Expansion:
     """The arc between punctures p (its end) and q (its start) notched at
     both: a sum over compatible pairs."""
-    _check_not_two_marked_closed(T)
-    if p is None:
-        p = _puncture_at(T, gamma.end)
-    if q is None:
-        q = _puncture_at(T, gamma.start)
+    end, start = _puncture_at(T, gamma.end), _puncture_at(T, gamma.start)
+    if end is None or end != start:
+        _check_not_two_marked_closed(T)   # loops are exempt, as in expand
+    p = end if p is None else p
+    q = start if q is None else q
     if p is None or q is None:
         raise EndpointNotPuncture("both endpoints must be punctures")
     if p == q:

@@ -312,6 +312,32 @@ def test_two_marked_closed_surface_refused_before_any_sum(monkeypatch):
     assert expand_single_notch(T, "q1", "Q").matchings_used == 3
 
 
+def test_doubly_notched_loop_gets_one_error_whatever_the_entry_point():
+    # loops are exempt from the two-marked-points refusal at every entry
+    # point, the loop-graph oracle included: on the two-punctured torus
+    # each loop walk raises one exception class, or none, from all four
+    T = two_punctured_torus()
+    loops = [p for p in walk_paths(T, 3)
+             if T.vertex_name(*p.start) == T.vertex_name(*p.end) in T.punctures]
+    assert len(loops) == 474
+
+    def outcome(run, *args):
+        try:
+            return run(*args).poly.canonical_text()
+        except SurfaceError as exc:
+            return type(exc)
+
+    raised = 0
+    for p in loops:
+        got = {outcome(expand_double_notch, T, p),
+               outcome(expand_notched_loop, T, p, 2),
+               outcome(expand_arc, T, TaggedArcRef(p, True, True)),
+               outcome(loop_oracle.double_notch, T, p)}
+        assert len(got) == 1, (p, got)
+        raised += got == {PathInvalid}
+    assert raised == 420
+
+
 def test_display_and_closed_form_repack_nothing(monkeypatch):
     # the denominator of `display` and y_chi of the closed form are built in
     # the ring of the polynomial they meet, so no operand is re-packed

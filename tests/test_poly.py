@@ -297,6 +297,25 @@ def test_varid_ordering_total():
         VarId("h", "3")
 
 
+def test_variables_are_interned_and_hashed_by_identity():
+    import copy
+    import pickle
+    import random
+    v = VarId("x", "a")
+    assert v is xvar("a") and VarId("y", "a") is yvar("a") is not v
+    assert hash(v) == object.__hash__(v)
+    assert VarId.__hash__ is object.__hash__
+    # a copy or an unpickled variable is the interned one, so it stays equal
+    assert copy.deepcopy(v) is v and pickle.loads(pickle.dumps(v)) is v
+    names = ["1", "01", "2", "10", "a", "a2z", "a10b", "r~p", "Z", ""]
+    vs = [make(name) for name in names for make in (xvar, yvar)]
+    random.Random(5).shuffle(vs)
+    # kind first, then the natural order of the name, the name breaking ties
+    assert [f"{v.kind}:{v.name}" for v in sorted(vs)] == [
+        f"{kind}:{name}" for kind in "xy"
+        for name in ["", "01", "1", "2", "10", "Z", "a", "a2z", "a10b", "r~p"]]
+
+
 # -- the packed kernel ---------------------------------------------------------
 #
 # 48 variables and exponents up to 2**20 of either sign: neighbouring digits

@@ -289,6 +289,45 @@ def test_walks_are_accepted(fix_hexagon):
         assert validate_path(fix_hexagon, p) == []
 
 
+SWEEP_NAMES = ["square", "pentagon", "hexagon", "punctured_digon",
+               "punctured_square", "annulus22", "twice_punctured"]
+
+
+@pytest.mark.parametrize("name", SWEEP_NAMES + ["looped_digon",
+                                                "two_punctured_torus"])
+def test_validate_path_matches_the_three_pass_oracle(name):
+    # every walk of at most 4 crossings, and each walk with one crossing's
+    # arc, to_triangle or wind perturbed: the same messages in the same
+    # order as the three-pass validator of `path_oracle`
+    import random
+    import conftest
+    import path_oracle
+    T = (parse_surface(json.dumps(SURFACE_FILES[name]).encode())
+         if name in SWEEP_NAMES else getattr(conftest, name)())
+    rng = random.Random(23)
+    labels = list(T.arcs) + list(T.boundary) + ["no such arc"]
+    ntri = len(T.triangles)
+    paths = conftest.walk_paths(T, 4)
+    assert paths
+    invalid = 0
+    for path in paths:
+        cases = [path]
+        for what in ("arc", "to_triangle", "wind"):
+            j = rng.randrange(path.d)
+            choices = {"arc": labels, "wind": [None, "ccw", "cw", "x"],
+                       "to_triangle": [*range(-1, ntri + 1),
+                                       path.triangle_sequence()[j]]}[what]
+            crossings = list(path.crossings)
+            crossings[j] = Crossing(**{**vars(crossings[j]),
+                                       what: rng.choice(choices)})
+            cases.append(CrossingPath(path.start, tuple(crossings), path.end))
+        for p in cases:
+            want = path_oracle.validate_path(T, p)
+            assert validate_path(T, p) == want, p
+            invalid += bool(want)
+    assert 0 < invalid < 4 * len(paths)
+
+
 def test_third_arc():
     T = square()
     assert third_arc(T, "b1", "d", 0) == "b2"

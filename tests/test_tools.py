@@ -125,3 +125,26 @@ def test_reach_lists_only_kept_functions():
     for line in listed:
         name = line.split()[0]
         assert name in kept and line.endswith(kept[name]), line
+
+
+def test_pairs_summary_reads_medians_quartiles_ratios_and_wins():
+    pairs = _load("pairs")
+    spec = [{"name": "ops_per_s", "unit": "1/s", "better": "higher"},
+            {"name": "wall_s", "unit": "s", "better": "lower"}]
+
+    def record(ops, wall, passes):
+        return {"correct": True, "passes": passes, "metrics": {
+            "ops_per_s": {"value": ops, "unit": "1/s"},
+            "wall_s": {"value": wall, "unit": "s"}}}
+
+    runs = [(record(100, 2.0, 30), record(110, 1.9, 33)),
+            (record(104, 2.0, 31), record(104, 2.1, 31)),   # a tie, a loss
+            (record(96, 2.2, 29), record(120, 1.8, 36)),
+            (record(100, 2.0, 30), record(115, 2.0, 34))]   # a tie
+    lines = pairs.summarize(spec, runs, "abc")
+    ops, wall = (line.split() for line in lines[1:3])
+    assert ops == ["ops_per_s", "1/s", "100", "(99-101)",
+                   "112.5", "(108.5-116.25)", "1.125", "3/4"]
+    assert wall == ["wall_s", "s", "2", "(2-2.05)", "1.95", "(1.875-2.025)",
+                    "0.975", "2/4"]
+    assert lines[3:] == ["passes abc: 30 31 29 30", "passes tree: 33 31 36 34"]

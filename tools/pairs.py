@@ -1,0 +1,122 @@
+"""Run the benchmark on a git revision and on the working tree in
+alternating pairs, and compare their end-to-end metrics.
+
+    python3 tools/pairs.py REV --workload W [--pairs 10] [--seconds 25] [--seed 1001]
+
+REV is checked out with `git worktree add --detach` into a temporary
+directory outside the repository, and the worktree is removed again in
+every case.  Pair i runs `perfbench/run.py --trace 0 --seed SEED+i` on both
+sides, REV first in even pairs and the working tree first in odd ones.  For
+each end-to-end metric of BENCHMARK.json it prints each side's median and
+quartiles, the ratio of the medians (tree / REV) and the pairs the tree won
+in the metric's `better` direction (a tie counts for neither side), then
+each run's pass count.  Exits 1, after the run's output, as soon as a run
+exits non-zero or reads `correct: false`.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import signal
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run: its final JSON object plus its pass count, or
+    "error" with the reason it failed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    try:
+        record = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        record = {}
+    passes = re.search(r"\bpasses (\d+)", proc.stdout)
+    record["passes"] = int(passes.group(1)) if passes else None
+    if proc.returncode or record.get("correct") is not True:
+        record["error"] = (f"exit {proc.returncode}\n"
+                           + "\n".join(lines[-5:] + [proc.stderr[-2000:]]))
+    return record
+
+
+def _spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") \
+        if len(values) > 1 else values * 3
+    return f"{median:.6g} ({q1:.6g}-{q3:.6g})", median
+
+
+def summarize(end_to_end, pairs, rev: str = "REV"):
+    """The report lines for (REV record, tree record) pairs."""
+    out = [f"{'metric':<12} {'unit':<4} {rev + ' median (q1-q3)':>30} "
+           f"{'tree median (q1-q3)':>30} {'ratio':>7} {'won':>6}"]
+    for m in end_to_end:
+        name = m["name"]
+        base = [b["metrics"][name]["value"] for b, _ in pairs]
+        tree = [t["metrics"][name]["value"] for _, t in pairs]
+        sign = 1 if m["better"] == "higher" else -1
+        won = sum(sign * (t - b) > 0 for b, t in zip(base, tree))
+        (a, ma), (b, mb) = _spread(base), _spread(tree)
+        ratio = f"{mb / ma:.3f}" if ma else "-"
+        out.append(f"{name:<12} {m['unit']:<4} {a:>30} {b:>30} {ratio:>7} "
+                   f"{won:>3}/{len(pairs)}")
+    for i, side in enumerate((rev, "tree")):
+        out.append(f"passes {side}: "
+                   + " ".join(str(p[i]["passes"]) for p in pairs))
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--seed", type=int, default=1001)
+    args = ap.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # a terminated run still unwinds: the running benchmark is killed and
+    # the worktree removed
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    with tempfile.TemporaryDirectory() as tmp:
+        other = Path(tmp) / "rev"
+        add = subprocess.run(["git", "worktree", "add", "--detach",
+                              str(other), args.rev], cwd=ROOT,
+                             capture_output=True, text=True)
+        if add.returncode:
+            ap.error(f"cannot check out {args.rev}: {add.stderr.strip()}")
+        try:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                sides = [other, ROOT] if i % 2 == 0 else [ROOT, other]
+                runs = {}
+                for tree in sides:
+                    record = run_once(tree, args.workload, seed, args.seconds)
+                    side = args.rev if tree == other else "tree"
+                    if "error" in record:
+                        print(f"{side} seed {seed}: {record['error']}",
+                              file=sys.stderr)
+                        return 1
+                    runs[tree] = record
+                pairs.append((runs[other], runs[ROOT]))
+                print(f"pair {i + 1}/{args.pairs} seed {seed} done",
+                      file=sys.stderr, flush=True)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force",
+                            str(other)], cwd=ROOT, capture_output=True)
+    print("\n".join(summarize(spec["end_to_end"], pairs, args.rev[:12])))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -72,6 +72,8 @@ KEPT = {
     "poly.LaurentPoly.zero": "mul and div_exact return it for a zero "
                              "operand; the tests use it",
     "poly.LaurentPoly.var": "retag_expansion and the tests call it",
+    "poly.VarId.__reduce__": "keeps a copied or unpickled variable the "
+                             "interned one; the tests copy and pickle",
 }
 
 
