@@ -62,7 +62,6 @@ from .mutation import f_from_x
 from .snake import EndpointNotPuncture, build_loop_path, build_tiles
 from .surface import (
     CrossingPath,
-    SelfFolded,
     SurfaceError,
     TaggedArcRef,
     Triangulation,
@@ -220,7 +219,7 @@ def _notched_sides(T: Triangulation, ref: TaggedArcRef, orientation: str,
             return [(gamma, _notched_puncture(T, gamma) if p is None else p)]
         _check_not_two_marked_closed(T)
         if p is None or q is None:
-            ends = _arc_puncture_ends(T, gamma)
+            ends = T._arc_ends.get(gamma, ())
             if len(ends) != 2:
                 raise EndpointNotPuncture(
                     f"arc {gamma!r} does not join two punctures")
@@ -296,13 +295,6 @@ def _check_not_two_marked_closed(T: Triangulation) -> None:
             "closed surface with exactly two marked points is not supported")
 
 
-def _arc_puncture_ends(T: Triangulation, arc: str) -> List[str]:
-    out = []
-    for pp in T.punctures:
-        out.extend(pp for a in arcs_around_puncture(T, pp) if a == arc)
-    return out
-
-
 def _notched_puncture(T: Triangulation, arc: str) -> str:
     """The puncture an arc of the triangulation is notched at when none is
     named: the enclosed puncture of a self-folded radius, else its one
@@ -310,7 +302,7 @@ def _notched_puncture(T: Triangulation, arc: str) -> str:
     sf = T.radius_triangle(arc)
     if sf is not None:
         return sf.puncture
-    ends = _arc_puncture_ends(T, arc)
+    ends = T._arc_ends.get(arc, ())
     if len(set(ends)) != 1:
         raise EndpointNotPuncture(f"cannot infer the notched puncture of {arc!r}")
     return ends[0]
@@ -359,17 +351,12 @@ def retag_expansion(e: Expansion, T: Triangulation,
     """Swap every variable with its notched twin at the given punctures."""
     mapping: Dict[str, str] = {}
     for p in punctures:
+        sf = T._folded_at.get(p)
         for arc in set(arcs_around_puncture(T, p)):
-            sf = T.radius_triangle(arc)
-            if sf is not None and sf.puncture == p:
-                continue
             a = T.tagged_name(arc)
-            b = _toggle_notch_name(a, p)
+            b = (T.notched_twin(arc) if sf is not None and arc == sf.radius
+                 else _toggle_notch_name(a, p))
             mapping[a], mapping[b] = b, a
-        for t in T.triangles:
-            if isinstance(t, SelfFolded) and t.puncture == p:
-                a, b = t.radius, T.notched_twin(t.radius)
-                mapping[a], mapping[b] = b, a
 
     def rename(poly: LaurentPoly) -> LaurentPoly:
         bind = {}

@@ -60,7 +60,6 @@ from .surface import (
     Crossing,
     Ordinary,
     PathInvalid,
-    SelfFolded,
     SurfaceError,
     Triangulation,
     corner_walk,
@@ -290,10 +289,6 @@ def build_snake(T: Triangulation, path: CrossingPath) -> SnakeGraph:
 # loop paths and loop graphs
 
 
-def _has_notch_at(T: Triangulation, p: str) -> bool:
-    return any(isinstance(t, SelfFolded) and t.puncture == p for t in T.triangles)
-
-
 def _corridor(T: Triangulation, corner0) -> List[Crossing]:
     """The crossings of one clockwise turn around a puncture from corner0.
 
@@ -317,7 +312,7 @@ def build_loop_path(T: Triangulation, gamma: Union[CrossingPath, str],
         raise EndpointNotPuncture(f"{p!r} is not a puncture")
     if not isinstance(gamma, str) and T.vertex_name(*gamma.end) != p:
         raise EndpointNotPuncture(f"path does not end at puncture {p!r}")
-    if _has_notch_at(T, p):
+    if p in T._folded_at:
         raise NotchedTrianglePresent(
             f"an arc of the triangulation is notched at {p!r}")
     if isinstance(gamma, str):

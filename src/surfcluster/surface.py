@@ -20,10 +20,14 @@ never in a module-level cache.  The arc and boundary label sets behind
 corner walk and the corner orbits are built with it, as validating a surface
 reads all of them; so are each triangle's side set, the self-folded
 triangles and the vertex slots that resolve, from which `validate_path`
-checks a path in one pass.  Each edge label's weight map with its packed
-key, and each diagonal's packed phi key, all in the ring of T's tagged
-names, are filled in by `matchings` the first time they are needed.
-Nothing for one arc is kept.
+checks a path in one pass.  The same pass keeps what notched arcs and tag
+switching read about punctures: each corner's vertex name, the first corner
+that names each vertex (where `arcs_around_puncture` starts its walk), the
+self-folded triangle around each puncture and the puncture ends of each
+arc, so no module scans the triangles for a puncture.  Each edge label's
+weight map with its packed key, and each diagonal's packed phi key, all in
+the ring of T's tagged names, are filled in by `matchings` the first time
+they are needed.  Nothing for one arc is kept.
 """
 
 from __future__ import annotations
@@ -107,6 +111,18 @@ class Triangulation:
     # arc label -> list of (triangle, slot) over pseudo-sides
     _side_slots: Dict[str, List[Tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
+    # corner -> its vertex name; vertex name -> the first corner, in
+    # triangle and vertex order, that names it (a self-folded base names
+    # none); puncture -> the self-folded triangle around it; arc -> its
+    # puncture ends, puncture by puncture, once per end
+    _names: Dict[Tuple[int, int], Optional[str]] = field(
+        init=False, repr=False, compare=False)
+    _first_corner: Dict[str, Tuple[int, int]] = field(
+        init=False, repr=False, compare=False)
+    _folded_at: Dict[str, SelfFolded] = field(init=False, repr=False,
+                                              compare=False)
+    _arc_ends: Dict[str, List[str]] = field(init=False, repr=False,
+                                            compare=False)
     # corner -> (the closed clockwise walk around its vertex as (corner,
     # exit side) steps, the corner's place in it); and the corner orbits
     _walks: Dict[Tuple[int, int], Tuple[Tuple, int]] = field(
@@ -119,14 +135,25 @@ class Triangulation:
                                        compare=False)
 
     def __post_init__(self):
-        loops = {t.loop: t for t in self.triangles if isinstance(t, SelfFolded)}
-        radii = {t.radius: t for t in self.triangles if isinstance(t, SelfFolded)}
+        loops, radii, folded, names, first = {}, {}, {}, {}, {}
         slots: Dict[str, List[Tuple[int, int]]] = {}
         for i, t in enumerate(self.triangles):
             for j, s in enumerate(_pseudo_sides(t)):
                 slots.setdefault(s, []).append((i, j))
+            if isinstance(t, SelfFolded):
+                loops[t.loop] = radii[t.radius] = folded[t.puncture] = t
+                names.update({(i, 0): t.puncture, (i, 1): t.base,
+                              (i, 2): t.base})
+                first.setdefault(t.puncture, (i, 0))
+            else:
+                for k, v in enumerate(t.vertices or ()):
+                    names[(i, (k + 1) % 3)] = v     # opposite sides[k]
+                    first.setdefault(v, (i, (k + 1) % 3))
         object.__setattr__(self, "_loops", loops)
         object.__setattr__(self, "_radii", radii)
+        object.__setattr__(self, "_folded_at", folded)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_first_corner", first)
         object.__setattr__(self, "_arc_set", frozenset(self.arcs))
         object.__setattr__(self, "_boundary_set", frozenset(self.boundary))
         tris = range(len(self.triangles))
@@ -168,6 +195,14 @@ class Triangulation:
                 walks.update((c, (cycle, j)) for j, c in enumerate(walk))
         object.__setattr__(self, "_walks", walks)
         object.__setattr__(self, "_orbits", sorted(orbits))
+        # a puncture no corner locates, or one on the boundary, has no ends
+        # here; `validate_surface` reports it
+        ends: Dict[str, List[str]] = {}
+        for p in self.punctures:
+            cycle, _ = walks.get(first.get(p), ((), 0))
+            for _, arc in cycle:
+                ends.setdefault(arc, []).append(p)
+        object.__setattr__(self, "_arc_ends", ends)
 
     # -- label classification ------------------------------------------
 
@@ -206,26 +241,18 @@ class Triangulation:
         return (t.loop, t.radius)
 
     def triangles_with_side(self, label: str) -> List[int]:
-        out = []
-        for i, t in enumerate(self.triangles):
-            if label in self.triangle_sides(i):
-                out.append(i)
-        return out
+        return list(dict.fromkeys(i for i, _ in self._side_slots.get(label, ())))
 
     def vertex_name(self, tri: int, slot: str) -> Optional[str]:
         """Resolve a vertex slot to its global name, when known."""
         t = self.triangles[tri]
         if isinstance(t, SelfFolded):
-            if slot == "puncture":
-                return t.puncture
-            if slot == "base":
-                return t.base
+            if slot in ("puncture", "base"):
+                return self._names.get((tri, int(slot == "base")))
             raise SurfaceError(f"bad vertex slot {slot!r} for self-folded triangle")
         if slot not in t.sides:
             raise SurfaceError(f"vertex slot {slot!r} is not a side of triangle {tri}")
-        if t.vertices is None:
-            return None
-        return t.vertices[t.sides.index(slot)]
+        return self._names.get((tri, (t.sides.index(slot) + 1) % 3))
 
 
 @dataclass(frozen=True)
@@ -365,23 +392,11 @@ def _boundary_cycles(T: Triangulation) -> int:
 
 def _check_vertex_names(T: Triangulation) -> List[str]:
     """Verify declared vertex names against the corner-orbit structure."""
-    out: List[str] = []
-    seen_punctures = set()
-    for i, t in enumerate(T.triangles):
-        if isinstance(t, SelfFolded):
-            seen_punctures.add(t.puncture)
-            continue
-        if t.vertices is None:
-            continue
-        for k, name in enumerate(t.vertices):
-            if name in T.punctures:
-                seen_punctures.add(name)
-    for p in T.punctures:
-        if p not in seen_punctures:
-            out.append(f"puncture {p!r} is not located by any triangle vertex")
+    out = [f"puncture {p!r} is not located by any triangle vertex"
+           for p in T.punctures if p not in T._first_corner]
     # orbit consistency: all corners in one orbit must carry the same name
     for orbit in T._orbits:
-        names = {vertex_of_corner(T, c) for c in orbit}
+        names = {T._names.get(c) for c in orbit}
         names.discard(None)
         if len(names) > 1:
             out.append(f"inconsistent vertex names {sorted(names)} in one corner orbit")
@@ -411,27 +426,14 @@ def _pseudo_sides(t: Triangle) -> Tuple[str, ...]:
     return t.sides
 
 
-def vertex_of_corner(T: Triangulation, corner) -> Optional[str]:
-    tri, k = corner
-    t = T.triangles[tri]
-    if isinstance(t, SelfFolded):
-        return t.puncture if k == 0 else t.base
-    if t.vertices is None:
-        return None
-    return t.vertices[(k + 2) % 3]
-
-
 def puncture_corner(T: Triangulation, p: str):
-    """Some corner whose vertex is the puncture p."""
+    """The first corner, in triangle and vertex order, whose vertex is the
+    puncture p."""
     if p not in T.punctures:
         raise NotAPuncture(f"{p!r} is not a puncture")
-    for i, t in enumerate(T.triangles):
-        if isinstance(t, SelfFolded) and t.puncture == p:
-            return (i, 0)
-        if isinstance(t, Ordinary) and t.vertices is not None and p in t.vertices:
-            k = t.vertices.index(p)          # opposite sides[k]
-            return (i, (k + 1) % 3)          # corner between sides[k+1], sides[k+2]
-    raise NotAPuncture(f"puncture {p!r} is not located by any triangle vertex")
+    if p not in T._first_corner:
+        raise NotAPuncture(f"puncture {p!r} is not located by any triangle vertex")
+    return T._first_corner[p]
 
 
 def corner_walk(T: Triangulation, c0) -> List[Tuple[Tuple[int, int], str]]:

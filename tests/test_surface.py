@@ -16,6 +16,7 @@ from conftest import (
     square_other_diagonal,
     twice_punctured,
     twice_punctured_digon,
+    two_punctured_torus,
     zigzag_polygon,
 )
 from surfcluster.surface import (
@@ -23,11 +24,13 @@ from surfcluster.surface import (
     CrossingPath,
     NotAPuncture,
     Ordinary,
+    SelfFolded,
     SurfaceError,
     Topology,
     Triangulation,
     arcs_around_puncture,
     corner_walk,
+    puncture_corner,
     signed_adjacency,
     validate_path,
     validate_surface,
@@ -326,6 +329,47 @@ def test_validate_path_matches_the_three_pass_oracle(name):
             assert validate_path(T, p) == want, p
             invalid += bool(want)
     assert 0 < invalid < 4 * len(paths)
+
+
+@pytest.mark.parametrize("T", ALL_FIXTURES + [
+    polygon(4), polygon(7), zigzag_polygon(8), once_punctured_polygon(6),
+    looped_digon(), two_punctured_torus()] + [
+        pytest.param(parse_surface(json.dumps(obj).encode()), id=name)
+        for name, obj in SURFACE_FILES.items()])
+def test_puncture_tables_match_the_scanning_oracle(T):
+    # the tables built with T answer as the scans of `puncture_oracle` do,
+    # arcs_around_puncture in the same rotation
+    import puncture_oracle as oracle
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except NotAPuncture as exc:
+            return str(exc)
+
+    for i in range(len(T.triangles)):
+        for k in range(3):
+            assert T._names.get((i, k)) == oracle.vertex_of_corner(T, (i, k))
+    for label in T.arcs + T.boundary + ("no such arc",):
+        assert T.triangles_with_side(label) == \
+            oracle.triangles_with_side(T, label)
+    # with the ordinary vertex names dropped, a puncture no self-folded
+    # triangle encloses is located by no corner
+    bare = Triangulation(T.arcs, T.boundary, T.punctures, tuple(
+        t if isinstance(t, SelfFolded) else Ordinary(t.sides)
+        for t in T.triangles), T.topology)
+    for S in (T, bare):
+        for p in S.punctures + S.arcs[:1] + S.boundary[:1]:
+            assert outcome(puncture_corner, S, p) == \
+                outcome(oracle.puncture_corner, S, p)
+    for p in T.punctures:
+        assert arcs_around_puncture(T, p) == oracle.arcs_around_puncture(T, p)
+        assert (p in T._folded_at) == oracle.has_notch_at(T, p)
+        if p in T._folded_at:
+            assert T._folded_at[p].puncture == p
+    for arc in T.arcs:
+        assert list(T._arc_ends.get(arc, ())) == \
+            oracle.arc_puncture_ends(T, arc)
 
 
 def test_third_arc():
