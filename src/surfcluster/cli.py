@@ -273,14 +273,15 @@ def _arc(obj: dict, T: Triangulation, what: str):
             raise ParseError(f"{what}: {_show(label)} is not an arc of the "
                              "surface")
         return label, TaggedArcRef(label, notch_start, notch_end), orientation
-    crossings = tuple(Crossing(**c) for c in obj.get("crossings", ()))
-    for i, c in enumerate(crossings):
-        if not T.is_arc(c.arc):
+    crossings = []
+    for i, c in enumerate(obj.get("crossings", ())):
+        if not T.is_arc(c["arc"]):
             raise ParseError(f"{what} crossings[{i}]: unknown arc "
-                             f"{_show(c.arc)}")
+                             f"{_show(c['arc'])}")
+        crossings.append(Crossing(**c))
     start, end = ((obj[k]["triangle"], obj[k]["vertex"])
                   for k in ("start", "end"))
-    path = CrossingPath(start, crossings, end)
+    path = CrossingPath(start, tuple(crossings), end)
     problems = validate_path(T, path)
     if problems:
         raise ValidationError("; ".join(problems))

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter, neg
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .poly import (LaurentPoly, NotDivisible, Ring, VarId, lowest_exponents,
                    ring_of, xvar, yvar)
@@ -68,12 +68,9 @@ class Seed:
         return len(self.cluster)
 
 
-def principal_seed(B: Sequence[Sequence[int]],
-                   names: Optional[Sequence[str]] = None) -> Seed:
+def principal_seed(B: Sequence[Sequence[int]], names: Sequence[str]) -> Seed:
     """Seed with principal coefficients: extended matrix [B; I]."""
     n = len(B)
-    if names is None:
-        names = [str(i + 1) for i in range(n)]
     rows = [tuple(row[:n]) for row in B]
     if rows != [tuple(map(neg, col)) for col in zip(*rows)]:
         raise ValueError("top block must be skew-symmetric")

@@ -452,16 +452,7 @@ class LaurentPoly:
 
     def pow(self, n: int) -> "LaurentPoly":
         if n < 0:
-            c, _ = self.monomial_parts()  # raises if not a monomial
-            if c not in (1, -1):
-                raise NotDivisible(f"cannot invert coefficient {c}")
-            b = self._max_exp(exact=True) * -n
-            if b >= _LIMIT:
-                raise ExponentOverflow(f"exponent {b} leaves the packed "
-                                       "range |e| < 2**31")
-            coeff = 1 if c == 1 or n % 2 == 0 else -1
-            (k,) = self._terms
-            return LaurentPoly.from_packed({k * n: coeff}, b, self._ring)
+            raise ValueError(f"negative exponent {n}")
         # square and multiply; no product with one, so pow(1) is self
         out = None
         base = self

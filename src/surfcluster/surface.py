@@ -33,7 +33,7 @@ they are needed.  Nothing for one arc is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "Topology",
@@ -255,8 +255,7 @@ class Triangulation:
         return self._names.get((tri, (t.sides.index(slot) + 1) % 3))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     arc: str
     to_triangle: int
     wind: Optional[str] = None   # "ccw" | "cw"; set on radius crossings

@@ -216,7 +216,8 @@ def test_reversing_all_orientations_transposes_B():
 def test_extended_principal():
     # a principal seed stacks B on top of the identity
     def extended_principal(B):
-        return [list(row) for row in principal_seed(B).ext_matrix]
+        return [list(row) for row in principal_seed(
+            B, [str(i + 1) for i in range(len(B))]).ext_matrix]
 
     assert extended_principal([[0]]) == [[0], [1]]
     assert extended_principal([[0, 0], [0, 0]]) == \
@@ -321,8 +322,8 @@ def test_validate_path_matches_the_three_pass_oracle(name):
                        "to_triangle": [*range(-1, ntri + 1),
                                        path.triangle_sequence()[j]]}[what]
             crossings = list(path.crossings)
-            crossings[j] = Crossing(**{**vars(crossings[j]),
-                                       what: rng.choice(choices)})
+            crossings[j] = crossings[j]._replace(
+                **{what: rng.choice(choices)})
             cases.append(CrossingPath(path.start, tuple(crossings), path.end))
         for p in cases:
             want = path_oracle.validate_path(T, p)
