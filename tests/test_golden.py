@@ -34,6 +34,13 @@ FIXTURES = [
 ]
 COMMANDS = [("expand",), ("expand", "--json"), ("fpoly",), ("gvector",),
             ("matchings",), ("snake",), ("snake", "--dot")]
+# arc 9 of the triangulation, which joins P2 and P3: its own variable, each
+# notching by name, and both ends notched with the punctures inferred
+ARC_OF_T = [("three_punctures.json", arc, cmd) for arc, cmd in (
+    ("arc9.json", ("expand",)),
+    ("arc9.json", ("expand", "--notch", "P2")),
+    ("arc9.json", ("expand", "--notch", "P2,P3")),
+    ("arc9_notched.json", ("expand",)))]
 
 
 def _stdout(argv):
@@ -49,11 +56,12 @@ def _table(tab):
 
 def snapshot() -> dict:
     cli = {}
-    for surface, arc in FIXTURES:
-        for cmd in COMMANDS:
-            argv = [cmd[0], "--surface", str(DATA / surface),
-                    "--arc", str(DATA / arc), *cmd[1:]]
-            cli[f"{surface} {arc} {' '.join(cmd)}"] = _stdout(argv)
+    runs = [(surface, arc, cmd) for surface, arc in FIXTURES
+            for cmd in COMMANDS] + ARC_OF_T
+    for surface, arc, cmd in runs:
+        argv = [cmd[0], "--surface", str(DATA / surface),
+                "--arc", str(DATA / arc), *cmd[1:]]
+        cli[f"{surface} {arc} {' '.join(cmd)}"] = _stdout(argv)
     E, TP = example_surface(), twice_punctured()
     euler = {
         "criterion 1": _table(euler_table(expand_ordinary(E, gamma1(E)),
@@ -93,7 +101,7 @@ def test_commands_build_in_the_surface_ring(monkeypatch):
                         "--arc", str(DATA / arc), *flags])["rc"] == 0
         assert seen and set(seen) <= {own, frozenset()}, key
         runs += 1
-    assert runs == 20
+    assert runs == 24
 
 
 def test_golden_outputs():

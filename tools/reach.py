@@ -103,7 +103,7 @@ def functions():
 
 def commands():
     """argv of every command on the shipped fixtures."""
-    # a golden key is "<surface> <arc> <command> [flag]"
+    # a golden key is "<surface> <arc> <command> [flags]"
     for key in json.loads((DATA / "golden.json").read_text())["cli"]:
         surface, arc, cmd, *flags = key.split()
         yield [cmd, "--surface", str(DATA / surface),
