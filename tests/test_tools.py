@@ -132,14 +132,14 @@ def test_pairs_summary_reads_medians_quartiles_ratios_and_wins():
     spec = [{"name": "ops_per_s", "unit": "1/s", "better": "higher"},
             {"name": "wall_s", "unit": "s", "better": "lower"}]
 
-    def record(ops, wall, passes):
-        return {"correct": True, "passes": passes, "metrics": {
-            "ops_per_s": {"value": ops, "unit": "1/s"},
-            "wall_s": {"value": wall, "unit": "s"}}}
+    def record(ops, wall, passes, factor=1.0):
+        return {"correct": True, "passes": passes, "host_factor": factor,
+                "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                            "wall_s": {"value": wall, "unit": "s"}}}
 
-    runs = [(record(100, 2.0, 30), record(110, 1.9, 33)),
+    runs = [(record(100, 2.0, 30), record(110, 1.9, 33, 1.0312)),
             (record(104, 2.0, 31), record(104, 2.1, 31)),   # a tie, a loss
-            (record(96, 2.2, 29), record(120, 1.8, 36)),
+            (record(96, 2.2, 29, 1.2), record(120, 1.8, 36, 0.9876)),
             (record(100, 2.0, 30), record(115, 2.0, 34))]   # a tie
     lines = pairs.summarize(spec, runs, "abc")
     ops, wall = (line.split() for line in lines[1:3])
@@ -147,4 +147,6 @@ def test_pairs_summary_reads_medians_quartiles_ratios_and_wins():
                    "112.5", "(108.5-116.25)", "1.125", "3/4"]
     assert wall == ["wall_s", "s", "2", "(2-2.05)", "1.95", "(1.875-2.025)",
                     "0.975", "2/4"]
-    assert lines[3:] == ["passes abc: 30 31 29 30", "passes tree: 33 31 36 34"]
+    assert lines[3:] == [
+        "passes abc: 30 31 29 30; host factors: 1.0 1.0 1.2 1.0",
+        "passes tree: 33 31 36 34; host factors: 1.0312 1.0 0.9876 1.0"]

@@ -10,7 +10,7 @@ sides, REV first in even pairs and the working tree first in odd ones.  For
 each end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the ratio of the medians (tree / REV) and the pairs the tree won
 in the metric's `better` direction (a tie counts for neither side), then
-each run's pass count.  Exits 1, after the run's output, as soon as a run
+each run's pass count and host factor, side by side.  Exits 1, after the run's output, as soon as a run
 exits non-zero or reads `correct: false`.  Stdlib only.
 """
 
@@ -30,8 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its final JSON object plus its pass count, or
-    "error" with the reason it failed."""
+    """One benchmark run: its final JSON object plus its pass count and
+    host factor, or "error" with the reason it failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -43,6 +43,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         record = {}
     passes = re.search(r"\bpasses (\d+)", proc.stdout)
     record["passes"] = int(passes.group(1)) if passes else None
+    factor = re.search(r"\bhost factor ([\d.]+)", proc.stdout)
+    record["host_factor"] = float(factor.group(1)) if factor else None
     if proc.returncode or record.get("correct") is not True:
         record["error"] = (f"exit {proc.returncode}\n"
                            + "\n".join(lines[-5:] + [proc.stderr[-2000:]]))
@@ -71,7 +73,9 @@ def summarize(end_to_end, pairs, rev: str = "REV"):
                    f"{won:>3}/{len(pairs)}")
     for i, side in enumerate((rev, "tree")):
         out.append(f"passes {side}: "
-                   + " ".join(str(p[i]["passes"]) for p in pairs))
+                   + " ".join(str(p[i]["passes"]) for p in pairs)
+                   + "; host factors: "
+                   + " ".join(str(p[i]["host_factor"]) for p in pairs))
     return out
 
 
