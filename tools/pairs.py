@@ -10,8 +10,8 @@ sides, REV first in even pairs and the working tree first in odd ones.  For
 each end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the ratio of the medians (tree / REV) and the pairs the tree won
 in the metric's `better` direction (a tie counts for neither side), then
-each run's pass count and host factor, side by side.  Exits 1, after the run's output, as soon as a run
-exits non-zero or reads `correct: false`.  Stdlib only.
+each run's pass count and host factor.  Exits 1, after the run's output, as
+soon as a run exits non-zero or reads `correct: false`.  Stdlib only.
 """
 
 from __future__ import annotations
