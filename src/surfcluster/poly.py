@@ -30,10 +30,12 @@ sum(2**31 * 2**(32j)) makes every digit nonnegative without carries, and
 xor-ing it back turns each digit into its two's complement, so `struct`
 (one key) or an `array` of 32-bit ints (all of them at once) reads the
 digits as signed fields in C.  `canonical_text` is one `sorted` of the
-keys, then one column per variable, rendered by joining per row the
-factor strings "*t^e" that the ring keeps per variable and exponent
-(`_Factors`), y before x; when every coefficient is 1 the monomials are
-joined without sign or coefficient strings.  An operation on two rings
+keys; then, a block of keys at a time, `struct` cuts each key's bytes into
+runs of at most _RUN adjacent digits of one kind, and a row joins one
+factor string "*t^e*u^f..." per run, which the ring caches per run and
+its bytes (`_Run`), the runs in display order: y before x, each in VarId
+order.  When every coefficient is 1 the monomials are joined without sign
+or coefficient strings.  An operation on two rings
 works in the ring of their union and re-packs each operand that lies
 outside it (`_repack`); a constant, key 0, fits any ring.  `==` and the
 hash do not depend on the ring.
@@ -110,6 +112,8 @@ _CHUNKS = re.compile(r"(\d+)|(\D+)")
 _BITS = 32
 _BIG_ENDIAN = sys.byteorder == "big"
 _LIMIT = 1 << (_BITS - 1)     # every digit satisfies |e| < _LIMIT
+_RUN = 8                      # digits per factor string in canonical text
+_BLOCK = 256                  # keys rendered per block
 
 
 def _natural_key(name: str) -> Tuple:
@@ -120,18 +124,21 @@ def _natural_key(name: str) -> Tuple:
     )
 
 
-class _Factors(dict):
-    """One variable's factor strings by exponent, filled on first use: "*t"
-    or "*t^e", and "" for exponent 0."""
+class _Run(dict):
+    """The factor strings of a run of adjacent digits of one kind, by the
+    run's bytes, filled on first use: "*t" or "*t^e" for each nonzero
+    digit, highest digit first."""
 
-    __slots__ = ("text",)
+    __slots__ = ("texts", "codec")
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, variables: Tuple[VarId, ...]):
+        self.texts = [v.text() for v in reversed(variables)]
+        self.codec = struct.Struct(f"<{len(variables)}i")
 
-    def __missing__(self, e: int) -> str:
-        s = self[e] = "" if e == 0 else (
-            f"*{self.text}" if e == 1 else f"*{self.text}^{e}")
+    def __missing__(self, b: bytes) -> str:
+        s = self[b] = "".join([
+            f"*{t}" if e == 1 else f"*{t}^{e}"
+            for t, e in zip(self.texts, self.codec.unpack(b)[::-1]) if e])
         return s
 
 
@@ -192,8 +199,8 @@ class Ring:
     """A set of variables and its key layout (see "Rings"); `ring_of`
     makes the one ring of each set."""
 
-    __slots__ = ("set", "vars", "units", "width", "off", "codec", "factors",
-                 "shown")
+    __slots__ = ("set", "vars", "units", "width", "off", "codec", "rows",
+                 "runs")
 
     def __init__(self, variables: FrozenSet[VarId]):
         self.set = variables
@@ -205,9 +212,16 @@ class Ring:
         self.width = n + 1
         self.off = sum(_LIMIT << (_BITS * j) for j in range(n + 1))
         self.codec = struct.Struct(f"<{n + 1}i")
-        self.factors = [_Factors(v.text()) for v in vs]
-        # display order: y before x, each in VarId order
-        self.shown = sorted(range(n), key=lambda j: (vs[j].kind == "x", -j))
+        # runs of at most _RUN adjacent digits of one kind, one bytes field
+        # of `rows` each, kept as (field, its strings) in display order: y
+        # before x, each in VarId order, so the highest digits first
+        ny = sum(v.kind == "y" for v in vs)
+        spans = [(a, min(a + _RUN, end)) for lo, end in ((0, ny), (ny, n))
+                 for a in range(lo, end, _RUN)]
+        self.rows = struct.Struct(
+            "<" + "".join(f"{4 * (b - a)}s" for a, b in spans) + "4x")
+        self.runs = [(i, _Run(vs[a:b])) for i, (a, b) in sorted(
+            enumerate(spans), key=lambda f: (f[1][0] >= ny, -f[1][0]))]
 
     def monomial(self, exps: Mapping[VarId, int], coeff: int = 1
                  ) -> "LaurentPoly":
@@ -582,13 +596,17 @@ class LaurentPoly:
         if not terms:
             return "0"
         ring = self._ring
-        keys = sorted(terms, reverse=True)
-        cols = ring.columns(keys)
-        used = [j for j in ring.shown if any(cols[j])]
-        if not used:
+        if not ring.vars:
             return str(terms[0])
-        monos = list(map(_AFTER_STAR, map("".join, zip(*[
-            map(ring.factors[j].__getitem__, cols[j]) for j in used]))))
+        keys = sorted(terms, reverse=True)
+        off, size, runs = ring.off, ring.rows.size, ring.runs
+        monos: List[str] = []
+        for i in range(0, len(keys), _BLOCK):
+            cols = list(zip(*ring.rows.iter_unpack(b"".join([
+                ((k + off) ^ off).to_bytes(size, "little")
+                for k in keys[i:i + _BLOCK]]))))
+            monos += map(_AFTER_STAR, map("".join, zip(*[
+                map(run.__getitem__, cols[j]) for j, run in runs])))
         coeffs = list(map(terms.__getitem__, keys))
         if coeffs.count(1) == len(coeffs):
             if 0 in terms:
