@@ -162,7 +162,8 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
     punctures, the one at the end first and then the one at the start; a
     path's own ends are used where a name is missing, and a name that is
     not at that end is rejected.  For an arc of the triangulation they pick
-    the notched ends and are inferred when the arc leaves one choice.  Every
+    the notched ends, two names must be the arc's own two ends, and they
+    are inferred when the arc leaves one choice.  Every
     loop path is built, and so checked for minimal position, before the
     first transfer sum runs.
     """
@@ -218,12 +219,15 @@ def _notched_sides(T: Triangulation, ref: TaggedArcRef, orientation: str,
         if not two:
             return [(gamma, _notched_puncture(T, gamma) if p is None else p)]
         _check_not_two_marked_closed(T)
+        ends = T._arc_ends.get(gamma, ())
         if p is None or q is None:
-            ends = T._arc_ends.get(gamma, ())
             if len(ends) != 2:
                 raise EndpointNotPuncture(
                     f"arc {gamma!r} does not join two punctures")
             p, q = ends
+        elif sorted((p, q)) != sorted(ends):
+            raise EndpointNotPuncture(
+                f"arc {gamma!r} does not join {p!r} and {q!r}")
         return [(gamma, p), (gamma, q)]
     start, end = _puncture_at(T, gamma.start), _puncture_at(T, gamma.end)
     loop = end is not None and start == end

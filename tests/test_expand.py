@@ -273,6 +273,21 @@ def test_double_notch_endpoints_inferred():
     assert a.poly == b.poly
 
 
+def test_double_notch_of_an_arc_of_t_takes_only_its_ends():
+    # arc 9 joins P2 and P3: named in either order they give one expansion,
+    # and a pair that is not its two ends is refused
+    from pathlib import Path
+    from surfcluster.cli import parse_surface
+    from surfcluster.snake import EndpointNotPuncture
+    data = Path(__file__).resolve().parent / "data"
+    T = parse_surface((data / "three_punctures.json").read_bytes())
+    assert expand_double_notch(T, "9", "P2", "P3").poly == \
+        expand_double_notch(T, "9", "P3", "P2").poly
+    for p, q in (("P2", "P2"), ("P3", "P3"), ("P1", "P2")):
+        with pytest.raises(EndpointNotPuncture, match="does not join"):
+            expand_double_notch(T, "9", p, q)
+
+
 def test_rejected_notched_arc_runs_no_transfer_sum(monkeypatch):
     # the loop around q of this walk's reversed side would recross arc 5 at
     # once: every loop path is checked before the first transfer sum
