@@ -6,9 +6,9 @@ text, or structured JSON with --json (expand, fpoly, gvector).  `--notch p`
 or `--notch p,q` notches an arc at the named punctures, matched to either
 end of a path in any order; it is the only way to pick the notched end of
 an arc of the triangulation whose ends are two different punctures.
-`mutate --sequence` and the bundle's `sequence`/`index` are 1-based.  On a
-mismatch `verify` prints the canonical text of expansion - oracle under the
-DIFFER line.
+`mutate --sequence` (ASCII integers, comma-separated) and the bundle's
+`sequence`/`index` are 1-based.  On a mismatch `verify` prints the canonical
+text of expansion - oracle under the DIFFER line.
 
 Exit codes: 0 ok, 1 parse error (unreadable file, bad JSON, wrong field or
 type), 2 validation error (including an index out of range), 3 computation
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from operator import neg
 from reprlib import repr as _show
@@ -419,12 +420,11 @@ def _dot(g) -> str:
 
 def _cmd_mutate(args) -> int:
     seed = parse_seed(_load(args.seed))
-    try:
-        ks = [int(x) for x in args.sequence.split(",")] if args.sequence else []
-    except ValueError:
+    items = args.sequence.split(",") if args.sequence else []
+    if not all(re.fullmatch(r"-?[0-9]+", x) for x in items):
         raise ParseError(f"--sequence: {args.sequence!r} is not a list of "
-                         "integers") from None
-    ks = [_index(k, seed.n, "--sequence") for k in ks]
+                         "integers")
+    ks = [_index(int(x), seed.n, "--sequence") for x in items]
     out = run_sequence(seed, ks)
     for i, x in enumerate(out.cluster):
         print(f"x{i+1} = {x.canonical_text()}")

@@ -263,6 +263,12 @@ def test_two_marked_closed_surface_exits_2(tmp_path, capsys):
 def test_notch_names_in_either_order(capsys):
     assert _two_punctures_expand(capsys, "q,p") == \
         _two_punctures_expand(capsys, "p,q")
+    # on an arc of T as well: arc 9 joins P2 and P3
+    key = "three_punctures.json arc9.json expand --notch P2,P3"
+    want = json.loads((DATA / "golden.json").read_text())["cli"][key]
+    assert main(["expand", "--surface", str(DATA / "three_punctures.json"),
+                 "--arc", str(DATA / "arc9.json"), "--notch", "P3,P2"]) == 0
+    assert capsys.readouterr().out == want["stdout"]
 
 
 def test_python_dash_m_runs_the_cli():
@@ -477,6 +483,10 @@ BAD_INPUTS = {
         tmp, [[0, "x"], [-1, 0]], ["1", "2"], "1")),
     "non-integer sequence entry": (EXIT_PARSE, lambda tmp: [
         "mutate", "--seed", SEED, "--sequence", "1,a"]),
+    "Arabic-Indic digit in the sequence": (EXIT_PARSE, lambda tmp: [
+        "mutate", "--seed", SEED, "--sequence", "\u0661"]),
+    "underscore in a sequence entry": (EXIT_PARSE, lambda tmp: [
+        "mutate", "--seed", SEED, "--sequence", "1_0"]),
     "vertices are not strings": (EXIT_PARSE, lambda tmp: _square_expand(
         tmp, _first_triangle(vertices=[{"a": 1}, [2], None]))),
     "one vertex name": (EXIT_PARSE, lambda tmp: _square_expand(
@@ -510,6 +520,9 @@ BAD_INPUTS = {
         tmp, [[0, 1], [-1, 0]], ["1"], "2")),
     "verify index out of range": (EXIT_VALIDATION,
                                   lambda tmp: _hexagon_index(tmp, 4)),
+    "arc of T notched twice at one end": (EXIT_VALIDATION, lambda tmp: [
+        "expand", "--surface", str(DATA / "three_punctures.json"),
+        "--arc", str(DATA / "arc9.json"), "--notch", "P2,P2"]),
     # surface rules: exit 2
     "puncture on the boundary": (EXIT_VALIDATION, _puncture_on_boundary),
     "negative genus": (EXIT_VALIDATION, lambda tmp: _square_topology(
