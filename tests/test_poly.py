@@ -198,6 +198,40 @@ def test_canonical_text_matches_the_straightforward_renderer(p):
     assert p.canonical_text() == text_oracle.canonical_text(p)
 
 
+# 19 x and 17 y variables: the ring's factor strings come in runs of
+# several digits, a run ends part-way through each kind and the y runs end
+# at an odd digit, next to the first x; exponents reach the packed range's
+# ends
+
+RUN_VARS = [xvar(f"r{i}") for i in range(19)] + \
+    [yvar(f"r{i}") for i in range(17)]
+EXTREME = 2 ** 31 - 1
+
+
+def _y_degree_fits(exps):
+    return abs(sum(e for v, e in exps.items() if v.kind == "y")) < 2 ** 31
+
+
+@st.composite
+def run_polys(draw):
+    out = L.const(draw(st.integers(-3, 3)))
+    for c, exps in draw(st.lists(st.tuples(
+            st.integers(-5, 5),
+            st.dictionaries(st.sampled_from(RUN_VARS),
+                            st.integers(-3, 3) | st.sampled_from(
+                                [EXTREME, -EXTREME]),
+                            max_size=10).filter(_y_degree_fits)),
+            max_size=8)):
+        out = out.add(L.monomial(c, exps))
+    return widened(out, draw(st.sampled_from([(), RUN_VARS])))
+
+
+@given(run_polys())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_canonical_text_across_runs_matches_the_straightforward_renderer(p):
+    assert p.canonical_text() == text_oracle.canonical_text(p)
+
+
 @pytest.mark.parametrize("p", [
     L.zero(), L.const(1), L.const(-7), L.var(xvar("a10"), -2),
     L.const(-3).mul(L.var(yvar("01"))), L.one().add(L.var(xvar("10"))),
