@@ -150,3 +150,9 @@ def test_pairs_summary_reads_medians_quartiles_ratios_and_wins():
     assert lines[3:] == [
         "passes abc: 30 31 29 30; host factors: 1.0 1.0 1.2 1.0",
         "passes tree: 33 31 36 34; host factors: 1.0312 1.0 0.9876 1.0"]
+    # with set-up launches, one more line of each side's median
+    launches = [(0.15, 0.16), (0.12, 0.14), (0.2, 0.13)]
+    lines = pairs.summarize(spec, runs, "abc", launches)
+    assert lines[:-1] == pairs.summarize(spec, runs, "abc")
+    assert lines[-1] == ("setup launches (3 per side): abc median 0.15 s, "
+                         "tree median 0.14 s, ratio 0.933")

@@ -1,17 +1,21 @@
 """Run the benchmark on a git revision and on the working tree in
 alternating pairs, and compare their end-to-end metrics.
 
-    python3 tools/pairs.py REV --workload W [--pairs 10] [--seconds 25] [--seed 1001]
+    python3 tools/pairs.py REV --workload W [--pairs 10] [--seconds 25] \
+        [--seed 1001] [--setup-launches 0]
 
-REV is checked out with `git worktree add --detach` into a temporary
-directory outside the repository, and the worktree is removed again in
-every case.  Pair i runs `perfbench/run.py --trace 0 --seed SEED+i` on both
-sides, REV first in even pairs and the working tree first in odd ones.  For
-each end-to-end metric of BENCHMARK.json it prints each side's median and
+REV's committed files are unpacked with `git archive` into a temporary
+directory outside the repository, which is removed again in every case.
+Pair i runs `perfbench/run.py --trace 0 --seed SEED+i` on both sides, REV
+first in even pairs and the working tree first in odd ones.  For each
+end-to-end metric of BENCHMARK.json it prints each side's median and
 quartiles, the ratio of the medians (tree / REV) and the pairs the tree won
 in the metric's `better` direction (a tie counts for neither side), then
-each run's pass count and host factor.  Exits 1, after the run's output, as
-soon as a run exits non-zero or reads `correct: false`.  Stdlib only.
+each run's pass count and host factor.  With --setup-launches N it then
+launches `perfbench/run.py --setup-only` N times per side, alternating, and
+prints each side's median time from launch to "ready" (what a `setup_s`
+probe measures).  Exits 1, after the run's output, as soon as a run exits
+non-zero or reads `correct: false`.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,14 +56,30 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
+def launch_setup(tree: Path, workload: str, seed: int) -> float:
+    """Seconds from launching `run.py --setup-only` until it prints
+    "ready"; raises RuntimeError if it fails."""
+    t0 = perf_counter()
+    with subprocess.Popen(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", "0", "--setup-only"],
+            cwd=tree, stdout=subprocess.PIPE, text=True) as proc:
+        line = proc.stdout.readline()
+        elapsed = perf_counter() - t0
+    if proc.returncode or line.strip() != "ready":
+        raise RuntimeError(f"{tree}: set-up launch exited {proc.returncode}")
+    return elapsed
+
+
 def _spread(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") \
         if len(values) > 1 else values * 3
     return f"{median:.6g} ({q1:.6g}-{q3:.6g})", median
 
 
-def summarize(end_to_end, pairs, rev: str = "REV"):
-    """The report lines for (REV record, tree record) pairs."""
+def summarize(end_to_end, pairs, rev: str = "REV", launches=()):
+    """The report lines for (REV record, tree record) pairs and (REV
+    seconds, tree seconds) set-up launches."""
     out = [f"{'metric':<12} {'unit':<4} {rev + ' median (q1-q3)':>30} "
            f"{'tree median (q1-q3)':>30} {'ratio':>7} {'won':>6}"]
     for m in end_to_end:
@@ -76,6 +97,11 @@ def summarize(end_to_end, pairs, rev: str = "REV"):
                    + " ".join(str(p[i]["passes"]) for p in pairs)
                    + "; host factors: "
                    + " ".join(str(p[i]["host_factor"]) for p in pairs))
+    if launches:
+        a, b = (statistics.median(side) for side in zip(*launches))
+        out.append(f"setup launches ({len(launches)} per side): {rev} "
+                   f"median {a:.4g} s, tree median {b:.4g} s, "
+                   f"ratio {b / a:.3f}")
     return out
 
 
@@ -86,39 +112,50 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--seed", type=int, default=1001)
+    ap.add_argument("--setup-launches", type=int, default=0)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     # a terminated run still unwinds: the running benchmark is killed and
-    # the worktree removed
+    # the temporary directory removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     with tempfile.TemporaryDirectory() as tmp:
         other = Path(tmp) / "rev"
-        add = subprocess.run(["git", "worktree", "add", "--detach",
-                              str(other), args.rev], cwd=ROOT,
-                             capture_output=True, text=True)
-        if add.returncode:
-            ap.error(f"cannot check out {args.rev}: {add.stderr.strip()}")
-        try:
-            pairs = []
-            for i in range(args.pairs):
-                seed = args.seed + i
-                sides = [other, ROOT] if i % 2 == 0 else [ROOT, other]
-                runs = {}
-                for tree in sides:
-                    record = run_once(tree, args.workload, seed, args.seconds)
-                    side = args.rev if tree == other else "tree"
-                    if "error" in record:
-                        print(f"{side} seed {seed}: {record['error']}",
-                              file=sys.stderr)
-                        return 1
-                    runs[tree] = record
-                pairs.append((runs[other], runs[ROOT]))
-                print(f"pair {i + 1}/{args.pairs} seed {seed} done",
-                      file=sys.stderr, flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(other)], cwd=ROOT, capture_output=True)
-    print("\n".join(summarize(spec["end_to_end"], pairs, args.rev[:12])))
+        other.mkdir()
+        archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT,
+                                 capture_output=True)
+        if archive.returncode:
+            ap.error(f"cannot check out {args.rev}: "
+                     f"{archive.stderr.decode(errors='replace').strip()}")
+        subprocess.run(["tar", "-x", "-C", str(other)], input=archive.stdout,
+                       check=True)
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            sides = [other, ROOT] if i % 2 == 0 else [ROOT, other]
+            runs = {}
+            for tree in sides:
+                record = run_once(tree, args.workload, seed, args.seconds)
+                side = args.rev if tree == other else "tree"
+                if "error" in record:
+                    print(f"{side} seed {seed}: {record['error']}",
+                          file=sys.stderr)
+                    return 1
+                runs[tree] = record
+            pairs.append((runs[other], runs[ROOT]))
+            print(f"pair {i + 1}/{args.pairs} seed {seed} done",
+                  file=sys.stderr, flush=True)
+        launches = []
+        for i in range(args.setup_launches):
+            sides = [other, ROOT] if i % 2 == 0 else [ROOT, other]
+            try:
+                times = {tree: launch_setup(tree, args.workload, args.seed)
+                         for tree in sides}
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+            launches.append((times[other], times[ROOT]))
+    print("\n".join(summarize(spec["end_to_end"], pairs, args.rev[:12],
+                              launches)))
     return 0
 
 
