@@ -112,7 +112,7 @@ _CHUNKS = re.compile(r"(\d+)|(\D+)")
 _BITS = 32
 _BIG_ENDIAN = sys.byteorder == "big"
 _LIMIT = 1 << (_BITS - 1)     # every digit satisfies |e| < _LIMIT
-_RUN = 8                      # digits per factor string in canonical text
+_RUN = 8                      # most digits per cached factor string
 _BLOCK = 256                  # keys rendered per block
 
 
