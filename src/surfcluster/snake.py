@@ -13,10 +13,10 @@ one integer `a` besides its `rel`.  The earlier copy's two other sides go
 in slots a and a + 1, the later copy's in a + 2 and a + 3; each pair runs
 counterclockwise from the diagonal when rel = +1 and clockwise when
 rel = -1.  Tile 0 has a = 0 and rel = +1, so a path has one drawing.
-Tile k+1 is entered through the slot opposite tile k's exit, and the side
-of its earlier copy glued there fixes its a.  The fewest quarter turns
-that make every exit N or E are then added to every a, so the drawing
-steps only up (U) or right (R).
+Tile k+1 is entered through the slot opposite tile k's exit, and opposite
+rels put the glued side at the same end of both its pairs, so every tile
+has tile 0's a, turned by t: the fewest quarter turns that make every exit
+N or E, so the drawing steps only up (U) or right (R).
 
 Gluing is by slot.  Tile k+1's entry slot (S after an upward step U, W after
 a step right R) is tile k's exit slot (N or E): one interior edge.  The two
@@ -228,31 +228,28 @@ def build_tiles(T: Triangulation, path: CrossingPath):
     arithmetic (see the module docstring)."""
     strip, spans = build_strip(T, path)
     rel = 1
-    placed = []                          # (diagonal, rel, a, labels from slot a)
+    placed = []                          # (diagonal, rel, labels from slot a)
     exits: List[int] = []                # the slot of tile k glued to tile k+1
-    # tile k sits between strip[k] and strip[k+1]
-    for k, ((low, en, ex), (up, uen, uex)) in enumerate(zip(strip, strip[1:])):
-        lower, upper = _pair(ex, rel), _pair(uen, rel)
-        # the glue edges are the third sides of the strip triangles
-        a = (exits[-1] + 2 - lower.index(3 - en - ex)) % 4 if k else 0
+    # tile k sits between strip[k] and strip[k+1]; its glue edges carry the
+    # third sides of the strip triangles
+    for (low, _, ex), (up, uen, uex) in zip(strip, strip[1:]):
+        upper = _pair(uen, rel)
         if uex is not None:
-            exits.append((a + 2 + upper.index(3 - uen - uex)) % 4)
-        placed.append((low[ex], rel, a,
-                       [low[i] for i in lower] + [up[i] for i in upper]))
+            exits.append(2 + upper.index(3 - uen - uex))
+        placed.append((low[ex], rel, [low[i] for i in _pair(ex, rel)]
+                       + [up[i] for i in upper]))
         rel = -rel
-    # Opposite rels put a glued side at the same end of both pairs, so every
-    # tile gets tile 0's a and every exit is a + 2 or a + 3: some turn puts
-    # both in E (1) or N (2).
+    # every tile has tile 0's a, so every exit is 2 or 3: some turn t puts
+    # both in E (1) or N (2)
     t = next(t for t in range(4) if all((e + t) % 4 in (1, 2) for e in exits))
     glue = ["U" if (e + t) % 4 == 2 else "R" for e in exits]
+    order = _SLOTS[t:] + _SLOTS[:t]
     tiles: List[Tile] = []
     x = y = 0
-    for k, (diag, rel, a, labels) in enumerate(placed):
+    for k, (diag, rel, labels) in enumerate(placed):
         if k:
             x, y = (x, y + 1) if glue[k - 1] == "U" else (x + 1, y)
-        a = (a + t) % 4
-        tiles.append(Tile(diag, rel, (x, y), a,
-                          dict(zip(_SLOTS[a:] + _SLOTS[:a], labels))))
+        tiles.append(Tile(diag, rel, (x, y), t, dict(zip(order, labels))))
     return tiles, glue, spans
 
 

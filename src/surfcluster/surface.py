@@ -20,9 +20,10 @@ never in a module-level cache.  The arc and boundary label sets behind
 corner walk and the corner orbits are built with it, as validating a surface
 reads all of them; so are each triangle's side set, the self-folded
 triangles and the vertex slots that resolve, from which `validate_path`
-checks a path in one pass.  The same pass keeps what notched arcs and tag
-switching read about punctures: each corner's vertex name, the first corner
-that names each vertex (where `arcs_around_puncture` starts its walk), the
+checks a path, self-folded patterns included, in one pass over its
+crossings.  Building T also keeps what notched arcs and tag switching read
+about punctures: each corner's vertex name, the first corner that names
+each vertex (where `arcs_around_puncture` starts its walk), the
 self-folded triangle around each puncture and the puncture ends of each
 arc, so no module scans the triangles for a puncture.  Each edge label's
 weight map with its packed key, and each diagonal's packed phi key, all in
@@ -245,6 +246,8 @@ class Triangulation:
 
     def vertex_name(self, tri: int, slot: str) -> Optional[str]:
         """Resolve a vertex slot to its global name, when known."""
+        if not 0 <= tri < len(self.triangles):
+            raise SurfaceError(f"triangle index {tri} out of range")
         t = self.triangles[tri]
         if isinstance(t, SelfFolded):
             if slot in ("puncture", "base"):
@@ -499,16 +502,21 @@ def validate_path(T: Triangulation, path: CrossingPath) -> List[str]:
     """Check local validity of a crossing path; empty list when ok.  One
     pass over the crossings, by membership in T's tables; a triangle index
     out of range is the only problem reported, else end slots and the end
-    triangle come first, then crossings, re-entries, self-folded patterns."""
+    triangle come first, then crossings, re-entries, self-folded patterns.
+
+    A radius crossing must sit inside a loop-radius-loop pass and carry a
+    wind, no other crossing may; a bare loop crossing must continue to (or
+    come from) the enclosed puncture."""
     ntri, sides, folded = len(T.triangles), T._sides, T._self_folded
+    crossings, d = path.crossings, len(path.crossings)
     (prev, _), (last, _) = path.start, path.end
     if not 0 <= prev < ntri:
         return [f"triangle index {prev} out of range"]
     v: List[str] = []
     again: List[str] = []        # each triangle is left by another side
-    label, wound = None, False
-    for j, c in enumerate(path.crossings):
-        arc, tri = c.arc, c.to_triangle
+    patterns: List[str] = []     # passes through self-folded triangles
+    label = None
+    for j, (arc, tri, wind) in enumerate(crossings):
         if not 0 <= tri < ntri:
             return [f"triangle index {tri} out of range"]
         if arc in T._boundary_set:
@@ -525,7 +533,30 @@ def validate_path(T: Triangulation, path: CrossingPath) -> List[str]:
                 v.append(f"crossing {j}: {arc!r} is not a side of triangle {tri} it enters")
         if tri == prev and j and prev not in folded:
             again.append(f"crossing {j}: re-enters ordinary triangle {tri} immediately")
-        label, prev, wound = arc, tri, wound or c.wind is not None
+        if folded or wind is not None:
+            after = crossings[j + 1].arc if j + 1 < d else None
+            sf = T._radii.get(arc)
+            if sf is not None:
+                if label != sf.loop or after != sf.loop:
+                    patterns.append(f"crossing {j}: radius {arc!r} not "
+                                    "flanked by loop crossings")
+                if wind not in ("ccw", "cw"):
+                    patterns.append(f"crossing {j}: radius crossing needs "
+                                    "wind 'ccw' or 'cw'")
+            elif wind is not None:
+                patterns.append(f"crossing {j}: wind on {arc!r}, which is "
+                                "not a radius")
+            sf = T._loops.get(arc)
+            # a bare loop crossing is the first or the last, its end at
+            # sf's puncture (`t in folded` also range-checks the end)
+            if sf is not None and sf.radius not in (label, after) and not any(
+                    k == j and s == "puncture" and t in folded
+                    and T.triangles[t] is sf
+                    for k, (t, s) in ((0, path.start), (d - 1, path.end))):
+                patterns.append(f"crossing {j}: loop {arc!r} crossed without "
+                                "radius or terminal puncture (self-folded "
+                                "pattern)")
+        label, prev = arc, tri
     if not 0 <= last < ntri:
         return [f"triangle index {last} out of range"]
     head: List[str] = []
@@ -537,44 +568,4 @@ def validate_path(T: Triangulation, path: CrossingPath) -> List[str]:
                 head.append(f"{what}: {exc}")
     if last != prev:
         head.append("end triangle differs from the last entered triangle")
-    v = head + v + again
-    if folded or wound:
-        v.extend(_check_self_folded_patterns(T, path))
-    return v
-
-
-def _check_self_folded_patterns(T: Triangulation, path: CrossingPath) -> List[str]:
-    """Radius crossings must sit inside loop-radius-loop passes and carry a
-    wind, no other crossing may; a bare loop crossing must continue to (or
-    come from) the enclosed puncture."""
-    v: List[str] = []
-    arcs = path.crossed_arcs()
-    d = len(arcs)
-    for j, c in enumerate(path.crossings):
-        sf = T.radius_triangle(c.arc)
-        if sf is not None:
-            prev_ok = j > 0 and arcs[j - 1] == sf.loop
-            next_ok = j + 1 < d and arcs[j + 1] == sf.loop
-            if not (prev_ok and next_ok):
-                v.append(f"crossing {j}: radius {c.arc!r} not flanked by loop crossings")
-            if c.wind not in ("ccw", "cw"):
-                v.append(f"crossing {j}: radius crossing needs wind 'ccw' or 'cw'")
-        elif c.wind is not None:
-            v.append(f"crossing {j}: wind on {c.arc!r}, which is not a radius")
-        sf = T.loop_triangle(c.arc)
-        if sf is not None:
-            # after crossing the loop inward we must either cross the radius
-            # next or terminate at the enclosed puncture (and symmetrically).
-            inward_next = j + 1 < d and arcs[j + 1] == sf.radius
-            inward_prev = j > 0 and arcs[j - 1] == sf.radius
-            if not (inward_next or inward_prev):
-                idx = T.triangles.index(sf)
-                ends_here = (j == d - 1 and path.end[0] == idx
-                             and path.end[1] == "puncture")
-                starts_here = (j == 0 and path.start[0] == idx
-                               and path.start[1] == "puncture")
-                if not (ends_here or starts_here):
-                    v.append(
-                        f"crossing {j}: loop {c.arc!r} crossed without radius "
-                        "or terminal puncture (self-folded pattern)")
-    return v
+    return head + v + again + patterns

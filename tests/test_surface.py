@@ -278,6 +278,22 @@ def test_validate_path_wind_only_on_radius_crossings():
                                          (1, "d"))) == []
 
 
+@pytest.mark.parametrize("T", [square(), digon()],
+                         ids=["ordinary last", "self-folded last"])
+def test_vertex_name_refuses_a_triangle_index_out_of_range(T):
+    # -1 must not read the last triangle, nor len(T.triangles) raise a
+    # bare IndexError
+    n = len(T.triangles)
+    for tri in (0, n - 1):
+        t = T.triangles[tri]
+        slot = "puncture" if isinstance(t, SelfFolded) else t.sides[0]
+        assert T.vertex_name(tri, slot) is not None
+        for out in (-1, n):
+            with pytest.raises(SurfaceError,
+                               match=f"^triangle index {out} out of range$"):
+                T.vertex_name(out, slot)
+
+
 def test_validate_path_bare_loop_crossing():
     T = example_surface()
     p = CrossingPath((0, "l"), (Crossing("l", 1), ), (1, "base"))
@@ -325,11 +341,19 @@ def test_validate_path_matches_the_three_pass_oracle(name):
             crossings[j] = crossings[j]._replace(
                 **{what: rng.choice(choices)})
             cases.append(CrossingPath(path.start, tuple(crossings), path.end))
+        # one end moved to a triangle in or just out of range, at one of
+        # its sides, "puncture", "base" or a bogus slot
+        ends = [path.start, path.end]
+        tri = rng.randrange(-1, ntri + 1)
+        slots = [*(T.triangle_sides(tri) if 0 <= tri < ntri else ()),
+                 "puncture", "base", "no such slot"]
+        ends[rng.randrange(2)] = (tri, rng.choice(slots))
+        cases.append(CrossingPath(ends[0], path.crossings, ends[1]))
         for p in cases:
             want = path_oracle.validate_path(T, p)
             assert validate_path(T, p) == want, p
             invalid += bool(want)
-    assert 0 < invalid < 4 * len(paths)
+    assert 0 < invalid < 5 * len(paths)
 
 
 @pytest.mark.parametrize("T", ALL_FIXTURES + [

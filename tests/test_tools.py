@@ -156,3 +156,28 @@ def test_pairs_summary_reads_medians_quartiles_ratios_and_wins():
     assert lines[:-1] == pairs.summarize(spec, runs, "abc")
     assert lines[-1] == ("setup launches (3 per side): abc median 0.15 s, "
                          "tree median 0.14 s, ratio 0.933")
+
+
+@pytest.mark.parametrize("code, correct, error", [
+    (0, True, False), (1, True, True), (0, False, True)])
+def test_pairs_run_once_reads_a_stub_benchmark(tmp_path, code, correct,
+                                               error):
+    # a stand-in perfbench/run.py that prints run.py's lines, echoes its
+    # arguments in the final JSON and exits with the given code
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "print('workload w  seed 5  passes 17  items/pass 3')\n"
+        "print('  raw pass times 0.1000 0.1010')\n"
+        "print('  host factor 1.0312 (reference loop median 1.0 ms)')\n"
+        f"print(json.dumps({{'correct': {correct}, 'failed': 0, "
+        "'argv': sys.argv[1:]}))\n"
+        f"sys.exit({code})\n")
+    record = _load("pairs").run_once(tmp_path, "w", 5, 0.5, 1)
+    assert record["passes"] == 17 and record["host_factor"] == 1.0312
+    assert record["correct"] is correct
+    assert record["argv"] == ["--workload", "w", "--seed", "5",
+                              "--seconds", "0.5", "--trace", "1"]
+    assert ("error" in record) is error
+    if error:
+        assert record["error"].startswith(f"exit {code}\n")

@@ -6,9 +6,9 @@ The snapshot holds, all measured on the same source tree:
 
 - for each workload of BENCHMARK.json, the last line of standard output of
   `perfbench/run.py` with `--trace 0` and with `--trace 1`, plus the host
-  factor and the number of passes that run printed (read `peak_rss_mb`
-  against the passes: every pass adds its operation times to the run's
-  tally);
+  factor and the number of passes that run printed, as `tools/pairs.py`
+  reads them (read `peak_rss_mb` against the passes: every pass adds its
+  operation times to the run's tally);
 - the non-blank line count of src/surfcluster/*.py, as `tools/loc.py`
   counts it;
 - the wall time and summary line of the tier-1 suite;
@@ -16,7 +16,8 @@ The snapshot holds, all measured on the same source tree:
 
 Every benchmark run uses seed 1 and 25 s, as the README's benchmark commands
 do.  Commands run one at a time from the root of the checkout.  A benchmark run
-that exits non-zero (a wrong output) stops the snapshot.
+that exits non-zero or reads `correct: false` stops the snapshot with exit
+code 1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ import sys
 import time
 from pathlib import Path
 
-import loc  # tools/loc.py: this script's directory is on sys.path
+# tools/loc.py and tools/pairs.py: this script's directory is on sys.path
+import loc
+import pairs
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "surfcluster").glob("*.py"))
@@ -39,9 +42,9 @@ SEED = 1
 SECONDS = 25
 
 
-def _run(cmd, **kwargs) -> str:
+def _run(cmd) -> str:
     return subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                          check=True, **kwargs).stdout
+                          check=True).stdout
 
 
 def _tier1() -> dict:
@@ -72,19 +75,11 @@ def main(argv=None) -> int:
     workloads = {}
     for w in bench["workloads"]:
         for trace in (0, 1):
-            out = _run([sys.executable, *bench["command"][1:],
-                        "--workload", w["name"], "--seed", str(SEED),
-                        "--seconds", str(SECONDS),
-                        "--trace", str(trace)]).strip().splitlines()
-            result = json.loads(out[-1])
-            # the host-speed factor the times were divided by (run.py)
-            result["host_factor"] = next(
-                (float(line.split()[2]) for line in out
-                 if line.split()[:2] == ["host", "factor"]), None)
-            # the passes that ran, from run.py's first line: the Tally
-            # keeps every operation's time, so peak_rss_mb grows with them
-            first = out[0].split()
-            result["passes"] = int(first[first.index("passes") + 1])
+            result = pairs.run_once(ROOT, w["name"], SEED, SECONDS, trace)
+            if "error" in result:
+                print(f"{w['name']} --trace {trace}: {result['error']}",
+                      file=sys.stderr)
+                return 1
             workloads.setdefault(w["name"], {})[f"trace{trace}"] = result
 
     snapshot = {

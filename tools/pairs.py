@@ -34,12 +34,15 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its final JSON object plus its pass count and
-    host factor, or "error" with the reason it failed."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One benchmark run at the given trace level: its final JSON object
+    plus its pass count and host factor, and "error" with the reason if it
+    exited non-zero or read `correct: false`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
@@ -134,7 +137,7 @@ def main(argv=None) -> int:
             sides = [other, ROOT] if i % 2 == 0 else [ROOT, other]
             runs = {}
             for tree in sides:
-                record = run_once(tree, args.workload, seed, args.seconds)
+                record = run_once(tree, args.workload, seed, args.seconds, 0)
                 side = args.rev if tree == other else "tree"
                 if "error" in record:
                     print(f"{side} seed {seed}: {record['error']}",
