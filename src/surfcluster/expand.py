@@ -55,8 +55,7 @@ from .matchings import (
     phi_specialize,
     strip_rules,
     strip_sum,
-    x_exps_of_labels,
-    x_of_label,
+    x_of_labels,
 )
 from .mutation import f_from_x
 from .snake import EndpointNotPuncture, build_loop_path, build_tiles
@@ -126,14 +125,14 @@ def crossing_monomial(T: Triangulation, path: Union[CrossingPath, str],
     labels = list(path.crossed_arcs()) if isinstance(path, CrossingPath) else []
     for p in punctures:
         labels.extend(arcs_around_puncture(T, p))
-    return _keys(T)[0].monomial(x_exps_of_labels(T, labels))
+    return x_of_labels(T, labels)
 
 
 def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str]) -> Expansion:
     """The transfer sum of an ordinary arc; an arc of the triangulation is
     its own variable."""
     if isinstance(gamma, str):
-        return Expansion(x_of_label(T, gamma), LaurentPoly.one(), 1)
+        return Expansion(x_of_labels(T, [gamma]), LaurentPoly.one(), 1)
     tiles, glue, _ = build_tiles(T, gamma)
     # every perfect matching adds one monomial with coefficient 1
     acc = strip_sum(*strip_rules(T, tiles, glue))
@@ -162,10 +161,11 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
     punctures, the one at the end first and then the one at the start; a
     path's own ends are used where a name is missing, and a name that is
     not at that end is rejected.  For an arc of the triangulation they pick
-    the notched ends, two names must be the arc's own two ends, and they
-    are inferred when the arc leaves one choice.  Every
-    loop path is built, and so checked for minimal position, before the
-    first transfer sum runs.
+    the notched ends: one notch's end is inferred when the arc leaves one
+    choice, and with two notches each given name must be one of the arc's
+    two ends and a missing one is the other end.  Every loop path is
+    built, and so checked for minimal position, before the first transfer
+    sum runs.
     """
     if orientation not in ("ccw", "cw"):
         raise ValueError(f"orientation must be 'ccw' or 'cw', not "
@@ -219,15 +219,18 @@ def _notched_sides(T: Triangulation, ref: TaggedArcRef, orientation: str,
         if not two:
             return [(gamma, _notched_puncture(T, gamma) if p is None else p)]
         _check_not_two_marked_closed(T)
-        ends = T._arc_ends.get(gamma, ())
-        if p is None or q is None:
-            if len(ends) != 2:
-                raise EndpointNotPuncture(
-                    f"arc {gamma!r} does not join two punctures")
-            p, q = ends
-        elif sorted((p, q)) != sorted(ends):
+        ends = T._arc_ends.get(gamma, [])
+        if len(ends) != 2:
             raise EndpointNotPuncture(
-                f"arc {gamma!r} does not join {p!r} and {q!r}")
+                f"arc {gamma!r} does not join two punctures")
+        given, rest = [r for r in (p, q) if r is not None], list(ends)
+        for r in given:
+            if r not in rest:
+                raise EndpointNotPuncture(f"arc {gamma!r} does not join "
+                                          + " and ".join(map(repr, given)))
+            rest.remove(r)
+        p = rest.pop(0) if p is None else p
+        q = rest.pop(0) if q is None else q
         return [(gamma, p), (gamma, q)]
     start, end = _puncture_at(T, gamma.start), _puncture_at(T, gamma.end)
     loop = end is not None and start == end

@@ -45,11 +45,12 @@ a fixed monomial times one monomial per edge of P.  The matching sum of an
 ordinary arc therefore needs no graph: `strip_rules` reads each tile that
 `snake.build_tiles` places as one (covered in, covered out, packed key)
 per rule of its shape, and `strip_sum` folds them with one polynomial per
-state, at a cost of tiles × states × terms.  Each label's weight and phi
-of each arc's height are packed once per triangulation, in T's ring and in
-one key table kept on T (`_keys`); a key adds the weight and height of a
-slot, and a monomial built here (`x_of_label`, `phi_specialize`) lies in
-T's ring too.
+state, at a cost of tiles × states × terms.  Each label's weight, and
+phi of each arc's height, is packed once per triangulation as one key in
+T's ring, in a key table kept on T (`_keys`).  A slot's key adds its
+weight and height, a product of weights is the sum of its label keys
+(`x_of_labels`), and a monomial built here (`x_of_labels`,
+`phi_specialize`) lies in T's ring too.
 
 Enumeration runs the same DP on a graph: `enumerate_matchings` keys each
 slot by the bit of its edge id (`_rules` sums the slot keys of each rule,
@@ -64,6 +65,7 @@ off the glue, so the strip sum's count is checked.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, repeat
 from operator import add
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -80,7 +82,7 @@ __all__ = [
     "minimal_maximal",
     "height_exponents",
     "phi_specialize",
-    "x_of_label",
+    "x_of_labels",
     "outer_slots",
     "strip_rules",
     "strip_sum",
@@ -205,45 +207,29 @@ def height_exponents(g: SnakeGraph, P: Matching) -> Dict[str, int]:
 def phi_exps(m: Dict[str, int], T: Triangulation) -> Dict:
     """Exponent map of the specialized height monomial: radii become
     y_r / y_notched, loops become y_notched, everything else stays y_arc."""
-    exps: Dict = {}
-
-    def bump(name: str, e: int) -> None:
-        v = yvar(name)
-        ne = exps.get(v, 0) + e
-        if ne:
-            exps[v] = ne
-        else:
-            exps.pop(v, None)
-
+    exps: Counter = Counter()
     for label, e in m.items():
-        if e == 0:
-            continue
         sf = T.loop_triangle(label)
         if sf is not None:
-            bump(T.notched_twin(sf.radius), e)
+            exps[yvar(T.notched_twin(sf.radius))] += e
             continue
-        sf = T.radius_triangle(label)
-        if sf is not None:
-            bump(label, e)
-            bump(T.notched_twin(label), -e)
-            continue
-        bump(label, e)
-    return exps
+        exps[yvar(label)] += e
+        if T.radius_triangle(label) is not None:
+            exps[yvar(T.notched_twin(label))] -= e
+    return {v: e for v, e in exps.items() if e}
 
 
 def phi_specialize(m: Dict[str, int], T: Triangulation) -> LaurentPoly:
     return _keys(T)[0].monomial(phi_exps(m, T))
 
 
-def _keys(T: Triangulation) -> Tuple[Ring, Dict[str, Tuple[Dict, int]],
-                                     Dict[str, int]]:
+def _keys(T: Triangulation) -> Tuple[Ring, Dict[str, int], Dict[str, int]]:
     """T's key table (ring, weights, phis), built on the first call and
-    kept on T: each label's weight as (exponent map, packed key) and each
-    arc's phi of height 1 as a packed key, all in T's ring, that of the x
-    and y variables of all T's tagged names.  Boundary segments weigh 1,
-    self-folded loops weigh radius times notched twin; phi is linear, so
-    height -1 packs to its negative.  The maps are shared and must not be
-    changed."""
+    kept on T: each label's weight and each arc's phi of height 1 as one
+    packed key, in T's ring, that of the x and y variables of all T's
+    tagged names.  Boundary segments weigh 1, self-folded loops weigh
+    radius times notched twin; keys add as their monomials multiply, and
+    phi is linear, so height -1 packs to its negative."""
     if T.key_table is None:
         ring = ring_of(make(name) for name in T.tagged_names()
                        for make in (xvar, yvar))
@@ -256,29 +242,25 @@ def _keys(T: Triangulation) -> Tuple[Ring, Dict[str, Tuple[Dict, int]],
                 exps = {xvar(sf.radius): 1, xvar(T.notched_twin(sf.radius)): 1}
             else:
                 exps = {xvar(label): 1}
-            weights[label] = (exps, ring.pack(exps))
+            weights[label] = ring.pack(exps)
         phis = {arc: ring.pack(phi_exps({arc: 1}, T)) for arc in T.arcs}
         object.__setattr__(T, "key_table", (ring, weights, phis))
     return T.key_table
 
 
-def x_of_label(T: Triangulation, label: str) -> LaurentPoly:
+def x_of_labels(T: Triangulation, labels: Sequence[str]) -> LaurentPoly:
+    """The product of the labels' weights, in T's ring: the sum of their
+    keys.  A weight's exponents are 0 or 1, so len(labels) bounds the
+    product's."""
     ring, weights, _ = _keys(T)
-    return ring.monomial(weights[label][0])
-
-
-def x_exps_of_labels(T: Triangulation, labels: Iterable[str]) -> Dict:
-    """Exponent map of the product of the labels' weights."""
-    weights = _keys(T)[1]
-    out: Dict = {}
-    for label in labels:
-        for v, e in weights[label][0].items():
-            out[v] = out.get(v, 0) + e
-    return out
+    return LaurentPoly.from_packed(
+        {sum(map(weights.__getitem__, labels)): 1}, len(labels), ring)
 
 
 def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
-    return x_exps_of_labels(T, (g.edges[eid].label for eid in edges))
+    """Exponent map of the product of the edges' label weights."""
+    ring, weights, _ = _keys(T)
+    return dict(ring.expvec(sum(weights[g.edges[eid].label] for eid in edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +289,7 @@ def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str]
     _, weights, phis = _keys(T)
     start, slot_keys = 0, []
     for tile, (outer, minus) in zip(tiles, outer_slots(tiles, glue)):
-        keys = {s: weights[label][1] for s, label in tile.slots.items()}
+        keys = {s: weights[label] for s, label in tile.slots.items()}
         phi = phis[tile.diagonal]
         if minus:
             start += phi
@@ -379,73 +361,47 @@ def matching_count(glue: Sequence[str]) -> int:
 Role = Tuple[int, str, int]
 
 
-def _role_sets(lg: LoopGraph, P: Matching, which: int) -> Dict[Role, int]:
-    roles = lg.end_roles[which]
-    return {roles[e]: e for e in P if e in roles}
-
-
-def _v_roles(lg: LoopGraph) -> set:
-    return {(lg.d - 1, "upper", 0), (lg.d - 1, "upper", 1)}
-
-
 def gamma_symmetric_filter(lg: LoopGraph, matchings: Iterable[Matching]) -> List[Matching]:
     """Matchings whose restrictions to the two trimmed ends agree under the
-    structural end isomorphism."""
-    vr = _v_roles(lg)
-    out = []
-    for P in matchings:
-        r1 = set(_role_sets(lg, P, 1)) - vr
-        r2 = set(_role_sets(lg, P, 2)) - vr
-        if r1 == r2:
-            out.append(P)
-    return out
-
-
-def _end_vertices(lg: LoopGraph, which: int) -> set:
-    g = lg.graph
-    rng = range(lg.d) if which == 1 else range(lg.d + lg.e_p, g.d)
-    return {g.vertex_of[(t, c)] for t in rng for c in ("SW", "SE", "NE", "NW")}
+    structural end isomorphism, the two roles of tile d - 1's upper side
+    exempt."""
+    exempt = {(lg.d - 1, "upper", 0), (lg.d - 1, "upper", 1)}
+    r1, r2 = lg.end_roles[1], lg.end_roles[2]
+    return [P for P in matchings
+            if {r1[e] for e in P if e in r1} - exempt ==
+            {r2[e] for e in P if e in r2} - exempt]
 
 
 def perfect_end_restriction(lg: LoopGraph, P: Matching) -> Tuple[int, Dict[Role, int]]:
     """The end on which P restricts to a perfect matching, with the roles of
     the restricted edges.  Raises when neither end works."""
     g = lg.graph
-    for which in (1, 2):
+    for which, tiles in ((1, range(lg.d)), (2, range(lg.d + lg.e_p, g.d))):
         roles = lg.end_roles[which]
         restr = [e for e in P if e in roles]
-        cover: Dict[int, int] = {}
-        for e in restr:
-            for v in g.edge_vertices(g.edges[e]):
-                cover[v] = cover.get(v, 0) + 1
-        vs = _end_vertices(lg, which)
-        if all(cover.get(v, 0) == 1 for v in vs) and \
-                all(v in vs for v in cover):
+        cover = Counter(v for e in restr for v in g.edge_vertices(g.edges[e]))
+        vs = {g.vertex_of[(t, c)] for t in tiles
+              for c in ("SW", "SE", "NE", "NW")}
+        if cover.keys() == vs and all(n == 1 for n in cover.values()):
             return which, {roles[e]: e for e in restr}
     raise NotAMatching("matching restricts to a perfect matching on neither end")
 
 
 def compatible_pairs(lp: LoopGraph, lq: LoopGraph,
-                     sym_p: Optional[List[Matching]] = None,
-                     sym_q: Optional[List[Matching]] = None, *,
-                     roles_p: Optional[Dict[Matching, Dict[Role, int]]] = None,
-                     roles_q: Optional[Dict[Matching, Dict[Role, int]]] = None,
+                     roles_p: Dict[Matching, Dict[Role, int]],
+                     roles_q: Dict[Matching, Dict[Role, int]]
                      ) -> List[Tuple[Matching, Matching]]:
     """Pairs of symmetric matchings whose perfect end restrictions agree.
 
     lp is the loop graph of the arc oriented toward its first puncture and lq
     the one of the reversed arc, so lq's canonical tile order is flipped
-    before comparing.  The restriction roles of each symmetric matching, as
-    `perfect_end_restriction` gives them, may be passed in `roles_p` and
-    `roles_q`; missing ones are computed.
+    before comparing.  `roles_p` and `roles_q` map each symmetric matching
+    of lp and of lq to the roles of its perfect end restriction, as
+    `perfect_end_restriction` gives them; pairs follow their order.
     """
     if lp.d != lq.d:
         raise SurfaceError("loop graphs come from different arcs")
     d = lp.d
-    if sym_p is None:
-        sym_p = gamma_symmetric_filter(lp, enumerate_matchings(lp.graph))
-    if sym_q is None:
-        sym_q = gamma_symmetric_filter(lq, enumerate_matchings(lq.graph))
 
     def flip(role: Role) -> Role:
         if role[0] == "glue":
@@ -453,22 +409,8 @@ def compatible_pairs(lp: LoopGraph, lq: LoopGraph,
         t, tri, r = role
         return (d - 1 - t, "upper" if tri == "lower" else "lower", r)
 
-    def restricted(lg, given, P):
-        if given is not None and P in given:
-            return given[P]
-        return perfect_end_restriction(lg, P)[1]
-
-    def key_p(P):
-        return frozenset(restricted(lp, roles_p, P))
-
-    def key_q(P):
-        return frozenset(flip(r) for r in restricted(lq, roles_q, P))
-
     by_key: Dict[FrozenSet[Role], List[Matching]] = {}
-    for Q in sym_q:
-        by_key.setdefault(key_q(Q), []).append(Q)
-    out = []
-    for P in sym_p:
-        for Q in by_key.get(key_p(P), []):
-            out.append((P, Q))
-    return out
+    for Q, roles in roles_q.items():
+        by_key.setdefault(frozenset(map(flip, roles)), []).append(Q)
+    return [(P, Q) for P, roles in roles_p.items()
+            for Q in by_key.get(frozenset(roles), [])]

@@ -26,13 +26,14 @@ about punctures: each corner's vertex name, the first corner that names
 each vertex (where `arcs_around_puncture` starts its walk), the
 self-folded triangle around each puncture and the puncture ends of each
 arc, so no module scans the triangles for a puncture.  Each edge label's
-weight map with its packed key, and each diagonal's packed phi key, all in
-the ring of T's tagged names, are filled in by `matchings` the first time
-they are needed.  Nothing for one arc is kept.
+packed weight key, and each diagonal's packed phi key, all in the ring of
+T's tagged names, are filled in by `matchings` the first time they are
+needed.  Nothing for one arc is kept.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
@@ -393,18 +394,27 @@ def _boundary_cycles(T: Triangulation) -> int:
 
 
 def _check_vertex_names(T: Triangulation) -> List[str]:
-    """Verify declared vertex names against the corner-orbit structure."""
+    """Verify declared vertex names against the corner-orbit structure: the
+    marked points are exactly the triangulation's vertices, one name each."""
     out = [f"puncture {p!r} is not located by any triangle vertex"
            for p in T.punctures if p not in T._first_corner]
+    marked = T.topology.punctures + T.topology.boundary_marked
+    if len(T._orbits) != marked:
+        out.append(f"the triangles glue into {len(T._orbits)} vertices, "
+                   f"topology has {marked} marked points")
+    carried: Counter = Counter()
     # orbit consistency: all corners in one orbit must carry the same name
     for orbit in T._orbits:
         names = {T._names.get(c) for c in orbit}
         names.discard(None)
+        carried.update(names)
         if len(names) > 1:
             out.append(f"inconsistent vertex names {sorted(names)} in one corner orbit")
         # a boundary vertex's clockwise corner walk ends at a boundary side
         elif names & set(T.punctures) and orbit[0] not in T._walks:
             out.append(f"puncture {names.pop()!r} is on the boundary")
+    out.extend(f"vertex name {n!r} is carried by {k} vertices"
+               for n, k in sorted(carried.items()) if k > 1)
     return out
 
 

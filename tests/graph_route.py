@@ -40,7 +40,7 @@ def edge_keys(g: SnakeGraph, T: Triangulation,
     moves a y exponent by at most 1, so d + 1 is the bound.
     """
     _, weights, phis = _keys(T)
-    keys = [weights[e.label][1] for e in g.edges]
+    keys = [weights[e.label] for e in g.edges]
     start = 0
     for tile, eid in zip(g.tiles, outer_edges(g)):
         key = phis[tile.diagonal]

@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Dict, Sequence, Tuple
 
 from surfcluster.expand import Expansion, f_polynomial
-from surfcluster.matchings import phi_specialize, x_of_label
+from surfcluster.matchings import phi_specialize, x_of_labels
 from surfcluster.poly import LaurentPoly, xvar, yvar
 from surfcluster.surface import (SelfFolded, SurfaceError, Triangulation,
                                  arcs_around_puncture, corner_walk,
@@ -90,14 +90,14 @@ def z_factor(T: Triangulation, p: str) -> LaurentPoly:
         corner = corners[(i + 1) % h]
         tri = corner[0]
         bracket = third_arc(T, arcs[i], arcs[(i + 1) % h], tri)
-        term = x_of_label(T, bracket)
+        term = x_of_labels(T, [bracket])
         for j in range(h):
             if j != i and j != (i + 1) % h:
-                term = term.mul(x_of_label(T, arcs[j]))
+                term = term.mul(x_of_labels(T, [arcs[j]]))
         num = num.add(term)
     den = LaurentPoly.one()
     for a in arcs:
-        den = den.mul(x_of_label(T, a))
+        den = den.mul(x_of_labels(T, [a]))
     return num.div_exact(den)
 
 

@@ -101,8 +101,7 @@ def _pair_sum(T, gamma, p: str, q: str) -> Expansion:
     lq = build_loop_graph(T, gamma.reversed(), q)
     terms_p, roles_p = _symmetric_terms(T, lp, 1)
     terms_q, roles_q = _symmetric_terms(T, lq, 2)
-    pairs = compatible_pairs(lp, lq, list(terms_p), list(terms_q),
-                             roles_p=roles_p, roles_q=roles_q)
+    pairs = compatible_pairs(lp, lq, roles_p, roles_q)
     terms = ((_merge(terms_p[P][0], terms_q[Q][0]),
               _merge(terms_p[P][1], terms_q[Q][1])) for P, Q in pairs)
     return _sum(terms, crossing_monomial(T, gamma, (p, q)))

@@ -420,6 +420,23 @@ def _annulus_as_torus(tmp):
             "--arc", write(tmp, "arc.json", {"schema": 1, "arc": "t1"})]
 
 
+def _sphere_as_torus(tmp):
+    """`expand` across arc c of two triangles that glue into a sphere with
+    three vertices, declared a once-punctured torus with every corner
+    named P."""
+    surface = {
+        "schema": 1, "topology": {"genus": 1, "boundary_components": 0,
+                                  "punctures": 1, "boundary_marked": 0},
+        "arcs": ["a", "b", "c"], "boundary": [], "punctures": ["P"],
+        "triangles": [{"sides": sides, "vertices": ["P", "P", "P"]}
+                      for sides in (["a", "b", "c"], ["c", "b", "a"])]}
+    arc = {"schema": 1, "start": {"triangle": 0, "vertex": "c"},
+           "crossings": [{"arc": "c", "to_triangle": 1}],
+           "end": {"triangle": 1, "vertex": "c"}}
+    return ["expand", "--surface", write(tmp, "s.json", surface),
+            "--arc", write(tmp, "arc.json", arc)]
+
+
 BAD_INPUTS = {
     # parse layer: exit 1
     "surface is a list": (EXIT_PARSE, lambda tmp: [
@@ -535,6 +552,7 @@ BAD_INPUTS = {
         EXIT_VALIDATION, lambda tmp: _square_topology(tmp, boundary_marked=5)),
     "annulus as a torus with boundary segments": (
         EXIT_VALIDATION, _annulus_as_torus),
+    "sphere gluing declared a torus": (EXIT_VALIDATION, _sphere_as_torus),
     # path rules: exit 2
     "wind on a non-radius crossing": (EXIT_VALIDATION, lambda tmp: _square_expand(
         tmp, crossings=[{"arc": "d", "to_triangle": 1, "wind": "ccw"}])),

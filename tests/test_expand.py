@@ -275,15 +275,20 @@ def test_double_notch_endpoints_inferred():
 
 def test_double_notch_of_an_arc_of_t_takes_only_its_ends():
     # arc 9 joins P2 and P3: named in either order they give one expansion,
-    # and a pair that is not its two ends is refused
+    # and a name that is not one of its two ends is refused
     from pathlib import Path
     from surfcluster.cli import parse_surface
     from surfcluster.snake import EndpointNotPuncture
     data = Path(__file__).resolve().parent / "data"
     T = parse_surface((data / "three_punctures.json").read_bytes())
-    assert expand_double_notch(T, "9", "P2", "P3").poly == \
-        expand_double_notch(T, "9", "P3", "P2").poly
-    for p, q in (("P2", "P2"), ("P3", "P3"), ("P1", "P2")):
+    both = expand_double_notch(T, "9", "P2", "P3")
+    assert both.poly == expand_double_notch(T, "9", "P3", "P2").poly
+    # one name given, at either place, takes the other end as the second
+    for p, q in (("P3", None), (None, "P3"), ("P2", None), (None, "P2")):
+        e = expand_double_notch(T, "9", p, q)
+        assert (e.poly, e.cross) == (both.poly, both.cross), (p, q)
+    for p, q in (("P2", "P2"), ("P3", "P3"), ("P1", "P2"), ("P1", None),
+                 (None, "P1")):
         with pytest.raises(EndpointNotPuncture, match="does not join"):
             expand_double_notch(T, "9", p, q)
 

@@ -45,6 +45,7 @@ from surfcluster.matchings import (
     strip_rules,
     strip_sum,
     weight_exps,
+    x_of_labels,
 )
 from graph_route import (boundary_matchings, boundary_walk, edge_keys,
                          minus_avoid, outer_edges, transfer_sum)
@@ -311,9 +312,21 @@ def test_key_table_holds_every_label_and_arc(name):
                            for make in (xvar, yvar))
     assert set(weights) == set(T.arcs) | set(T.boundary)
     assert set(phis) == set(T.arcs)
-    for label, (exps, key) in weights.items():
-        assert key == ring.pack(exps)
-        assert (exps == {}) == T.is_boundary(label)
+    # the paper's weights: an arc its own x, a self-folded loop its radius
+    # times the notched twin, a boundary segment 1
+    for label, key in weights.items():
+        sf = T.loop_triangle(label)
+        if T.is_boundary(label):
+            weight = {}
+        elif sf is not None:
+            weight = {xvar(sf.radius): 1, xvar(T.notched_twin(sf.radius)): 1}
+        else:
+            weight = {xvar(label): 1}
+        assert dict(ring.expvec(key)) == weight, label
+    # a product of weights is one key sum, its length bounding its exponents
+    x = x_of_labels(T, [*weights, *T.arcs])
+    bound = x._max_exp()                  # before `exact` replaces it
+    assert bound == len(weights) + len(T.arcs) >= x._max_exp(exact=True)
     for arc, key in phis.items():
         assert key == ring.pack(phi_exps({arc: 1}, T))
         # phi is linear: height -1 packs to the negative key
@@ -476,11 +489,16 @@ def test_every_matching_restricts_to_an_end():
             assert which in (1, 2) and roles
 
 
+def _restrictions(lg):
+    return {P: perfect_end_restriction(lg, P)[1]
+            for P in gamma_symmetric_filter(lg, enumerate_matchings(lg.graph))}
+
+
 def test_compatible_pairs_count_and_minimal_pair():
     T = twice_punctured()
     lp = build_loop_graph(T, gamma3(T), "p")
     lq = build_loop_graph(T, gamma3(T).reversed(), "q")
-    pairs = compatible_pairs(lp, lq)
+    pairs = compatible_pairs(lp, lq, _restrictions(lp), _restrictions(lq))
     assert len(pairs) == 12
     minus_p, _ = minimal_maximal(lp.graph)
     minus_q, _ = minimal_maximal(lq.graph)
@@ -507,9 +525,10 @@ def test_compatible_pairs_brute_force_definition():
             _, rq = perfect_end_restriction(lq, Q)
             if frozenset(rp) == frozenset(flip(r) for r in rq):
                 brute.append((P, Q))
+    pairs = compatible_pairs(lp, lq, _restrictions(lp), _restrictions(lq))
     assert sorted(map(tuple, map(sorted, (p for p, _ in brute)))) == \
-        sorted(map(tuple, map(sorted, (p for p, _ in compatible_pairs(lp, lq)))))
-    assert len(brute) == len(compatible_pairs(lp, lq))
+        sorted(map(tuple, map(sorted, (p for p, _ in pairs))))
+    assert len(brute) == len(pairs)
 
 
 def test_symmetric_matchings_split_into_three_classes():

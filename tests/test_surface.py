@@ -116,6 +116,32 @@ def test_topology_that_contradicts_the_file(topology, message):
     assert sum(p.startswith(message) for p in problems) == 1, problems
 
 
+def _torus_gluing(*sides):
+    """Two triangles, every corner named P, declared a once-punctured
+    torus."""
+    return Triangulation(("a", "b", "c"), (), ("P",), tuple(
+        Ordinary(s, ("P", "P", "P")) for s in sides), Topology(1, 0, 1, 0))
+
+
+def test_marked_points_are_the_vertices_of_the_gluing():
+    # glued so, the two triangles close up into a torus with one vertex
+    assert validate_surface(_torus_gluing(("a", "b", "c"),
+                                          ("a", "b", "c"))) == []
+    # glued so, into a sphere with three vertices (chi = 2), which both
+    # count formulas miss
+    assert validate_surface(_torus_gluing(("a", "b", "c"),
+                                          ("c", "b", "a"))) == [
+        "the triangles glue into 3 vertices, topology has 1 marked points",
+        "vertex name 'P' is carried by 3 vertices"]
+    # the square with its vertex 4 named 2 as well
+    T = square()
+    first, second = T.triangles
+    T = Triangulation(T.arcs, T.boundary, T.punctures,
+                      (first, Ordinary(second.sides, ("2", "1", "3"))),
+                      T.topology)
+    assert validate_surface(T) == ["vertex name '2' is carried by 2 vertices"]
+
+
 def test_forbidden_unpunctured_triangle():
     T = Triangulation((), ("b1", "b2", "b3"), (),
                       (Ordinary(("b1", "b2", "b3")),), Topology(0, 1, 0, 3))

@@ -129,8 +129,9 @@ def test_reach_lists_only_kept_functions():
 
 def test_pairs_summary_reads_medians_quartiles_ratios_and_wins():
     pairs = _load("pairs")
-    spec = [{"name": "ops_per_s", "unit": "1/s", "better": "higher"},
-            {"name": "wall_s", "unit": "s", "better": "lower"}]
+    spec = [{"name": "ops_per_s", "unit": "1/s", "better": "higher",
+             "bound": 0.25},
+            {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.02}]
 
     def record(ops, wall, passes, factor=1.0):
         return {"correct": True, "passes": passes, "host_factor": factor,
@@ -143,10 +144,12 @@ def test_pairs_summary_reads_medians_quartiles_ratios_and_wins():
             (record(100, 2.0, 30), record(115, 2.0, 34))]   # a tie
     lines = pairs.summarize(spec, runs, "abc")
     ops, wall = (line.split() for line in lines[1:3])
+    # REV's wall_s quartiles span 0.05 of its median 2, past the 0.02
+    # bound, and one tree run (2.1) reads worse than REV's best
     assert ops == ["ops_per_s", "1/s", "100", "(99-101)",
-                   "112.5", "(108.5-116.25)", "1.125", "3/4"]
+                   "112.5", "(108.5-116.25)", "1.125", "3/4", "within"]
     assert wall == ["wall_s", "s", "2", "(2-2.05)", "1.95", "(1.875-2.025)",
-                    "0.975", "2/4"]
+                    "0.975", "2/4", "unresolved"]
     assert lines[3:] == [
         "passes abc: 30 31 29 30; host factors: 1.0 1.0 1.2 1.0",
         "passes tree: 33 31 36 34; host factors: 1.0312 1.0 0.9876 1.0"]
@@ -156,6 +159,29 @@ def test_pairs_summary_reads_medians_quartiles_ratios_and_wins():
     assert lines[:-1] == pairs.summarize(spec, runs, "abc")
     assert lines[-1] == ("setup launches (3 per side): abc median 0.15 s, "
                          "tree median 0.14 s, ratio 0.933")
+
+
+@pytest.mark.parametrize("better, tree, expected", [
+    ("lower", [1.0, 1.1, 1.2, 1.3], "within"),      # median 1.15 of 1.0
+    ("lower", [1.3, 1.3, 1.3, 1.3], "worse"),       # median 1.3, past 1.25
+    ("higher", [0.7, 0.7, 0.7, 0.8], "worse"),      # median 0.7, past 0.75
+    ("higher", [0.75, 0.8, 0.8, 0.8], "within")])   # median 0.8
+def test_pairs_verdict_reads_the_bound_against_the_medians(better, tree,
+                                                           expected):
+    metric = {"better": better, "bound": 0.25}
+    assert _load("pairs").verdict(metric, [1.0] * 4, tree) == expected
+
+
+def test_pairs_verdict_spread_past_the_bound_is_unresolved():
+    # REV's quartiles 0.9-1.3 span 0.4 of its median 1.0
+    verdict = _load("pairs").verdict
+    metric = {"better": "lower", "bound": 0.25}
+    base = [0.8, 0.9, 1.0, 1.0, 1.3, 1.4]
+    assert verdict(metric, base, [0.9] * 6) == "unresolved"
+    # unless every tree run beats every REV run
+    assert verdict(metric, base, [0.7] * 6) == "within"
+    # a worse median is worse, spread or not
+    assert verdict(metric, base, [1.3] * 6) == "worse"
 
 
 @pytest.mark.parametrize("code, correct, error", [

@@ -9,13 +9,14 @@ directory outside the repository, which is removed again in every case.
 Pair i runs `perfbench/run.py --trace 0 --seed SEED+i` on both sides, REV
 first in even pairs and the working tree first in odd ones.  For each
 end-to-end metric of BENCHMARK.json it prints each side's median and
-quartiles, the ratio of the medians (tree / REV) and the pairs the tree won
-in the metric's `better` direction (a tie counts for neither side), then
-each run's pass count and host factor.  With --setup-launches N it then
-launches `perfbench/run.py --setup-only` N times per side, alternating, and
-prints each side's median time from launch to "ready" (what a `setup_s`
-probe measures).  Exits 1, after the run's output, as soon as a run exits
-non-zero or reads `correct: false`.  Stdlib only.
+quartiles, the ratio of the medians (tree / REV), the pairs the tree won
+in the metric's `better` direction (a tie counts for neither side) and a
+verdict (see `verdict`), then each run's pass count and host factor.
+With --setup-launches N it then launches `perfbench/run.py --setup-only`
+N times per side, alternating, and prints each side's median time from
+launch to "ready" (what a `setup_s` probe measures).  Exits 1, after
+the run's output, as soon as a run exits non-zero or reads `correct:
+false`.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -74,17 +75,36 @@ def launch_setup(tree: Path, workload: str, seed: int) -> float:
     return elapsed
 
 
-def _spread(values):
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") \
+def _quartiles(values):
+    return statistics.quantiles(values, n=4, method="inclusive") \
         if len(values) > 1 else values * 3
+
+
+def _spread(values):
+    q1, median, q3 = _quartiles(values)
     return f"{median:.6g} ({q1:.6g}-{q3:.6g})", median
+
+
+def verdict(metric, base, tree) -> str:
+    """`worse` when the tree's median is past REV's, in the metric's worse
+    direction, by more than its bound times REV's median; `unresolved`
+    when REV's quartiles lie further apart than that, unless every tree
+    run beats every REV run; `within` otherwise."""
+    (q1, median, q3), bound = _quartiles(base), metric["bound"]
+    sign = 1 if metric["better"] == "higher" else -1
+    if sign * (statistics.median(tree) - median) < -bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and \
+            min(sign * t for t in tree) <= max(sign * b for b in base):
+        return "unresolved"
+    return "within"
 
 
 def summarize(end_to_end, pairs, rev: str = "REV", launches=()):
     """The report lines for (REV record, tree record) pairs and (REV
     seconds, tree seconds) set-up launches."""
     out = [f"{'metric':<12} {'unit':<4} {rev + ' median (q1-q3)':>30} "
-           f"{'tree median (q1-q3)':>30} {'ratio':>7} {'won':>6}"]
+           f"{'tree median (q1-q3)':>30} {'ratio':>7} {'won':>6} verdict"]
     for m in end_to_end:
         name = m["name"]
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -94,7 +114,7 @@ def summarize(end_to_end, pairs, rev: str = "REV", launches=()):
         (a, ma), (b, mb) = _spread(base), _spread(tree)
         ratio = f"{mb / ma:.3f}" if ma else "-"
         out.append(f"{name:<12} {m['unit']:<4} {a:>30} {b:>30} {ratio:>7} "
-                   f"{won:>3}/{len(pairs)}")
+                   f"{won:>3}/{len(pairs)} {verdict(m, base, tree)}")
     for i, side in enumerate((rev, "tree")):
         out.append(f"passes {side}: "
                    + " ".join(str(p[i]["passes"]) for p in pairs)

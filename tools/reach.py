@@ -51,9 +51,6 @@ KEPT = {
     "matchings.gamma_symmetric_filter": _PINNED,
     "matchings.perfect_end_restriction": _PINNED,
     "matchings.compatible_pairs": _PINNED,
-    "matchings._role_sets": _LOOP,
-    "matchings._v_roles": _LOOP,
-    "matchings._end_vertices": _LOOP,
     "snake.build_loop_graph": _PINNED,
     "snake.end_subgraphs": _LOOP,
     "snake._end_role_map": _LOOP,
