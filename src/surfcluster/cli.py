@@ -74,11 +74,10 @@ from .surface import (
 )
 from .snake import build_snake, dump_snake
 from .matchings import (
-    _keys,
     enumerate_matchings,
     height_exponents,
     phi_specialize,
-    weight_exps,
+    x_of_labels,
 )
 from .expand import Expansion, expand_arc, f_polynomial, g_vector
 from .mutation import (
@@ -385,7 +384,7 @@ def _cmd_matchings(args) -> int:
     g = build_snake(T, arc)
     for P in enumerate_matchings(g):
         edges = ",".join(str(e) for e in sorted(P))
-        w = _keys(T)[0].monomial(weight_exps(g, P, T))
+        w = x_of_labels(T, [g.edges[e].label for e in P])
         m = height_exponents(g, P)
         h = " ".join(f"h_{k}^{v}" for k, v in sorted(m.items())) or "1"
         y = phi_specialize(m, T)

@@ -16,7 +16,8 @@ no loop-graph matching listed:
 
 - the loop identity x_l = x_gamma * x_gamma^(p) (Fomin-Shapiro-Thurston),
   where the loop l (`snake.build_loop_path`) follows gamma to the puncture
-  p, circles p and comes back;
+  p, circles p and comes back: around a self-folded radius at its own
+  puncture, the triangulation's loop;
 - the two-notch identity x_gamma * x_gamma^(pq) = x_gamma^(p) * x_gamma^(q)
   * y_chi + (1 - Y_p)(1 - Y_q) * phi(y^cross), Y_p being the specialized
   product of y over the arc ends at p.  For a path y_chi = 1 and
@@ -133,7 +134,7 @@ def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str]) -> Expansion:
     its own variable."""
     if isinstance(gamma, str):
         return Expansion(x_of_labels(T, [gamma]), LaurentPoly.one(), 1)
-    tiles, glue, _ = build_tiles(T, gamma)
+    tiles, glue = build_tiles(T, gamma)
     # every perfect matching adds one monomial with coefficient 1
     acc = strip_sum(*strip_rules(T, tiles, glue))
     count = matching_count(glue)
@@ -161,11 +162,11 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
     punctures, the one at the end first and then the one at the start; a
     path's own ends are used where a name is missing, and a name that is
     not at that end is rejected.  For an arc of the triangulation they pick
-    the notched ends: one notch's end is inferred when the arc leaves one
-    choice, and with two notches each given name must be one of the arc's
-    two ends and a missing one is the other end.  Every loop path is
-    built, and so checked for minimal position, before the first transfer
-    sum runs.
+    the notched ends: each given name must be one of the arc's ends, and a
+    missing one is the other end for two notches and, for one, the
+    enclosed puncture of a self-folded radius or else the arc's one
+    puncture end.  Every loop path is built, and so checked for minimal
+    position, before the first transfer sum runs.
     """
     if orientation not in ("ccw", "cw"):
         raise ValueError(f"orientation must be 'ccw' or 'cw', not "
@@ -174,13 +175,8 @@ def expand_arc(T: Triangulation, ref: TaggedArcRef, orientation: str = "ccw",
         return _ordinary(T, ref.base)
     sides = _notched_sides(T, ref, orientation, punctures)
     gamma = sides[0][0]
-    # the loop l that follows g to p, circles p and comes back; around a
-    # self-folded radius at p, l is the enclosing loop of T
-    loop_paths = []
-    for g, p in sides:
-        sf = T.radius_triangle(g) if isinstance(g, str) else None
-        loop_paths.append(sf.loop if sf is not None and sf.puncture == p
-                          else build_loop_path(T, g, p))
+    # the loop l that follows g to p, circles p and comes back
+    loop_paths = [build_loop_path(T, g, p) for g, p in sides]
     loops = [_ordinary(T, loop) for loop in loop_paths]
     x = _ordinary(T, gamma)
     # x_l = x_gamma * x_gamma^(p)
@@ -216,22 +212,30 @@ def _notched_sides(T: Triangulation, ref: TaggedArcRef, orientation: str,
     gamma, two = ref.base, ref.notch_start and ref.notch_end
     p, q = (tuple(punctures) + (None, None))[:2]
     if isinstance(gamma, str):
-        if not two:
-            return [(gamma, _notched_puncture(T, gamma) if p is None else p)]
-        _check_not_two_marked_closed(T)
         ends = T._arc_ends.get(gamma, [])
-        if len(ends) != 2:
-            raise EndpointNotPuncture(
-                f"arc {gamma!r} does not join two punctures")
-        given, rest = [r for r in (p, q) if r is not None], list(ends)
+        if two:
+            _check_not_two_marked_closed(T)
+            if len(ends) != 2:
+                raise EndpointNotPuncture(
+                    f"arc {gamma!r} does not join two punctures")
+        given = [r for r in (p, q)[:1 + two] if r is not None]
+        rest = list(ends)
         for r in given:
             if r not in rest:
                 raise EndpointNotPuncture(f"arc {gamma!r} does not join "
                                           + " and ".join(map(repr, given)))
             rest.remove(r)
-        p = rest.pop(0) if p is None else p
-        q = rest.pop(0) if q is None else q
-        return [(gamma, p), (gamma, q)]
+        if two:
+            p = rest.pop(0) if p is None else p
+            q = rest.pop(0) if q is None else q
+            return [(gamma, p), (gamma, q)]
+        if p is None:
+            sf = T.radius_triangle(gamma)
+            if sf is None and len(set(ends)) != 1:
+                raise EndpointNotPuncture(
+                    f"cannot infer the notched puncture of {gamma!r}")
+            p = ends[0] if sf is None else sf.puncture
+        return [(gamma, p)]
     start, end = _puncture_at(T, gamma.start), _puncture_at(T, gamma.end)
     loop = end is not None and start == end
     if loop:
@@ -300,19 +304,6 @@ def _check_not_two_marked_closed(T: Triangulation) -> None:
             topo.punctures + topo.boundary_marked == 2:
         raise ForbiddenSurface(
             "closed surface with exactly two marked points is not supported")
-
-
-def _notched_puncture(T: Triangulation, arc: str) -> str:
-    """The puncture an arc of the triangulation is notched at when none is
-    named: the enclosed puncture of a self-folded radius, else its one
-    puncture end."""
-    sf = T.radius_triangle(arc)
-    if sf is not None:
-        return sf.puncture
-    ends = T._arc_ends.get(arc, ())
-    if len(set(ends)) != 1:
-        raise EndpointNotPuncture(f"cannot infer the notched puncture of {arc!r}")
-    return ends[0]
 
 
 # ---------------------------------------------------------------------------

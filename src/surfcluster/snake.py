@@ -28,12 +28,15 @@ first and then the others counterclockwise from a, is in edge-id order.
 
 Self-folded triangles are unfolded into the fan around their puncture before
 tiling, so a loop-radius-loop pass turns into three tiles that stay glued as
-a block (a triple span) and a path ending at an enclosed puncture gets the
-tile whose outer edges both carry the radius.
+a block (a triple span: tiles j - 1, j, j + 1 for a radius crossing j) and a
+path ending at an enclosed puncture gets the tile whose outer edges both
+carry the radius.
 
 Loop paths (`build_loop_path`) follow a path or an arc of the triangulation
 to a puncture, circle it clockwise from the corner the path ends at and
-double back; `expand` reads notched arcs off their ordinary expansions.
+double back; around a self-folded radius at its own puncture the loop is
+the triangulation's.  `expand` reads notched arcs off their ordinary
+expansions.
 Loop graphs are the snake graphs of loop paths, carrying the roles of the
 edges of their two ends (the first and last d tiles), which the structural
 isomorphism between the ends preserves; the paper's sums over their
@@ -97,7 +100,7 @@ class EndpointNotPuncture(SurfaceError):
 
 
 def build_strip(T: Triangulation, path: CrossingPath):
-    """Unfold a crossing path into strip triangles; also return triple spans.
+    """Unfold a crossing path into strip triangles.
 
     A strip triangle is (labels, enter, exit): its side labels
     counterclockwise and the indices of the sides the path enters and exits
@@ -115,7 +118,6 @@ def build_strip(T: Triangulation, path: CrossingPath):
     tris = path.triangle_sequence()
     arcs = path.crossed_arcs()
     strip: List[Tuple[Tuple[str, ...], Optional[int], Optional[int]]] = []
-    spans: List[Tuple[int, int, int]] = []
 
     j = 0
     while j <= d:
@@ -140,7 +142,6 @@ def build_strip(T: Triangulation, path: CrossingPath):
                 strip += [(fan, 1, 2), (fan, 0, 1)]
             else:
                 strip += [(fan, 1, 0), (fan, 2, 1)]
-            spans.append((j - 1, j, j + 1))
             j += 2
         else:
             # pattern (1): the path ends (or, read backwards, starts) at the
@@ -148,7 +149,7 @@ def build_strip(T: Triangulation, path: CrossingPath):
             strip.append((fan, None if enter is None else 1,
                           None if exit_ is None else 1))
             j += 1
-    return strip, spans
+    return strip
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,7 @@ def _pair(side: int, rel: int) -> Tuple[int, int]:
 def build_tiles(T: Triangulation, path: CrossingPath):
     """Place all tiles of the snake graph of the given path by slot
     arithmetic (see the module docstring)."""
-    strip, spans = build_strip(T, path)
+    strip = build_strip(T, path)
     rel = 1
     placed = []                          # (diagonal, rel, labels from slot a)
     exits: List[int] = []                # the slot of tile k glued to tile k+1
@@ -250,13 +251,13 @@ def build_tiles(T: Triangulation, path: CrossingPath):
         if k:
             x, y = (x, y + 1) if glue[k - 1] == "U" else (x + 1, y)
         tiles.append(Tile(diag, rel, (x, y), t, dict(zip(order, labels))))
-    return tiles, glue, spans
+    return tiles, glue
 
 
 def build_snake(T: Triangulation, path: CrossingPath) -> SnakeGraph:
     """Glue the placed tiles into one graph, numbering edges and vertices
     tile by tile (see the module docstring)."""
-    tiles, glue, spans = build_tiles(T, path)
+    tiles, glue = build_tiles(T, path)
     edges: List[EdgeInfo] = []
     vertex_of: Dict[Tuple[int, str], int] = {}
     nvertices = 0
@@ -279,6 +280,9 @@ def build_snake(T: Triangulation, path: CrossingPath) -> SnakeGraph:
             if slot not in se:
                 se[slot] = len(edges)
                 edges.append(EdgeInfo(len(edges), label, [(k, slot)]))
+    # `validate_path` flanks every radius crossing by loop crossings
+    spans = [(j - 1, j, j + 1) for j, c in enumerate(path.crossings)
+             if T.radius_triangle(c.arc) is not None]
     return SnakeGraph(tiles, glue, edges, vertex_of, nvertices, spans)
 
 
@@ -298,15 +302,19 @@ def _corridor(T: Triangulation, corner0) -> List[Crossing]:
 
 
 def build_loop_path(T: Triangulation, gamma: Union[CrossingPath, str],
-                    p: str) -> CrossingPath:
+                    p: str) -> Union[CrossingPath, str]:
     """The crossing path of the loop that follows gamma to the puncture p,
     circles p clockwise and comes back.
 
     gamma is a crossing path that ends at p, or an arc of the triangulation
     with an end at p; the loop around an arc is based at its far end and
-    crosses every other arc end at p."""
+    crosses every other arc end at p, or, for a self-folded radius at its
+    own puncture, is the triangulation's loop, whose label is returned."""
     if p not in T.punctures:
         raise EndpointNotPuncture(f"{p!r} is not a puncture")
+    sf = T.radius_triangle(gamma) if isinstance(gamma, str) else None
+    if sf is not None and sf.puncture == p:
+        return sf.loop
     if not isinstance(gamma, str) and T.vertex_name(*gamma.end) != p:
         raise EndpointNotPuncture(f"path does not end at puncture {p!r}")
     if p in T._folded_at:

@@ -393,6 +393,13 @@ def test_digon_expand_baseline(tmp_path):
 SEED = str(DATA / "seed_rank2.json")
 
 
+def _arc9_notch(names):
+    """`expand` of arc 9 of three_punctures, which joins P2 and P3, with
+    `--notch names`."""
+    return ["expand", "--surface", str(DATA / "three_punctures.json"),
+            "--arc", str(DATA / "arc9.json"), "--notch", names]
+
+
 def _two_punctures_notch(names):
     """`expand` of the shipped doubly-notched arc with `--notch names`."""
     return lambda tmp: ["expand", "--surface", str(DATA / "two_punctures.json"),
@@ -540,6 +547,8 @@ BAD_INPUTS = {
     "arc of T notched twice at one end": (EXIT_VALIDATION, lambda tmp: [
         "expand", "--surface", str(DATA / "three_punctures.json"),
         "--arc", str(DATA / "arc9.json"), "--notch", "P2,P2"]),
+    "arc of T notched at a puncture it does not reach": (
+        EXIT_VALIDATION, lambda tmp: _arc9_notch("P1")),
     # surface rules: exit 2
     "puncture on the boundary": (EXIT_VALIDATION, _puncture_on_boundary),
     "negative genus": (EXIT_VALIDATION, lambda tmp: _square_topology(
@@ -619,6 +628,12 @@ def test_parse_error_message_names_the_path(case, tmp_path, capsys):
     argv, line = PARSE_MESSAGES[case]
     assert main(argv(tmp_path)) == EXIT_PARSE
     assert capsys.readouterr().err == f"parse error: {line}\n"
+
+
+def test_arc_of_t_notched_where_it_does_not_reach(capsys):
+    assert main(_arc9_notch("P1")) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: arc '9' does not join 'P1'\n")
 
 
 def test_duplicate_seed_names_are_refused(tmp_path, capsys):

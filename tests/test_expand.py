@@ -134,7 +134,7 @@ def test_graph_bound_covers_the_numerator(name):
 
     def check(path):
         got = expand_ordinary(T, path).numerator
-        tiles, glue, _ = build_tiles(T, path)
+        tiles, glue = build_tiles(T, path)
         num = L.from_packed(strip_sum(*strip_rules(T, tiles, glue)),
                             len(tiles) + 1, _keys(T)[0])
         assert num._max_exp() >= num._max_exp(exact=True), path
@@ -291,6 +291,23 @@ def test_double_notch_of_an_arc_of_t_takes_only_its_ends():
                  (None, "P1")):
         with pytest.raises(EndpointNotPuncture, match="does not join"):
             expand_double_notch(T, "9", p, q)
+
+
+def test_single_notch_of_an_arc_of_t_takes_only_its_ends():
+    # arc 9 joins P2 and P3: notched at P2 it is the golden `--notch P2`
+    # run, and P1, which it does not reach, is refused as no end of it
+    import json
+    from pathlib import Path
+    from surfcluster.cli import parse_surface
+    from surfcluster.snake import EndpointNotPuncture
+    data = Path(__file__).resolve().parent / "data"
+    T = parse_surface((data / "three_punctures.json").read_bytes())
+    golden = json.loads((data / "golden.json").read_text())["cli"]
+    want = golden["three_punctures.json arc9.json expand --notch P2"]
+    assert expand_single_notch(T, "9", "P2").display() + "\n" == \
+        want["stdout"]
+    with pytest.raises(EndpointNotPuncture, match="does not join 'P1'"):
+        expand_single_notch(T, "9", "P1")
 
 
 def test_rejected_notched_arc_runs_no_transfer_sum(monkeypatch):

@@ -338,7 +338,7 @@ def _strip_against_graph(T, path):
     packed sum, outer edges and P- membership, bound and count; and the
     colour rule for P- and P+ against the walk around the boundary."""
     g = build_snake(T, path)
-    tiles, glue, _ = build_tiles(T, path)
+    tiles, glue = build_tiles(T, path)
     minus, plus = boundary_walk(g)
     assert minimal_maximal(g) == (minus, plus)
     outer, graph_outer = outer_slots(tiles, glue), outer_edges(g)

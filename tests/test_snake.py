@@ -3,6 +3,7 @@ import pytest
 from conftest import (
     CORNER_AT,
     ORACLE_SURFACES,
+    digon,
     example_surface,
     gamma1,
     gamma2,
@@ -15,10 +16,11 @@ from conftest import (
     square_other_diagonal,
     twice_punctured,
     gamma3,
+    walk_paths,
 )
 from helpers import third_arc
 from surfcluster.surface import (Crossing, CrossingPath, PathInvalid,
-                                 SurfaceError)
+                                 SelfFolded, SurfaceError)
 from surfcluster.snake import (
     _SLOT_CORNERS,
     EndpointNotPuncture,
@@ -123,6 +125,15 @@ def test_loop_path_rejects_notched_triangulation():
         build_loop_path(T, p, "P1")
 
 
+def test_loop_of_a_radius_at_its_own_puncture_is_the_loop_of_t():
+    D = digon()
+    assert build_loop_path(D, "r2", "P") == "l"
+    # a path notched at P would need both r2 and its tagged twin r1
+    path = next(p for p in walk_paths(D, 3) if D.vertex_name(*p.end) == "P")
+    with pytest.raises(NotchedTrianglePresent):
+        build_loop_path(D, path, "P")
+
+
 def test_loop_path_rejects_either_junction_at_the_puncture():
     # triangle 1 of the punctured square is entered through r2 or r3 next
     # to P; a path doing so and ending at P can slide its end back across
@@ -177,15 +188,39 @@ def test_placement_matches_pattern_tables(name):
     checked = 0
     for path in oracle_walks(T, max_d):
         try:
-            tiles, glue, _ = build_tiles(T, path)
+            tiles, glue = build_tiles(T, path)
         except SurfaceError:
             continue
         got = [(t.rel, list(t.slots.items()), t.lower_slots, t.upper_slots,
                 t.pos) for t in tiles]
-        want = snake_oracle.place(build_strip(T, path)[0])
+        want = snake_oracle.place(build_strip(T, path))
         assert (got, glue) == want, path
         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_triple_spans_are_where_the_strip_repeats_a_fan(name):
+    # the spans read off the radius crossings are the places where the
+    # strip holds two consecutive copies of one self-folded fan, the first
+    # left through a radius (fan side 0 or 2), not the loop (side 1)
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    fans = {(t.radius, t.loop, t.radius) for t in T.triangles
+            if isinstance(t, SelfFolded)}
+    spans = 0
+    for path in oracle_walks(T, max_d):
+        try:
+            g = build_snake(T, path)
+        except SurfaceError:
+            continue
+        strip = build_strip(T, path)
+        want = [(i - 1, i, i + 1) for i in range(len(strip) - 1)
+                if strip[i][0] in fans and strip[i + 1][0] == strip[i][0]
+                and strip[i][2] in (0, 2)]
+        assert g.triple_spans == want, path
+        spans += len(want)
+    assert spans or name not in ("digon", "looped digon")
 
 
 def test_loop_graph_end_structure():

@@ -207,3 +207,33 @@ def test_pairs_run_once_reads_a_stub_benchmark(tmp_path, code, correct,
     assert ("error" in record) is error
     if error:
         assert record["error"].startswith(f"exit {code}\n")
+
+
+def test_pairs_count_diffs_reads_two_stub_benchmarks(tmp_path):
+    # a stand-in perfbench/run.py on each side that prints fixed per-layer
+    # metrics, and fails unless called with --seconds 0 --trace 1
+    spec = [{"name": n, "unit": u} for n, u in (
+        ("a.calls", "count"), ("a.kept", "count"), ("a.yield", "ratio"),
+        ("a.s", "s"), ("trace.overhead_frac", "ratio"))]
+    trees = []
+    for side, values in (("rev", (5, 3, 0.5, 0.1, 0.02)),
+                         ("tree", (5, 4, 0.25, 0.2, 0.03))):
+        metrics = {m["name"]: {"value": v, "unit": m["unit"]}
+                   for m, v in zip(spec, values)}
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            "import json, sys\n"
+            "args = sys.argv[1:]\n"
+            "assert args[args.index('--seconds') + 1] == '0'\n"
+            "assert args[args.index('--trace') + 1] == '1'\n"
+            f"print(json.dumps({{'correct': True, 'failed': 0, "
+            f"'metrics': {metrics!r}}}))\n")
+        trees.append(tmp_path / side)
+    pairs = _load("pairs")
+    # the seconds and the tracer's own overhead differ, and are not read
+    assert pairs.count_diffs(*trees, "w", 5, spec, "abc") == [
+        "w a.kept: abc 3, tree 4", "w a.yield: abc 0.5, tree 0.25"]
+    assert pairs.count_diffs(trees[0], trees[0], "w", 5, spec) == []
+    (trees[1] / "perfbench" / "run.py").write_text("raise SystemExit(2)\n")
+    with pytest.raises(RuntimeError, match="exit 2"):
+        pairs.count_diffs(*trees, "w", 5, spec)

@@ -3,6 +3,7 @@ alternating pairs, and compare their end-to-end metrics.
 
     python3 tools/pairs.py REV --workload W [--pairs 10] [--seconds 25] \
         [--seed 1001] [--setup-launches 0]
+    python3 tools/pairs.py REV --counts [--workload W] [--seed 1001]
 
 REV's committed files are unpacked with `git archive` into a temporary
 directory outside the repository, which is removed again in every case.
@@ -14,9 +15,16 @@ in the metric's `better` direction (a tie counts for neither side) and a
 verdict (see `verdict`), then each run's pass count and host factor.
 With --setup-launches N it then launches `perfbench/run.py --setup-only`
 N times per side, alternating, and prints each side's median time from
-launch to "ready" (what a `setup_s` probe measures).  Exits 1, after
-the run's output, as soon as a run exits non-zero or reads `correct:
-false`.  Stdlib only.
+launch to "ready" (what a `setup_s` probe measures).
+
+With --counts it runs, per workload (W, or every workload of
+BENCHMARK.json), one `perfbench/run.py --seconds 0 --trace 1` pass per
+side with the same seed, and prints each per-layer `count` or `ratio`
+metric whose value differs between the sides; the tracer's own `trace.`
+metrics time it and are left out.  It exits 1 if any differs.
+
+Exits 1, after the run's output, as soon as a run exits non-zero or reads
+`correct: false`.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -128,15 +136,39 @@ def summarize(end_to_end, pairs, rev: str = "REV", launches=()):
     return out
 
 
+def count_diffs(rev_tree: Path, tree: Path, workload: str, seed: int,
+                per_layer, rev: str = "REV"):
+    """The lines for the per-layer count and ratio metrics (save the
+    tracer's own) that differ between one traced `--seconds 0` run on each
+    side; raises RuntimeError if a run fails."""
+    runs = []
+    for side in (rev_tree, tree):
+        record = run_once(side, workload, seed, 0, 1)
+        if "error" in record:
+            raise RuntimeError(f"{side} seed {seed}: {record['error']}")
+        runs.append(record["metrics"])
+    out = []
+    for m in per_layer:
+        name = m["name"]
+        if m["unit"] in ("count", "ratio") and not name.startswith("trace."):
+            a, b = (run.get(name, {}).get("value") for run in runs)
+            if a != b:
+                out.append(f"{workload} {name}: {rev} {a}, tree {b}")
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--seed", type=int, default=1001)
     ap.add_argument("--setup-launches", type=int, default=0)
+    ap.add_argument("--counts", action="store_true")
     args = ap.parse_args(argv)
+    if not (args.workload or args.counts):
+        ap.error("--workload is required without --counts")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     # a terminated run still unwinds: the running benchmark is killed and
     # the temporary directory removed
@@ -151,6 +183,18 @@ def main(argv=None) -> int:
                      f"{archive.stderr.decode(errors='replace').strip()}")
         subprocess.run(["tar", "-x", "-C", str(other)], input=archive.stdout,
                        check=True)
+        if args.counts:
+            names = [args.workload] if args.workload else \
+                [w["name"] for w in spec["workloads"]]
+            try:
+                diffs = [line for name in names for line in count_diffs(
+                    other, ROOT, name, args.seed, spec["per_layer"],
+                    args.rev[:12])]
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 1
+            print("\n".join(diffs) or "no traced count or ratio differs")
+            return 1 if diffs else 0
         pairs = []
         for i in range(args.pairs):
             seed = args.seed + i

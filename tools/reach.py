@@ -51,6 +51,7 @@ KEPT = {
     "matchings.gamma_symmetric_filter": _PINNED,
     "matchings.perfect_end_restriction": _PINNED,
     "matchings.compatible_pairs": _PINNED,
+    "matchings.weight_exps": _PINNED,
     "snake.build_loop_graph": _PINNED,
     "snake.end_subgraphs": _LOOP,
     "snake._end_role_map": _LOOP,
