@@ -143,7 +143,8 @@ def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str]) -> Expansion:
                               f"matchings, the continuant {count}")
     # a matching has d + 1 edges, each adding at most 1 to an x exponent,
     # and each of the d tiles moves a y exponent by at most 1
-    num = LaurentPoly.from_packed(acc, len(tiles) + 1, _keys(T)[0])
+    num = LaurentPoly.from_packed(acc, len(tiles) + 1,
+                                  _keys(T, len(tiles) + 1)[0])
     cross = crossing_monomial(T, gamma)
     return Expansion(num.div_exact(cross), cross, count)
 

@@ -47,10 +47,10 @@ ordinary arc therefore needs no graph: `strip_rules` reads each tile that
 per rule of its shape, and `strip_sum` folds them with one polynomial per
 state, at a cost of tiles × states × terms.  Each label's weight, and
 phi of each arc's height, is packed once per triangulation as one key in
-T's ring, in a key table kept on T (`_keys`).  A slot's key adds its
-weight and height, a product of weights is the sum of its label keys
-(`x_of_labels`), and a monomial built here (`x_of_labels`,
-`phi_specialize`) lies in T's ring too.
+T's ring, 16-bit unless a sum's bound reaches 2**15, in a key table kept
+on T (`_keys`).  A slot's key adds its weight and height, a product of
+weights is the sum of its label keys (`x_of_labels`), and a monomial
+built here (`x_of_labels`, `phi_specialize`) lies in T's ring too.
 
 Enumeration runs the same DP on a graph: `enumerate_matchings` keys each
 slot by the bit of its edge id (`_rules` sums the slot keys of each rule,
@@ -70,7 +70,7 @@ from itertools import combinations, repeat
 from operator import add
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import LaurentPoly, Ring, ring_of, xvar, yvar
+from .poly import LaurentPoly, Ring, bits_for, ring_of, xvar, yvar
 from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, _SLOTS,
                     LoopGraph, SnakeGraph, Tile)
 from .surface import SurfaceError, Triangulation
@@ -223,16 +223,19 @@ def phi_specialize(m: Dict[str, int], T: Triangulation) -> LaurentPoly:
     return _keys(T)[0].monomial(phi_exps(m, T))
 
 
-def _keys(T: Triangulation) -> Tuple[Ring, Dict[str, int], Dict[str, int]]:
-    """T's key table (ring, weights, phis), built on the first call and
-    kept on T: each label's weight and each arc's phi of height 1 as one
-    packed key, in T's ring, that of the x and y variables of all T's
+def _keys(T: Triangulation, bound: int = 0
+          ) -> Tuple[Ring, Dict[str, int], Dict[str, int]]:
+    """T's key table (ring, weights, phis) for key sums whose |digit|
+    `bound` bounds, built on the first call and kept on T per digit width:
+    each label's weight and each arc's phi of height 1 as one packed key,
+    in T's ring of that width, that of the x and y variables of all T's
     tagged names.  Boundary segments weigh 1, self-folded loops weigh
     radius times notched twin; keys add as their monomials multiply, and
     phi is linear, so height -1 packs to its negative."""
-    if T.key_table is None:
-        ring = ring_of(make(name) for name in T.tagged_names()
-                       for make in (xvar, yvar))
+    bits = bits_for(bound)
+    if bits not in T.key_table:
+        ring = ring_of((make(name) for name in T.tagged_names()
+                        for make in (xvar, yvar)), bits)
         weights = {}
         for label in T.arcs + T.boundary:
             sf = T.loop_triangle(label)
@@ -244,23 +247,23 @@ def _keys(T: Triangulation) -> Tuple[Ring, Dict[str, int], Dict[str, int]]:
                 exps = {xvar(label): 1}
             weights[label] = ring.pack(exps)
         phis = {arc: ring.pack(phi_exps({arc: 1}, T)) for arc in T.arcs}
-        object.__setattr__(T, "key_table", (ring, weights, phis))
-    return T.key_table
+        T.key_table[bits] = (ring, weights, phis)
+    return T.key_table[bits]
 
 
 def x_of_labels(T: Triangulation, labels: Sequence[str]) -> LaurentPoly:
     """The product of the labels' weights, in T's ring: the sum of their
     keys.  A weight's exponents are 0 or 1, so len(labels) bounds the
-    product's."""
-    ring, weights, _ = _keys(T)
+    product's and picks the ring's width."""
+    ring, weights, _ = _keys(T, len(labels))
     return LaurentPoly.from_packed(
         {sum(map(weights.__getitem__, labels)): 1}, len(labels), ring)
 
 
 def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
     """Exponent map of the product of the edges' label weights."""
-    ring, weights, _ = _keys(T)
-    return dict(ring.expvec(sum(weights[g.edges[eid].label] for eid in edges)))
+    labels = [g.edges[e].label for e in edges]
+    return x_of_labels(T, labels).monomial_parts()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +289,7 @@ def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str]
     rules a perfect matching P takes.  A key sums the label keys of the
     chosen slots; phi of the diagonal is added on the outer slot, or, when
     P- holds the outer edge, to the start and taken off the outer slot."""
-    _, weights, phis = _keys(T)
+    _, weights, phis = _keys(T, len(tiles) + 1)
     start, slot_keys = 0, []
     for tile, (outer, minus) in zip(tiles, outer_slots(tiles, glue)):
         keys = {s: weights[label] for s, label in tile.slots.items()}

@@ -82,10 +82,10 @@ def principal_seed(B: Sequence[Sequence[int]], names: Sequence[str]) -> Seed:
 def geometric_seed(ext: Sequence[Sequence[int]], names: Sequence[str],
                    frozen_names: Sequence[str]) -> Seed:
     """Seed with the extended matrix ext, the cluster variables x_name and
-    the frozen variables y_name, all in one ring (see `poly`)."""
+    the frozen variables y_name, all in one narrow ring (see `poly`)."""
     xs = [xvar(nm) for nm in names]
     frozen = tuple(yvar(nm) for nm in frozen_names)
-    ring = ring_of(xs + list(frozen))
+    ring = ring_of(xs + list(frozen), 16)
     cluster = tuple(LaurentPoly.from_packed({ring.units[x]: 1}, 1, ring)
                     for x in xs)
     return Seed(tuple(tuple(r) for r in ext), cluster, frozen)

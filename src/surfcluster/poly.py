@@ -10,47 +10,54 @@ coefficient, and a name.  There is one variable of each kind and name, so
 `==` and the hash are by identity.  Variables are ordered by kind and then
 by a natural ordering of the name ("2" before "10"), the name breaking ties.
 
-Rings.  A ring is a set of n variables, interned by the set (`ring_of`),
-so a triangulation and the principal seed over its tagged names share
-one.  It gives its variables one "balanced" 32-bit digit each, |e| < 2**31
-with no offset, in reverse VarId order, and a top digit n that holds
-minus the total y-degree: the monomial with exponents e_v is the single
-Python int  key = sum(e_v * unit_v), unit_v being 2**(32j) for the
-variable in digit j, less 2**(32n) for a y.  Multiplying monomials is
-adding keys.  Integer order is lexicographic order of the digits, top
-first: two keys differ by sum((b_j - a_j) * 2**(32j)) with
-|b_j - a_j| < 2**32, so the digits below the highest one where a and b
+Rings.  A ring is a set of n variables and a digit width w, 16 or 32 bits,
+interned by both (`ring_of`), so a triangulation and the principal seed
+over its tagged names share one.  It gives its variables one "balanced"
+digit each, |e| < 2**(w-1) with no offset, in reverse VarId order, and a
+top digit n that holds minus the total y-degree: the monomial with
+exponents e_v is the single Python int  key = sum(e_v * unit_v), unit_v
+being 2**(wj) for the variable in digit j, less 2**(wn) for a y.
+Multiplying monomials is adding keys.  Integer order is lexicographic order
+of the digits, top first: two keys differ by sum((b_j - a_j) * 2**(wj))
+with |b_j - a_j| < 2**w, so the digits below the highest one where a and b
 differ add up to less than one unit of it and cannot change the sign.  In
 particular a key determines its exponents, key order is compatible with
 addition, so it is a monomial order (of the Laurent monomial group), which
 is what long division needs, and descending key order is the canonical
 order: total y-degree ascending, then exponent vectors in descending
 lexicographic order over the variables in VarId order.  Adding the offset
-sum(2**31 * 2**(32j)) makes every digit nonnegative without carries, and
+sum(2**(w-1) * 2**(wj)) makes every digit nonnegative without carries, and
 xor-ing it back turns each digit into its two's complement, so `struct`
-(one key) or an `array` of 32-bit ints (all of them at once) reads the
-digits as signed fields in C.  `canonical_text` is one `sorted` of the
+(one key) or an `array` of 16- or 32-bit ints (all of them at once) reads
+the digits as signed fields in C.  `canonical_text` is one `sorted` of the
 keys; then, a block of keys at a time, `struct` cuts each key's bytes into
 runs of at most _RUN adjacent digits of one kind, and a row joins one
-factor string "*t^e*u^f..." per run, which the ring caches per run and
-its bytes (`_Run`), the runs in display order: y before x, each in VarId
-order.  When every coefficient is 1 the monomials are joined without sign
-or coefficient strings.  An operation on two rings
-works in the ring of their union and re-packs each operand that lies
-outside it (`_repack`); a constant, key 0, fits any ring.  `==` and the
-hash do not depend on the ring.
+factor string "*t^e*u^f..." per run, which the ring caches per run and its
+bytes (`_Run`), the runs in display order: y before x, each in VarId order.
+When every coefficient is 1 the monomials are joined without sign or
+coefficient strings.  Keys made in bulk are narrow (16-bit): the key table
+of `matchings` and a seed's cluster variables.  An operation on two rings
+works in the ring of their union, narrow when both rings are and its
+result's bound (see below) is under 2**15, else wide (32-bit), and re-packs
+each operand that lies outside it (`_repack`); a constant, key 0, fits any
+ring.  `==`, the hash and the text do not depend on the ring.
 
-Overflow guard.  Every key built from an exponent map checks its
-exponents and its total y-degree.  Each polynomial caches a bound on
+Overflow guard.  Every key built from an exponent map checks its exponents
+and its total y-degree: from 2**15 on a narrow ring's `monomial` builds in
+the wide ring and its `pack` raises.  Each polynomial caches a bound on
 |digit| over its keys, the top digit included: products and quotients
-inherit the sum of their operands' bounds, a monomial its largest
-|digit|, an ordinary arc's numerator the bound d + 1 of its d tiles, any
-other polynomial computes its largest |digit| when first asked.  `mul` and `div_exact` raise ExponentOverflow
-when the bound of their result, recomputed from exact operand bounds,
-reaches 2**31.  `substitute` bounds its result by b * (1 + k + the sum of
-its k bindings' bounds) for a bound b of self, as the top digit also
-loses e for each bound y, and past 2**31 raises when the result's digits,
-computed exactly, reach it.  So no digit ever spills into its neighbour.
+inherit the sum of their operands' bounds, a monomial its largest |digit|,
+an ordinary arc's numerator the bound d + 1 of its d tiles, any other
+polynomial computes its largest |digit| when first asked.  `mul` and
+`div_exact` recompute the bound of their result from exact operand bounds
+once it reaches 2**15, and raise ExponentOverflow if it reaches 2**31; a
+remainder term of long division is a dividend term or a quotient term in
+the Newton box times a divisor term, so it lies in the dividend's digit
+range.  `substitute` bounds its result by b * (1 + k + the sum of its k
+bindings' bounds) for a bound b of self, as the top digit also loses e for
+each bound y, picks its width by that, and past 2**31 raises when the
+result's digits, computed exactly, reach it.  So no digit ever spills into
+its neighbour.
 
 Substitution.  Every substitution the engine makes is by monomials with
 coefficient 1: renaming variables (tag switching), setting variables to 1
@@ -97,7 +104,7 @@ class NotDivisible(ArithmeticError):
 
 
 class ExponentOverflow(ArithmeticError):
-    """Raised when an exponent would leave the packed range |e| < 2**31."""
+    """Raised when an exponent leaves the packed range, |e| < 2**31 at most."""
 
 
 class NonInvertibleSubstitution(ValueError):
@@ -109,10 +116,10 @@ _KIND_RANK = {"x": 0, "y": 1}
 
 _CHUNKS = re.compile(r"(\d+)|(\D+)")
 
-_BITS = 32
 _BIG_ENDIAN = sys.byteorder == "big"
-_LIMIT = 1 << (_BITS - 1)     # every digit satisfies |e| < _LIMIT
-_RUN = 8                      # most digits per cached factor string
+_LIMIT = 1 << 31              # every digit of a wide ring: |e| < _LIMIT
+_NARROW = 1 << 15             # and of a narrow ring: |e| < _NARROW
+_RUN = 10                     # most digits per cached factor string
 _BLOCK = 256                  # keys rendered per block
 
 
@@ -131,9 +138,9 @@ class _Run(dict):
 
     __slots__ = ("texts", "codec")
 
-    def __init__(self, variables: Tuple[VarId, ...]):
+    def __init__(self, variables: Tuple[VarId, ...], fmt: str):
         self.texts = [v.text() for v in reversed(variables)]
-        self.codec = struct.Struct(f"<{len(variables)}i")
+        self.codec = struct.Struct(f"<{len(variables)}{fmt}")
 
     def __missing__(self, b: bytes) -> str:
         s = self[b] = "".join([
@@ -196,37 +203,41 @@ ExpVec = Tuple[Tuple[VarId, int], ...]
 
 
 class Ring:
-    """A set of variables and its key layout (see "Rings"); `ring_of`
-    makes the one ring of each set."""
+    """A set of variables and its key layout in digits of `bits` bits, 16
+    or 32 (see "Rings"); `ring_of` makes the one ring of each."""
 
-    __slots__ = ("set", "vars", "units", "width", "off", "codec", "rows",
-                 "runs")
+    __slots__ = ("set", "vars", "bits", "fmt", "units", "width", "off",
+                 "codec", "rows", "runs")
 
-    def __init__(self, variables: FrozenSet[VarId]):
+    def __init__(self, variables: FrozenSet[VarId], bits: int = 32):
         self.set = variables
         self.vars = vs = tuple(sorted(variables, reverse=True))
         n = len(vs)
-        top = 1 << (_BITS * n)
-        self.units = {v: (1 << (_BITS * j)) - (top if v.kind == "y" else 0)
+        self.bits, self.fmt = bits, {16: "h", 32: "i"}[bits]
+        top = 1 << (bits * n)
+        self.units = {v: (1 << (bits * j)) - (top if v.kind == "y" else 0)
                       for j, v in enumerate(vs)}
         self.width = n + 1
-        self.off = sum(_LIMIT << (_BITS * j) for j in range(n + 1))
-        self.codec = struct.Struct(f"<{n + 1}i")
+        self.off = sum(1 << (bits * j + bits - 1) for j in range(n + 1))
+        self.codec = struct.Struct(f"<{n + 1}{self.fmt}")
         # runs of at most _RUN adjacent digits of one kind, one bytes field
         # of `rows` each, kept as (field, its strings) in display order: y
         # before x, each in VarId order, so the highest digits first
         ny = sum(v.kind == "y" for v in vs)
         spans = [(a, min(a + _RUN, end)) for lo, end in ((0, ny), (ny, n))
                  for a in range(lo, end, _RUN)]
-        self.rows = struct.Struct(
-            "<" + "".join(f"{4 * (b - a)}s" for a, b in spans) + "4x")
-        self.runs = [(i, _Run(vs[a:b])) for i, (a, b) in sorted(
+        self.rows = struct.Struct("<" + "".join(
+            f"{bits // 8 * (b - a)}s" for a, b in spans) + f"{bits // 8}x")
+        self.runs = [(i, _Run(vs[a:b], self.fmt)) for i, (a, b) in sorted(
             enumerate(spans), key=lambda f: (f[1][0] >= ny, -f[1][0]))]
 
     def monomial(self, exps: Mapping[VarId, int], coeff: int = 1
                  ) -> "LaurentPoly":
         """coeff times the monomial of an exponent map over variables of
-        the ring, bounded by the largest |digit| of its key."""
+        the ring, bounded by the largest |digit| of its key; in the wide
+        ring of the set when a digit leaves a narrow ring's range."""
+        if not coeff:
+            return LaurentPoly.zero()
         key = ydeg = bound = 0
         for v, e in exps.items():
             u = self.units[v]
@@ -239,11 +250,17 @@ class Ring:
         if bound >= _LIMIT:
             raise ExponentOverflow(f"exponent or total y-degree {bound} "
                                    "out of range")
+        if bound >= _NARROW and self.bits == 16:
+            return ring_of(self.set).monomial(exps, coeff)
         return LaurentPoly.from_packed({key: int(coeff)}, bound, self)
 
     def pack(self, exps: Mapping[VarId, int]) -> int:
-        """The key of an exponent map over variables of the ring."""
-        (key,) = self.monomial(exps)._terms
+        """The key of an exponent map over variables of the ring; raises
+        ExponentOverflow when a digit leaves the ring's range."""
+        p = self.monomial(exps)
+        if p._ring is not self:
+            raise ExponentOverflow(f"exponents past {self.bits}-bit digits")
+        (key,) = p._terms
         return key
 
     def digits(self, key: int) -> Tuple[int, ...]:
@@ -254,7 +271,7 @@ class Ring:
     def columns(self, keys: Iterable[int]) -> List["array[int]"]:
         """Digit j of every key, for j = 0 .. n (the top digit last)."""
         off, size, m = self.off, self.codec.size, self.width
-        flat = array("i", b"".join([
+        flat = array(self.fmt, b"".join([
             ((k + off) ^ off).to_bytes(size, "little") for k in keys]))
         if _BIG_ENDIAN:
             flat.byteswap()
@@ -266,14 +283,19 @@ class Ring:
         return tuple((v, e) for v, e in reversed(pairs) if e)
 
 
-_RINGS: Dict[FrozenSet[VarId], Ring] = {}
+_RINGS: Dict[Tuple[FrozenSet[VarId], int], Ring] = {}
 
 
-def ring_of(variables: Iterable[VarId]) -> Ring:
-    """The one ring of a set of variables."""
-    s = frozenset(variables)
+def ring_of(variables: Iterable[VarId], bits: int = 32) -> Ring:
+    """The one ring of a set of variables with digits of `bits` bits."""
+    s = (frozenset(variables), bits)
     ring = _RINGS.get(s)
-    return ring if ring is not None else _RINGS.setdefault(s, Ring(s))
+    return ring if ring is not None else _RINGS.setdefault(s, Ring(*s))
+
+
+def bits_for(bound: int) -> int:
+    """The digit width of keys whose |digit| `bound` bounds."""
+    return 16 if bound < _NARROW else 32
 
 
 _CONST = ring_of(())
@@ -303,18 +325,18 @@ def _repack(p: "LaurentPoly", ring: Ring,
     return _merge({}, zip(keys, p._terms.values()))
 
 
-def _common(a: "LaurentPoly", b: "LaurentPoly"
+def _common(a: "LaurentPoly", b: "LaurentPoly", bound: int = 0
             ) -> Tuple[Ring, Dict[int, int], Dict[int, int]]:
-    """(ring, a's terms, b's terms) in one ring: the shared one, the other's
-    when one is a constant, else the union of the two (see "Rings")."""
+    """(ring, a's terms, b's terms) in one ring for a result whose |digit|
+    `bound` bounds: the shared one (a constant shares any), else that of
+    the union, narrow if both rings and `bound` are (see "Rings")."""
     ra, rb = a._ring, b._ring
-    if ra is rb or not rb.vars:
+    ra, rb = (ra if ra.vars else rb), (rb if rb.vars else ra)
+    if ra is rb and (bound < _NARROW or ra.bits == 32):
         return ra, a._terms, b._terms
-    if not ra.vars:
-        return rb, a._terms, b._terms
-    ring = ring_of(ra.set | rb.set)
-    return (ring, a._terms if ra is ring else _repack(a, ring, {}),
-            b._terms if rb is ring else _repack(b, ring, {}))
+    ring = ring_of(ra.set | rb.set, max(bits_for(bound), ra.bits, rb.bits))
+    return (ring, a._terms if a._ring is ring else _repack(a, ring, {}),
+            b._terms if b._ring is ring else _repack(b, ring, {}))
 
 
 class LaurentPoly:
@@ -403,10 +425,10 @@ class LaurentPoly:
         return b
 
     def _product_bound(self, other: "LaurentPoly") -> int:
-        """A bound on |digit| in self * other or self / other; raises
-        ExponentOverflow if a digit could reach 2**31."""
+        """A bound on |digit| in self * other or self / other, exact from
+        2**15 on; raises ExponentOverflow if a digit could reach 2**31."""
         ba, bb = self._max_exp(), other._max_exp()
-        if ba + bb >= _LIMIT:
+        if ba + bb >= _NARROW:
             ba, bb = self._max_exp(exact=True), other._max_exp(exact=True)
             if ba + bb >= _LIMIT:
                 raise ExponentOverflow(f"exponents up to {ba} and {bb} "
@@ -437,7 +459,7 @@ class LaurentPoly:
         if not self._terms or not other._terms:
             return LaurentPoly.zero()
         bound = self._product_bound(other)
-        ring, a, b = _common(self, other)
+        ring, a, b = _common(self, other, bound)
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
@@ -487,7 +509,7 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly.zero()
         bound = self._product_bound(other)
-        ring, num, den = _common(self, other)
+        ring, num, den = _common(self, other, bound)
         if other.is_monomial():
             (kd, cd), = den.items()
             if cd == 1:
@@ -567,10 +589,11 @@ class LaurentPoly:
                 raise NonInvertibleSubstitution(
                     f"{v.text()} bound to {b.canonical_text()}, not to a "
                     "monomial with coefficient 1")
-        ring = ring_of(src.set.union(*(b._ring.set for b in bound.values())))
-        image = {v: ring.pack(b.monomial_parts()[1]) for v, b in bound.items()}
         new_bound = self._max_exp() * (
             1 + len(bound) + sum(b._max_exp() for b in bound.values()))
+        ring = ring_of(src.set.union(*(b._ring.set for b in bound.values())),
+                       bits_for(new_bound))
+        image = {v: ring.pack(b.monomial_parts()[1]) for v, b in bound.items()}
         if new_bound >= _LIMIT:
             # the result's digits: each term's exponents times the digits
             # of the key each variable counts as
@@ -645,7 +668,8 @@ def lowest_exponents(*polys: LaurentPoly) -> Dict[VarId, int]:
     polynomials (a variable a term lacks counts as exponent 0); zero
     entries are left out."""
     polys = tuple(p for p in polys if p._terms)
-    ring = ring_of(frozenset().union(*(p._ring.set for p in polys)))
+    ring = ring_of(frozenset().union(*(p._ring.set for p in polys)), max(
+        [p._ring.bits for p in polys if p._ring.vars], default=16))
     keys = [k for p in polys
             for k in (p._terms if p._ring is ring else _repack(p, ring, {}))]
     return {v: e for v, e in zip(ring.vars, map(min, ring.columns(keys)))

@@ -26,9 +26,9 @@ about punctures: each corner's vertex name, the first corner that names
 each vertex (where `arcs_around_puncture` starts its walk), the
 self-folded triangle around each puncture and the puncture ends of each
 arc, so no module scans the triangles for a puncture.  Each edge label's
-packed weight key, and each diagonal's packed phi key, all in the ring of
-T's tagged names, are filled in by `matchings` the first time they are
-needed.  Nothing for one arc is kept.
+packed weight key, and each diagonal's packed phi key, in the ring of T's
+tagged names of each digit width, are filled in by `matchings` the first
+time that width is needed.  Nothing for one arc is kept.
 """
 
 from __future__ import annotations
@@ -131,10 +131,10 @@ class Triangulation:
         init=False, repr=False, compare=False)
     _orbits: List[List[Tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
-    # the ring and the packed weight and phi keys of `matchings._keys`,
-    # built the first time they are needed
-    key_table: Optional[Tuple] = field(default=None, init=False, repr=False,
-                                       compare=False)
+    # digit width -> the ring and the packed weight and phi keys of
+    # `matchings._keys`, built the first time they are needed
+    key_table: Dict[int, Tuple] = field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         loops, radii, folded, names, first = {}, {}, {}, {}, {}

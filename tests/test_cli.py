@@ -571,12 +571,103 @@ BAD_INPUTS = {
 }
 
 
+# a fragment of each BAD_INPUTS case's one stderr line that only the error
+# the case is about prints, so no case passes for another rule
+BAD_MESSAGES = {
+    "surface is a list": "surface: [] is not a JSON object",
+    "missing file": "cannot read",
+    "bundle without surface": "bundle: missing field 'surface'",
+    "non-integer genus": "surface topology genus: 'x' is not a JSON int",
+    "non-integer to_triangle":
+        "arc crossings[0] to_triangle: 'x' is not a JSON int",
+    "genus is true": "surface topology genus: True is not a JSON int",
+    "triangle is a float": "arc start triangle: 0.9 is not a JSON int",
+    "to_triangle is a digit string":
+        "arc crossings[0] to_triangle: '1' is not a JSON int",
+    "arc schema is true": "arc schema: True is not one of [1]",
+    "surface schema is 1.0": "surface schema: 1.0 is not one of [1]",
+    "seed schema is true": "seed schema: True is not one of [1]",
+    "bundle schema is true": "bundle schema: True is not one of [1]",
+    "notch_end is a string": "arc notch_end: 'no' is not a JSON bool",
+    "notch_start is 0": "arc notch_start: 0 is not a JSON bool",
+    "wind is a number": "arc crossings[0] wind: 1 is not a JSON str",
+    "triangle is not an object":
+        "surface triangles[0]: 5 is not a JSON object",
+    "arcs is not a list": "surface arcs: 5 is not a JSON list",
+    "sides is not a list": "surface triangles[0] sides: 5 is not a JSON list",
+    "self-folded loop is a list":
+        "self_folded loop: ['l'] is not a JSON str",
+    "self-folded base is a list":
+        "self_folded base: ['m'] is not a JSON str",
+    "self-folded notched_label is a list":
+        "self_folded notched_label: [1] is not a JSON str",
+    "self-folded base is null": "self_folded base: None is not a JSON str",
+    "self-folded puncture is missing":
+        "self_folded: missing field 'puncture'",
+    "arc start is not an object": "arc start: 5 is not a JSON object",
+    "crossings is not a list": "arc crossings: 5 is not a JSON list",
+    "bundle cases is not a list": "bundle cases: 5 is not a JSON list",
+    "seed names is not a list": "seed names: 5 is not a JSON list",
+    "non-integer seed entry": "seed matrix[0][1]: 'x' is not a JSON int",
+    "non-integer sequence entry":
+        "--sequence: '1,a' is not a list of integers",
+    "Arabic-Indic digit in the sequence":
+        "--sequence: '\u0661' is not a list of integers",
+    "underscore in a sequence entry":
+        "--sequence: '1_0' is not a list of integers",
+    "vertices are not strings":
+        "surface triangles[0] vertices[0]: {'a': 1} is not a JSON str",
+    "one vertex name": "needs three sides and three vertices",
+    "arc label is an integer": "arc arc: 2 is not a JSON str",
+    "ragged seed matrix": "matrix must be n x n or (n+m) x n",
+    "ragged coefficient row": "matrix must be n x n or (n+m) x n",
+    "seed with no columns": "matrix must be n x n or (n+m) x n, n >= 1",
+    "seed with two empty rows": "matrix must be n x n or (n+m) x n, n >= 1",
+    "100 000 nested lists": "surface is not valid JSON",
+    "bytes that decode in no UTF": "surface is not valid JSON",
+    "three notch names": "--notch takes p or p,q, not 'p,q,zzz'",
+    "empty notch names": "--notch takes p or p,q, not ','",
+    "empty notch": "--notch takes p or p,q, not ''",
+    "sequence 0": "--sequence: index 0 is not in 1..2",
+    "sequence 3": "--sequence: index 3 is not in 1..2",
+    "square seed is not skew-symmetric": "top block is not skew-symmetric",
+    "too few seed names": "seed: 1 names for 2 columns",
+    "verify index out of range": "bundle cases[0]: index 4 is not in 1..3",
+    "arc of T notched twice at one end":
+        "arc '9' does not join 'P2' and 'P2'",
+    "arc of T notched at a puncture it does not reach":
+        "arc '9' does not join 'P1'",
+    "puncture on the boundary": "puncture 'p' is on the boundary",
+    "negative genus": "genus must not be negative",
+    "negative boundary components":
+        "boundary_components must not be negative",
+    "more punctures than listed": "0 punctures listed, topology has 1",
+    "more boundary marked points than segments":
+        "4 boundary segments listed, topology has 5 boundary marked points",
+    "annulus as a torus with boundary segments":
+        "boundary segments close up into 2 cycles, topology has 0 boundary "
+        "components",
+    "sphere gluing declared a torus":
+        "the triangles glue into 3 vertices, topology has 1 marked points",
+    "wind on a non-radius crossing": "wind on 'd', which is not a radius",
+    "exponent overflow": "leave the packed range |e| < 2**31",
+}
+BAD_PREFIX = {EXIT_PARSE: "parse error: ",
+              EXIT_VALIDATION: "validation error: ",
+              EXIT_COMPUTE: "computation error: "}
+
+
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exit_code_and_one_line_message(case, tmp_path, capsys):
     code, argv = BAD_INPUTS[case]
     assert main(argv(tmp_path)) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(BAD_PREFIX[code]) and BAD_MESSAGES[case] in err
+
+
+def test_every_bad_input_pins_its_message():
+    assert list(BAD_MESSAGES) == list(BAD_INPUTS)
 
 
 def _square_arc_file(tmp_path, arc):

@@ -76,15 +76,15 @@ def snapshot() -> dict:
 
 def test_commands_build_in_the_surface_ring(monkeypatch):
     # every polynomial an expand, fpoly, gvector or matchings command makes
-    # lies in the ring of T's x and y variables or is a constant, so no
-    # operation interns a ring of its own
+    # lies in the 16-bit ring of T's x and y variables or is a constant, so
+    # no operation interns a ring of its own or widens to 32-bit digits
     seen = []
     real = poly.ring_of
 
-    def spy(variables):
+    def spy(variables, bits=32):
         s = frozenset(variables)
-        seen.append(s)
-        return real(s)
+        seen.append((s, bits))
+        return real(s, bits)
 
     for module in (poly, matchings, mutation):
         monkeypatch.setattr(module, "ring_of", spy)
@@ -99,7 +99,8 @@ def test_commands_build_in_the_surface_ring(monkeypatch):
         seen.clear()
         assert _stdout([cmd, "--surface", str(DATA / surface),
                         "--arc", str(DATA / arc), *flags])["rc"] == 0
-        assert seen and set(seen) <= {own, frozenset()}, key
+        assert seen and {s for s, bits in seen if s} == {own}, key
+        assert {bits for s, bits in seen if s} == {16}, key
         runs += 1
     assert runs == 24
 

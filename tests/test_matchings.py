@@ -304,12 +304,14 @@ def test_dp_equals_the_generic_dp(name):
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
-def test_key_table_holds_every_label_and_arc(name):
+@pytest.mark.parametrize("bound, bits", [(0, 16), (2 ** 15, 32)])
+def test_key_table_holds_every_label_and_arc(name, bound, bits):
     T = ORACLE_SURFACES[name][0]()
-    ring, weights, phis = _keys(T)
-    assert _keys(T) is T.key_table                 # built once, kept on T
-    assert ring is ring_of(make(n) for n in T.tagged_names()
-                           for make in (xvar, yvar))
+    ring, weights, phis = _keys(T, bound)
+    # built once per digit width, kept on T
+    assert _keys(T, bound) is T.key_table[bits] and list(T.key_table) == [bits]
+    assert ring is ring_of((make(n) for n in T.tagged_names()
+                            for make in (xvar, yvar)), bits)
     assert set(weights) == set(T.arcs) | set(T.boundary)
     assert set(phis) == set(T.arcs)
     # the paper's weights: an arc its own x, a self-folded loop its radius
@@ -331,6 +333,31 @@ def test_key_table_holds_every_label_and_arc(name):
         assert key == ring.pack(phi_exps({arc: 1}, T))
         # phi is linear: height -1 packs to the negative key
         assert ring.pack(phi_exps({arc: -1}, T)) == -key
+
+
+def test_key_table_width_follows_the_bound(monkeypatch):
+    # a d ~ 2**15 arc is too slow to expand here, so the choice is read
+    # off directly: x_of_labels' bound is its length, the strip sum's its
+    # tile count plus one, and a bound of 2**15 or more takes the wide table
+    from surfcluster import matchings
+    T = zigzag_polygon(7)
+    arc = T.arcs[0]
+    assert x_of_labels(T, [arc] * (2 ** 15 - 1))._ring is _keys(T)[0]
+    wide = x_of_labels(T, [arc] * 2 ** 15)
+    assert wide._ring is _keys(T, 2 ** 15)[0] is not _keys(T)[0]
+    assert wide._ring.bits == 32 and _keys(T, 2 ** 15 - 1)[0].bits == 16
+    assert wide == L.var(xvar(arc), 2 ** 15)
+    bounds, real = [], matchings._keys
+
+    def spy(T, bound=0):
+        bounds.append(bound)
+        return real(T, bound)
+
+    monkeypatch.setattr(matchings, "_keys", spy)
+    tiles, glue = build_tiles(T, zigzag_arc(T))
+    strip_rules(T, tiles, glue)
+    assert bounds == [len(tiles) + 1]
+    assert expand_ordinary(T, zigzag_arc(T)).poly._ring is _keys(T)[0]
 
 
 def _strip_against_graph(T, path):

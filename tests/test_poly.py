@@ -36,9 +36,10 @@ def from_terms(terms):
     return add_all(*(L.monomial(c, dict(ev)) for ev, c in terms.items()))
 
 
-def widened(p, extra):
-    """p in the ring of its variables and `extra`, its keys re-packed."""
-    ring = ring_of(p._ring.set | set(extra))
+def widened(p, extra, bits=32):
+    """p in the ring of its variables and `extra` with digits of `bits`
+    bits, its keys re-packed."""
+    ring = ring_of(p._ring.set | set(extra), bits)
     return L.from_packed(poly._repack(p, ring, {}), p._bound, ring)
 
 
@@ -609,6 +610,95 @@ def test_mixed_rings_agree_with_one_ring(a, b, c):
           ra.substitute({v: widened(m, ALL) for v, m in bind.items()}))
 
 
+# -- digit widths ----------------------------------------------------------
+# A 16-bit ring holds what the hot producers make; a result whose bound
+# reaches 2**15 lies in the 32-bit ring of the same set, and only 2**31
+# raises.
+
+
+@given(polys(), polys())
+@settings(max_examples=100, deadline=None)
+def test_narrow_and_wide_copies_agree(a, b):
+    na, nb = widened(a, (), 16), widened(b, (), 16)
+    _same(na, a)
+    _same(na.add(nb), a.add(b))
+    _same(na.mul(nb), a.mul(b))
+    _same(na.pow(2), a.pow(2))
+    if not b.is_zero():
+        _same(na.mul(nb).div_exact(nb), a)
+    assert lowest_exponents(na, nb) == lowest_exponents(a, b)
+    # small results of narrow operands stay narrow; a wide operand with
+    # variables widens the result, its narrow partner re-packed
+    for got, bits in ((na.mul(nb), 16), (na.add(nb), 16),
+                      (na.mul(b), 32 if b._ring.vars else 16)):
+        assert not got._ring.vars or got._ring.bits == bits
+    _same(na.mul(b), a.mul(b))
+
+
+def test_ring_monomial_with_coefficient_zero_is_zero():
+    x = xvar("1")
+    for bits in (16, 32):
+        z = ring_of([x], bits).monomial({x: 1}, 0)
+        assert z.is_zero() and z == L.zero() and z.num_terms() == 0
+        assert z.canonical_text() == "0" and hash(z) == hash(L.zero())
+
+
+def test_results_past_2_to_15_move_to_the_wide_ring():
+    x, y, w = xvar("1"), yvar("1"), xvar("2")
+    half = 2 ** 14
+    a_w = L.var(x, half).add(L.monomial(2, {y: 3, w: -2}))
+    b_w = L.monomial(1, {x: half - 1, w: 5}).add(L.const(7))
+    a, b = widened(a_w, [x, y, w], 16), widened(b_w, [x, y, w], 16)
+    N = a._ring
+    assert N is b._ring and N.bits == 16
+    # bound 2**15 - 1 stays narrow, 2**15 moves
+    ab = a.mul(b)
+    assert ab._ring is N
+    _same(ab, a_w.mul(b_w))
+    with pytest.raises(NotDivisible):
+        a.div_exact(b)
+    square = a.mul(a)
+    assert square._ring is ring_of(N.set)
+    _same(square, a_w.mul(a_w))
+    # a quotient: (2**15 - 1) + (2**14 - 1), by long division
+    q = ab.div_exact(b)
+    assert q._ring is ring_of(N.set)
+    _same(q, a_w)
+    _same(square.div_exact(a), a_w)
+    # a substitution: 200 * (1 + 1 + 200) bounds x**200 with x = w**200
+    p = widened(L.var(x, 200).add(L.one()), [w], 16)
+    small = p.substitute({x: L.var(w)})
+    assert small._ring is ring_of([x, w], 16)
+    _same(small, L.var(w, 200).add(L.one()))
+    big = p.substitute({x: L.var(w, 200)})
+    assert big._ring is ring_of([x, w])
+    _same(big, L.var(w, 40000).add(L.one()))
+
+
+def test_narrow_rings_raise_only_at_2_to_31():
+    x, y, z = xvar("1"), yvar("1"), yvar("2")
+    N = ring_of([x, y, z], 16)
+    assert N.monomial({x: 2 ** 15 - 1})._ring is N
+    assert N.monomial({x: 2 ** 15})._ring is ring_of([x, y, z])
+    assert N.monomial({y: -2 ** 31 + 1}) == L.var(y, -2 ** 31 + 1)
+    with pytest.raises(ExponentOverflow):
+        N.monomial({x: 2 ** 31})
+    with pytest.raises(ExponentOverflow):
+        N.monomial({y: 2 ** 30, z: 2 ** 30})        # the total y-degree
+    # pack gives only keys of its own ring; the wide ring takes |e| < 2**31
+    with pytest.raises(ExponentOverflow):
+        N.pack({x: 2 ** 15})
+    assert N.expvec(N.pack({x: 2 ** 15 - 1})) == ((x, 2 ** 15 - 1),)
+    W = ring_of([x, y, z])
+    assert W.expvec(W.pack({x: 2 ** 31 - 1})) == ((x, 2 ** 31 - 1),)
+    m = N.monomial({x: 2 ** 14})
+    assert m.pow(2 ** 17 - 1) == L.var(x, 2 ** 31 - 2 ** 14)
+    with pytest.raises(ExponentOverflow):
+        m.pow(2 ** 17)
+    with pytest.raises(ExponentOverflow):
+        m.mul(L.var(x, 2 ** 31 - 2 ** 14))
+
+
 # Run in a fresh interpreter, in which 50 unrelated variables are made
 # before the surface's and the seed's; the surface makes x2 and y2 among
 # its 16 variables, and the seed adds x1 and y1 after them.  Every
@@ -662,10 +752,11 @@ def test_keys_span_their_own_variables_only():
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     assert got["chain"] and got["arc"]
-    # a key has one 32-bit digit per variable of its ring and a top digit,
-    # whatever was made before: a seed over x1, x2, y1 and y2 reads at most
-    # 5 digits (a layout by creation order spans the surface's variables
-    # between x2 and x1, about 550 bits), and a triangulation's strip sums
-    # its tagged names' x and y digits and the top one
+    # a key has one digit of at most 32 bits (16 in these narrow rings) per
+    # variable of its ring and a top digit, whatever was made before: a
+    # seed over x1, x2, y1 and y2 reads at most 5 digits (a layout by
+    # creation order spans the surface's variables between x2 and x1,
+    # about 550 bits), and a triangulation's strip sums its tagged names'
+    # x and y digits and the top one
     assert max(got["chain"]) <= 160
     assert max(got["arc"]) <= 32 * (got["surface"] + 1)
