@@ -304,35 +304,39 @@ def test_dp_equals_the_generic_dp(name):
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
-@pytest.mark.parametrize("bound, bits", [(0, 16), (2 ** 15, 32)])
-def test_key_table_holds_every_label_and_arc(name, bound, bits):
-    T = ORACLE_SURFACES[name][0]()
-    ring, weights, phis = _keys(T, bound)
-    # built once per digit width, kept on T
-    assert _keys(T, bound) is T.key_table[bits] and list(T.key_table) == [bits]
-    assert ring is ring_of((make(n) for n in T.tagged_names()
-                            for make in (xvar, yvar)), bits)
-    assert set(weights) == set(T.arcs) | set(T.boundary)
-    assert set(phis) == set(T.arcs)
-    # the paper's weights: an arc its own x, a self-folded loop its radius
-    # times the notched twin, a boundary segment 1
-    for label, key in weights.items():
-        sf = T.loop_triangle(label)
-        if T.is_boundary(label):
-            weight = {}
-        elif sf is not None:
-            weight = {xvar(sf.radius): 1, xvar(T.notched_twin(sf.radius)): 1}
-        else:
-            weight = {xvar(label): 1}
-        assert dict(ring.expvec(key)) == weight, label
-    # a product of weights is one key sum, its length bounding its exponents
-    x = x_of_labels(T, [*weights, *T.arcs])
-    bound = x._max_exp()                  # before `exact` replaces it
-    assert bound == len(weights) + len(T.arcs) >= x._max_exp(exact=True)
-    for arc, key in phis.items():
-        assert key == ring.pack(phi_exps({arc: 1}, T))
-        # phi is linear: height -1 packs to the negative key
-        assert ring.pack(phi_exps({arc: -1}, T)) == -key
+def test_key_table_holds_every_label_and_arc(name):
+    # the narrow 16-bit table and the wide 32-bit one, each on a fresh T
+    for bound, bits in [(0, 16), (2 ** 15, 32)]:
+        T = ORACLE_SURFACES[name][0]()
+        ring, weights, phis = _keys(T, bound)
+        # built once per digit width, kept on T
+        assert _keys(T, bound) is T.key_table[bits]
+        assert list(T.key_table) == [bits]
+        assert ring is ring_of((make(n) for n in T.tagged_names()
+                                for make in (xvar, yvar)), bits)
+        assert set(weights) == set(T.arcs) | set(T.boundary)
+        assert set(phis) == set(T.arcs)
+        # the paper's weights: an arc its own x, a self-folded loop its
+        # radius times the notched twin, a boundary segment 1
+        for label, key in weights.items():
+            sf = T.loop_triangle(label)
+            if T.is_boundary(label):
+                weight = {}
+            elif sf is not None:
+                weight = {xvar(sf.radius): 1,
+                          xvar(T.notched_twin(sf.radius)): 1}
+            else:
+                weight = {xvar(label): 1}
+            assert dict(ring.expvec(key)) == weight, label
+        # a product of weights is one key sum, its length bounding its
+        # exponents
+        x = x_of_labels(T, [*weights, *T.arcs])
+        top = x._max_exp()                    # before `exact` replaces it
+        assert top == len(weights) + len(T.arcs) >= x._max_exp(exact=True)
+        for arc, key in phis.items():
+            assert key == ring.pack(phi_exps({arc: 1}, T))
+            # phi is linear: height -1 packs to the negative key
+            assert ring.pack(phi_exps({arc: -1}, T)) == -key
 
 
 def test_key_table_width_follows_the_bound(monkeypatch):
