@@ -50,10 +50,12 @@ inherit the sum of their operands' bounds, a monomial its largest |digit|,
 an ordinary arc's numerator the bound d + 1 of its d tiles, any other
 polynomial computes its largest |digit| when first asked.  `mul` and
 `div_exact` recompute the bound of their result from exact operand bounds
-once it reaches 2**15, and raise ExponentOverflow if it reaches 2**31; a
-remainder term of long division is a dividend term or a quotient term in
-the Newton box times a divisor term, so it lies in the dividend's digit
-range.  `substitute` bounds its result by b * (1 + k + the sum of its k
+once it reaches 2**15, and raise ExponentOverflow if it reaches 2**31.
+Long division adds a remainder key only for a quotient term in the Newton
+box, so every remainder key lies in the dividend's digit range, and each
+quotient term, a remainder key minus the divisor's lead, in the sum of the
+bounds; a quotient that built the box takes the box's, exact, bound.
+`substitute` bounds its result by b * (1 + k + the sum of its k
 bindings' bounds) for a bound b of self, as the top digit also loses e for
 each bound y, picks its width by that, and past 2**31 raises when the
 result's digits, computed exactly, reach it.  So no digit ever spills into
@@ -515,22 +517,23 @@ class LaurentPoly:
             if cd == 1:
                 return LaurentPoly.from_packed(
                     {k - kd: c for k, c in num.items()}, bound, ring)
-        return self._long_division(num, den, ring)
+        return self._long_division(num, den, ring, bound)
 
     @staticmethod
     def _long_division(num: Dict[int, int], den: Dict[int, int],
-                       ring: Ring) -> "LaurentPoly":
-        # num / den, both in the ring.  Division under key order, leads
-        # popped from a heap of pending keys.  An exact quotient's Newton
-        # polytope is that of num minus that of den, so each of its digits
-        # lies in the box [min num - min den, max num - max den]; a lead
-        # outside it means a remainder.  Quotient keys strictly decrease
-        # inside a finite box, so the loop terminates.
-        box = [(min(a) - min(b), max(a) - max(b))
-               for a, b in zip(ring.columns(num), ring.columns(den))]
-        if any(low > high for low, high in box):
-            raise NotDivisible("Newton box of the quotient is empty")
-        digits = ring.digits
+                       ring: Ring, bound: int) -> "LaurentPoly":
+        # num / den in the ring, `bound` bounding |digit| of num plus that
+        # of den.  Leads pop from a heap of pending keys.  A product adds a
+        # key only after its quotient term passes the Newton box
+        # [min num - min den, max num - max den], built at the first such
+        # term (an exact quotient's Newton polytope is num's minus den's).
+        # So every remainder key is a dividend key or a box term times a
+        # divisor term, in num's digit range, and a quotient term, a
+        # remainder key minus den's lead, has |digit| <= bound, the
+        # quotient's bound unless the box, exact, was built.  Quotient keys
+        # strictly decrease, so finitely many pass the box and add keys,
+        # every other step removes one, and the loop ends only with the
+        # remainder empty.
         den_lead = max(den)
         den_lc = den[den_lead]
         rest = [(k - den_lead, c) for k, c in den.items() if k != den_lead]
@@ -538,14 +541,12 @@ class LaurentPoly:
         heap = [-k for k in rem]
         heapq.heapify(heap)
         quo: Dict[int, int] = {}
+        box = None
         while heap:
             lead = -heapq.heappop(heap)
             c = rem.pop(lead, 0)
             if not c:
                 continue  # cancelled, or a second heap entry
-            for e, (low, high) in zip(digits(lead - den_lead), box):
-                if not low <= e <= high:
-                    raise NotDivisible("leading monomial not divisible")
             q, r = divmod(c, den_lc)
             if r:
                 raise NotDivisible("leading coefficient not divisible")
@@ -554,6 +555,11 @@ class LaurentPoly:
                 k = lead + dk
                 old = rem.get(k)
                 if old is None:
+                    box = box or [(min(a) - min(b), max(a) - max(b)) for a, b
+                                  in zip(ring.columns(num), ring.columns(den))]
+                    if not all(low <= e <= high for e, (low, high)
+                               in zip(ring.digits(lead - den_lead), box)):
+                        raise NotDivisible("leading monomial not divisible")
                     rem[k] = -q * dc
                     heapq.heappush(heap, -k)
                 else:
@@ -562,8 +568,8 @@ class LaurentPoly:
                         rem[k] = s
                     else:
                         del rem[k]
-        return LaurentPoly.from_packed(
-            quo, max(max(-low, high) for low, high in box), ring)
+        return LaurentPoly.from_packed(quo, bound if box is None else max(
+            max(-low, high) for low, high in box), ring)
 
     # -- substitution ------------------------------------------------------
 

@@ -386,7 +386,10 @@ def test_wide_ring_axioms_and_division(a, b, c):
     assert a.mul(b).mul(c) == a.mul(b.mul(c))
     assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
     if not b.is_zero():
-        assert a.mul(b).div_exact(b) == a
+        q = a.mul(b).div_exact(b)
+        assert q == a
+        # the cached bound, taken first, covers the quotient's digits
+        assert q._max_exp() >= q._max_exp(exact=True)
 
 
 def _copy(p):
@@ -468,6 +471,83 @@ def test_inexact_laurent_division_examples():
     with pytest.raises(NotDivisible):
         L.const(2).mul(w0.add(w1)).div_exact(L.const(3).mul(w0).add(w1))
     assert w0.mul(w0).sub(inv.mul(inv)).div_exact(w0.sub(inv)) == w0.add(inv)
+
+
+# -- the Newton box ----------------------------------------------------------
+# Long division decodes keys for the quotient's Newton box only when a
+# product would add a key to the remainder.
+
+
+def _count_columns(monkeypatch):
+    """A list that gets the caller's name for each `Ring.columns` call from
+    now on."""
+    calls = []
+    real = poly.Ring.columns
+    monkeypatch.setattr(poly.Ring, "columns", lambda ring, keys: calls.append(
+        sys._getframe(1).f_code.co_name) or real(ring, keys))
+    return calls
+
+
+def test_loop_identity_division_builds_no_newton_box(monkeypatch):
+    # x_l / x_gamma of a singly-notched arc: every product of the division
+    # lands on a pending remainder key
+    from surfcluster.cli import parse_arc, parse_surface
+    from surfcluster.expand import _notched_sides, _ordinary, expand_arc
+    from surfcluster.snake import build_loop_path
+    data = Path(__file__).resolve().parent / "data"
+    T = parse_surface((data / "three_punctures.json").read_bytes())
+    _, ref, orientation = parse_arc((data / "notched_arc.json").read_bytes(),
+                                    T)
+    (gamma, p), = _notched_sides(T, ref, orientation, ())
+    loop = _ordinary(T, build_loop_path(T, gamma, p)).poly
+    x = _ordinary(T, gamma).poly
+    calls = _count_columns(monkeypatch)
+    single = loop.div_exact(x)
+    assert calls == []
+    assert single.mul(x) == loop
+    assert single == expand_arc(T, ref, orientation).poly
+
+
+def test_kronecker_step_builds_no_newton_box(monkeypatch):
+    # the exchange x_k' = (plus + minus) / x_k, exact by the Laurent
+    # phenomenon, on the fourth step of the chain 1, 2, 1, 2, ...
+    from surfcluster.mutation import mutate_seed, principal_seed, run_sequence
+    seed = run_sequence(principal_seed([[0, 2], [-2, 0]], ["1", "2"]),
+                        [0, 1, 0])
+    calls = _count_columns(monkeypatch)
+    step = mutate_seed(seed, 1)
+    assert calls == []
+    assert step.cluster[1].num_terms() > 1
+    assert mutate_seed(step, 1).cluster == seed.cluster
+
+
+def test_divisions_that_add_keys_build_the_box_once(monkeypatch):
+    x = L.var(xvar("1"))
+    w0 = L.var(WIDE[0])
+    inv = L.var(WIDE[0], -BIG)
+    for num, den, want, bound in (
+            (x.pow(5).sub(L.one()), x.sub(L.one()),
+             add_all(*(x.pow(i) for i in range(5))), 4),
+            (w0.mul(w0).sub(inv.mul(inv)), w0.sub(inv), w0.add(inv), BIG)):
+        calls = _count_columns(monkeypatch)
+        q = num.div_exact(den)
+        # num's and den's columns, once; a bound past 2**15 also makes
+        # `_product_bound` recompute both operands' exact bounds
+        assert calls.count("_long_division") == 2
+        assert q == want
+        assert q._bound == bound == q._max_exp(exact=True)
+        monkeypatch.undo()
+
+
+def test_inexact_division_raises_at_its_first_added_key(monkeypatch):
+    # (x + 1)**30 + x**31 leaves -1 at x = -1; each product lands on a key
+    # of the dividend until the last lead, x**0, would add x**-1
+    x = L.var(xvar("1"))
+    num = x.add(L.one()).pow(30).add(x.pow(31))
+    calls = _count_columns(monkeypatch)
+    with pytest.raises(NotDivisible):
+        num.div_exact(x.add(L.one()))
+    assert calls == ["_long_division"] * 2
 
 
 def test_exponent_overflow_is_refused():
