@@ -5,11 +5,11 @@
 thin wrappers around it.
 
 Ordinary arcs sum weight times specialized height over the perfect
-matchings of the snake graph without listing them, and without building
-the graph: heights are linear in the matching, so each rule of each tile
-that `snake.build_tiles` places carries one packed monomial, and the
-tile-by-tile matching DP carries one polynomial per state
-(`matchings.strip_rules` and `matchings.strip_sum`).
+matchings of the snake graph without listing them, building the graph or
+placing its tiles: heights are linear in the matching, so each rule of
+each tile carries one packed monomial, looked up by the tile's two strip
+triangles in T's transfer table (`matchings.strip_transfers`), and the
+tile-by-tile matching DP carries one polynomial per state (`strip_sum`).
 
 Notched arcs come from ordinary transfer sums through two identities, with
 no loop-graph matching listed:
@@ -54,12 +54,12 @@ from .matchings import (
     _keys,
     matching_count,
     phi_specialize,
-    strip_rules,
     strip_sum,
+    strip_transfers,
     x_of_labels,
 )
 from .mutation import f_from_x
-from .snake import EndpointNotPuncture, build_loop_path, build_tiles
+from .snake import EndpointNotPuncture, build_loop_path, build_strip
 from .surface import (
     CrossingPath,
     SurfaceError,
@@ -134,17 +134,17 @@ def _ordinary(T: Triangulation, gamma: Union[CrossingPath, str]) -> Expansion:
     its own variable."""
     if isinstance(gamma, str):
         return Expansion(x_of_labels(T, [gamma]), LaurentPoly.one(), 1)
-    tiles, glue = build_tiles(T, gamma)
+    strip = build_strip(T, gamma)
+    start, rules, turns = strip_transfers(T, strip)
     # every perfect matching adds one monomial with coefficient 1
-    acc = strip_sum(*strip_rules(T, tiles, glue))
-    count = matching_count(glue)
+    acc = strip_sum(start, rules)
+    count = matching_count(turns)
     if sum(acc.values()) != count:
         raise ArithmeticError(f"the transfer sum counts {sum(acc.values())} "
                               f"matchings, the continuant {count}")
     # a matching has d + 1 edges, each adding at most 1 to an x exponent,
     # and each of the d tiles moves a y exponent by at most 1
-    num = LaurentPoly.from_packed(acc, len(tiles) + 1,
-                                  _keys(T, len(tiles) + 1)[0])
+    num = LaurentPoly.from_packed(acc, len(strip), _keys(T, len(strip))[0])
     cross = crossing_monomial(T, gamma)
     return Expansion(num.div_exact(cross), cross, count)
 

@@ -41,26 +41,24 @@ the same way on its first d tiles, with no copy of the end.
 
 Each tile's height is decided by one edge, so the height is linear in P;
 the weight is a product over the edges and phi is linear, so x(P)·y(P) is
-a fixed monomial times one monomial per edge of P.  The matching sum of an
-ordinary arc therefore needs no graph: `strip_rules` reads each tile that
-`snake.build_tiles` places as one (covered in, covered out, packed key)
-per rule of its shape, and `strip_sum` folds them with one polynomial per
-state, at a cost of tiles × states × terms.  Each label's weight, and
-phi of each arc's height, is packed once per triangulation as one key in
-T's ring, 16-bit unless a sum's bound reaches 2**15, in a key table kept
-on T (`_keys`).  A slot's key adds its weight and height, a product of
-weights is the sum of its label keys (`x_of_labels`), and a monomial
-built here (`x_of_labels`, `phi_specialize`) lies in T's ring too.
+a fixed monomial times one monomial per edge of P.  So the matching sum of
+an ordinary arc needs neither graph nor placed tiles: a tile's transfer,
+fixed by strip triangles k and k + 1 alone (`_transfer`), is a start
+shift (phi of the diagonal if P- holds the outer edge), one (covered in,
+covered out, packed key) per rule of its shape and whether the snake
+turns there.  `strip_transfers` looks it up in a table kept on T per key
+width, and `strip_sum` folds the rules with one polynomial per state, at
+a cost of tiles × states × terms.  Each label's weight and each arc's phi
+is one packed key in T's ring, 16-bit unless a sum's bound reaches 2**15,
+kept on T per width too (`_keys`), so a product of weights is the sum of
+its label keys (`x_of_labels`); a monomial built here is in T's ring.
 
 Enumeration runs the same DP on a graph: `enumerate_matchings` keys each
-slot by the bit of its edge id (`_rules` sums the slot keys of each rule,
-for it as for `strip_rules`), so every term of the sum is one matching,
-and returns the matchings sorted by their sorted edge ids.  It is
-exponential and serves only the `matchings` command and the test oracles:
-the per-matching sum of an ordinary arc, and the paper's loop-graph sums
-over symmetric matchings and compatible pairs.
-`matching_count` counts the matchings a second way, by a continuant read
-off the glue, so the strip sum's count is checked.
+compass slot by the bit of its edge id (`_rules`), so every term of the
+sum is one matching, and returns the matchings sorted by their sorted
+edge ids.  It is exponential and serves only the `matchings` command and
+the test oracles.  `matching_count` counts the matchings a second way, by
+a continuant read off the turns, so every strip sum's count is checked.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import LaurentPoly, Ring, bits_for, ring_of, xvar, yvar
 from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, _SLOTS,
-                    LoopGraph, SnakeGraph, Tile)
+                    LoopGraph, SnakeGraph, Tile, _local_tile)
 from .surface import SurfaceError, Triangulation
 
 __all__ = [
@@ -84,7 +82,7 @@ __all__ = [
     "phi_specialize",
     "x_of_labels",
     "outer_slots",
-    "strip_rules",
+    "strip_transfers",
     "strip_sum",
     "matching_count",
     "gamma_symmetric_filter",
@@ -128,6 +126,12 @@ def _shape_rules(entry: Optional[str], exit_: Optional[str]
 
 _RULES = {(a, b): _shape_rules(a, b)
           for a in (None, "S", "W") for b in (None, "N", "E")}
+# the same in slots counted from a, read off the drawing with t = 3, which
+# puts every entry slot (0 or 1) in W or S and every exit (2 or 3) in E or N
+_T3 = {None: None, 0: "W", 1: "S", 2: "E", 3: "N"}
+_LOCAL_RULES = {(e, x): [(c, o, tuple(map("WSEN".index, slots)))
+                         for c, o, slots in _RULES[_T3[e], _T3[x]]]
+                for e in (None, 0, 1) for x in (None, 2, 3)}
 
 
 def _shapes(glue: Sequence[str]):
@@ -267,7 +271,7 @@ def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# the matching sum of an ordinary arc, from its tiles
+# the matching sum of an ordinary arc, from its strip
 
 
 def outer_slots(tiles: Sequence[Tile], glue: Sequence[str]
@@ -282,24 +286,33 @@ def outer_slots(tiles: Sequence[Tile], glue: Sequence[str]
     return out
 
 
-def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str]
-                ) -> Tuple[int, List[List[Tuple[bool, bool, int]]]]:
-    """(start, rules): per tile, (covered in, covered out, key) for each
-    rule of its shape, so that x(P)·y(P) is start plus the keys of the
-    rules a perfect matching P takes.  A key sums the label keys of the
-    chosen slots; phi of the diagonal is added on the outer slot, or, when
-    P- holds the outer edge, to the start and taken off the outer slot."""
-    _, weights, phis = _keys(T, len(tiles) + 1)
-    start, slot_keys = 0, []
-    for tile, (outer, minus) in zip(tiles, outer_slots(tiles, glue)):
-        keys = {s: weights[label] for s, label in tile.slots.items()}
-        phi = phis[tile.diagonal]
-        if minus:
-            start += phi
-            phi = -phi
-        keys[outer] += phi
-        slot_keys.append(keys)
-    return start, _rules(slot_keys, glue)
+def _transfer(weights: Dict[str, int], phis: Dict[str, int], low, up):
+    """One tile's (start shift, rules, turn) from its two strip triangles
+    (see `strip_transfers`), read with rel = +1: a tile with rel = -1 is its
+    mirror image, with the same edges and an outer slot whose parity flips
+    with that of k (`_in_minus`).  A rule's key sums the keys of the slots
+    it chooses, the outer slot's adding phi of the diagonal."""
+    diagonal, sides, entry, exit_ = _local_tile(low, up, 1)
+    keys = [weights[label] for label in sides]
+    outer = 1 if entry == 0 else 0    # the first slot that is no glue slot
+    phi = phis[diagonal]
+    shift = phi if outer else 0       # P- holds slot 1 of an even tile
+    keys[outer] += phi - 2 * shift
+    return shift, [(c, o, sum(keys[i] for i in slots))
+                   for c, o, slots in _LOCAL_RULES[entry, exit_]], \
+        None not in (entry, exit_) and exit_ - entry != 2
+
+
+def strip_transfers(T: Triangulation, strip: Sequence) -> Tuple:
+    """(start, rules, turns) of a `snake.build_strip` strip for `strip_sum`
+    and `matching_count`, each tile's share looked up in T's transfer table
+    of the strip's key width (see the module docstring)."""
+    _, weights, phis = keys = _keys(T, len(strip))
+    table = T.transfer_table.setdefault(keys[0].bits, {})
+    shifts, rules, turns = zip(*[
+        table.get(key) or table.setdefault(key, _transfer(weights, phis, *key))
+        for key in zip(strip, strip[1:])])
+    return sum(shifts), rules, turns
 
 
 def _merged(a_off: int, a: Dict[int, int], b_off: int,
@@ -335,27 +348,19 @@ def strip_sum(start: int, rules: Sequence[Sequence[Tuple[bool, bool, int]]]
     return dict(zip(map(add, terms, repeat(off)), terms.values()))
 
 
-def matching_count(glue: Sequence[str]) -> int:
-    """The number of perfect matchings of the snake graph with this glue,
-    independent of the DP: the continuant of the run lengths of its sign
-    sequence (Çanakçı–Schiffler, arXiv:1608.06568).
-
-    The sign sequence has one sign per glue edge plus e_0 and e_d.  Tile k
-    sits between signs k and k+1: they differ where the snake goes straight
-    through it and agree where it turns, and the end tiles count as
-    straight.
-    """
-    d = len(glue) + 1
-    runs = [1]
-    for k in range(d):
-        if 0 < k < d - 1 and glue[k - 1] != glue[k]:
-            runs[-1] += 1
-        else:
-            runs.append(1)
-    prev, cur = 0, 1
-    for a in runs:
-        prev, cur = cur, a * cur + prev
-    return cur
+def matching_count(turns: Sequence[bool]) -> int:
+    """The number of perfect matchings of a snake graph, given per tile
+    whether the snake turns there, independent of the DP: the continuant of
+    the run lengths of its sign sequence (Çanakçı–Schiffler,
+    arXiv:1608.06568), one sign per glue edge plus e_0 and e_d.  Tile k sits
+    between signs k and k+1, which differ where the snake goes straight
+    through it and agree where it turns, the end tiles counting straight."""
+    prev, cur, run = 0, 1, 1
+    for turn in turns:
+        if not turn:                  # a new run of the sign sequence
+            prev, cur, run = cur, run * cur + prev, 0
+        run += 1
+    return run * cur + prev
 
 
 # ---------------------------------------------------------------------------

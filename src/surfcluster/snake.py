@@ -56,6 +56,7 @@ matching heights are read off those edges alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle
 from typing import Dict, List, Optional, Tuple, Union
 
 from .surface import (
@@ -216,41 +217,34 @@ class SnakeGraph:
         return (self.vertex_of[(tile, c1)], self.vertex_of[(tile, c2)])
 
 
-def _pair(side: int, rel: int) -> Tuple[int, int]:
-    """The indices of the two sides after `side` of a strip triangle, in the
-    order they fill a tile's slots: counterclockwise from it when rel = +1,
-    clockwise when rel = -1."""
-    pair = ((side + 1) % 3, (side + 2) % 3)
-    return pair if rel == 1 else pair[::-1]
+def _local_tile(low, up, rel: int):
+    """Tile k from low = strip[k], up = strip[k + 1] and its rel, in slots
+    from a: (diagonal, labels, entry 0 or 1, exit 2 or 3, None at an end)."""
+    (labels, en, ex), (ulabels, uen, uex) = low, up
+    lower = ((ex + 1) % 3, (ex + 2) % 3)[::rel]
+    upper = ((uen + 1) % 3, (uen + 2) % 3)[::rel]
+    return (labels[ex], [labels[i] for i in lower]
+            + [ulabels[i] for i in upper],
+            None if en is None else lower.index(3 - en - ex),
+            None if uex is None else 2 + upper.index(3 - uen - uex))
 
 
 def build_tiles(T: Triangulation, path: CrossingPath):
     """Place all tiles of the snake graph of the given path by slot
     arithmetic (see the module docstring)."""
     strip = build_strip(T, path)
-    rel = 1
-    placed = []                          # (diagonal, rel, labels from slot a)
-    exits: List[int] = []                # the slot of tile k glued to tile k+1
-    # tile k sits between strip[k] and strip[k+1]; its glue edges carry the
-    # third sides of the strip triangles
-    for (low, _, ex), (up, uen, uex) in zip(strip, strip[1:]):
-        upper = _pair(uen, rel)
-        if uex is not None:
-            exits.append(2 + upper.index(3 - uen - uex))
-        placed.append((low[ex], rel, [low[i] for i in _pair(ex, rel)]
-                       + [up[i] for i in upper]))
-        rel = -rel
+    placed = list(map(_local_tile, strip, strip[1:], cycle((1, -1))))
     # every tile has tile 0's a, so every exit is 2 or 3: some turn t puts
     # both in E (1) or N (2)
+    exits = [tile[3] for tile in placed[:-1]]
     t = next(t for t in range(4) if all((e + t) % 4 in (1, 2) for e in exits))
     glue = ["U" if (e + t) % 4 == 2 else "R" for e in exits]
     order = _SLOTS[t:] + _SLOTS[:t]
-    tiles: List[Tile] = []
-    x = y = 0
-    for k, (diag, rel, labels) in enumerate(placed):
-        if k:
-            x, y = (x, y + 1) if glue[k - 1] == "U" else (x + 1, y)
-        tiles.append(Tile(diag, rel, (x, y), t, dict(zip(order, labels))))
+    tiles, x = [], 0
+    for k, (diag, labels, _, _) in enumerate(placed):
+        x += k and glue[k - 1] == "R"       # tile k sits at x + y = k
+        tiles.append(Tile(diag, (-1) ** k, (x, k - x), t,
+                          dict(zip(order, labels))))
     return tiles, glue
 
 

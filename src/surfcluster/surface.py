@@ -131,10 +131,12 @@ class Triangulation:
         init=False, repr=False, compare=False)
     _orbits: List[List[Tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
-    # digit width -> the ring and the packed weight and phi keys of
-    # `matchings._keys`, built the first time they are needed
+    # digit width -> the ring and packed keys of `matchings._keys`, and ->
+    # the tile transfers of `matchings.strip_transfers`; built on first use
     key_table: Dict[int, Tuple] = field(default_factory=dict, init=False,
                                         repr=False, compare=False)
+    transfer_table: Dict[int, Dict] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         loops, radii, folded, names, first = {}, {}, {}, {}, {}

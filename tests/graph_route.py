@@ -11,14 +11,51 @@ phi keys but
 not the edge numbering, the outer edges or P-.  `boundary_matchings` keeps
 the enumerated matchings that use boundary edges only, a third way to P-
 and P+.  `minus_avoid` states which edges of the first tile P- avoids.
+
+`strip_rules` is the route between the two: it reads the rules of each
+tile that `snake.build_tiles` places, in compass slots, which the transfer
+table of `matchings.strip_transfers` must reproduce up to the order of each
+tile's rules.  `turns` reads the turn flags of `matchings.matching_count`
+off a snake's glue.
 """
 
 from typing import Dict, List, Sequence, Set, Tuple
 
 from surfcluster.matchings import (Matching, NotAMatching, _keys, _rules,
-                                   enumerate_matchings, strip_sum)
-from surfcluster.snake import SnakeGraph
+                                   enumerate_matchings, outer_slots,
+                                   strip_sum)
+from surfcluster.snake import SnakeGraph, Tile
 from surfcluster.surface import Triangulation
+
+
+def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str],
+                bound: int = 0
+                ) -> Tuple[int, List[List[Tuple[bool, bool, int]]]]:
+    """(start, rules): per tile, (covered in, covered out, key) for each
+    rule of its shape, so that x(P)·y(P) is start plus the keys of the
+    rules a perfect matching P takes.  A key sums the label keys of the
+    chosen slots; phi of the diagonal is added on the outer slot, or, when
+    P- holds the outer edge, to the start and taken off the outer slot.
+    The keys are of the width that len(tiles) + 1, or `bound` if larger,
+    picks."""
+    _, weights, phis = _keys(T, max(len(tiles) + 1, bound))
+    start, slot_keys = 0, []
+    for tile, (outer, minus) in zip(tiles, outer_slots(tiles, glue)):
+        keys = {s: weights[label] for s, label in tile.slots.items()}
+        phi = phis[tile.diagonal]
+        if minus:
+            start += phi
+            phi = -phi
+        keys[outer] += phi
+        slot_keys.append(keys)
+    return start, _rules(slot_keys, glue)
+
+
+def turns(glue: Sequence[str]) -> List[bool]:
+    """Per tile, whether the snake with this glue turns there: the glue
+    changes direction through it.  The end tiles count as straight."""
+    return [0 < k < len(glue) and glue[k - 1] != glue[k]
+            for k in range(len(glue) + 1)]
 
 
 def outer_edges(g: SnakeGraph) -> List[int]:

@@ -25,7 +25,6 @@ from surfcluster.matchings import (
     enumerate_matchings,
     height_exponents,
     phi_exps,
-    strip_rules,
     strip_sum,
     weight_exps,
 )
@@ -52,6 +51,7 @@ from surfcluster.expand import (
     g_vector,
     retag_expansion,
 )
+from graph_route import strip_rules
 from helpers import euler_table, y_ends, z_factor
 from surfcluster.mutation import mutate_seed, principal_seed, run_sequence
 import loop_oracle

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -25,7 +26,8 @@ from conftest import (
 )
 from surfcluster.expand import expand_ordinary
 from surfcluster.poly import LaurentPoly as L, ring_of, xvar, yvar
-from surfcluster.snake import build_loop_graph, build_snake, build_tiles
+from surfcluster.snake import (build_loop_graph, build_snake, build_strip,
+                              build_tiles)
 from surfcluster.surface import SurfaceError
 from surfcluster.matchings import (
     _RULES,
@@ -42,13 +44,14 @@ from surfcluster.matchings import (
     perfect_end_restriction,
     phi_exps,
     phi_specialize,
-    strip_rules,
     strip_sum,
+    strip_transfers,
     weight_exps,
     x_of_labels,
 )
 from graph_route import (boundary_matchings, boundary_walk, edge_keys,
-                         minus_avoid, outer_edges, transfer_sum)
+                         minus_avoid, outer_edges, strip_rules,
+                         transfer_sum, turns)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -190,7 +193,7 @@ def test_count_matches_kasteleyn(mk):
     # the transfer sum with every key 0 counts the matchings
     assert transfer_sum(g, 0, [0] * len(g.edges)) == {0: n}
     # and so does the continuant of the sign sequence read off the glue
-    assert matching_count(g.glue) == n
+    assert matching_count(turns(g.glue)) == n
 
 
 def test_zigzag_expansion_count_matches_kasteleyn():
@@ -267,7 +270,8 @@ def test_three_tile_turns(reverse, glue):
     assert g.glue == glue
     ms = enumerate_matchings(g)
     assert set(ms) == set(dp_oracle.enumerate_matchings(g))
-    assert len(ms) == kasteleyn_count(g) == matching_count(g.glue) == 4
+    assert len(ms) == kasteleyn_count(g) == \
+        matching_count(turns(g.glue)) == 4
     keys = [1 << (8 * e) for e in range(len(g.edges))]
     assert transfer_sum(g, 0, keys) == dp_oracle.transfer_sum(g, 0, keys) \
         == {sum(keys[e] for e in P): 1 for P in ms}
@@ -285,7 +289,7 @@ def test_dp_equals_the_generic_dp(name):
         assert set(ms) == set(dp_oracle.enumerate_matchings(g))
         bms = dp_oracle.boundary_matchings(g)
         assert boundary_matchings(g) == sorted(bms, key=sorted)
-        assert matching_count(g.glue) == len(ms)
+        assert matching_count(turns(g.glue)) == len(ms)
         # the boundary walk gives the pair the DP finds: P- is the one
         # boundary matching that avoids the first tile's avoid slots
         avoid = minus_avoid(g)
@@ -358,10 +362,96 @@ def test_key_table_width_follows_the_bound(monkeypatch):
         return real(T, bound)
 
     monkeypatch.setattr(matchings, "_keys", spy)
-    tiles, glue = build_tiles(T, zigzag_arc(T))
-    strip_rules(T, tiles, glue)
+    tiles, _ = build_tiles(T, zigzag_arc(T))
+    strip_transfers(T, build_strip(T, zigzag_arc(T)))
     assert bounds == [len(tiles) + 1]
     assert expand_ordinary(T, zigzag_arc(T)).poly._ring is _keys(T)[0]
+
+
+def _placeable(name):
+    """A fresh oracle surface and every oracle walk and loop path of it
+    that has a snake graph: the strip refuses the others, as the tiles
+    do."""
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    paths = []
+    for path in oracle_walks(T, max_d):
+        try:
+            build_tiles(T, path)
+        except SurfaceError:
+            with pytest.raises(SurfaceError):
+                build_strip(T, path)
+            continue
+        paths.append(path)
+    assert paths
+    return T, paths
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_transfer_table_equals_the_placed_tiles(name, monkeypatch):
+    # at the width each strip picks, then with every key made wide: the
+    # looked-up start equals strip_rules' start on the placed tiles, each
+    # tile's rules equal its rules up to order (they are read in slots
+    # counted from a with rel = +1, not in compass slots with the tile's
+    # rel), and the turns are the glue's
+    from surfcluster import matchings
+    T, paths = _placeable(name)
+    real = matchings._keys
+    for bound in (0, 2 ** 15):
+        monkeypatch.setattr(matchings, "_keys",
+                            lambda T, b=0: real(T, max(b, bound)))
+        for path in paths:
+            tiles, glue = build_tiles(T, path)
+            start, rules, flags = strip_transfers(T, build_strip(T, path))
+            want_start, want_rules = strip_rules(T, tiles, glue, bound)
+            assert start == want_start, path
+            assert list(map(Counter, rules)) == \
+                list(map(Counter, want_rules)), path
+            assert list(flags) == turns(glue), path
+            assert matching_count(flags) == matching_count(turns(glue))
+    assert sorted(T.transfer_table) == [16, 32]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_transfer_table_fills_once_per_width(name, monkeypatch):
+    # the first expansion of each walk fills the table; a second adds no
+    # entry and computes none.  A wide request then computes every entry
+    # again from the wide key table and never reads a narrow one
+    from surfcluster import matchings
+    T, paths = _placeable(name)
+    made, real_transfer = [], matchings._transfer
+
+    def spy(weights, phis, *key):
+        made.append((weights, key))
+        return real_transfer(weights, phis, *key)
+
+    monkeypatch.setattr(matchings, "_transfer", spy)
+    first = [expand_ordinary(T, path) for path in paths]
+    narrow = dict(T.transfer_table[16])
+    assert list(T.transfer_table) == [16]
+    assert len(made) == len(narrow) == len({key for _, key in made})
+    assert all(w is _keys(T)[1] for w, _ in made)
+    made.clear()
+    assert [expand_ordinary(T, path) for path in paths] == first
+    assert made == [] and T.transfer_table[16] == narrow
+    real_keys = matchings._keys
+    monkeypatch.setattr(matchings, "_keys",
+                        lambda T, b=0: real_keys(T, max(b, 2 ** 15)))
+    for path in paths:
+        strip_transfers(T, build_strip(T, path))
+    ring, weights, _ = _keys(T, 2 ** 15)
+    assert all(w is weights for w, _ in made)
+    assert len(made) == len(narrow)
+    assert {key for _, key in made} == narrow.keys()
+    assert T.transfer_table[16] == narrow
+    assert T.transfer_table[32].keys() == narrow.keys()
+    ring16 = _keys(T)[0]
+    for key, (shift, rules, turn) in T.transfer_table[32].items():
+        n_shift, n_rules, n_turn = narrow[key]
+        assert ring.expvec(shift) == ring16.expvec(n_shift)
+        assert [(c, o, ring.expvec(k)) for c, o, k in rules] == \
+            [(c, o, ring16.expvec(k)) for c, o, k in n_rules]
+        assert turn == n_turn
 
 
 def _strip_against_graph(T, path):
@@ -382,8 +472,8 @@ def _strip_against_graph(T, path):
     assert bound == len(tiles) + 1
     num = L.from_packed(acc, None, _keys(T)[0])
     assert num._max_exp(exact=True) <= bound
-    assert sum(acc.values()) == matching_count(glue) == \
-        matching_count(g.glue)
+    assert sum(acc.values()) == matching_count(turns(glue)) == \
+        matching_count(turns(g.glue))
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
