@@ -10,9 +10,9 @@ an arc of the triangulation whose ends are two different punctures.
 `sequence`/`index` are 1-based.  On a mismatch `verify` prints the canonical
 text of expansion - oracle under the DIFFER line.
 
-Exit codes: 0 ok, 1 parse error (unreadable file, bad JSON, wrong field or
-type), 2 validation error (including an index out of range), 3 computation
-error, 4 verification mismatch; a nonzero exit prints one line to stderr.
+Exit codes: 0 ok, 1 parse error (bad options, unreadable file, bad JSON,
+wrong field or type), 2 validation error (including an index out of range),
+3 computation error, 4 verification mismatch, each with one line on stderr.
 
 Each file kind has one schema table, `_SURFACE`, `_ARC`, `_SEED` or
 `_BUNDLE`, that states every JSON type rule; `_check` checks a file against
@@ -459,8 +459,15 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY if failures else 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a parse error, in one line."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(prog="surfcluster")
+    ap = _ArgumentParser(prog="surfcluster")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("expand", "fpoly", "gvector"):
         p = sub.add_parser(name)
@@ -487,8 +494,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--bundle", required=True)
     p.set_defaults(func=_cmd_verify)
 
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

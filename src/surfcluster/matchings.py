@@ -12,12 +12,12 @@ the DP has two states, covered and uncovered, and each tile is a fixed
 transfer between them (the 2×2 matrices of Musiker–Williams,
 arXiv:1108.3382).
 
-A tile's entry glue slot is None, S or W and its exit glue slot None, N or
-E: nine shapes.  `_RULES` lists, per shape, every (covered in, covered
-out, chosen slots) allowed on one abstract tile; it is derived by brute
-force once at import (see `_shape_rules`).  At a turn the corner shared by
-the entry and exit slots may stay uncovered, as in the rule "uncovered to
-uncovered by W" of the shape (S, E).
+A tile's glue slots, counted from a (slot i joins corners i and i + 1), are
+an entry None, 0 or 1 and an exit None, 2 or 3: nine shapes (`Tile.shape`).
+`_RULES` lists, per shape, every (covered in, covered out, chosen slots) of
+one abstract tile, derived by brute force once at import (`_shape_rules`).
+At a turn the corner shared by the entry and exit slots may stay uncovered,
+as in the rule "uncovered to uncovered by slot 0" of the shape (1, 2).
 
 The extremal matchings P- and P+ need no DP: every vertex lies on the
 outer face, so the boundary edges form one cycle through all the vertices,
@@ -29,10 +29,10 @@ alternate edges starts at corners of one colour.  Slot i (S, E, N, W =
 0..3) of the tile at (x, y) starts at parity x + y + i, and tile k sits
 at x + y = k, the drawing stepping up or right.  P- avoids the sides that
 follow tile 0's diagonal counterclockwise, which are slots a and a + 2, as
-tile 0 has rel = +1.  So it holds the boundary edge in slot i of tile k
-exactly when i + k and a differ in parity (`_in_minus`).  `outer_slots`
-reads P- so on each tile's outer edge, with no graph, and
-`minimal_maximal` splits a graph's boundary edges so.
+tile 0 has rel = +1.  So it holds the boundary edge in slot j from a of
+tile k exactly when j + k is odd: `_outer` reads this off each tile's
+outer edge, with no graph, and `minimal_maximal` off a graph's boundary
+edges.
 
 Heights count the tiles enclosed by P ⊖ P-, each read off the tile's one
 outer-face edge and P-'s hold on it, both from `outer_slots` (see
@@ -53,12 +53,12 @@ is one packed key in T's ring, 16-bit unless a sum's bound reaches 2**15,
 kept on T per width too (`_keys`), so a product of weights is the sum of
 its label keys (`x_of_labels`); a monomial built here is in T's ring.
 
-Enumeration runs the same DP on a graph: `enumerate_matchings` keys each
-compass slot by the bit of its edge id (`_rules`), so every term of the
-sum is one matching, and returns the matchings sorted by their sorted
-edge ids.  It is exponential and serves only the `matchings` command and
-the test oracles.  `matching_count` counts the matchings a second way, by
-a continuant read off the turns, so every strip sum's count is checked.
+Enumeration runs the same DP on a graph: `enumerate_matchings` gives
+`_tile_rules` each slot's edge-id bit, in `Tile.slots` order, and phi 0, so
+every term of the sum is one matching; it returns the matchings sorted by
+their sorted edge ids.  It is exponential and serves only the `matchings`
+command and the test oracles.  `matching_count` checks every strip sum's
+count a second way, by a continuant read off the turns.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ from operator import add
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import LaurentPoly, Ring, bits_for, ring_of, xvar, yvar
-from .snake import (_ENTRY_OF_DIR, _EXIT_SLOT, _SLOT_CORNERS, _SLOTS,
-                    LoopGraph, SnakeGraph, Tile, _local_tile)
+from .snake import _SLOTS, LoopGraph, SnakeGraph, Tile, _local_tile
 from .surface import SurfaceError, Triangulation
 
 __all__ = [
@@ -97,10 +96,11 @@ class NotAMatching(SurfaceError):
     pass
 
 
-def _shape_rules(entry: Optional[str], exit_: Optional[str]
-                 ) -> List[Tuple[bool, bool, Tuple[str, ...]]]:
+def _shape_rules(entry: Optional[int], exit_: Optional[int]
+                 ) -> List[Tuple[bool, bool, Tuple[int, ...]]]:
     """(covered in, covered out, chosen slots) for every way a tile with
-    these glue slots extends a partial matching.
+    these glue slots extends a partial matching, in slots counted from a:
+    slot i joins corners i and i + 1 (mod 4).
 
     The state is whether the corners of the glue slot are covered.  A set
     of the tile's slots other than its entry is kept when it covers no
@@ -109,13 +109,14 @@ def _shape_rules(entry: Optional[str], exit_: Optional[str]
     exit corners or neither.  Without an entry the tile starts covered;
     without an exit it ends covered.
     """
-    ent, ext = _SLOT_CORNERS.get(entry, ()), set(_SLOT_CORNERS.get(exit_, ()))
-    free = [s for s in _SLOTS if s != entry]
+    ent = () if entry is None else (entry, entry + 1)
+    ext = set() if exit_ is None else {exit_, (exit_ + 1) % 4}
+    free = [s for s in range(4) if s != entry]
     rules = []
-    for covered in ((True, False) if entry else (True,)):
+    for covered in ((True,) if entry is None else (True, False)):
         for r in range(len(free) + 1):
             for slots in combinations(free, r):
-                hit = [c for s in slots for c in _SLOT_CORNERS[s]]
+                hit = [c for s in slots for c in (s, (s + 1) % 4)]
                 hit += ent if covered else ()
                 done = set(hit)
                 if len(done) == len(hit) and len(done | ext) == 4 and \
@@ -125,54 +126,51 @@ def _shape_rules(entry: Optional[str], exit_: Optional[str]
 
 
 _RULES = {(a, b): _shape_rules(a, b)
-          for a in (None, "S", "W") for b in (None, "N", "E")}
-# the same in slots counted from a, read off the drawing with t = 3, which
-# puts every entry slot (0 or 1) in W or S and every exit (2 or 3) in E or N
-_T3 = {None: None, 0: "W", 1: "S", 2: "E", 3: "N"}
-_LOCAL_RULES = {(e, x): [(c, o, tuple(map("WSEN".index, slots)))
-                         for c, o, slots in _RULES[_T3[e], _T3[x]]]
-                for e in (None, 0, 1) for x in (None, 2, 3)}
+          for a in (None, 0, 1) for b in (None, 2, 3)}
 
 
-def _shapes(glue: Sequence[str]):
-    """Each tile's (entry slot, exit slot): None at the ends."""
-    return zip([None] + [_ENTRY_OF_DIR[d] for d in glue],
-               [_EXIT_SLOT[d] for d in glue] + [None])
+def _outer(entry: Optional[int], k: int) -> Tuple[int, bool]:
+    """Tile k's outer slot, the first from a that is no glue slot, and
+    whether P- holds its edge (see the module docstring)."""
+    slot = 1 if entry == 0 else 0
+    return slot, (slot + k) % 2 == 1
 
 
-def _rules(slot_keys: Iterable[Dict[str, int]], glue: Sequence[str]
-           ) -> List[List[Tuple[bool, bool, int]]]:
-    """Per tile, (covered in, covered out, key) for each rule of its shape
-    (see `strip_sum`), the key summing the tile's slot keys over the slots
-    the rule chooses."""
-    return [[(c, o, sum(map(keys.__getitem__, slots)))
-             for c, o, slots in _RULES[shape]]
-            for keys, shape in zip(slot_keys, _shapes(glue))]
+def _tile_rules(keys: Sequence[int], phi: int, entry: Optional[int],
+                exit_: Optional[int]
+                ) -> Tuple[int, List[Tuple[bool, bool, int]]]:
+    """(start shift, rules) of a tile read as tile 0, from its keys per slot
+    from a and phi of its diagonal: per rule of its shape, (covered in,
+    covered out, key), the key summing the chosen slots' keys, the outer
+    slot's carrying phi, or -phi when P- holds the outer edge and the
+    shift takes phi."""
+    outer, minus = _outer(entry, 0)
+    shift = phi if minus else 0
+    keys = list(keys)
+    keys[outer] += phi - 2 * shift
+    return shift, [(c, o, sum(keys[i] for i in slots))
+                   for c, o, slots in _RULES[entry, exit_]]
 
 
 def enumerate_matchings(g: SnakeGraph) -> List[Matching]:
     """All perfect matchings, sorted by their sorted edge ids: the strip
     DP with each edge keyed by its own bit, so each term is one matching."""
-    masks = strip_sum(0, _rules(({s: 1 << e for s, e in t.slot_edge.items()}
-                                 for t in g.tiles), g.glue))
+    masks = strip_sum(0, [_tile_rules([1 << t.slot_edge[s] for s in t.slots],
+                                      0, *t.shape)[1] for t in g.tiles])
     return sorted((frozenset(e for e in range(m.bit_length()) if m >> e & 1)
                    for m in masks), key=sorted)
 
 
-def _in_minus(a: int, k: int, slot: str) -> bool:
-    """Whether P- holds the boundary edge in this slot of tile k, a being
-    the first tile's a (see the module docstring)."""
-    return (_SLOTS.index(slot) + k - a) % 2 == 1
-
-
 def minimal_maximal(g: SnakeGraph) -> Tuple[Matching, Matching]:
     """The two boundary-only matchings, (minimal, maximal): the boundary
-    edges split by `_in_minus`."""
+    edges split by the parity of `_outer`, P- holding slot i from a of tile
+    k when i + k is odd."""
     sides: Tuple[set, set] = (set(), set())
     for e in g.edges:
         if e.boundary:
-            sides[_in_minus(g.tiles[0].a, *e.tiles[0])].add(e.eid)
-    return frozenset(sides[True]), frozenset(sides[False])
+            k, slot = e.tiles[0]
+            sides[(_SLOTS.index(slot) - g.tiles[0].a + k) % 2].add(e.eid)
+    return frozenset(sides[1]), frozenset(sides[0])
 
 
 def _check_matching(g: SnakeGraph, P: Matching) -> None:
@@ -188,7 +186,7 @@ def _tile_heights(g: SnakeGraph, P: Matching, n: int) -> Dict[str, int]:
     """Heights of the first n tiles, grouped by diagonal label: a tile is
     enclosed exactly when its outer edge lies in one of P and P-."""
     m: Dict[str, int] = {}
-    for tile, (slot, minus) in zip(g.tiles[:n], outer_slots(g.tiles, g.glue)):
+    for tile, (slot, minus) in zip(g.tiles[:n], outer_slots(g.tiles)):
         if (tile.slot_edge[slot] in P) != minus:
             m[tile.diagonal] = m.get(tile.diagonal, 0) + 1
     return m
@@ -274,33 +272,22 @@ def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
 # the matching sum of an ordinary arc, from its strip
 
 
-def outer_slots(tiles: Sequence[Tile], glue: Sequence[str]
-                ) -> List[Tuple[str, bool]]:
-    """Per tile, the slot of its outer edge (the first from a that is no
-    glue slot: no other tile has that edge) and whether P- holds that edge
-    (see the module docstring)."""
-    out = []
-    for k, (tile, shape) in enumerate(zip(tiles, _shapes(glue))):
-        slot = next(s for s in tile.slots if s not in shape)
-        out.append((slot, _in_minus(tiles[0].a, k, slot)))
-    return out
+def outer_slots(tiles: Sequence[Tile]) -> List[Tuple[str, bool]]:
+    """Per tile, the compass slot of its outer edge (no other tile has that
+    edge) and whether P- holds that edge, both from `_outer`."""
+    return [(list(tile.slots)[slot], minus) for k, tile in enumerate(tiles)
+            for slot, minus in [_outer(tile.shape[0], k)]]
 
 
 def _transfer(weights: Dict[str, int], phis: Dict[str, int], low, up):
     """One tile's (start shift, rules, turn) from its two strip triangles
-    (see `strip_transfers`), read with rel = +1: a tile with rel = -1 is its
-    mirror image, with the same edges and an outer slot whose parity flips
-    with that of k (`_in_minus`).  A rule's key sums the keys of the slots
-    it chooses, the outer slot's adding phi of the diagonal."""
+    (see `strip_transfers`), read with rel = +1 as tile 0: a tile with
+    rel = -1 is its mirror image, with the same edges and an outer slot
+    whose parity flips with that of k (`_outer`)."""
     diagonal, sides, entry, exit_ = _local_tile(low, up, 1)
-    keys = [weights[label] for label in sides]
-    outer = 1 if entry == 0 else 0    # the first slot that is no glue slot
-    phi = phis[diagonal]
-    shift = phi if outer else 0       # P- holds slot 1 of an even tile
-    keys[outer] += phi - 2 * shift
-    return shift, [(c, o, sum(keys[i] for i in slots))
-                   for c, o, slots in _LOCAL_RULES[entry, exit_]], \
-        None not in (entry, exit_) and exit_ - entry != 2
+    shift, rules = _tile_rules([weights[label] for label in sides],
+                               phis[diagonal], entry, exit_)
+    return shift, rules, None not in (entry, exit_) and exit_ - entry != 2
 
 
 def strip_transfers(T: Triangulation, strip: Sequence) -> Tuple:
@@ -330,7 +317,7 @@ def _merged(a_off: int, a: Dict[int, int], b_off: int,
 
 def strip_sum(start: int, rules: Sequence[Sequence[Tuple[bool, bool, int]]]
               ) -> Dict[int, int]:
-    """The matching DP over the rules of `strip_rules`, as {packed key:
+    """The matching DP over per-tile rules (`_tile_rules`), as {packed key:
     coefficient}.  A state is (shift, terms), the polynomial of its
     partial matchings with every key of terms moved by shift: a rule adds
     its key to the shift, so only two rules into one state build a dict."""

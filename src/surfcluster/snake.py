@@ -47,10 +47,10 @@ its source triangle; it is read off `rel`: the slot at index i of a tile's
 rel = -1.
 
 The drawing only steps up or right, so tiles never overlap and each tile
-meets only its neighbours, along the glue edges.  Every tile therefore keeps
-an edge on the outer face: the first slot from a that is no glue slot
-(`matchings.outer_slots`, which also says whether P- holds it), and
-matching heights are read off those edges alone.
+meets only its neighbours, along the glue edges, whose slots from a are its
+`shape`.  Every tile therefore keeps an edge on the outer face: the first
+slot from a that is no glue slot (`matchings._outer`, which also says
+whether P- holds it), and matching heights are read off those edges alone.
 """
 
 from __future__ import annotations
@@ -178,6 +178,7 @@ class Tile:
     pos: Tuple[int, int]
     a: int                               # index in _SLOTS of the earlier copy
     slots: Dict[str, str]                # compass slot -> edge label, ccw from a
+    shape: Tuple[Optional[int], Optional[int]]  # (entry, exit) slots from a
     slot_edge: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -241,10 +242,10 @@ def build_tiles(T: Triangulation, path: CrossingPath):
     glue = ["U" if (e + t) % 4 == 2 else "R" for e in exits]
     order = _SLOTS[t:] + _SLOTS[:t]
     tiles, x = [], 0
-    for k, (diag, labels, _, _) in enumerate(placed):
+    for k, (diag, labels, entry, exit_) in enumerate(placed):
         x += k and glue[k - 1] == "R"       # tile k sits at x + y = k
         tiles.append(Tile(diag, (-1) ** k, (x, k - x), t,
-                          dict(zip(order, labels))))
+                          dict(zip(order, labels)), (entry, exit_)))
     return tiles, glue
 
 

@@ -6,26 +6,52 @@ boundary cycle (`boundary_walk`), each tile's outer edge as its first
 boundary edge in edge-id order (`outer_edges`), and one packed key per
 edge id (`edge_keys`); `transfer_sum` runs the matching DP over those edge
 keys through `matchings.strip_sum`.  The strip kernel builds no graph, so
-the two routes share the rule table and builder, the DP and the label and
-phi keys but
-not the edge numbering, the outer edges or P-.  `boundary_matchings` keeps
-the enumerated matchings that use boundary edges only, a third way to P-
-and P+.  `minus_avoid` states which edges of the first tile P- avoids.
+the two routes share the rule table, the DP and the label and phi keys
+but not the edge numbering, the outer edges or P-.  `boundary_matchings`
+keeps the enumerated matchings that use boundary edges only, a third way
+to P- and P+.  `minus_avoid` states which edges of the first tile P-
+avoids.
 
 `strip_rules` is the route between the two: it reads the rules of each
-tile that `snake.build_tiles` places, in compass slots, which the transfer
-table of `matchings.strip_transfers` must reproduce up to the order of each
-tile's rules.  `turns` reads the turn flags of `matchings.matching_count`
-off a snake's glue.
+tile that `snake.build_tiles` places, keyed by compass slot, which the
+transfer table of `matchings.strip_transfers` must reproduce up to the
+order of each tile's rules.  It and `transfer_sum` read each tile's shape
+off the glue (`glue_slots`), not off `Tile.shape`, which comes from
+`snake._local_tile` as the transfer table does, so the two stay
+independent routes.  `turns` reads the turn flags of
+`matchings.matching_count` off a snake's glue.
 """
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from surfcluster.matchings import (Matching, NotAMatching, _keys, _rules,
+from surfcluster.matchings import (_RULES, Matching, NotAMatching, _keys,
                                    enumerate_matchings, outer_slots,
                                    strip_sum)
 from surfcluster.snake import SnakeGraph, Tile
 from surfcluster.surface import Triangulation
+
+
+def glue_slots(glue: Sequence[str]
+               ) -> List[Tuple[Optional[str], Optional[str]]]:
+    """Each tile's compass (entry, exit) glue slots as the glue implies
+    them: S after U, W after R, N before U, E before R, None at the ends."""
+    return list(zip([None] + ["S" if d == "U" else "W" for d in glue],
+                    ["N" if d == "U" else "E" for d in glue] + [None]))
+
+
+def glue_rules(tiles: Sequence[Tile], glue: Sequence[str],
+               slot_keys: Sequence[Dict[str, int]]
+               ) -> List[List[Tuple[bool, bool, int]]]:
+    """Per tile, (covered in, covered out, key) for each rule of the shape
+    the glue gives it, the key summing the tile's compass slot keys over
+    the slots the rule chooses."""
+    out = []
+    for tile, keys, compass in zip(tiles, slot_keys, glue_slots(glue)):
+        order = list(tile.slots)            # compass slots from a
+        shape = tuple(None if s is None else order.index(s) for s in compass)
+        out.append([(c, o, sum(keys[order[i]] for i in slots))
+                    for c, o, slots in _RULES[shape]])
+    return out
 
 
 def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str],
@@ -40,7 +66,7 @@ def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str],
     picks."""
     _, weights, phis = _keys(T, max(len(tiles) + 1, bound))
     start, slot_keys = 0, []
-    for tile, (outer, minus) in zip(tiles, outer_slots(tiles, glue)):
+    for tile, (outer, minus) in zip(tiles, outer_slots(tiles)):
         keys = {s: weights[label] for s, label in tile.slots.items()}
         phi = phis[tile.diagonal]
         if minus:
@@ -48,7 +74,7 @@ def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str],
             phi = -phi
         keys[outer] += phi
         slot_keys.append(keys)
-    return start, _rules(slot_keys, glue)
+    return start, glue_rules(tiles, glue, slot_keys)
 
 
 def turns(glue: Sequence[str]) -> List[bool]:
@@ -94,8 +120,8 @@ def transfer_sum(g: SnakeGraph, start: int,
     """Sum over the perfect matchings P of g of the monomial with packed key
     start + sum(keys[e] for e in P), as {packed key: coefficient}.  With
     every key 0 the result is {0: number of perfect matchings}."""
-    slot_keys = ({s: keys[e] for s, e in t.slot_edge.items()} for t in g.tiles)
-    return strip_sum(start, _rules(slot_keys, g.glue))
+    slot_keys = [{s: keys[e] for s, e in t.slot_edge.items()} for t in g.tiles]
+    return strip_sum(start, glue_rules(g.tiles, g.glue, slot_keys))
 
 
 def boundary_matchings(g: SnakeGraph) -> List[Matching]:

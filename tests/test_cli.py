@@ -533,6 +533,12 @@ BAD_INPUTS = {
     "three notch names": (EXIT_PARSE, _two_punctures_notch("p,q,zzz")),
     "empty notch names": (EXIT_PARSE, _two_punctures_notch(",")),
     "empty notch": (EXIT_PARSE, _two_punctures_notch("")),
+    "no command": (EXIT_PARSE, lambda tmp: []),
+    "expand without --arc": (EXIT_PARSE, lambda tmp: [
+        "expand", "--surface", str(DATA / "square.json")]),
+    "unknown flag": (EXIT_PARSE, lambda tmp: [
+        "expand", "--surface", str(DATA / "square.json"),
+        "--arc", str(DATA / "square_arc.json"), "--bogus"]),
     # indices: exit 2
     "sequence 0": (EXIT_VALIDATION, lambda tmp: [
         "mutate", "--seed", SEED, "--sequence", "0"]),
@@ -628,6 +634,11 @@ BAD_MESSAGES = {
     "three notch names": "--notch takes p or p,q, not 'p,q,zzz'",
     "empty notch names": "--notch takes p or p,q, not ','",
     "empty notch": "--notch takes p or p,q, not ''",
+    "no command": "surfcluster: the following arguments are required: "
+                  "command",
+    "expand without --arc": "surfcluster expand: the following arguments "
+                            "are required: --arc",
+    "unknown flag": "surfcluster: unrecognized arguments: --bogus",
     "sequence 0": "--sequence: index 0 is not in 1..2",
     "sequence 3": "--sequence: index 3 is not in 1..2",
     "square seed is not skew-symmetric": "top block is not skew-symmetric",

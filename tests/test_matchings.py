@@ -255,8 +255,10 @@ def test_rule_table_against_a_window_of_three_tiles(entry, exit_):
                                if s != entry and e in P)
             read.add((not entry or tile[entry] <= early, chosen,
                       not exit_ or tile[exit_] <= upto))
-    assert read == {(c, frozenset(slots), o)
-                    for c, o, slots in _RULES[entry, exit_]}
+    # the table is in slots from a; read it through the drawing with a = 3
+    local = {None: None, "W": 0, "S": 1, "E": 2, "N": 3}
+    assert read == {(c, frozenset("WSEN"[i] for i in slots), o)
+                    for c, o, slots in _RULES[local[entry], local[exit_]]}
 
 
 @pytest.mark.parametrize("reverse, glue", [(False, ["R", "U"]),
@@ -462,7 +464,7 @@ def _strip_against_graph(T, path):
     tiles, glue = build_tiles(T, path)
     minus, plus = boundary_walk(g)
     assert minimal_maximal(g) == (minus, plus)
-    outer, graph_outer = outer_slots(tiles, glue), outer_edges(g)
+    outer, graph_outer = outer_slots(tiles), outer_edges(g)
     assert [t.slot_edge[s] for t, (s, _) in zip(g.tiles, outer)] == \
         graph_outer
     assert [m for _, m in outer] == [e in minus for e in graph_outer]

@@ -18,6 +18,7 @@ from conftest import (
     gamma3,
     walk_paths,
 )
+from graph_route import glue_slots
 from helpers import third_arc
 from surfcluster.surface import (Crossing, CrossingPath, PathInvalid,
                                  SelfFolded, SurfaceError)
@@ -33,6 +34,7 @@ from surfcluster.snake import (
     dump_snake,
 )
 from surfcluster.expand import expand_ordinary
+from surfcluster.matchings import _RULES
 import snake_oracle
 
 
@@ -195,6 +197,25 @@ def test_placement_matches_pattern_tables(name):
                 t.pos) for t in tiles]
         want = snake_oracle.place(build_strip(T, path))
         assert (got, glue) == want, path
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_tile_shape_is_the_glue(name):
+    # each tile's stored (entry, exit), in slots from a, names through the
+    # drawing the compass slots the glue implies, and keys the rule table
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    checked = 0
+    for path in oracle_walks(T, max_d):
+        try:
+            tiles, glue = build_tiles(T, path)
+        except SurfaceError:
+            continue
+        assert [tuple(None if i is None else list(t.slots)[i]
+                      for i in t.shape) for t in tiles] == glue_slots(glue)
+        assert all(t.shape in _RULES for t in tiles)
         checked += 1
     assert checked
 

@@ -44,6 +44,7 @@ _TESTS = "a protocol method that the tests use"
 KEPT = {
     "cli._Mismatch.__init__": "runs only when a file breaks its schema",
     "cli._not_a": "runs only when a file breaks its schema",
+    "cli._ArgumentParser.error": "runs only on a bad command line",
     "expand.retag_expansion": "tag switching, kept for arcs notched at a "
                               "puncture with a self-folded triangle",
     "expand._toggle_notch_name": "retag_expansion calls it",
