@@ -376,12 +376,18 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_matchings(args) -> int:
+def _snake_of(args):
+    """(T, snake graph) of the --arc crossing path on the --surface; the
+    arc's tags are not read."""
     T = parse_surface(_load(args.surface))
     arc, _, _ = parse_arc(_load(args.arc), T)
     if not isinstance(arc, CrossingPath):
-        raise ValidationError("matchings needs a crossing path")
-    g = build_snake(T, arc)
+        raise ValidationError(f"{args.command} needs a crossing path")
+    return T, build_snake(T, arc)
+
+
+def _cmd_matchings(args) -> int:
+    T, g = _snake_of(args)
     for P in enumerate_matchings(g):
         edges = ",".join(str(e) for e in sorted(P))
         w = x_of_labels(T, [g.edges[e].label for e in P])
@@ -393,23 +399,21 @@ def _cmd_matchings(args) -> int:
 
 
 def _cmd_snake(args) -> int:
-    T = parse_surface(_load(args.surface))
-    arc, _, _ = parse_arc(_load(args.arc), T)
-    if not isinstance(arc, CrossingPath):
-        raise ValidationError("snake needs a crossing path")
-    g = build_snake(T, arc)
-    if args.dot:
-        print(_dot(g))
-    else:
-        print(dump_snake(g))
+    _, g = _snake_of(args)
+    print(_dot(g) if args.dot else dump_snake(g))
     return 0
+
+
+def _dot_string(text: str) -> str:
+    """A DOT quoted string: text with backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _dot(g) -> str:
     lines = ["graph snake {"]
     for e in g.edges:
         a, b = g.edge_vertices(e)
-        lines.append(f'  v{a} -- v{b} [label="{e.label}"];')
+        lines.append(f'  v{a} -- v{b} [label={_dot_string(e.label)}];')
     for k, t in enumerate(g.tiles):
         lines.append(f'  // tile {k} diag={t.diagonal} rel={t.rel:+d} '
                      f'pos=({t.pos[0]},{t.pos[1]})')

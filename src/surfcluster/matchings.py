@@ -54,9 +54,9 @@ kept on T per width too (`_keys`), so a product of weights is the sum of
 its label keys (`x_of_labels`); a monomial built here is in T's ring.
 
 Enumeration runs the same DP on a graph: `enumerate_matchings` gives
-`_tile_rules` each slot's edge-id bit, in `Tile.slots` order, and phi 0, so
-every term of the sum is one matching; it returns the matchings sorted by
-their sorted edge ids.  It is exponential and serves only the `matchings`
+`_tile_rules` each slot's edge-id bit, by slot from a (`Tile.edges`), and
+phi 0, so every term of the sum is one matching; it returns the matchings
+sorted by their sorted edge ids.  It is exponential and serves only the `matchings`
 command and the test oracles.  `matching_count` checks every strip sum's
 count a second way, by a continuant read off the turns.
 """
@@ -69,7 +69,7 @@ from operator import add
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import LaurentPoly, Ring, bits_for, ring_of, xvar, yvar
-from .snake import _SLOTS, LoopGraph, SnakeGraph, Tile, _local_tile
+from .snake import LoopGraph, SnakeGraph, Tile, _local_tile
 from .surface import SurfaceError, Triangulation
 
 __all__ = [
@@ -155,8 +155,8 @@ def _tile_rules(keys: Sequence[int], phi: int, entry: Optional[int],
 def enumerate_matchings(g: SnakeGraph) -> List[Matching]:
     """All perfect matchings, sorted by their sorted edge ids: the strip
     DP with each edge keyed by its own bit, so each term is one matching."""
-    masks = strip_sum(0, [_tile_rules([1 << t.slot_edge[s] for s in t.slots],
-                                      0, *t.shape)[1] for t in g.tiles])
+    masks = strip_sum(0, [_tile_rules([1 << e for e in t.edges], 0,
+                                      *t.shape)[1] for t in g.tiles])
     return sorted((frozenset(e for e in range(m.bit_length()) if m >> e & 1)
                    for m in masks), key=sorted)
 
@@ -169,7 +169,7 @@ def minimal_maximal(g: SnakeGraph) -> Tuple[Matching, Matching]:
     for e in g.edges:
         if e.boundary:
             k, slot = e.tiles[0]
-            sides[(_SLOTS.index(slot) - g.tiles[0].a + k) % 2].add(e.eid)
+            sides[(slot + k) % 2].add(e.eid)
     return frozenset(sides[1]), frozenset(sides[0])
 
 
@@ -187,7 +187,7 @@ def _tile_heights(g: SnakeGraph, P: Matching, n: int) -> Dict[str, int]:
     enclosed exactly when its outer edge lies in one of P and P-."""
     m: Dict[str, int] = {}
     for tile, (slot, minus) in zip(g.tiles[:n], outer_slots(g.tiles)):
-        if (tile.slot_edge[slot] in P) != minus:
+        if (tile.edges[slot] in P) != minus:
             m[tile.diagonal] = m.get(tile.diagonal, 0) + 1
     return m
 
@@ -272,11 +272,10 @@ def weight_exps(g: SnakeGraph, edges: Iterable[int], T: Triangulation) -> Dict:
 # the matching sum of an ordinary arc, from its strip
 
 
-def outer_slots(tiles: Sequence[Tile]) -> List[Tuple[str, bool]]:
-    """Per tile, the compass slot of its outer edge (no other tile has that
-    edge) and whether P- holds that edge, both from `_outer`."""
-    return [(list(tile.slots)[slot], minus) for k, tile in enumerate(tiles)
-            for slot, minus in [_outer(tile.shape[0], k)]]
+def outer_slots(tiles: Sequence[Tile]) -> List[Tuple[int, bool]]:
+    """Per tile, `_outer`: the slot from a of its outer edge (no other tile
+    has that edge) and whether P- holds that edge."""
+    return [_outer(tile.shape[0], k) for k, tile in enumerate(tiles)]
 
 
 def _transfer(weights: Dict[str, int], phis: Dict[str, int], low, up):
@@ -375,8 +374,7 @@ def perfect_end_restriction(lg: LoopGraph, P: Matching) -> Tuple[int, Dict[Role,
         roles = lg.end_roles[which]
         restr = [e for e in P if e in roles]
         cover = Counter(v for e in restr for v in g.edge_vertices(g.edges[e]))
-        vs = {g.vertex_of[(t, c)] for t in tiles
-              for c in ("SW", "SE", "NE", "NW")}
+        vs = {g.vertex_of[t, c] for t in tiles for c in range(4)}
         if cover.keys() == vs and all(n == 1 for n in cover.values()):
             return which, {roles[e]: e for e in restr}
     raise NotAMatching("matching restricts to a perfect matching on neither end")

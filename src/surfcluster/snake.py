@@ -18,13 +18,15 @@ rels put the glued side at the same end of both its pairs, so every tile
 has tile 0's a, turned by t: the fewest quarter turns that make every exit
 N or E, so the drawing steps only up (U) or right (R).
 
-Gluing is by slot.  Tile k+1's entry slot (S after an upward step U, W after
-a step right R) is tile k's exit slot (N or E): one interior edge.  The two
-corners at its ends are shared, SW, SE of tile k+1 being NW, NE of tile k
-after U, and SW, NW being SE, NE after R.  Every other edge and corner gets
-the next id, tile by tile: edges counterclockwise from slot a, corners in
-SW, SE, NE, NW order.  So a tile's `slot_edge`, which lists the entry slot
-first and then the others counterclockwise from a, is in edge-id order.
+Gluing is by slot, with corners counted from a too: corner j is where slot
+j starts counterclockwise, so slot j joins corners j and j + 1, and corner j
+is the drawing's corner a + j of SW, SE, NE, NW = 0..3.  Tile k+1's entry slot e is tile k's exit
+slot x: one interior edge, run the other way round, so corners e and e + 1
+of tile k+1 are corners x + 1 and x of tile k.  Every other edge and corner
+gets the next id, tile by tile: edges by slot from a, corners in SW, SE, NE,
+NW order.  Compass letters serve the printed drawing alone: `dump_snake`
+lists slot (c - a) mod 4 under compass name c, and `edge_vertices` gives an
+edge's west or south end first.
 
 Self-folded triangles are unfolded into the fan around their puncture before
 tiling, so a loop-radius-loop pass turns into three tiles that stay glued as
@@ -42,9 +44,9 @@ edges of their two ends (the first and last d tiles), which the structural
 isomorphism between the ends preserves; the paper's sums over their
 symmetric matchings and compatible pairs are kept as a test oracle.  An
 edge's role is its position, 0 or 1, counterclockwise from the diagonal in
-its source triangle; it is read off `rel`: the slot at index i of a tile's
-`lower_slots` or `upper_slots` has role i when rel = +1 and 1 - i when
-rel = -1.
+its source triangle; it is read off `rel`: slots 0 and 1 from a hold the
+earlier copy's sides and 2 and 3 the later copy's, and slot j has role
+j mod 2 when rel = +1 and 1 - j mod 2 when rel = -1.
 
 The drawing only steps up or right, so tiles never overlap and each tile
 meets only its neighbours, along the glue edges, whose slots from a are its
@@ -156,46 +158,23 @@ def build_strip(T: Triangulation, path: CrossingPath):
 # ---------------------------------------------------------------------------
 # tile placement
 
-_SLOTS = "SENW"                          # counterclockwise
-_SLOT_CORNERS = {
-    "S": ("SW", "SE"),
-    "E": ("SE", "NE"),
-    "N": ("NW", "NE"),
-    "W": ("SW", "NW"),
-}
-# the slot of tile k+1 glued to tile k, the slot of tile k glued to tile
-# k+1, and the corners of tile k+1 glued to corners of tile k, by glue
-# direction
-_ENTRY_OF_DIR = {"U": "S", "R": "W"}
-_EXIT_SLOT = {"U": "N", "R": "E"}
-_GLUED_CORNERS = {"U": {"SW": "NW", "SE": "NE"}, "R": {"SW": "SE", "NW": "NE"}}
-
 
 @dataclass
 class Tile:
     diagonal: str
     rel: int
     pos: Tuple[int, int]
-    a: int                               # index in _SLOTS of the earlier copy
-    slots: Dict[str, str]                # compass slot -> edge label, ccw from a
+    a: int                               # compass slot of slot 0: S, E, N, W = 0..3
+    labels: List[str]                    # edge label per slot from a
     shape: Tuple[Optional[int], Optional[int]]  # (entry, exit) slots from a
-    slot_edge: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def lower_slots(self) -> Tuple[str, str]:
-        """The slots of the copy of the earlier triangle."""
-        return _SLOTS[self.a], _SLOTS[(self.a + 1) % 4]
-
-    @property
-    def upper_slots(self) -> Tuple[str, str]:
-        return _SLOTS[(self.a + 2) % 4], _SLOTS[(self.a + 3) % 4]
+    edges: List[int] = field(default_factory=list)  # edge id per slot from a
 
 
 @dataclass
 class EdgeInfo:
     eid: int
     label: str
-    tiles: List[Tuple[int, str]]
+    tiles: List[Tuple[int, int]]         # (tile, slot from a)
     boundary: bool = True
 
 
@@ -204,7 +183,7 @@ class SnakeGraph:
     tiles: List[Tile]
     glue: List[str]                      # "U" | "R", between consecutive tiles
     edges: List[EdgeInfo]
-    vertex_of: Dict[Tuple[int, str], int]  # (tile, corner) -> vertex id
+    vertex_of: Dict[Tuple[int, int], int]  # (tile, corner from a) -> vertex id
     nvertices: int
     triple_spans: List[Tuple[int, int, int]]
 
@@ -213,9 +192,13 @@ class SnakeGraph:
         return len(self.tiles)
 
     def edge_vertices(self, e: EdgeInfo) -> Tuple[int, int]:
-        tile, slot = e.tiles[0]
-        c1, c2 = _SLOT_CORNERS[slot]
-        return (self.vertex_of[(tile, c1)], self.vertex_of[(tile, c2)])
+        """The ends of the edge, its west or south end first: the slot's
+        corners, which run counterclockwise from that end on a south or
+        east side (compass slot 0 or 1) and toward it on a north or west
+        side."""
+        k, slot = e.tiles[0]
+        ends = (self.vertex_of[k, slot], self.vertex_of[k, (slot + 1) % 4])
+        return ends if (slot + self.tiles[k].a) % 4 < 2 else ends[::-1]
 
 
 def _local_tile(low, up, rel: int):
@@ -240,12 +223,11 @@ def build_tiles(T: Triangulation, path: CrossingPath):
     exits = [tile[3] for tile in placed[:-1]]
     t = next(t for t in range(4) if all((e + t) % 4 in (1, 2) for e in exits))
     glue = ["U" if (e + t) % 4 == 2 else "R" for e in exits]
-    order = _SLOTS[t:] + _SLOTS[:t]
     tiles, x = [], 0
     for k, (diag, labels, entry, exit_) in enumerate(placed):
         x += k and glue[k - 1] == "R"       # tile k sits at x + y = k
-        tiles.append(Tile(diag, (-1) ** k, (x, k - x), t,
-                          dict(zip(order, labels)), (entry, exit_)))
+        tiles.append(Tile(diag, (-1) ** k, (x, k - x), t, labels,
+                          (entry, exit_)))
     return tiles, glue
 
 
@@ -254,26 +236,26 @@ def build_snake(T: Triangulation, path: CrossingPath) -> SnakeGraph:
     tile by tile (see the module docstring)."""
     tiles, glue = build_tiles(T, path)
     edges: List[EdgeInfo] = []
-    vertex_of: Dict[Tuple[int, str], int] = {}
+    vertex_of: Dict[Tuple[int, int], int] = {}
     nvertices = 0
     for k, tile in enumerate(tiles):
-        step = glue[k - 1] if k else None
-        glued = _GLUED_CORNERS.get(step, {})
-        for corner in ("SW", "SE", "NE", "NW"):
-            if corner in glued:
-                vertex_of[(k, corner)] = vertex_of[(k - 1, glued[corner])]
-            else:
-                vertex_of[(k, corner)] = nvertices
+        entry = tile.shape[0]
+        if k:
+            x = tiles[k - 1].shape[1]
+            vertex_of[k, entry] = vertex_of[k - 1, (x + 1) % 4]
+            vertex_of[k, entry + 1] = vertex_of[k - 1, x]
+            glued = edges[tiles[k - 1].edges[x]]
+            glued.tiles.append((k, entry))
+            glued.boundary = False
+        for corner in [(c - tile.a) % 4 for c in range(4)]:  # SW SE NE NW
+            if (k, corner) not in vertex_of:
+                vertex_of[k, corner] = nvertices
                 nvertices += 1
-        se = tile.slot_edge = {}
-        if step:
-            e = edges[tiles[k - 1].slot_edge[_EXIT_SLOT[step]]]
-            e.tiles.append((k, _ENTRY_OF_DIR[step]))
-            e.boundary = False
-            se[_ENTRY_OF_DIR[step]] = e.eid
-        for slot, label in tile.slots.items():
-            if slot not in se:
-                se[slot] = len(edges)
+        for slot, label in enumerate(tile.labels):
+            if slot == entry:
+                tile.edges.append(glued.eid)
+            else:
+                tile.edges.append(len(edges))
                 edges.append(EdgeInfo(len(edges), label, [(k, slot)]))
     # `validate_path` flanks every radius crossing by loop crossings
     spans = [(j - 1, j, j + 1) for j, c in enumerate(path.crossings)
@@ -367,10 +349,9 @@ def _end_role_map(g: SnakeGraph, d: int, e_p: int, which: int):
         tile = g.tiles[t]
         can_t = t if which == 1 else n - 1 - t
         lower, upper = ("lower", "upper") if which == 1 else ("upper", "lower")
-        for tri, slots in ((lower, tile.lower_slots), (upper, tile.upper_slots)):
-            for i, slot in enumerate(slots):
-                role = i if tile.rel == 1 else 1 - i
-                roles.setdefault(tile.slot_edge[slot], (can_t, tri, role))
+        for slot, eid in enumerate(tile.edges):
+            role = slot % 2 if tile.rel == 1 else 1 - slot % 2
+            roles.setdefault(eid, (can_t, (lower, upper)[slot // 2], role))
     # glue edges between two tiles of the end get a symmetric role, since
     # naming them after either incident tile is not flip-equivariant
     for eid in list(roles):
@@ -411,7 +392,8 @@ def build_loop_graph(T: Triangulation, path: CrossingPath,
 def dump_snake(g: SnakeGraph) -> str:
     lines = [f"tiles {g.d} glue {''.join(g.glue) or '-'}"]
     for i, t in enumerate(g.tiles):
-        slots = " ".join(f"{s}={t.slots[s]}" for s in "SENW")
+        slots = " ".join(f"{s}={t.labels[(c - t.a) % 4]}"
+                         for c, s in enumerate("SENW"))
         lines.append(f"tile {i} pos=({t.pos[0]},{t.pos[1]}) diag={t.diagonal} "
                      f"rel={t.rel:+d} {slots}")
     for span in g.triple_spans:

@@ -30,6 +30,15 @@ from surfcluster.surface import (
 CORNER_AT = {"SW": (0, 0), "SE": (1, 0), "NE": (1, 1), "NW": (0, 1)}
 
 
+def compass(tile, names="SENW"):
+    """The compass names of a tile's slots (or, with names=CORNER_AT, of
+    its corners), listed by number counted from the tile's a: the drawing
+    numbers S, E, N, W (SW, SE, NE, NW) 0..3 counterclockwise, and slot j
+    from a is compass slot a + j, joining corners j and j + 1 from a."""
+    names = list(names)
+    return [names[(tile.a + j) % 4] for j in range(4)]
+
+
 def polygon(c: int) -> Triangulation:
     """Convex c-gon with the fan triangulation from vertex 1.
 

@@ -31,7 +31,7 @@ def _dp(g: SnakeGraph, start, extend: Callable,
     v_last: Dict[int, int] = {}
     tile_vs: List[List[int]] = []
     for k in range(d):
-        vs = [g.vertex_of[(k, c)] for c in ("SW", "SE", "NE", "NW")]
+        vs = [g.vertex_of[k, c] for c in range(4)]
         tile_vs.append(vs)
         for v in vs:
             v_last[v] = k

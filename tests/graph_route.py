@@ -24,6 +24,7 @@ independent routes.  `turns` reads the turn flags of
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from conftest import compass
 from surfcluster.matchings import (_RULES, Matching, NotAMatching, _keys,
                                    enumerate_matchings, outer_slots,
                                    strip_sum)
@@ -46,9 +47,9 @@ def glue_rules(tiles: Sequence[Tile], glue: Sequence[str],
     the glue gives it, the key summing the tile's compass slot keys over
     the slots the rule chooses."""
     out = []
-    for tile, keys, compass in zip(tiles, slot_keys, glue_slots(glue)):
-        order = list(tile.slots)            # compass slots from a
-        shape = tuple(None if s is None else order.index(s) for s in compass)
+    for tile, keys, sides in zip(tiles, slot_keys, glue_slots(glue)):
+        order = compass(tile)
+        shape = tuple(None if s is None else order.index(s) for s in sides)
         out.append([(c, o, sum(keys[order[i]] for i in slots))
                     for c, o, slots in _RULES[shape]])
     return out
@@ -67,12 +68,13 @@ def strip_rules(T: Triangulation, tiles: Sequence[Tile], glue: Sequence[str],
     _, weights, phis = _keys(T, max(len(tiles) + 1, bound))
     start, slot_keys = 0, []
     for tile, (outer, minus) in zip(tiles, outer_slots(tiles)):
-        keys = {s: weights[label] for s, label in tile.slots.items()}
+        keys = {s: weights[label] for s, label in zip(compass(tile),
+                                                       tile.labels)}
         phi = phis[tile.diagonal]
         if minus:
             start += phi
             phi = -phi
-        keys[outer] += phi
+        keys[compass(tile)[outer]] += phi
         slot_keys.append(keys)
     return start, glue_rules(tiles, glue, slot_keys)
 
@@ -86,8 +88,7 @@ def turns(glue: Sequence[str]) -> List[bool]:
 
 def outer_edges(g: SnakeGraph) -> List[int]:
     """Per tile, one edge on the outer face: its first boundary edge."""
-    return [next(e for e in t.slot_edge.values() if g.edges[e].boundary)
-            for t in g.tiles]
+    return [min(e for e in t.edges if g.edges[e].boundary) for t in g.tiles]
 
 
 def edge_keys(g: SnakeGraph, T: Triangulation,
@@ -120,7 +121,8 @@ def transfer_sum(g: SnakeGraph, start: int,
     """Sum over the perfect matchings P of g of the monomial with packed key
     start + sum(keys[e] for e in P), as {packed key: coefficient}.  With
     every key 0 the result is {0: number of perfect matchings}."""
-    slot_keys = [{s: keys[e] for s, e in t.slot_edge.items()} for t in g.tiles]
+    slot_keys = [{s: keys[e] for s, e in zip(compass(t), t.edges)}
+                 for t in g.tiles]
     return strip_sum(start, glue_rules(g.tiles, g.glue, slot_keys))
 
 
@@ -132,10 +134,9 @@ def boundary_matchings(g: SnakeGraph) -> List[Matching]:
 
 def minus_avoid(g: SnakeGraph) -> Set[int]:
     """The two edges of the first tile that P- avoids: the sides that
-    follow its diagonal counterclockwise, which are slots a and a + 2, the
+    follow its diagonal counterclockwise, which are slots 0 and 2 from a, the
     first tile having rel = +1."""
-    tile = g.tiles[0]
-    return {tile.slot_edge["SENW"[(tile.a + i) % 4]] for i in (0, 2)}
+    return {g.tiles[0].edges[i] for i in (0, 2)}
 
 
 def boundary_walk(g: SnakeGraph) -> Tuple[Matching, Matching]:

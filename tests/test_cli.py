@@ -103,6 +103,20 @@ def test_snake_dump(tmp_path, capsys):
     assert "graph snake {" in capsys.readouterr().out
 
 
+def test_snake_dot_escapes_labels(tmp_path, capsys):
+    # a quote or a backslash in a label stays inside its DOT string
+    names = {"b1": 'b"1', "b2": "b\\2"}
+    surface = square_json()
+    surface["boundary"] = [names.get(b, b) for b in surface["boundary"]]
+    for t in surface["triangles"]:
+        t["sides"] = [names.get(x, x) for x in t["sides"]]
+    s = write(tmp_path, "sq.json", surface)
+    a = write(tmp_path, "arc.json", square_arc_json())
+    assert main(["snake", "--surface", s, "--arc", a, "--dot"]) == 0
+    out = capsys.readouterr().out
+    assert '[label="b\\"1"];' in out and '[label="b\\\\2"];' in out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -550,6 +564,13 @@ BAD_INPUTS = {
         tmp, [[0, 1], [-1, 0]], ["1"], "2")),
     "verify index out of range": (EXIT_VALIDATION,
                                   lambda tmp: _hexagon_index(tmp, 4)),
+    # an arc of T where a crossing path is needed: exit 2
+    "snake of an arc of T": (EXIT_VALIDATION, lambda tmp: [
+        "snake", "--surface", str(DATA / "three_punctures.json"),
+        "--arc", str(DATA / "arc9.json")]),
+    "matchings of an arc of T": (EXIT_VALIDATION, lambda tmp: [
+        "matchings", "--surface", str(DATA / "three_punctures.json"),
+        "--arc", str(DATA / "arc9.json")]),
     "arc of T notched twice at one end": (EXIT_VALIDATION, lambda tmp: [
         "expand", "--surface", str(DATA / "three_punctures.json"),
         "--arc", str(DATA / "arc9.json"), "--notch", "P2,P2"]),
@@ -644,6 +665,8 @@ BAD_MESSAGES = {
     "square seed is not skew-symmetric": "top block is not skew-symmetric",
     "too few seed names": "seed: 1 names for 2 columns",
     "verify index out of range": "bundle cases[0]: index 4 is not in 1..3",
+    "snake of an arc of T": "snake needs a crossing path",
+    "matchings of an arc of T": "matchings needs a crossing path",
     "arc of T notched twice at one end":
         "arc '9' does not join 'P2' and 'P2'",
     "arc of T notched at a puncture it does not reach":

@@ -9,6 +9,7 @@ import dp_oracle
 from conftest import (
     CORNER_AT,
     ORACLE_SURFACES,
+    compass,
     digon,
     example_surface,
     gamma1,
@@ -62,7 +63,8 @@ def kasteleyn_count(g) -> int:
     adjacency matrix (horizontal edges +1, vertical edges signed by column)."""
     coord = {}
     for (k, corner), v in g.vertex_of.items():
-        (x, y), (dx, dy) = g.tiles[k].pos, CORNER_AT[corner]
+        t = g.tiles[k]
+        (x, y), (dx, dy) = t.pos, CORNER_AT[compass(t, CORNER_AT)[corner]]
         coord.setdefault(v, (x + dx, y + dy))
     blacks = [v for v, (x, y) in coord.items() if (x + y) % 2 == 0]
     whites = [v for v, (x, y) in coord.items() if (x + y) % 2 == 1]
@@ -108,7 +110,7 @@ def _det(M) -> int:
 def twist_heights(g, P: Matching, minus: Matching):
     """Heights via the twist chain: shortest path to the minimal matching in
     the graph whose moves rotate one tile with alternating edges."""
-    tile_edges = [frozenset(t.slot_edge.values()) for t in g.tiles]
+    tile_edges = [frozenset(t.edges) for t in g.tiles]
 
     def neighbours(m):
         for idx, edges in enumerate(tile_edges):
@@ -465,8 +467,7 @@ def _strip_against_graph(T, path):
     minus, plus = boundary_walk(g)
     assert minimal_maximal(g) == (minus, plus)
     outer, graph_outer = outer_slots(tiles), outer_edges(g)
-    assert [t.slot_edge[s] for t, (s, _) in zip(g.tiles, outer)] == \
-        graph_outer
+    assert [t.edges[s] for t, (s, _) in zip(g.tiles, outer)] == graph_outer
     assert [m for _, m in outer] == [e in minus for e in graph_outer]
     start, keys, bound = edge_keys(g, T, minus)
     acc = strip_sum(*strip_rules(T, tiles, glue))

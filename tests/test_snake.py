@@ -3,6 +3,7 @@ import pytest
 from conftest import (
     CORNER_AT,
     ORACLE_SURFACES,
+    compass,
     digon,
     example_surface,
     gamma1,
@@ -23,7 +24,6 @@ from helpers import third_arc
 from surfcluster.surface import (Crossing, CrossingPath, PathInvalid,
                                  SelfFolded, SurfaceError)
 from surfcluster.snake import (
-    _SLOT_CORNERS,
     EndpointNotPuncture,
     NotchedTrianglePresent,
     build_loop_graph,
@@ -43,7 +43,7 @@ def test_square_single_tile():
     g = build_snake(T, square_other_diagonal(T))
     assert g.d == 1
     assert g.tiles[0].diagonal == "d"
-    assert sorted(g.tiles[0].slots.values()) == ["b1", "b2", "b3", "b4"]
+    assert sorted(g.tiles[0].labels) == ["b1", "b2", "b3", "b4"]
 
 
 def test_gamma1_graph_structure():
@@ -150,30 +150,39 @@ def test_loop_path_rejects_either_junction_at_the_puncture():
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_numbering_follows_the_drawing(name):
     # vertex and edge ids are first-seen numberings of the drawing, tile by
-    # tile; exactly the glue edges are interior
+    # tile; exactly the glue edges are interior; an edge's ends come west
+    # or south end first
     mk, max_d = ORACLE_SURFACES[name]
     graphs = 0
+
+    def edge_at(t, side):
+        return t.edges[compass(t).index(side)]
+
     for g in oracle_graphs(mk(), max_d):
         point_of = {}
         for k, t in enumerate(g.tiles):
+            corners = compass(t, CORNER_AT)
             for corner, (dx, dy) in CORNER_AT.items():
                 pt = (t.pos[0] + dx, t.pos[1] + dy)
-                v = g.vertex_of[(k, corner)]
+                v = g.vertex_of[k, corners.index(corner)]
                 assert point_of.setdefault(v, pt) == pt
                 assert v < len(point_of)          # ids in first-seen order
         assert len(set(point_of.values())) == len(point_of) == g.nvertices
-        seen = list(dict.fromkeys(t.slot_edge[s] for t in g.tiles
-                                  for s in t.slots))
+        seen = list(dict.fromkeys(e for t in g.tiles for e in t.edges))
         assert seen == list(range(len(g.edges)))
         for e in g.edges:
             # a glue edge is the same segment in both of its tiles
-            ends = {point_of[v] for v in g.edge_vertices(e)}
+            ends = [point_of[v] for v in g.edge_vertices(e)]
+            assert ends[0] < ends[1]              # (x, y): west or south
             for k, slot in e.tiles:
-                x, y = g.tiles[k].pos
-                assert ends == {(x + CORNER_AT[c][0], y + CORNER_AT[c][1])
-                                for c in _SLOT_CORNERS[slot]}
-        glue = [(g.tiles[k].slot_edge["N" if d == "U" else "E"],
-                 g.tiles[k + 1].slot_edge["S" if d == "U" else "W"])
+                t = g.tiles[k]
+                side = compass(t)[slot]
+                assert t.edges[slot] == e.eid
+                assert set(ends) == {(t.pos[0] + dx, t.pos[1] + dy)
+                                     for c, (dx, dy) in CORNER_AT.items()
+                                     if side in c}
+        glue = [(edge_at(g.tiles[k], "N" if d == "U" else "E"),
+                 edge_at(g.tiles[k + 1], "S" if d == "U" else "W"))
                 for k, d in enumerate(g.glue)]
         assert all(a == b for a, b in glue)
         assert {a for a, _ in glue} == {e.eid for e in g.edges if not e.boundary}
@@ -184,19 +193,24 @@ def test_numbering_follows_the_drawing(name):
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_placement_matches_pattern_tables(name):
     # slot arithmetic places every tile as the pair-pattern tables and the
-    # quarter turns after them do, on every walk and loop path
+    # quarter turns after them do, on every walk and loop path, and the
+    # dump prints each tile's labels under those compass slots
     mk, max_d = ORACLE_SURFACES[name]
     T = mk()
     checked = 0
     for path in oracle_walks(T, max_d):
         try:
-            tiles, glue = build_tiles(T, path)
+            g = build_snake(T, path)
         except SurfaceError:
             continue
-        got = [(t.rel, list(t.slots.items()), t.lower_slots, t.upper_slots,
-                t.pos) for t in tiles]
+        got = [(t.rel, list(zip(names, t.labels)), tuple(names[:2]),
+                tuple(names[2:]), t.pos)
+               for t in g.tiles for names in [compass(t)]]
         want = snake_oracle.place(build_strip(T, path))
-        assert (got, glue) == want, path
+        assert (got, g.glue) == want, path
+        dumped = [dict(f.split("=", 1) for f in line.split()[-4:])
+                  for line in dump_snake(g).splitlines()[1:g.d + 1]]
+        assert dumped == [dict(slots) for _, slots, *_ in want[0]], path
         checked += 1
     assert checked
 
@@ -213,7 +227,7 @@ def test_tile_shape_is_the_glue(name):
             tiles, glue = build_tiles(T, path)
         except SurfaceError:
             continue
-        assert [tuple(None if i is None else list(t.slots)[i]
+        assert [tuple(None if i is None else compass(t)[i]
                       for i in t.shape) for t in tiles] == glue_slots(glue)
         assert all(t.shape in _RULES for t in tiles)
         checked += 1

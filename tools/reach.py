@@ -56,8 +56,6 @@ KEPT = {
     "snake.build_loop_graph": _PINNED,
     "snake.end_subgraphs": _LOOP,
     "snake._end_role_map": _LOOP,
-    "snake.Tile.lower_slots": _LOOP,
-    "snake.Tile.upper_slots": _LOOP,
     "mutation.specialize_geometric": "the separation formula: other "
                                      "geometric coefficients from principal",
     "mutation._tropical_eval": "specialize_geometric calls it",
