@@ -216,6 +216,13 @@ def _json(data: bytes, schema, what: str):
     return obj
 
 
+def _printable(names, what: str) -> None:
+    """Refuse a name with a control character: commands print names raw."""
+    bad = next((name for name in names if not name.isprintable()), None)
+    if bad is not None:
+        raise ValidationError(f"{what}: name {_show(bad)} is not printable")
+
+
 def _index(k: int, n: int, what: str) -> int:
     """A 1-based index from a file or the command line, made 0-based."""
     if not 1 <= k <= n:
@@ -232,11 +239,12 @@ def _surface(obj: dict, what: str) -> Triangulation:
     arcs, boundary, punctures = (tuple(obj.get(key, ())) for key in
                                  ("arcs", "boundary", "punctures"))
     known = set(arcs) | set(boundary)
-    triangles = []
+    names, triangles = [*arcs, *boundary, *punctures], []
     for i, t in enumerate(obj.get("triangles", ())):
         if "self_folded" in t:
             triangle = SelfFolded(**t["self_folded"])
             labels = (triangle.loop, triangle.radius)
+            names += t["self_folded"].values()
         else:
             labels = tuple(t["sides"])
             vertices = tuple(t.get("vertices", labels))
@@ -244,11 +252,13 @@ def _surface(obj: dict, what: str) -> Triangulation:
                 raise ParseError(f"{what} triangles[{i}]: needs three sides "
                                  "and three vertices")
             triangle = Ordinary(labels, vertices if "vertices" in t else None)
+            names += vertices
         for label in labels:
             if label not in known:
                 raise ParseError(f"{what} triangles[{i}]: unknown label "
                                  f"{_show(label)}")
         triangles.append(triangle)
+    _printable(names, what)
     T = Triangulation(arcs, boundary, punctures, tuple(triangles),
                       Topology(**obj["topology"]))
     problems = validate_surface(T)
@@ -301,6 +311,7 @@ def parse_seed(data: bytes):
     if n == 0 or len(rows) < n or any(len(r) != n for r in rows):
         raise ParseError("seed: matrix must be n x n or (n+m) x n, n >= 1")
     names = obj.get("names", [str(i + 1) for i in range(n)])
+    _printable(names, "seed")
     if len(names) != n:
         raise ValidationError(f"seed: {len(names)} names for {n} columns")
     if len(set(names)) != n:
@@ -438,6 +449,7 @@ def _cmd_mutate(args) -> int:
 
 def _cmd_verify(args) -> int:
     obj = _json(_load(args.bundle), _BUNDLE, "bundle")
+    _printable((c.get("name", "") for c in obj.get("cases", ())), "bundle")
     T = _surface(obj["surface"], "bundle surface")
     B = signed_adjacency(T)
     names = T.tagged_names()
@@ -473,21 +485,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 def main(argv: Optional[List[str]] = None) -> int:
     ap = _ArgumentParser(prog="surfcluster")
     sub = ap.add_subparsers(dest="command", required=True)
+    on_arc = argparse.ArgumentParser(add_help=False)
+    on_arc.add_argument("--surface", required=True)
+    on_arc.add_argument("--arc", required=True)
     for name in ("expand", "fpoly", "gvector"):
-        p = sub.add_parser(name)
-        p.add_argument("--surface", required=True)
-        p.add_argument("--arc", required=True)
-        p.add_argument("--notch", default=None,
-                       help="puncture (or p,q) to notch at")
+        p = sub.add_parser(name, parents=[on_arc])
+        p.add_argument("--notch", help="puncture (or p,q) to notch at")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_expand)
-    p = sub.add_parser("matchings")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--arc", required=True)
-    p.set_defaults(func=_cmd_matchings)
-    p = sub.add_parser("snake")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--arc", required=True)
+    sub.add_parser("matchings", parents=[on_arc]).set_defaults(
+        func=_cmd_matchings)
+    p = sub.add_parser("snake", parents=[on_arc])
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=_cmd_snake)
     p = sub.add_parser("mutate")

@@ -42,16 +42,17 @@ the same way on its first d tiles, with no copy of the end.
 Each tile's height is decided by one edge, so the height is linear in P;
 the weight is a product over the edges and phi is linear, so x(P)·y(P) is
 a fixed monomial times one monomial per edge of P.  So the matching sum of
-an ordinary arc needs neither graph nor placed tiles: a tile's transfer,
-fixed by strip triangles k and k + 1 alone (`_transfer`), is a start
-shift (phi of the diagonal if P- holds the outer edge), one (covered in,
-covered out, packed key) per rule of its shape and whether the snake
-turns there.  `strip_transfers` looks it up in a table kept on T per key
-width, and `strip_sum` folds the rules with one polynomial per state, at
-a cost of tiles × states × terms.  Each label's weight and each arc's phi
-is one packed key in T's ring, 16-bit unless a sum's bound reaches 2**15,
-kept on T per width too (`_keys`), so a product of weights is the sum of
-its label keys (`x_of_labels`); a monomial built here is in T's ring.
+an ordinary arc needs neither graph, strip nor placed tiles: a tile's
+transfer, fixed by steps k and k + 1 of the path alone (`_transfer`), is
+a start shift (phi of the diagonal if P- holds the outer edge), one
+(covered in, covered out, packed key) per rule of its shape and whether
+the snake turns there.  `strip_transfers` looks it up by those two steps
+in a table kept on T per key width, and `strip_sum` folds the rules with
+one polynomial per state, at a cost of tiles × states × terms.  Each
+label's weight and each arc's phi is one packed key in T's ring, 16-bit
+unless a sum's bound reaches 2**15, kept on T per width too (`_keys`), so
+a product of weights is the sum of its label keys (`x_of_labels`); a
+monomial built here is in T's ring.
 
 Enumeration runs the same DP on a graph: `enumerate_matchings` gives
 `_tile_rules` each slot's edge-id bit, by slot from a (`Tile.edges`), and
@@ -69,8 +70,9 @@ from operator import add
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import LaurentPoly, Ring, bits_for, ring_of, xvar, yvar
-from .snake import LoopGraph, SnakeGraph, Tile, _local_tile
-from .surface import SurfaceError, Triangulation
+from .snake import (LoopGraph, SnakeGraph, Tile, _local_tile, path_steps,
+                    strip_triangle)
+from .surface import CrossingPath, SurfaceError, Triangulation
 
 __all__ = [
     "Matching",
@@ -278,26 +280,28 @@ def outer_slots(tiles: Sequence[Tile]) -> List[Tuple[int, bool]]:
     return [_outer(tile.shape[0], k) for k, tile in enumerate(tiles)]
 
 
-def _transfer(weights: Dict[str, int], phis: Dict[str, int], low, up):
-    """One tile's (start shift, rules, turn) from its two strip triangles
-    (see `strip_transfers`), read with rel = +1 as tile 0: a tile with
-    rel = -1 is its mirror image, with the same edges and an outer slot
-    whose parity flips with that of k (`_outer`)."""
-    diagonal, sides, entry, exit_ = _local_tile(low, up, 1)
+def _transfer(T: Triangulation, weights: Dict, phis: Dict, low, up):
+    """One tile's (start shift, rules, turn) from its two steps (see
+    `strip_transfers`), read with rel = +1 as tile 0: a tile with rel = -1
+    is its mirror image, with the same edges and an outer slot whose parity
+    flips with that of k (`_outer`)."""
+    diagonal, sides, entry, exit_ = _local_tile(
+        strip_triangle(T, *low), strip_triangle(T, *up), 1)
     shift, rules = _tile_rules([weights[label] for label in sides],
                                phis[diagonal], entry, exit_)
     return shift, rules, None not in (entry, exit_) and exit_ - entry != 2
 
 
-def strip_transfers(T: Triangulation, strip: Sequence) -> Tuple:
-    """(start, rules, turns) of a `snake.build_strip` strip for `strip_sum`
-    and `matching_count`, each tile's share looked up in T's transfer table
-    of the strip's key width (see the module docstring)."""
-    _, weights, phis = keys = _keys(T, len(strip))
-    table = T.transfer_table.setdefault(keys[0].bits, {})
+def strip_transfers(T: Triangulation, path: CrossingPath) -> Tuple:
+    """(start, rules, turns) of a crossing path for `strip_sum` and
+    `matching_count`, each tile's share looked up by its two steps in T's
+    transfer table of the path's key width (see the module docstring)."""
+    steps = path_steps(T, path)
+    ring, *keys = _keys(T, len(steps))
+    table = T.transfer_table.setdefault(ring.bits, {})
     shifts, rules, turns = zip(*[
-        table.get(key) or table.setdefault(key, _transfer(weights, phis, *key))
-        for key in zip(strip, strip[1:])])
+        table.get(key) or table.setdefault(key, _transfer(T, *keys, *key))
+        for key in zip(steps, steps[1:])])
     return sum(shifts), rules, turns
 
 

@@ -28,11 +28,13 @@ NW order.  Compass letters serve the printed drawing alone: `dump_snake`
 lists slot (c - a) mod 4 under compass name c, and `edge_vertices` gives an
 edge's west or south end first.
 
-Self-folded triangles are unfolded into the fan around their puncture before
-tiling, so a loop-radius-loop pass turns into three tiles that stay glued as
-a block (a triple span: tiles j - 1, j, j + 1 for a radius crossing j) and a
-path ending at an enclosed puncture gets the tile whose outer edges both
-carry the radius.
+A path is read in steps (`path_steps`, its one gate): the triangle visited
+and the crossings into and out of it.  Each step is one strip triangle
+(`strip_triangle`), so tile k depends on crossings k - 1, k and k + 1
+alone.  A self-folded triangle is its fan, so a loop-radius-loop pass
+turns into three tiles that stay glued as a block (a triple span: tiles
+j - 1, j, j + 1 for a radius crossing j) and a path ending at an enclosed
+puncture gets the tile whose outer edges both carry the radius.
 
 Loop paths (`build_loop_path`) follow a path or an arc of the triangulation
 to a puncture, circle it clockwise from the corner the path ends at and
@@ -80,6 +82,8 @@ __all__ = [
     "MalformedLoopGraph",
     "NotchedTrianglePresent",
     "EndpointNotPuncture",
+    "path_steps",
+    "strip_triangle",
     "build_strip",
     "build_tiles",
     "build_snake",
@@ -102,12 +106,9 @@ class EndpointNotPuncture(SurfaceError):
     pass
 
 
-def build_strip(T: Triangulation, path: CrossingPath):
-    """Unfold a crossing path into strip triangles.
-
-    A strip triangle is (labels, enter, exit): its side labels
-    counterclockwise and the indices of the sides the path enters and exits
-    by, None at the ends of the path.
+def path_steps(T: Triangulation, path: CrossingPath):
+    """The steps of a crossing path, (triangle, crossing into it, crossing
+    out of it), None at the path's ends: one per strip triangle.
 
     `validate_path` is the only gate: it makes every crossed arc a side of
     the triangles it joins and lets a self-folded triangle be visited only
@@ -115,44 +116,35 @@ def build_strip(T: Triangulation, path: CrossingPath):
     problems = validate_path(T, path)
     if problems:
         raise PathInvalid("; ".join(problems))
-    d = path.d
-    if d < 1:
+    if path.d < 1:
         raise PathInvalid("a snake graph needs at least one crossing")
-    tris = path.triangle_sequence()
-    arcs = path.crossed_arcs()
-    strip: List[Tuple[Tuple[str, ...], Optional[int], Optional[int]]] = []
+    c = path.crossings
+    return list(zip(path.triangle_sequence(), (None,) + c, c + (None,)))
 
-    j = 0
-    while j <= d:
-        tri = T.triangles[tris[j]]
-        enter = arcs[j - 1] if j > 0 else None
-        exit_ = arcs[j] if j < d else None
-        if isinstance(tri, Ordinary):
-            en = None if enter is None else tri.sides.index(enter)
-            ex = next((i for i, lab in enumerate(tri.sides)
-                       if lab == exit_ and i != en), None)
-            strip.append((tri.sides, en, ex))
-            j += 1
-            continue
-        # the fan around the enclosed puncture: radius, loop, radius
-        fan = (tri.radius, tri.loop, tri.radius)
-        if exit_ == tri.radius:
-            # pattern (2): this visit and the next form the fan pass.  The
-            # first copy is entered through the loop and left through the
-            # radius after it (ccw) or before it (cw); the second is entered
-            # through that radius and left through its loop.
-            if path.crossings[j].wind == "ccw":
-                strip += [(fan, 1, 2), (fan, 0, 1)]
-            else:
-                strip += [(fan, 1, 0), (fan, 2, 1)]
-            j += 2
-        else:
-            # pattern (1): the path ends (or, read backwards, starts) at the
-            # enclosed puncture, crossing the loop
-            strip.append((fan, None if enter is None else 1,
-                          None if exit_ is None else 1))
-            j += 1
-    return strip
+
+def strip_triangle(T: Triangulation, tri: int, into, out):
+    """The strip triangle of one step: (labels, enter, exit), its side
+    labels counterclockwise and the indices of the sides the path enters
+    and exits by, None at the ends.  A self-folded triangle is its fan
+    (radius, loop, radius), visited twice by a loop-radius-loop pass: the
+    first copy is left by the radius after the loop (ccw) or before it
+    (cw), the second entered by it.  A bare loop crossing ends the path at
+    the puncture."""
+    t = T.triangles[tri]
+    if isinstance(t, Ordinary):
+        return (t.sides, None if into is None else t.sides.index(into.arc),
+                None if out is None else t.sides.index(out.arc))
+    fan = (t.radius, t.loop, t.radius)
+    if out is not None and out.arc == t.radius:
+        return fan, 1, 2 if out.wind == "ccw" else 0
+    if into is not None and into.arc == t.radius:
+        return fan, 0 if into.wind == "ccw" else 2, 1
+    return fan, None if into is None else 1, None if out is None else 1
+
+
+def build_strip(T: Triangulation, path: CrossingPath):
+    """The strip triangles of a crossing path, one per step."""
+    return [strip_triangle(T, *step) for step in path_steps(T, path)]
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,8 @@ class Triangulation:
     _orbits: List[List[Tuple[int, int]]] = field(
         init=False, repr=False, compare=False)
     # digit width -> the ring and packed keys of `matchings._keys`, and ->
-    # the tile transfers of `matchings.strip_transfers`; built on first use
+    # the tile transfers of `matchings.strip_transfers` by a path's two
+    # steps (`snake.path_steps`) around the tile; built on first use
     key_table: Dict[int, Tuple] = field(default_factory=dict, init=False,
                                         repr=False, compare=False)
     transfer_table: Dict[int, Dict] = field(

@@ -1,4 +1,5 @@
-"""Tile placement by pair-pattern tables, kept as a test oracle.
+"""Tile placement by pair-pattern tables, and the unfolding of a crossing
+path into strip triangles by a stateful walk, kept as test oracles.
 
 Each triangle copy of a tile fills one of four named slot pairs.  Tile 0's
 earlier copy takes (S, E); every later tile tries the two pairs holding its
@@ -11,9 +12,16 @@ nothing of the slot numbering `surfcluster.snake` places tiles by.
 `place` takes the strip of `surfcluster.snake.build_strip` and returns, per
 tile, (rel, [(slot, label)] in placement order, lower slots, upper slots,
 position), and the glue directions: what `build_tiles` should return.
+
+`unfold` walks the path's triangles, spots a loop-radius-loop pass at its
+first visit to the self-folded triangle and emits both fan copies at once:
+what `build_strip` should return, which reads each strip triangle off one
+step of the path alone.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from surfcluster.surface import Ordinary, PathInvalid, validate_path
 
 # drawn cyclic order (diag, a, b) for each triangle position in an embedding
 _PAIR_PATTERN = {
@@ -97,3 +105,49 @@ def place(strip):
         tiles.append((rel, [(rot[s], strip[i][0][j]) for s, (i, j) in slots.items()],
                       tuple(rot[s] for s in low), tuple(rot[s] for s in up), pos))
     return tiles, glue
+
+
+def unfold(T, path):
+    """The strip triangles (labels, enter, exit) of a crossing path, by a
+    walk over its triangles (see the module docstring)."""
+    problems = validate_path(T, path)
+    if problems:
+        raise PathInvalid("; ".join(problems))
+    d = path.d
+    if d < 1:
+        raise PathInvalid("a snake graph needs at least one crossing")
+    tris = path.triangle_sequence()
+    arcs = path.crossed_arcs()
+    strip: List[Tuple[Tuple[str, ...], Optional[int], Optional[int]]] = []
+
+    j = 0
+    while j <= d:
+        tri = T.triangles[tris[j]]
+        enter = arcs[j - 1] if j > 0 else None
+        exit_ = arcs[j] if j < d else None
+        if isinstance(tri, Ordinary):
+            en = None if enter is None else tri.sides.index(enter)
+            ex = next((i for i, lab in enumerate(tri.sides)
+                       if lab == exit_ and i != en), None)
+            strip.append((tri.sides, en, ex))
+            j += 1
+            continue
+        # the fan around the enclosed puncture: radius, loop, radius
+        fan = (tri.radius, tri.loop, tri.radius)
+        if exit_ == tri.radius:
+            # this visit and the next form the fan pass.  The first copy is
+            # entered through the loop and left through the radius after it
+            # (ccw) or before it (cw); the second is entered through that
+            # radius and left through its loop.
+            if path.crossings[j].wind == "ccw":
+                strip += [(fan, 1, 2), (fan, 0, 1)]
+            else:
+                strip += [(fan, 1, 0), (fan, 2, 1)]
+            j += 2
+        else:
+            # the path ends (or, read backwards, starts) at the enclosed
+            # puncture, crossing the loop
+            strip.append((fan, None if enter is None else 1,
+                          None if exit_ is None else 1))
+            j += 1
+    return strip

@@ -117,6 +117,35 @@ def test_snake_dot_escapes_labels(tmp_path, capsys):
     assert '[label="b\\"1"];' in out and '[label="b\\\\2"];' in out
 
 
+def _renamed_square(tmp_path, names):
+    """`snake` of the square's arc, with labels renamed by `names` in both
+    files."""
+    surface, arc = square_json(), square_arc_json()
+    for key in ("arcs", "boundary"):
+        surface[key] = [names.get(x, x) for x in surface[key]]
+    for t in surface["triangles"]:
+        t["sides"] = [names.get(x, x) for x in t["sides"]]
+    for c in arc["crossings"]:
+        c["arc"] = names.get(c["arc"], c["arc"])
+    for end in (arc["start"], arc["end"]):
+        end["vertex"] = names.get(end["vertex"], end["vertex"])
+    return ["snake", "--surface", write(tmp_path, "sq.json", surface),
+            "--arc", write(tmp_path, "arc.json", arc)]
+
+
+def test_snake_dot_refuses_a_name_that_ends_the_graph(tmp_path, capsys):
+    # a newline in the diagonal's name would end the DOT comment that
+    # prints it and start a second graph; a printable non-ASCII name is kept
+    argv = _renamed_square(tmp_path, {"d": "d\n}\ngraph x {"})
+    assert main(argv + ["--dot"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err == "validation error: surface: name " \
+        "'d\\n}\\ngraph x {' is not printable\n"
+    assert main(_renamed_square(tmp_path, {"d": "δ 1"}) + ["--dot"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("graph") == 1 and "diag=δ 1 " in out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -347,6 +376,15 @@ def _hexagon_bundle(tmp_path, **fields):
     bundle = json.loads((DATA / "hexagon_bundle.json").read_text())
     return ["verify", "--bundle",
             write(tmp_path, "bundle.json", {**bundle, **fields})]
+
+
+def _hexagon_case_named(name):
+    """`verify` of the shipped hexagon bundle with its first case named."""
+    def argv(tmp_path):
+        bundle = json.loads((DATA / "hexagon_bundle.json").read_text())
+        bundle["cases"][0]["name"] = name
+        return ["verify", "--bundle", write(tmp_path, "bundle.json", bundle)]
+    return argv
 
 
 def _notched_expand(tmp_path, **arc_fields):
@@ -589,6 +627,23 @@ BAD_INPUTS = {
     "annulus as a torus with boundary segments": (
         EXIT_VALIDATION, _annulus_as_torus),
     "sphere gluing declared a torus": (EXIT_VALIDATION, _sphere_as_torus),
+    # names that are not printable: exit 2
+    "diagonal with a newline": (EXIT_VALIDATION, lambda tmp: _renamed_square(
+        tmp, {"d": "d\n"})),
+    "boundary segment with a tab": (EXIT_VALIDATION, lambda tmp: _square_expand(
+        tmp, _first_triangle(sides=["b\t1", "b2", "d"]) | {
+            "boundary": ["b\t1", "b2", "b3", "b4"]})),
+    "vertex name with a newline": (EXIT_VALIDATION, lambda tmp: _square_expand(
+        tmp, _first_triangle(vertices=["3\n", "1", "2"]))),
+    "puncture with an escape": (EXIT_VALIDATION, lambda tmp: _digon_expand(
+        tmp, _self_folded(puncture="P\x1b[2J") | {"punctures": ["P\x1b[2J"]})),
+    "self-folded notched_label with a newline": (
+        EXIT_VALIDATION, lambda tmp: _digon_expand(
+            tmp, _self_folded(notched_label="r\n1"))),
+    "seed name with a newline": (EXIT_VALIDATION, lambda tmp: _bad_seed(
+        tmp, [[0, 1], [-1, 0]], ["1", "x\n2"], "1")),
+    "bundle case name with a newline": (
+        EXIT_VALIDATION, _hexagon_case_named("c\n0")),
     # path rules: exit 2
     "wind on a non-radius crossing": (EXIT_VALIDATION, lambda tmp: _square_expand(
         tmp, crossings=[{"arc": "d", "to_triangle": 1, "wind": "ccw"}])),
@@ -683,6 +738,16 @@ BAD_MESSAGES = {
         "components",
     "sphere gluing declared a torus":
         "the triangles glue into 3 vertices, topology has 1 marked points",
+    "diagonal with a newline": "surface: name 'd\\n' is not printable",
+    "boundary segment with a tab": "surface: name 'b\\t1' is not printable",
+    "vertex name with a newline": "surface: name '3\\n' is not printable",
+    "puncture with an escape":
+        "surface: name 'P\\x1b[2J' is not printable",
+    "self-folded notched_label with a newline":
+        "surface: name 'r\\n1' is not printable",
+    "seed name with a newline": "seed: name 'x\\n2' is not printable",
+    "bundle case name with a newline":
+        "bundle: name 'c\\n0' is not printable",
     "wind on a non-radius crossing": "wind on 'd', which is not a radius",
     "exponent overflow": "leave the packed range |e| < 2**31",
 }

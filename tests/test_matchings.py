@@ -367,7 +367,7 @@ def test_key_table_width_follows_the_bound(monkeypatch):
 
     monkeypatch.setattr(matchings, "_keys", spy)
     tiles, _ = build_tiles(T, zigzag_arc(T))
-    strip_transfers(T, build_strip(T, zigzag_arc(T)))
+    strip_transfers(T, zigzag_arc(T))
     assert bounds == [len(tiles) + 1]
     assert expand_ordinary(T, zigzag_arc(T)).poly._ring is _keys(T)[0]
 
@@ -406,7 +406,7 @@ def test_transfer_table_equals_the_placed_tiles(name, monkeypatch):
                             lambda T, b=0: real(T, max(b, bound)))
         for path in paths:
             tiles, glue = build_tiles(T, path)
-            start, rules, flags = strip_transfers(T, build_strip(T, path))
+            start, rules, flags = strip_transfers(T, path)
             want_start, want_rules = strip_rules(T, tiles, glue, bound)
             assert start == want_start, path
             assert list(map(Counter, rules)) == \
@@ -414,6 +414,37 @@ def test_transfer_table_equals_the_placed_tiles(name, monkeypatch):
             assert list(flags) == turns(glue), path
             assert matching_count(flags) == matching_count(turns(glue))
     assert sorted(T.transfer_table) == [16, 32]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_ordinary_expansion_builds_no_strip(name, monkeypatch):
+    # an ordinary expansion reads the path's steps through its one gate,
+    # one validate_path per strip sum, and builds no strip; on a warm
+    # table it computes no transfer either.  A spied function is replaced
+    # wherever a module of the route binds it
+    from surfcluster import expand, matchings, snake
+    T, paths = _placeable(name)
+    calls = Counter()
+
+    def spy(module, fname):
+        real = getattr(module, fname)
+
+        def counted(*args):
+            calls[fname] += 1
+            return real(*args)
+        for home in (snake, matchings, expand):
+            if getattr(home, fname, None) is real:
+                monkeypatch.setattr(home, fname, counted)
+
+    for module, fname in ((snake, "build_strip"), (snake, "validate_path"),
+                          (matchings, "_transfer")):
+        spy(module, fname)
+    first = [expand_ordinary(T, path) for path in paths]
+    assert calls == Counter(validate_path=len(paths),
+                            _transfer=len(T.transfer_table[16]))
+    calls.clear()
+    assert [expand_ordinary(T, path) for path in paths] == first
+    assert calls == Counter(validate_path=len(paths))
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
@@ -425,9 +456,9 @@ def test_transfer_table_fills_once_per_width(name, monkeypatch):
     T, paths = _placeable(name)
     made, real_transfer = [], matchings._transfer
 
-    def spy(weights, phis, *key):
+    def spy(T, weights, phis, *key):
         made.append((weights, key))
-        return real_transfer(weights, phis, *key)
+        return real_transfer(T, weights, phis, *key)
 
     monkeypatch.setattr(matchings, "_transfer", spy)
     first = [expand_ordinary(T, path) for path in paths]
@@ -442,7 +473,7 @@ def test_transfer_table_fills_once_per_width(name, monkeypatch):
     monkeypatch.setattr(matchings, "_keys",
                         lambda T, b=0: real_keys(T, max(b, 2 ** 15)))
     for path in paths:
-        strip_transfers(T, build_strip(T, path))
+        strip_transfers(T, path)
     ring, weights, _ = _keys(T, 2 ** 15)
     assert all(w is weights for w, _ in made)
     assert len(made) == len(narrow)

@@ -191,6 +191,28 @@ def test_numbering_follows_the_drawing(name):
 
 
 @pytest.mark.parametrize("name", list(ORACLE_SURFACES))
+def test_strip_is_the_walk_over_the_triangles(name):
+    # one strip triangle per step equals the stateful walk that emits both
+    # copies of a self-folded fan at its first visit, on every walk and
+    # loop path; a path the walk refuses, build_strip refuses too
+    mk, max_d = ORACLE_SURFACES[name]
+    T = mk()
+    checked = fans = 0
+    for path in oracle_walks(T, max_d):
+        try:
+            want = snake_oracle.unfold(T, path)
+        except SurfaceError:
+            with pytest.raises(SurfaceError):
+                build_strip(T, path)
+            continue
+        assert build_strip(T, path) == want, path
+        checked += 1
+        fans += sum(len(set(labels)) == 2 for labels, _, _ in want)
+    assert checked
+    assert fans or not any(isinstance(t, SelfFolded) for t in T.triangles)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SURFACES))
 def test_placement_matches_pattern_tables(name):
     # slot arithmetic places every tile as the pair-pattern tables and the
     # quarter turns after them do, on every walk and loop path, and the
